@@ -5,10 +5,10 @@ the training data verbatim; the decision tree grows CART-style on Gini gain
 with midpoint thresholds; LDA uses class means, a shrinkage-regularized
 pooled covariance, and class priors; the linear SVM trains one-vs-rest
 hinge-loss separators by full-batch subgradient descent with step
-``1/(c_reg * t)`` at epoch ``t``.
-
-Models serialize to a versioned line-oriented text format with reals
-rendered to 17 significant digits, so a round-trip is prediction-exact.
+``1/(c_reg * t)`` at epoch ``t``. LDA and the SVM keep one linear form,
+per-class weights and bias, for scoring and storage. Models serialize to
+a versioned line-oriented text format with reals rendered to 17
+significant digits, so a round-trip is prediction-exact.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .labels import FormatLabel
 
-_MAGIC = "numctx-model v1"
+_MAGIC = "numctx-model v2"
 # splits with float-noise-level gain are treated as no gain at all
 _MIN_GAIN = 1e-12
 
@@ -103,30 +103,26 @@ class TreeModel:
 
 
 @dataclass
-class LdaModel:
+class LinearModel:
+    """Per-class linear scores; the highest score wins."""
+
     dim: int
     class_ids: np.ndarray  # ascending label values present in training
-    means: np.ndarray  # (n_classes, dim)
-    inv_covariance: np.ndarray  # (dim, dim)
-    log_priors: np.ndarray  # (n_classes,)
-    algorithm: Algorithm = field(default=Algorithm.LDA, init=False)
-
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        coef = self.means @ self.inv_covariance  # (n_classes, dim)
-        intercept = -0.5 * np.einsum("ij,ij->i", coef, self.means) + self.log_priors
-        return X @ coef.T + intercept
-
-
-@dataclass
-class SvmModel:
-    dim: int
-    class_ids: np.ndarray
     weights: np.ndarray  # (n_classes, dim)
     biases: np.ndarray  # (n_classes,)
-    algorithm: Algorithm = field(default=Algorithm.LinearSVM, init=False)
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         return X @ self.weights.T + self.biases
+
+
+@dataclass
+class LdaModel(LinearModel):
+    algorithm: Algorithm = field(default=Algorithm.LDA, init=False)
+
+
+@dataclass
+class SvmModel(LinearModel):
+    algorithm: Algorithm = field(default=Algorithm.LinearSVM, init=False)
 
 
 TrainedModel = KnnModel | TreeModel | LdaModel | SvmModel
@@ -320,13 +316,10 @@ def _train_lda(M: np.ndarray, labels: np.ndarray, shrinkage: float) -> LdaModel:
         ) from None
     inv_covariance = np.linalg.inv(covariance)
     log_priors = np.log(np.array([(labels == c).sum() for c in class_ids], dtype=np.float64) / n)
-    return LdaModel(
-        dim=dim,
-        class_ids=class_ids.astype(np.int64),
-        means=means,
-        inv_covariance=inv_covariance,
-        log_priors=log_priors,
-    )
+    # the discriminant is linear in x: keep only its weights and bias
+    coef = means @ inv_covariance  # (n_classes, dim)
+    intercept = -0.5 * np.einsum("ij,ij->i", coef, means) + log_priors
+    return LdaModel(dim=dim, class_ids=class_ids.astype(np.int64), weights=coef, biases=intercept)
 
 
 # --- linear SVM ----------------------------------------------------------
@@ -387,14 +380,7 @@ def serialize(model: TrainedModel) -> str:
         emit(model.root)
         lines.append(f"nodes {len(node_lines)}")
         lines.extend(node_lines)
-    elif isinstance(model, LdaModel):
-        lines.append(f"classes {' '.join(str(int(c)) for c in model.class_ids)}")
-        lines.append(f"logpriors {_fmt_vec(model.log_priors)}")
-        for c, mean in zip(model.class_ids, model.means):
-            lines.append(f"mean {int(c)} {_fmt_vec(mean)}")
-        for row in model.inv_covariance:
-            lines.append(f"icov {_fmt_vec(row)}")
-    elif isinstance(model, SvmModel):
+    elif isinstance(model, LinearModel):
         lines.append(f"classes {' '.join(str(int(c)) for c in model.class_ids)}")
         for c, w, b in zip(model.class_ids, model.weights, model.biases):
             lines.append(f"weights {int(c)} {_fmt_vec(w)}")
@@ -405,123 +391,108 @@ def serialize(model: TrainedModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Reader:
-    def __init__(self, blob: str):
-        self.lines = blob.splitlines()
+class LineReader:
+    """Cursor over text whose lines read ``key field ...``; every line's key
+    and, where fixed, field count is checked, so damage never reads quietly."""
+
+    def __init__(self, text: str):
+        self.lines = text.splitlines()
         self.pos = 0
 
-    def next(self) -> str:
+    def peek(self) -> str | None:
+        """Key of the next line; None at the end."""
+        return self.lines[self.pos].split(" ", 1)[0] if self.pos < len(self.lines) else None
+
+    def take(self, key: str, count: int | None = None, *, rest: bool = False) -> list[str]:
+        """The fields after ``key`` on the next line, exactly ``count`` of them
+        when given; with ``rest`` the last field runs to the end of the line."""
         if self.pos >= len(self.lines):
-            raise ModelFormatError("unexpected end of model blob")
+            raise ModelFormatError(f"unexpected end of file, expected {key!r} line")
         line = self.lines[self.pos]
         self.pos += 1
-        return line
-
-    def expect_key(self, key: str) -> list[str]:
-        line = self.next()
-        parts = line.split(" ")
-        if parts[0] != key:
+        found, *fields = line.split(" ", count if rest else -1)
+        if found != key:
             raise ModelFormatError(f"expected {key!r} line, got {line!r}")
-        return parts[1:]
+        if count is not None and len(fields) != count:
+            raise ModelFormatError(f"{key!r} line holds {len(fields)} fields, expected {count}")
+        return fields
 
+    def magic(self, expected: str) -> None:
+        """Read the format line ``name version``; another version asks for a retrain."""
+        name, version = expected.split(" ")
+        (found,) = self.take(name, 1)
+        if found != version:
+            raise ModelFormatError(f"'{name} {found}' files are no longer read; retrain to write {expected!r}")
 
-def _parse_floats(parts: list[str], count: int, what: str) -> np.ndarray:
-    if len(parts) != count:
-        raise ModelFormatError(f"{what}: expected {count} values, got {len(parts)}")
-    try:
-        return np.array([float(x) for x in parts], dtype=np.float64)
-    except ValueError as exc:
-        raise ModelFormatError(f"{what}: bad float ({exc})") from None
-
-
-def _parse_int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ModelFormatError(f"{what}: bad integer {text!r}") from None
+    def parse(self, read, source: str = ""):
+        """``read(self)``, which must consume every line; any ValueError it
+        raises becomes a ModelFormatError naming ``source`` and the line."""
+        try:
+            result = read(self)
+            if self.pos < len(self.lines):
+                raise ModelFormatError(f"unexpected content after the end: {self.lines[self.pos]!r}")
+        except ValueError as exc:
+            raise ModelFormatError(f"{source}line {self.pos}: {exc}") from None
+        return result
 
 
 def deserialize(blob: str) -> TrainedModel:
     """Parse a serialized model; raises ModelFormatError on any damage."""
-    reader = _Reader(blob)
-    if reader.next() != _MAGIC:
-        raise ModelFormatError(f"bad magic line, expected {_MAGIC!r}")
-    (algo_name,) = reader.expect_key("algorithm")
-    try:
-        algorithm = Algorithm(algo_name)
-    except ValueError:
-        raise ModelFormatError(f"unknown algorithm {algo_name!r}") from None
-    (dim_s,) = reader.expect_key("dim")
-    dim = _parse_int(dim_s, "dim")
+    return LineReader(blob).parse(read_model)
+
+
+def read_model(reader: LineReader) -> TrainedModel:
+    """Read one model, magic line through ``end``; damage raises ValueError."""
+    reader.magic(_MAGIC)
+    (algo_name,) = reader.take("algorithm", 1)
+    algorithm = Algorithm(algo_name)
+    (dim_s,) = reader.take("dim", 1)
+    dim = int(dim_s)
 
     if algorithm == Algorithm.KNN:
-        (k_s,) = reader.expect_key("k")
-        (n_s,) = reader.expect_key("n")
-        k, n = _parse_int(k_s, "k"), _parse_int(n_s, "n")
+        (k_s,) = reader.take("k", 1)
+        (n_s,) = reader.take("n", 1)
+        k, n = int(k_s), int(n_s)
         points = np.zeros((n, dim))
         labels = np.zeros(n, dtype=np.int64)
         for i in range(n):
-            parts = reader.expect_key("point")
-            labels[i] = _parse_int(parts[0], "point label")
-            points[i] = _parse_floats(parts[1:], dim, "point vector")
+            label, *vector = reader.take("point", 1 + dim)
+            labels[i] = int(label)
+            points[i] = [float(x) for x in vector]
         model: TrainedModel = KnnModel(dim=dim, k=k, points=points, labels=labels)
     elif algorithm == Algorithm.DecisionTree:
-        (count_s,) = reader.expect_key("nodes")
-        count = _parse_int(count_s, "nodes")
+        (count_s,) = reader.take("nodes", 1)
+        count = int(count_s)
         consumed = 0
 
         def parse_node() -> TreeNode:
             nonlocal consumed
             consumed += 1
-            parts = reader.next().split(" ")
-            if parts[0] == "leaf" and len(parts) == 2:
-                return TreeNode(label=_parse_int(parts[1], "leaf label"))
-            if parts[0] == "split" and len(parts) == 3:
-                feature = _parse_int(parts[1], "split feature")
-                threshold = float(_parse_floats([parts[2]], 1, "split threshold")[0])
-                left = parse_node()
-                right = parse_node()
-                return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
-            raise ModelFormatError(f"bad tree node line {' '.join(parts)!r}")
+            if reader.peek() == "leaf":
+                (label,) = reader.take("leaf", 1)
+                return TreeNode(label=int(label))
+            feature, threshold = reader.take("split", 2)
+            node = TreeNode(feature=int(feature), threshold=float(threshold))
+            node.left, node.right = parse_node(), parse_node()
+            return node
 
         root = parse_node()
         if consumed != count:
             raise ModelFormatError(f"tree section declares {count} nodes but holds {consumed}")
         model = TreeModel(dim=dim, root=root)
-    elif algorithm == Algorithm.LDA:
-        class_parts = reader.expect_key("classes")
-        class_ids = np.array([_parse_int(c, "class id") for c in class_parts], dtype=np.int64)
-        log_priors = _parse_floats(reader.expect_key("logpriors"), len(class_ids), "logpriors")
-        means = np.zeros((len(class_ids), dim))
-        for i, c in enumerate(class_ids):
-            parts = reader.expect_key("mean")
-            if _parse_int(parts[0], "mean class") != int(c):
-                raise ModelFormatError("mean lines out of order with classes line")
-            means[i] = _parse_floats(parts[1:], dim, "mean vector")
-        icov = np.zeros((dim, dim))
-        for i in range(dim):
-            icov[i] = _parse_floats(reader.expect_key("icov"), dim, "icov row")
-        model = LdaModel(
-            dim=dim, class_ids=class_ids, means=means, inv_covariance=icov, log_priors=log_priors
-        )
-    elif algorithm == Algorithm.LinearSVM:
-        class_parts = reader.expect_key("classes")
-        class_ids = np.array([_parse_int(c, "class id") for c in class_parts], dtype=np.int64)
+    else:
+        class_ids = np.array([int(c) for c in reader.take("classes")], dtype=np.int64)
         weights = np.zeros((len(class_ids), dim))
         biases = np.zeros(len(class_ids))
         for i, c in enumerate(class_ids):
-            parts = reader.expect_key("weights")
-            if _parse_int(parts[0], "weights class") != int(c):
-                raise ModelFormatError("weights lines out of order with classes line")
-            weights[i] = _parse_floats(parts[1:], dim, "weights vector")
-            parts = reader.expect_key("bias")
-            if _parse_int(parts[0], "bias class") != int(c):
-                raise ModelFormatError("bias lines out of order with classes line")
-            biases[i] = float(_parse_floats(parts[1:], 1, "bias value")[0])
-        model = SvmModel(dim=dim, class_ids=class_ids, weights=weights, biases=biases)
-    else:  # pragma: no cover - Algorithm is a closed enum
-        raise ModelFormatError(f"unhandled algorithm {algorithm}")
+            weight_class, *vector = reader.take("weights", 1 + dim)
+            bias_class, bias = reader.take("bias", 2)
+            if int(weight_class) != c or int(bias_class) != c:
+                raise ModelFormatError("weights/bias lines out of order with classes line")
+            weights[i] = [float(x) for x in vector]
+            biases[i] = float(bias)
+        linear = LdaModel if algorithm == Algorithm.LDA else SvmModel
+        model = linear(dim=dim, class_ids=class_ids, weights=weights, biases=biases)
 
-    if reader.next() != "end":
-        raise ModelFormatError("missing 'end' terminator")
+    reader.take("end", 0)
     return model

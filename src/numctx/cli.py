@@ -14,19 +14,8 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bow_features, context_features, evaluation
-from .classifiers import (
-    Algorithm,
-    ModelFormatError,
-    TrainConfig,
-    TrainedModel,
-    deserialize,
-    predict,
-    serialize,
-    train,
-)
+from .classifiers import Algorithm, ModelFormatError, TrainConfig, predict
 from .context_features import Lexicon, LexiconError
 from .corpus import (
     Corpus,
@@ -36,7 +25,8 @@ from .corpus import (
     scan_corpus,
 )
 from .labels import LABELS
-from .locator import locate_numbers, shape_of, tokenize
+from .locator import locate_numbers, tokenize
+from .pipeline import EXTRACTORS, Pipeline
 from .verbalizer import (
     CurrencyMode,
     UnitMode,
@@ -46,8 +36,9 @@ from .verbalizer import (
     verbalize,
 )
 
-_PIPELINE_MAGIC = "numctx-pipeline v1"
 _OUT_OF_SCOPE_CLASSIFIERS = ("svm-poly", "svm-rbf")
+# a module-level name, so perfbench can time pipeline loading from outside
+load_pipeline = Pipeline.load
 
 
 def _add_corpus_flag(parser: argparse.ArgumentParser) -> None:
@@ -69,7 +60,7 @@ def _add_lexicon_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--extractor", choices=evaluation.EXTRACTORS, default="context")
+    parser.add_argument("--extractor", choices=EXTRACTORS, default="context")
     parser.add_argument(
         "--classifier",
         choices=[a.value for a in Algorithm] + list(_OUT_OF_SCOPE_CLASSIFIERS),
@@ -242,100 +233,10 @@ def cmd_compare(args) -> int:
     return 0
 
 
-# --- trained pipelines (extractor state + classifier) -----------------------
-
-
-def _fit_pipeline(corpus: Corpus, cfg: TrainConfig, extractor: str, lexicon: Lexicon, bow_cap: int):
-    y = [s.label for s in corpus]
-    if extractor == "context":
-        X = np.vstack([context_features.encode_at(s.text, s.span, lexicon) for s in corpus])
-        state: Lexicon | bow_features.BowVocab = lexicon
-    else:
-        raws = [context_features.token_at(s.text, s.span).raw for s in corpus]
-        vocab = bow_features.build_vocab(raws, cap=bow_cap)
-        X = np.vstack([bow_features.bow_encode(raw, vocab) for raw in raws]).astype(np.float64)
-        state = vocab
-    model = train(X, y, cfg)
-    return model, state
-
-
-def save_pipeline(path: Path, extractor: str, model: TrainedModel, state) -> None:
-    lines = [_PIPELINE_MAGIC, f"extractor {extractor}"]
-    if extractor == "context":
-        lexicon: Lexicon = state
-        lines.append(f"lexicon {lexicon.version} {len(lexicon.entries)}")
-        for word in sorted(lexicon.entries):
-            lines.append(f"lexentry {word} {lexicon.entries[word].name}")
-    else:
-        vocab: bow_features.BowVocab = state
-        lines.append(f"vocabcap {vocab.cap}")
-        pairs = " ".join(f"{b}:{c}" for b, c in sorted(vocab.byte_to_column.items()))
-        lines.append(f"vocab {pairs}".rstrip())
-    lines.append("model")
-    blob = "\n".join(lines) + "\n" + serialize(model)
-    path.write_text(blob, encoding="utf-8")
-
-
-def load_pipeline(path: Path):
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or lines[0] != _PIPELINE_MAGIC:
-        raise ModelFormatError(f"{path}: bad magic line, expected {_PIPELINE_MAGIC!r}")
-    pos = 1
-
-    def take(key: str) -> list[str]:
-        nonlocal pos
-        if pos >= len(lines):
-            raise ModelFormatError(f"{path}: unexpected end of file")
-        parts = lines[pos].split(" ")
-        if parts[0] != key:
-            raise ModelFormatError(f"{path}: expected {key!r} line, got {lines[pos]!r}")
-        pos += 1
-        return parts[1:]
-
-    (extractor,) = take("extractor")
-    if extractor == "context":
-        version, count_s = take("lexicon")
-        try:
-            count = int(count_s)
-        except ValueError:
-            raise ModelFormatError(f"{path}: bad lexicon entry count {count_s!r}") from None
-        entries: dict[str, context_features.KeywordClass] = {}
-        for _ in range(count):
-            word, class_name = take("lexentry")
-            try:
-                entries[word] = context_features.KeywordClass[class_name]
-            except KeyError:
-                raise ModelFormatError(f"{path}: unknown keyword class {class_name!r}") from None
-        state: Lexicon | bow_features.BowVocab = Lexicon(entries=entries, version=version)
-    elif extractor == "bow":
-        (cap_s,) = take("vocabcap")
-        pairs = take("vocab")
-        byte_to_column: dict[int, int] = {}
-        try:
-            cap = int(cap_s)
-            for pair in pairs:
-                if pair:
-                    byte_s, col_s = pair.split(":")
-                    byte_to_column[int(byte_s)] = int(col_s)
-        except ValueError:
-            raise ModelFormatError(f"{path}: bad vocab section") from None
-        state = bow_features.BowVocab(byte_to_column=byte_to_column, cap=cap)
-    else:
-        raise ModelFormatError(f"{path}: unknown extractor {extractor!r}")
-
-    if pos >= len(lines) or lines[pos] != "model":
-        raise ModelFormatError(f"{path}: missing 'model' section")
-    model = deserialize("\n".join(lines[pos + 1 :]) + "\n")
-    return extractor, model, state
-
-
 def cmd_train(args) -> int:
     cfg = _train_config(args)
     corpus = _load_corpus(args)
-    lexicon = _load_lexicon(args)
-    model, state = _fit_pipeline(corpus, cfg, args.extractor, lexicon, args.bow_cap)
-    save_pipeline(args.output, args.extractor, model, state)
+    Pipeline.fit(corpus, cfg, args.extractor, _load_lexicon(args), args.bow_cap).save(args.output)
     print(f"trained {cfg.algorithm.value} on {len(corpus)} rows ({args.extractor} features) -> {args.output}")
     return 0
 
@@ -351,14 +252,11 @@ def _style_from_args(args) -> VerbalizationStyle:
 def cmd_classify(args) -> int:
     style = _style_from_args(args)
     if args.model is not None:
-        extractor, model, state = load_pipeline(args.model)
+        pipeline = load_pipeline(args.model)
     else:
         # no model file: train on the (bundled by default) corpus right here
-        extractor = args.extractor
         cfg = _train_config(args)
-        corpus = _load_corpus(args)
-        lexicon = _load_lexicon(args)
-        model, state = _fit_pipeline(corpus, cfg, extractor, lexicon, args.bow_cap)
+        pipeline = Pipeline.fit(_load_corpus(args), cfg, args.extractor, _load_lexicon(args), args.bow_cap)
 
     for line in sys.stdin:
         text = line.rstrip("\n")
@@ -367,12 +265,8 @@ def cmd_classify(args) -> int:
         tokens = tokenize(text)
         for number in locate_numbers(text):
             window = context_features.window_for_token(tokens, number)
-            if extractor == "context":
-                vec = context_features.encode(window, shape_of(number), state)
-            else:
-                vec = bow_features.bow_encode(number.raw, state).astype(np.float64)
-            label = predict(model, vec)
-            words = verbalize(number, label, style, context=window)
+            label = predict(pipeline.model, pipeline.features.encode(window, number))
+            words = verbalize(number, label, style, context=window, lexicon=pipeline.lexicon)
             start, end = number.span
             print(f"{start}-{end}\t{label.name}\t{words}")
     return 0

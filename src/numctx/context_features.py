@@ -95,6 +95,9 @@ def load_lexicon(path: str | Path, version: str | None = None) -> Lexicon:
             if len(parts) != 2:
                 raise LexiconError(f"{p}:{lineno}: expected 'word<TAB>ClassName', got {line!r}")
             word, class_name = parts[0].strip().lower(), parts[1].strip()
+            if word.split() != [word]:
+                # tokenize splits on whitespace, so such a word could never match
+                raise LexiconError(f"{p}:{lineno}: lexicon word {word!r} must be one word without whitespace")
             try:
                 cls = KeywordClass[class_name]
             except KeyError:

@@ -4,7 +4,8 @@ The confusion matrix is oriented with true labels along rows and predicted
 labels along columns, so recall reads along a row and precision down a
 column. Cross-validation pools the per-fold matrices by summation; any
 feature state learned from data (the bag-of-words vocabulary) is rebuilt
-from each fold's training split and fingerprinted so leakage is checkable.
+from each fold's training split and fingerprinted so leakage is checkable;
+the corpus is encoded once per distinct fingerprint.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from . import bow_features, context_features
 from .classifiers import TrainConfig, predict_batch, train
 from .corpus import Corpus, stratified_folds
 from .labels import LABELS, FormatLabel
-
-EXTRACTORS = ("context", "bow")
+from .pipeline import corpus_numbers, encode_rows, make_features
 
 
 @dataclass
@@ -126,10 +126,6 @@ class RunSummary:
     fold_fingerprints: tuple[str, ...]
 
 
-def _number_raws(corpus: Corpus) -> list[str]:
-    return [context_features.token_at(s.text, s.span).raw for s in corpus]
-
-
 def cross_validate(
     corpus: Corpus,
     extractor: str,
@@ -141,18 +137,12 @@ def cross_validate(
     bow_cap: int = bow_features.DEFAULT_CAP,
 ) -> RunSummary:
     """Stratified k-fold evaluation of one extractor/classifier pairing."""
-    if extractor not in EXTRACTORS:
-        raise ValueError(f"unknown extractor {extractor!r}, expected one of {EXTRACTORS}")
+    lex = lexicon if lexicon is not None else context_features.default_lexicon()
+    features = make_features(extractor, lex, bow_cap)
     folds = stratified_folds(corpus, k, seed)
     y = np.array([int(s.label) for s in corpus], dtype=np.int64)
-
-    if extractor == "context":
-        lex = lexicon if lexicon is not None else context_features.default_lexicon()
-        context_matrix = np.vstack(
-            [context_features.encode_at(s.text, s.span, lex) for s in corpus]
-        )
-    else:
-        raws = _number_raws(corpus)
+    numbers = corpus_numbers(corpus)
+    encoded: dict[str, np.ndarray] = {}  # fitted-state fingerprint -> all rows
 
     fold_accuracies: list[float] = []
     fingerprints: list[str] = []
@@ -160,16 +150,14 @@ def cross_validate(
     for fold in folds:
         test_idx = np.array(fold, dtype=np.int64)
         train_idx = np.array(sorted(set(range(len(corpus))) - set(fold)), dtype=np.int64)
-        if extractor == "context":
-            X_train, X_test = context_matrix[train_idx], context_matrix[test_idx]
-            fingerprints.append(lex.fingerprint())
-        else:
-            vocab = bow_features.build_vocab([raws[i] for i in train_idx], cap=bow_cap)
-            X_train = np.vstack([bow_features.bow_encode(raws[i], vocab) for i in train_idx])
-            X_test = np.vstack([bow_features.bow_encode(raws[i], vocab) for i in test_idx])
-            fingerprints.append(vocab.fingerprint())
-        model = train(X_train.astype(np.float64), y[train_idx], cfg)
-        predicted = predict_batch(model, X_test.astype(np.float64))
+        features.fit([numbers[i] for i in train_idx])
+        fingerprint = features.fingerprint()
+        if fingerprint not in encoded:
+            encoded[fingerprint] = encode_rows(features, corpus, numbers)
+        X = encoded[fingerprint]
+        fingerprints.append(fingerprint)
+        model = train(X[train_idx], y[train_idx], cfg)
+        predicted = predict_batch(model, X[test_idx])
         correct = int((predicted == y[test_idx]).sum())
         fold_accuracies.append(correct / len(test_idx))
         for true_value, pred_value in zip(y[test_idx], predicted):

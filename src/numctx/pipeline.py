@@ -1,0 +1,150 @@
+"""One trained pipeline: the lexicon, a fitted feature extractor, a model.
+
+Training, cross-validation and classification all encode through the
+extractors here, so this module alone chooses between context and
+bag-of-words features. A pipeline file holds, line by line: the magic, the
+lexicon (``lexicon <count> <version>`` then one ``lexentry <word> <Class>``
+per entry; the verbalizer reads it too), ``extractor <name>`` and that
+extractor's state, then the model as ``classifiers.serialize`` writes it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+from . import bow_features, classifiers, context_features
+from .classifiers import LineReader, ModelFormatError, TrainConfig
+from .context_features import ContextWindow, KeywordClass, Lexicon
+from .corpus import Corpus
+from .locator import NumberToken, shape_of, tokenize
+
+_MAGIC = "numctx-pipeline v2"
+EXTRACTORS = ("context", "bow")
+
+
+class ContextFeatures:
+    """The fixed 56-dim window and shape encoding; it learns nothing."""
+
+    name = "context"
+    windowed = True
+
+    def __init__(self, lexicon: Lexicon):
+        self.lexicon = lexicon
+
+    def fit(self, numbers: list[NumberToken]) -> None:
+        pass
+
+    def encode(self, window: ContextWindow | None, number: NumberToken) -> np.ndarray:
+        return context_features.encode(window, shape_of(number), self.lexicon)
+
+    def fingerprint(self) -> str:
+        return self.lexicon.fingerprint()
+
+    def dump(self) -> list[str]:
+        return []  # the pipeline stores the lexicon
+
+    def load(self, reader: LineReader) -> None:
+        pass
+
+
+class BowFeatures:
+    """Character counts of the number itself; the window is not read. The
+    state is ``vocab <cap> <byte> ...``, byte values in column order."""
+
+    name = "bow"
+    windowed = False
+
+    def __init__(self, cap: int):
+        self.vocab = bow_features.BowVocab(byte_to_column={}, cap=cap)
+
+    def fit(self, numbers: list[NumberToken]) -> None:
+        self.vocab = bow_features.build_vocab([n.raw for n in numbers], cap=self.vocab.cap)
+
+    def encode(self, window: ContextWindow | None, number: NumberToken) -> np.ndarray:
+        return bow_features.bow_encode(number.raw, self.vocab).astype(np.float64)
+
+    def fingerprint(self) -> str:
+        return self.vocab.fingerprint()
+
+    def dump(self) -> list[str]:
+        by_column = sorted(self.vocab.byte_to_column, key=self.vocab.byte_to_column.__getitem__)
+        return [f"vocab {self.vocab.cap} {' '.join(map(str, by_column))}"]
+
+    def load(self, reader: LineReader) -> None:
+        cap, rest = reader.take("vocab", 2, rest=True)
+        by_column = rest.split(" ") if rest else []
+        byte_to_column = {int(b): column for column, b in enumerate(by_column)}
+        if len(byte_to_column) != len(by_column):
+            raise ModelFormatError("'vocab' line repeats a byte")
+        self.vocab = bow_features.BowVocab(byte_to_column, int(cap))
+
+
+Features = ContextFeatures | BowFeatures
+
+
+def make_features(extractor: str, lexicon: Lexicon, bow_cap: int = bow_features.DEFAULT_CAP) -> Features:
+    """The unfitted extractor named ``extractor``."""
+    if extractor == "context":
+        return ContextFeatures(lexicon)
+    if extractor == "bow":
+        return BowFeatures(bow_cap)
+    raise ValueError(f"unknown extractor {extractor!r}, expected one of {EXTRACTORS}")
+
+
+def corpus_numbers(corpus: Corpus) -> list[NumberToken]:
+    return [context_features.token_at(s.text, s.span) for s in corpus]
+
+
+def encode_rows(features: Features, corpus: Corpus, numbers: list[NumberToken]) -> np.ndarray:
+    """Every corpus row encoded; windows are built only for extractors that read them."""
+    windows = [None] * len(numbers)
+    if features.windowed:
+        windows = [context_features.window_for_token(tokenize(s.text), n) for s, n in zip(corpus, numbers)]
+    return np.vstack([features.encode(w, n) for w, n in zip(windows, numbers)])
+
+
+@dataclass
+class Pipeline:
+    lexicon: Lexicon
+    features: Features
+    model: classifiers.TrainedModel
+
+    @classmethod
+    def fit(cls, corpus: Corpus, cfg: TrainConfig, extractor: str, lexicon: Lexicon, bow_cap: int) -> "Pipeline":
+        """Fit the extractor on every corpus row, then train the model."""
+        features = make_features(extractor, lexicon, bow_cap)
+        numbers = corpus_numbers(corpus)
+        features.fit(numbers)
+        X = encode_rows(features, corpus, numbers)
+        return cls(lexicon, features, classifiers.train(X, [s.label for s in corpus], cfg))
+
+    def save(self, path: str | Path) -> None:
+        entries = self.lexicon.entries
+        lines = [_MAGIC, f"lexicon {len(entries)} {self.lexicon.version}"]
+        lines += [f"lexentry {word} {entries[word].name}" for word in sorted(entries)]
+        lines += [f"extractor {self.features.name}", *self.features.dump(), classifiers.serialize(self.model)]
+        Path(path).write_text("\n".join(lines), encoding="utf-8")
+
+    @classmethod
+    def load(cls, path: str | Path) -> "Pipeline":
+        """Read a pipeline file; any damage raises ModelFormatError naming ``path``."""
+        return LineReader(Path(path).read_text(encoding="utf-8")).parse(cls._read, f"{path}: ")
+
+    @classmethod
+    def _read(cls, reader: LineReader) -> "Pipeline":
+        reader.magic(_MAGIC)
+        count, version = reader.take("lexicon", 2, rest=True)
+        entries = {}
+        for _ in range(int(count)):
+            word, class_name = reader.take("lexentry", 2)
+            if class_name not in KeywordClass.__members__:
+                raise ModelFormatError(f"unknown keyword class {class_name!r}")
+            entries[word] = KeywordClass[class_name]
+        lexicon = Lexicon(entries=entries, version=version)
+        (extractor,) = reader.take("extractor", 1)
+        features = make_features(extractor, lexicon)
+        features.load(reader)
+        return cls(lexicon, features, classifiers.read_model(reader))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .context_features import ContextWindow, KeywordClass, default_lexicon
+from .context_features import ContextWindow, KeywordClass, Lexicon, default_lexicon
 from .labels import FormatLabel
 from .locator import NumberToken, ShapeKind, shape_of
 
@@ -172,8 +172,11 @@ def verbalize(
     label: FormatLabel,
     style: VerbalizationStyle = DEFAULT_STYLE,
     context: ContextWindow | None = None,
+    lexicon: Lexicon | None = None,
 ) -> str:
-    """Convert a classified number token into Malay words."""
+    """Convert a classified number token into Malay words; ``lexicon`` (the
+    bundled one by default) tells which context words name a currency or unit."""
+    lexicon = lexicon if lexicon is not None else default_lexicon()
     shape = shape_of(token)
     if shape.kind not in _COMPATIBLE[label]:
         raise VerbalizationError(
@@ -186,9 +189,9 @@ def verbalize(
     elif label == FormatLabel.Phone:
         words = _verbalize_phone(token)
     elif label == FormatLabel.Currency:
-        words = _verbalize_currency(token, style, context)
+        words = _verbalize_currency(token, style, context, lexicon)
     elif label == FormatLabel.Measurement:
-        words = _verbalize_measurement(token, style, context)
+        words = _verbalize_measurement(token, style, context, lexicon)
     else:
         words = _verbalize_percentage(token)
     return " ".join(words.lower().split())
@@ -285,15 +288,14 @@ def _split_money(token: NumberToken) -> tuple[int, int]:
     return int("".join(token.digit_groups)), 0
 
 
-def _currency_unit(context: ContextWindow | None) -> str:
-    lexicon = default_lexicon()
+def _currency_unit(context: ContextWindow | None, lexicon: Lexicon) -> str:
     for word in _context_slots(context):
         if lexicon.lookup(word) == KeywordClass.CurrencyWord:
             return word
     return "ringgit"
 
 
-def _verbalize_currency(token, style, context) -> str:
+def _verbalize_currency(token, style, context, lexicon) -> str:
     whole, cents = _split_money(token)
     if style.currency_mode == CurrencyMode.Symbolic:
         parts = ["rm"]
@@ -302,7 +304,7 @@ def _verbalize_currency(token, style, context) -> str:
         if cents:
             parts.append(f"{cardinal(cents)} sen")
         return " ".join(parts)
-    unit = _currency_unit(context)
+    unit = _currency_unit(context, lexicon)
     parts = []
     if whole or not cents:
         parts.append(f"{cardinal(whole)} {unit}")
@@ -319,7 +321,7 @@ def _decimal_words(token: NumberToken) -> str:
     return cardinal(int("".join(token.digit_groups)))
 
 
-def _measurement_unit(context: ContextWindow | None, mode: UnitMode) -> str | None:
+def _measurement_unit(context: ContextWindow | None, mode: UnitMode, lexicon: Lexicon) -> str | None:
     if context is None:
         return None
     word = context.postposition1
@@ -327,14 +329,14 @@ def _measurement_unit(context: ContextWindow | None, mode: UnitMode) -> str | No
         return None
     if word in _UNIT_ABBREVS:
         return _UNIT_ABBREVS[word] if mode == UnitMode.Full else word
-    if default_lexicon().lookup(word) in (KeywordClass.MeasurementUnit, KeywordClass.CollectiveNoun):
+    if lexicon.lookup(word) in (KeywordClass.MeasurementUnit, KeywordClass.CollectiveNoun):
         return word
     return None
 
 
-def _verbalize_measurement(token, style, context) -> str:
+def _verbalize_measurement(token, style, context, lexicon) -> str:
     words = _decimal_words(token)
-    unit = _measurement_unit(context, style.unit_mode)
+    unit = _measurement_unit(context, style.unit_mode, lexicon)
     if unit:
         return f"{words} {unit}"
     return words

@@ -285,16 +285,30 @@ class TestSerialization:
 
     def test_round_trip_exact_parameters(self):
         X, y = self._random_data(10)
+        labels = np.array([int(v) for v in y])
+        # LDA is stored as coef = means @ inv_covariance and
+        # intercept = -0.5 * rowdot(coef, means) + log_priors
+        classes = np.unique(labels)
+        means = np.vstack([X[labels == c].mean(axis=0) for c in classes])
+        centered = X - means[np.searchsorted(classes, labels)]
+        pooled = centered.T @ centered / (len(X) - len(classes))
+        dim = X.shape[1]
+        covariance = pooled + 1e-4 * (float(np.trace(pooled)) / dim) * np.eye(dim)
+        coef = means @ np.linalg.inv(covariance)
+        log_priors = np.log(np.array([(labels == c).sum() for c in classes], dtype=np.float64) / len(X))
+        intercept = -0.5 * np.einsum("ij,ij->i", coef, means) + log_priors
         for algorithm in (Algorithm.LDA, Algorithm.LinearSVM):
             model = train(X, y, TrainConfig(algorithm=algorithm))
             clone = deserialize(serialize(model))
+            assert type(clone) is type(model)
+            assert np.array_equal(clone.class_ids, classes)
+            assert np.array_equal(clone.weights, model.weights)
+            assert np.array_equal(clone.biases, model.biases)
             if isinstance(model, LdaModel):
-                assert np.array_equal(clone.means, model.means)
-                assert np.array_equal(clone.inv_covariance, model.inv_covariance)
+                assert np.array_equal(clone.weights, coef)
+                assert np.array_equal(clone.biases, intercept)
             else:
                 assert isinstance(clone, SvmModel)
-                assert np.array_equal(clone.weights, model.weights)
-                assert np.array_equal(clone.biases, model.biases)
 
     def test_truncated_blob_rejected(self):
         X, y = self._random_data(11)
@@ -319,3 +333,26 @@ class TestSerialization:
         blob = serialize(train(X, y, TrainConfig(algorithm=Algorithm.LinearSVM)))
         with pytest.raises(ModelFormatError):
             deserialize(blob.replace("bias", "bias?", 1))
+
+    def test_trailing_content_rejected(self):
+        X, y = self._random_data(12)
+        blob = serialize(train(X, y, TrainConfig(algorithm=Algorithm.LinearSVM)))
+        with pytest.raises(ModelFormatError, match="after the end"):
+            deserialize(blob + "junk\nmore junk\n")
+
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("algorithm", lambda line: line + " svm"),
+            ("weights", lambda line: line.rsplit(" ", 1)[0]),  # one weight short
+            ("bias", lambda line: line + " 0.5"),
+            ("end", lambda line: line + " now"),
+        ],
+    )
+    def test_wrong_field_count_rejected(self, key, edit):
+        X, y = self._random_data(12)
+        lines = serialize(train(X, y, TrainConfig(algorithm=Algorithm.LinearSVM))).splitlines()
+        i = next(i for i, line in enumerate(lines) if line.split(" ")[0] == key)
+        lines[i] = edit(lines[i])
+        with pytest.raises(ModelFormatError, match="fields"):
+            deserialize("\n".join(lines) + "\n")

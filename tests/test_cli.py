@@ -1,13 +1,18 @@
 import io
 import json
+import re
 
 import pytest
 
 from conftest import separable_corpus
+from numctx.classifiers import ModelFormatError, deserialize
 from numctx.cli import main
+from numctx.context_features import default_lexicon_path
 from numctx.corpus import save_corpus
+from numctx.pipeline import Pipeline
 
 COURT_SENTENCE = "Mahkamah menetapkan 21 Januari ini untuk sebutan semula kes"
+YEN_SENTENCE = "Harga buku itu 500 yen sahaja ."
 HEADER = "id,text,start,end,label\n"
 
 
@@ -216,6 +221,52 @@ class TestTrainAndClassify:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda text: text + "junk\nmore junk\n", "after the end"),
+            (lambda text: text.replace("lexentry am TimeWord", "lexentry am", 1), "fields"),
+            (lambda text: text.replace("extractor context", "extractor context bow", 1), "fields"),
+            (lambda text: text.replace("\nend\n", "\n"), "unexpected end of file"),
+        ],
+    )
+    def test_damaged_pipeline_exits_1_naming_file(
+        self, edit, message, toy_corpus_path, tmp_path, monkeypatch, capsys
+    ):
+        model_path = tmp_path / "model.txt"
+        run(["train", "--corpus", toy_corpus_path, "--output", str(model_path)], capsys=capsys)
+        model_path.write_text(edit(model_path.read_text(encoding="utf-8")), encoding="utf-8")
+        code, out, err = run(
+            ["classify", "--model", str(model_path)],
+            stdin_text="ayat 5\n",
+            monkeypatch=monkeypatch,
+            capsys=capsys,
+        )
+        assert code == 1
+        assert f"error: {model_path}: " in err
+        assert message in err
+
+    def test_bow_vocab_repeating_a_byte_rejected(self, tmp_path, capsys):
+        # a repeated byte would leave a column past the vocabulary's size
+        path = tmp_path / "bow.txt"
+        run(["train", "--extractor", "bow", "--output", str(path)], capsys=capsys)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(re.sub(r"^(vocab \d+ (\d+))", r"\1 \2", text, flags=re.M), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="repeats a byte"):
+            Pipeline.load(path)
+
+    @pytest.mark.parametrize("kind", ["pipeline", "model"])
+    def test_v1_file_rejected_with_retrain_message(self, kind, toy_corpus_path, tmp_path, capsys):
+        path = tmp_path / "model.txt"
+        run(["train", "--corpus", toy_corpus_path, "--output", str(path)], capsys=capsys)
+        text = path.read_text(encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="retrain"):
+            if kind == "model":
+                deserialize(text[text.index("numctx-model v2") :].replace(" v2", " v1", 1))
+            else:
+                path.write_text(text.replace("numctx-pipeline v2", "numctx-pipeline v1"), encoding="utf-8")
+                Pipeline.load(path)
+
     def test_style_flags(self, toy_corpus_path, monkeypatch, capsys):
         code, out, err = run(
             ["classify", "--corpus", toy_corpus_path, "--year-mode", "paired"],
@@ -243,8 +294,6 @@ class TestLexiconResolution:
         assert degraded < full == 100.0
 
     def test_flag_beats_env(self, toy_corpus_path, tmp_path, monkeypatch, capsys):
-        from numctx.context_features import default_lexicon_path
-
         empty = tmp_path / "empty.tsv"
         empty.write_text("# nothing\n", encoding="utf-8")
         monkeypatch.setenv("NUMCTX_LEXICON", str(empty))
@@ -255,3 +304,59 @@ class TestLexiconResolution:
         code, out, err = run(argv, capsys=capsys)
         assert code == 0
         assert json.loads(out)["summary"]["mean_pct"] == 100.0
+
+
+@pytest.fixture
+def yen_lexicon(tmp_path):
+    """The bundled lexicon plus ``yen``, in a file whose name holds a space."""
+    path = tmp_path / "my lex.tsv"
+    bundled = default_lexicon_path().read_text(encoding="utf-8")
+    path.write_text(bundled + "yen\tCurrencyWord\n", encoding="utf-8")
+    return str(path)
+
+
+class TestUserLexicon:
+    @pytest.mark.parametrize("classifier", ["lda", "svm"])
+    def test_verbalizer_reads_lexicon_on_the_fly(self, classifier, yen_lexicon, monkeypatch, capsys):
+        code, out, err = run(
+            ["classify", "--classifier", classifier, "--lexicon", yen_lexicon],
+            stdin_text=YEN_SENTENCE + "\n",
+            monkeypatch=monkeypatch,
+            capsys=capsys,
+        )
+        assert (code, out) == (0, "15-18\tCurrency\tlima ratus yen\n")
+
+    @pytest.mark.parametrize("classifier", ["lda", "svm"])
+    def test_verbalizer_reads_lexicon_from_model(
+        self, classifier, yen_lexicon, tmp_path, monkeypatch, capsys
+    ):
+        model_path = tmp_path / "model.txt"
+        argv = ["train", "--classifier", classifier, "--lexicon", yen_lexicon, "--output", str(model_path)]
+        code, *_ = run(argv, capsys=capsys)
+        assert code == 0
+        code, out, err = run(
+            ["classify", "--model", str(model_path)],
+            stdin_text=YEN_SENTENCE + "\n",
+            monkeypatch=monkeypatch,
+            capsys=capsys,
+        )
+        assert (code, out) == (0, "15-18\tCurrency\tlima ratus yen\n")
+
+    def test_lexicon_file_name_with_space_round_trips(self, yen_lexicon, tmp_path, capsys):
+        # the file name is the lexicon version; bow pipelines store the lexicon too
+        model_path = tmp_path / "bow.txt"
+        argv = ["train", "--extractor", "bow", "--lexicon", yen_lexicon, "--output", str(model_path)]
+        code, *_ = run(argv, capsys=capsys)
+        assert code == 0
+        lexicon = Pipeline.load(model_path).lexicon
+        assert lexicon.version == "my lex.tsv"
+        assert lexicon.lookup("yen").name == "CurrencyWord"
+
+    def test_lexicon_word_with_space_rejected(self, toy_corpus_path, tmp_path, capsys):
+        path = tmp_path / "spaced.tsv"
+        path.write_text("peratus\tPercentWord\nper cent\tPercentWord\n", encoding="utf-8")
+        argv = ["train", "--corpus", toy_corpus_path, "--lexicon", str(path)]
+        code, out, err = run(argv + ["--output", str(tmp_path / "m.txt")], capsys=capsys)
+        assert code == 1
+        assert f"{path}:2:" in err
+        assert "'per cent'" in err

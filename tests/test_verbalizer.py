@@ -2,7 +2,7 @@ import string
 
 import pytest
 
-from numctx.context_features import ContextWindow, window_for_token
+from numctx.context_features import ContextWindow, KeywordClass, Lexicon, default_lexicon, window_for_token
 from numctx.labels import FormatLabel
 from numctx.locator import NumberToken, ShapeKind, locate_numbers, tokenize
 from numctx.verbalizer import (
@@ -178,6 +178,16 @@ class TestVerbalizeFixtures:
     def test_currency_foreign_unit_from_context(self):
         text = "bernilai 500 euro semalam"
         assert verbalize(tok(text), C, context=win(text)) == "lima ratus euro"
+
+    def test_units_come_from_the_given_lexicon(self):
+        added = {"yen": KeywordClass.CurrencyWord, "bakul": KeywordClass.MeasurementUnit}
+        lexicon = Lexicon(entries={**default_lexicon().entries, **added}, version="test")
+        text = "harga 500 yen sahaja"
+        assert verbalize(tok(text), C, context=win(text)) == "lima ratus ringgit"
+        assert verbalize(tok(text), C, context=win(text), lexicon=lexicon) == "lima ratus yen"
+        text = "dua 3 bakul buah"
+        assert verbalize(tok(text), M, context=win(text)) == "tiga"
+        assert verbalize(tok(text), M, context=win(text), lexicon=lexicon) == "tiga bakul"
 
     def test_currency_plain_ringgit_default(self):
         assert verbalize(tok("250"), C) == "dua ratus lima puluh ringgit"
