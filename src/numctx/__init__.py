@@ -19,7 +19,6 @@ from .context_features import (
     classify_word,
     default_lexicon,
     encode,
-    encode_at,
     extract_window,
     load_lexicon,
     token_at,

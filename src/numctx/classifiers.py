@@ -45,7 +45,6 @@ class TrainConfig:
     shrinkage: float = 1e-4
     c_reg: float = 1.0
     epochs: int = 200
-    seed: int = 42
 
     def __post_init__(self) -> None:
         if self.algorithm == Algorithm.KNN and self.k not in (1, 3):

@@ -59,8 +59,9 @@ def _add_lexicon_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--extractor", choices=EXTRACTORS, default="context")
+def _add_model_flags(parser: argparse.ArgumentParser, extractor: bool = True) -> None:
+    if extractor:  # compare always runs both extractors
+        parser.add_argument("--extractor", choices=EXTRACTORS, default="context")
     parser.add_argument(
         "--classifier",
         choices=[a.value for a in Algorithm] + list(_OUT_OF_SCOPE_CLASSIFIERS),
@@ -115,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="context vs bag-of-words comparison report")
     _add_corpus_flag(p_cmp)
     _add_lexicon_flag(p_cmp)
-    _add_model_flags(p_cmp)
+    _add_model_flags(p_cmp, extractor=False)
     _add_eval_flags(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
@@ -168,7 +169,6 @@ def _train_config(args) -> TrainConfig:
         shrinkage=args.shrinkage,
         c_reg=args.c_reg,
         epochs=args.epochs,
-        seed=args.seed,
     )
 
 
@@ -190,9 +190,7 @@ def _emit_report(report: dict, fmt: str) -> None:
 def cmd_validate(args) -> int:
     path = args.corpus if args.corpus is not None else bundled_corpus_path()
     sentences, issues = scan_corpus(path)
-    counts = {label: 0 for label in LABELS}
-    for sentence in sentences:
-        counts[sentence.label] += 1
+    counts = Corpus(tuple(sentences)).class_counts()
     print(f"corpus\t{path}")
     print(f"rows\t{len(sentences)}")
     for label in LABELS:

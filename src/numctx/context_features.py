@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+# shape_of and tokenize are not called here; perfbench/tracing.py wraps these names
 from .locator import (
     SHAPE_KINDS,
     NumberShape,
@@ -190,16 +191,6 @@ def encode(window: ContextWindow, shape: NumberShape, lexicon: Lexicon) -> np.nd
     vec[shape_base + int(shape.kind)] = 1.0
     vec[shape_base + _N_SHAPES + _bucket(shape.digit_count)] = 1.0
     return vec
-
-
-def encode_at(text: str, span: tuple[int, int], lexicon: Lexicon) -> np.ndarray:
-    """Locate the number at ``span`` in ``text`` and encode it.
-
-    Raises ValueError when ``span`` is not exactly a located number token.
-    """
-    token = token_at(text, span)
-    window = window_for_token(tokenize(text), token)
-    return encode(window, shape_of(token), lexicon)
 
 
 def token_at(text: str, span: tuple[int, int]) -> NumberToken:

@@ -42,9 +42,6 @@ class ConfusionMatrix:
     def add(self, true_label: FormatLabel, predicted: FormatLabel, amount: int = 1) -> None:
         self.counts[int(true_label), int(predicted)] += amount
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(counts=self.counts + other.counts)
-
     def total(self) -> int:
         return int(self.counts.sum())
 

@@ -3,8 +3,8 @@
 Numbers are maximal ASCII digit runs. Punctuation out of ``. , : - /`` is
 absorbed into a number only when flanked by digits on both sides, so a
 sentence-final full stop never joins the number before it. An immediately
-preceding ``+`` or ``RM`` (glued or space-separated) and an immediately
-following ``%`` are absorbed as attached symbols.
+preceding ``+`` or ``RM`` (glued or space-separated) not after a letter or
+digit, and an immediately following ``%``, are absorbed as attached symbols.
 """
 
 from __future__ import annotations
@@ -13,9 +13,10 @@ import re
 from dataclasses import dataclass
 from enum import IntEnum
 
-_ABSORBABLE = frozenset(".,:-/")
-_STRIP = ".,;!?()\"'"
-_WORD_RE = re.compile(r"\S+")
+# [0-9], not \d: ASCII digits only. [^\W_] is exactly str.isalnum. + before RM.
+_NUMBER_RE = re.compile(r"(?:(?<![^\W_])(?:(\+)|(RM) ?))?([0-9]+(?:[.,:/-][0-9]+)*)(%)?")
+_SEPARATOR_RE = re.compile(r"([.,:/-])")
+_WORD_RE = re.compile(r"""[^\s.,;!?()"']+(?:[.,;!?()"']+[^\s.,;!?()"']+)*""")
 
 
 @dataclass(frozen=True)
@@ -82,82 +83,22 @@ def tokenize(text: str) -> list[WordToken]:
     ``kata-kata``) is left in place. Chunks that are punctuation only are
     dropped.
     """
-    tokens: list[WordToken] = []
-    for m in _WORD_RE.finditer(text):
-        start, end = m.start(), m.end()
-        while start < end and text[start] in _STRIP:
-            start += 1
-        while end > start and text[end - 1] in _STRIP:
-            end -= 1
-        if start == end:
-            continue
-        surface = text[start:end]
-        tokens.append(WordToken(surface=surface, span=(start, end), lowered=surface.lower()))
-    return tokens
-
-
-def _is_digit(ch: str) -> bool:
-    return "0" <= ch <= "9"
-
-
-def _boundary_before(text: str, pos: int) -> bool:
-    """True when the character before ``pos`` does not glue into a word."""
-    return pos == 0 or not text[pos - 1].isalnum()
+    return [WordToken(surface=m[0], span=m.span(), lowered=m[0].lower()) for m in _WORD_RE.finditer(text)]
 
 
 def locate_numbers(text: str) -> list[NumberToken]:
     """Return every number token in ``text``, ordered by start offset."""
     found: list[NumberToken] = []
-    i, n = 0, len(text)
-    while i < n:
-        if not _is_digit(text[i]):
-            i += 1
-            continue
-        body_start = i
-        groups: list[str] = []
-        seps: list[str] = []
-        while True:
-            run_start = i
-            while i < n and _is_digit(text[i]):
-                i += 1
-            groups.append(text[run_start:i])
-            if i < n - 1 and text[i] in _ABSORBABLE and _is_digit(text[i + 1]):
-                seps.append(text[i])
-                i += 1
-                continue
-            break
-        body_end = i
-
-        prefix: str | None = None
-        start = body_start
-        if body_start >= 1 and text[body_start - 1] == "+" and _boundary_before(text, body_start - 1):
-            prefix, start = "+", body_start - 1
-        elif (
-            body_start >= 3
-            and text[body_start - 3 : body_start] == "RM "
-            and _boundary_before(text, body_start - 3)
-        ):
-            prefix, start = "RM", body_start - 3
-        elif (
-            body_start >= 2
-            and text[body_start - 2 : body_start] == "RM"
-            and _boundary_before(text, body_start - 2)
-        ):
-            prefix, start = "RM", body_start - 2
-
-        suffix: str | None = None
-        end = body_end
-        if end < n and text[end] == "%":
-            suffix, end = "%", end + 1
-
+    for m in _NUMBER_RE.finditer(text):
+        parts = _SEPARATOR_RE.split(m[3])
         found.append(
             NumberToken(
-                raw=text[start:end],
-                span=(start, end),
-                digit_groups=tuple(groups),
-                separators=tuple(seps),
-                prefix_symbol=prefix,
-                suffix_symbol=suffix,
+                raw=m[0],
+                span=m.span(),
+                digit_groups=tuple(parts[0::2]),
+                separators=tuple(parts[1::2]),
+                prefix_symbol=m[1] or m[2],
+                suffix_symbol=m[4],
             )
         )
     return found

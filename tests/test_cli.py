@@ -141,6 +141,13 @@ class TestCompare:
         _, out2, _ = run(argv, capsys=capsys)
         assert out1 == out2
 
+    def test_extractor_flag_is_a_usage_error(self, toy_corpus_path, capsys):
+        # compare always runs both extractors, so it takes no --extractor
+        code, out, err = run(["compare", "--corpus", toy_corpus_path, "--extractor", "bow"], capsys=capsys)
+        assert code == 2
+        assert "--extractor" in err
+        assert out == ""
+
 
 class TestTrainAndClassify:
     def test_train_then_classify(self, toy_corpus_path, tmp_path, monkeypatch, capsys):

@@ -10,14 +10,21 @@ from numctx.context_features import (
     classify_word,
     default_lexicon,
     encode,
-    encode_at,
     extract_window,
     load_lexicon,
+    token_at,
     window_for_token,
 )
 from numctx.locator import NumberShape, ShapeKind, locate_numbers, shape_of, tokenize
+from numctx.pipeline import ContextFeatures
 
 COURT_SENTENCE = "Mahkamah menetapkan 21 Januari ini untuk sebutan semula kes"
+
+
+def encode_span(text, span, lexicon):
+    """Encode the number at ``span`` as ``classify`` does."""
+    tok = token_at(text, span)
+    return ContextFeatures(lexicon).encode(window_for_token(tokenize(text), tok), tok)
 
 
 class TestExtractWindow:
@@ -132,22 +139,22 @@ class TestEncode:
         t1 = "Mahkamah menetapkan 21 Januari ini untuk sebutan semula kes"
         t2 = "Polis menetapkan 21 Januari ini akan diubah lagi nanti"
         lex = default_lexicon()
-        v1 = encode_at(t1, (20, 22), lex)
+        v1 = encode_span(t1, (20, 22), lex)
         t2_span = next(t.span for t in locate_numbers(t2))
-        v2 = encode_at(t2, t2_span, lex)
+        v2 = encode_span(t2, t2_span, lex)
         # p2 differs (mahkamah vs polis) but both are Unknown: same classes
         assert np.array_equal(v1, v2)
 
     def test_lexicon_monotonicity(self):
         lex = default_lexicon()
         bigger = Lexicon(entries={**lex.entries, "zzyzx": KeywordClass.TimeWord}, version="test")
-        v1 = encode_at(COURT_SENTENCE, (20, 22), lex)
-        v2 = encode_at(COURT_SENTENCE, (20, 22), bigger)
+        v1 = encode_span(COURT_SENTENCE, (20, 22), lex)
+        v2 = encode_span(COURT_SENTENCE, (20, 22), bigger)
         assert np.array_equal(v1, v2)
 
-    def test_encode_at_rejects_non_number_span(self):
+    def test_token_at_rejects_non_number_span(self):
         with pytest.raises(ValueError):
-            encode_at(COURT_SENTENCE, (0, 8), default_lexicon())
+            token_at(COURT_SENTENCE, (0, 8))
 
 
 class TestLexiconFile:
@@ -184,5 +191,5 @@ class TestLexiconFile:
         path = tmp_path / "lex.tsv"
         path.write_text("jam\tTimeWord\n", encoding="utf-8")
         small = load_lexicon(path)
-        vec = encode_at(COURT_SENTENCE, (20, 22), small)
+        vec = encode_span(COURT_SENTENCE, (20, 22), small)
         assert vec.shape == (FEATURE_DIM,)

@@ -1,9 +1,12 @@
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from numctx.locator import (
     NumberToken,
     ShapeKind,
+    WordToken,
     locate_numbers,
     shape_of,
     tokenize,
@@ -173,3 +176,117 @@ class TestProperties:
             shape = shape_of(token)
             assert shape.group_lengths == tuple(len(g) for g in token.digit_groups)
             assert shape.digit_count == sum(shape.group_lengths)
+
+
+# --- differential oracle ----------------------------------------------------
+# A frozen copy of the character-walking scanners that the compiled patterns
+# replaced; the patterns must give exactly the same tokens on every input.
+
+_ORACLE_STRIP = ".,;!?()\"'"
+
+
+def _oracle_tokenize(text: str) -> list[WordToken]:
+    tokens: list[WordToken] = []
+    for m in re.finditer(r"\S+", text):
+        start, end = m.start(), m.end()
+        while start < end and text[start] in _ORACLE_STRIP:
+            start += 1
+        while end > start and text[end - 1] in _ORACLE_STRIP:
+            end -= 1
+        if start == end:
+            continue
+        surface = text[start:end]
+        tokens.append(WordToken(surface=surface, span=(start, end), lowered=surface.lower()))
+    return tokens
+
+
+def _oracle_is_digit(ch: str) -> bool:
+    return "0" <= ch <= "9"
+
+
+def _oracle_boundary_before(text: str, pos: int) -> bool:
+    return pos == 0 or not text[pos - 1].isalnum()
+
+
+def _oracle_locate_numbers(text: str) -> list[NumberToken]:
+    found: list[NumberToken] = []
+    i, n = 0, len(text)
+    while i < n:
+        if not _oracle_is_digit(text[i]):
+            i += 1
+            continue
+        body_start = i
+        groups: list[str] = []
+        seps: list[str] = []
+        while True:
+            run_start = i
+            while i < n and _oracle_is_digit(text[i]):
+                i += 1
+            groups.append(text[run_start:i])
+            if i < n - 1 and text[i] in ".,:-/" and _oracle_is_digit(text[i + 1]):
+                seps.append(text[i])
+                i += 1
+                continue
+            break
+        body_end = i
+
+        prefix: str | None = None
+        start = body_start
+        if body_start >= 1 and text[body_start - 1] == "+" and _oracle_boundary_before(text, body_start - 1):
+            prefix, start = "+", body_start - 1
+        elif (
+            body_start >= 3
+            and text[body_start - 3 : body_start] == "RM "
+            and _oracle_boundary_before(text, body_start - 3)
+        ):
+            prefix, start = "RM", body_start - 3
+        elif (
+            body_start >= 2
+            and text[body_start - 2 : body_start] == "RM"
+            and _oracle_boundary_before(text, body_start - 2)
+        ):
+            prefix, start = "RM", body_start - 2
+
+        suffix: str | None = None
+        end = body_end
+        if end < n and text[end] == "%":
+            suffix, end = "%", end + 1
+
+        found.append(
+            NumberToken(
+                raw=text[start:end],
+                span=(start, end),
+                digit_groups=tuple(groups),
+                separators=tuple(seps),
+                prefix_symbol=prefix,
+                suffix_symbol=suffix,
+            )
+        )
+    return found
+
+
+# "RM" is one symbol; "_", "é", "٣" (a non-ASCII digit) and "²" tell str.isalnum,
+# \w and \d apart
+_ORACLE_ALPHABET = st.sampled_from(
+    list("0123456789.,:-/%+ \taxM_é٣²;!?()\"'") + ["RM"]
+)
+
+
+class TestMatchesFrozenScanner:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_ORACLE_ALPHABET, max_size=30).map("".join))
+    def test_random_text(self, text):
+        assert locate_numbers(text) == _oracle_locate_numbers(text)
+        assert tokenize(text) == _oracle_tokenize(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x+5", "5+6", "5%+6", "+RM5", "xRM5", "1,RM 2", "٣5", "_RM 5",
+            "_+5", "é+5", "²RM5", "RM  5", "RM 5.", "+60-12-345678.", "1.2.3,4:5/6-7%%",
+            '(a.b) "c"!', "...", "\t'x'\t", "kata-kata, (RM 2.50).",
+        ],
+    )
+    def test_edge_cases(self, text):
+        assert locate_numbers(text) == _oracle_locate_numbers(text)
+        assert tokenize(text) == _oracle_tokenize(text)
