@@ -5,10 +5,14 @@ the training data verbatim; the decision tree grows CART-style on Gini gain
 with midpoint thresholds; LDA uses class means, a shrinkage-regularized
 pooled covariance, and class priors; the linear SVM trains one-vs-rest
 hinge-loss separators by full-batch subgradient descent with step
-``1/(c_reg * t)`` at epoch ``t``. LDA and the SVM keep one linear form,
-per-class weights and bias, for scoring and storage. Models serialize to
-a versioned line-oriented text format with reals rendered to 17
-significant digits, so a round-trip is prediction-exact.
+``1/(c_reg * t)`` at epoch ``t``, all separators taking each step together.
+Each class's margins are its own matrix-vector product, and the summed
+subgradient is exact on integer-valued features, the only kind the program
+builds, so the weights are bit-identical to training one class at a time;
+on other real X that sum may differ in the last bits. LDA and the SVM keep
+one linear form, per-class weights and bias, for scoring and storage. Models
+serialize to a versioned line-oriented text format with reals rendered to
+17 significant digits, so a round-trip is prediction-exact.
 """
 
 from __future__ import annotations
@@ -327,22 +331,18 @@ def _train_lda(M: np.ndarray, labels: np.ndarray, shrinkage: float) -> LdaModel:
 def _train_svm(M: np.ndarray, labels: np.ndarray, c_reg: float, epochs: int) -> SvmModel:
     class_ids = np.unique(labels)
     n, dim = M.shape
+    targets = np.where(labels == class_ids[:, None], 1.0, -1.0)  # (n_classes, n)
     weights = np.zeros((len(class_ids), dim))
     biases = np.zeros(len(class_ids))
-    for row, c in enumerate(class_ids):
-        t_vec = np.where(labels == c, 1.0, -1.0)
-        w = np.zeros(dim)
-        b = 0.0
-        for t in range(1, epochs + 1):
-            eta = 1.0 / (c_reg * t)
-            margins = t_vec * (M @ w + b)
-            violating = margins < 1.0
-            grad_w = c_reg * w - (t_vec[violating, None] * M[violating]).sum(axis=0) / n
-            grad_b = -t_vec[violating].sum() / n
-            w = w - eta * grad_w
-            b = b - eta * grad_b
-        weights[row] = w
-        biases[row] = b
+    outputs = np.empty((len(class_ids), n))
+    for t in range(1, epochs + 1):
+        eta = 1.0 / (c_reg * t)
+        for row in range(len(class_ids)):
+            np.dot(M, weights[row], out=outputs[row])
+        # a violating row pulls its class's separator toward its own side
+        pull = np.where(targets * (outputs + biases[:, None]) < 1.0, targets, 0.0)
+        weights = weights - eta * (c_reg * weights - (pull @ M) / n)
+        biases = biases - eta * (-pull.sum(axis=1) / n)
     return SvmModel(dim=dim, class_ids=class_ids.astype(np.int64), weights=weights, biases=biases)
 
 

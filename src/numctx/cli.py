@@ -73,12 +73,12 @@ def _add_model_flags(parser: argparse.ArgumentParser, extractor: bool = True) ->
     parser.add_argument("--shrinkage", type=float, default=1e-4)
     parser.add_argument("--c-reg", type=float, default=1.0)
     parser.add_argument("--epochs", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--bow-cap", type=int, default=bow_features.DEFAULT_CAP)
 
 
 def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--folds", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=42, help="seeds the fold assignment")
     parser.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
 

@@ -1,8 +1,10 @@
 import math
 import random
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from numctx.classifiers import (
     Algorithm,
@@ -18,7 +20,10 @@ from numctx.classifiers import (
     serialize,
     train,
 )
+from numctx.context_features import default_lexicon
+from numctx.corpus import bundled_corpus_path, load_corpus, stratified_folds
 from numctx.labels import FormatLabel
+from numctx.pipeline import EXTRACTORS, corpus_numbers, encode_rows, make_features
 
 D, T, P, C, M, PC = FormatLabel
 
@@ -252,6 +257,86 @@ class TestLinearSvm:
         model = train(X, y, TrainConfig(algorithm=Algorithm.LinearSVM))
         accuracy = (predict_batch(model, X) == np.array([int(v) for v in y])).mean()
         assert accuracy >= 0.95
+
+
+# --- frozen per-class SVM trainer: the differential oracle ------------------
+
+
+def _oracle_train_svm(M, labels, c_reg, epochs):
+    """The SVM trainer as it was before the classes stepped together: one
+    class at a time, the violating rows copied out and summed."""
+    class_ids = np.unique(labels)
+    n, dim = M.shape
+    weights = np.zeros((len(class_ids), dim))
+    biases = np.zeros(len(class_ids))
+    for row, c in enumerate(class_ids):
+        t_vec = np.where(labels == c, 1.0, -1.0)
+        w = np.zeros(dim)
+        b = 0.0
+        for t in range(1, epochs + 1):
+            eta = 1.0 / (c_reg * t)
+            margins = t_vec * (M @ w + b)
+            violating = margins < 1.0
+            grad_w = c_reg * w - (t_vec[violating, None] * M[violating]).sum(axis=0) / n
+            grad_b = -t_vec[violating].sum() / n
+            w = w - eta * grad_w
+            b = b - eta * grad_b
+        weights[row] = w
+        biases[row] = b
+    return SvmModel(dim=dim, class_ids=class_ids.astype(np.int64), weights=weights, biases=biases)
+
+
+def _assert_svm_matches_oracle(X, labels, c_reg=1.0, epochs=200):
+    cfg = TrainConfig(algorithm=Algorithm.LinearSVM, c_reg=c_reg, epochs=epochs)
+    expected = _oracle_train_svm(X, np.asarray(labels), c_reg, epochs)
+    assert serialize(train(X, labels, cfg)) == serialize(expected)
+
+
+def _bundled_training_splits():
+    """(extractor, training rows): the full bundled corpus, then every training
+    split of 10-fold CV at seed 42, each with its features fitted the way
+    ``cross_validate`` fits them."""
+    corpus = load_corpus(bundled_corpus_path())
+    splits = [("full", tuple(range(len(corpus))))]
+    for i, fold in enumerate(stratified_folds(corpus, 10, 42)):
+        splits.append((f"fold{i}", tuple(sorted(set(range(len(corpus))) - set(fold)))))
+    return [pytest.param(e, rows, id=f"{e}-{name}") for e in EXTRACTORS for name, rows in splits]
+
+
+@pytest.fixture(scope="module")
+def bundled_encoding():
+    corpus = load_corpus(bundled_corpus_path())
+    numbers = corpus_numbers(corpus)
+    labels = np.array([int(s.label) for s in corpus], dtype=np.int64)
+    lexicon = default_lexicon()
+
+    def encode(extractor, rows):
+        features = make_features(extractor, lexicon)
+        features.fit([numbers[i] for i in rows])
+        return encode_rows(features, corpus, numbers)[list(rows)], labels[list(rows)]
+
+    return encode
+
+
+class TestSvmMatchesPerClassTrainer:
+    @pytest.mark.parametrize("extractor, rows", _bundled_training_splits())
+    def test_bundled_corpus_bytes(self, bundled_encoding, extractor, rows):
+        X, labels = bundled_encoding(extractor, rows)
+        _assert_svm_matches_oracle(X, labels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_integer_matrices_bytes(self, data):
+        n_classes = data.draw(st.integers(2, 6), label="classes")
+        n = data.draw(st.integers(n_classes, 30), label="rows")
+        dim = data.draw(st.integers(1, 8), label="dim")
+        X = data.draw(hnp.arrays(np.int64, (n, dim), elements=st.integers(0, 4)), label="X")
+        # every class at least once, the remaining rows drawn freely
+        rest = st.lists(st.integers(0, n_classes - 1), min_size=n - n_classes, max_size=n - n_classes)
+        labels = data.draw(rest.flatmap(lambda r: st.permutations(list(range(n_classes)) + r)), label="labels")
+        epochs = data.draw(st.integers(1, 20), label="epochs")
+        c_reg = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="c_reg")
+        _assert_svm_matches_oracle(X.astype(np.float64), labels, c_reg, epochs)
 
 
 class TestSerialization:

@@ -183,6 +183,18 @@ class TestTrainAndClassify:
         assert code == 0
         assert "Percentage" in out
 
+    @pytest.mark.parametrize("command", ["train", "classify"])
+    def test_seed_flag_is_a_usage_error(self, command, toy_corpus_path, tmp_path, capsys):
+        # --seed only assigns folds; training itself draws no randomness
+        argv = [command, "--corpus", toy_corpus_path, "--seed", "1"]
+        if command == "train":
+            argv += ["--output", str(tmp_path / "model.txt")]
+        code, out, err = run(argv, capsys=capsys)
+        assert code == 2
+        assert "--seed" in err
+        assert out == ""
+        assert not (tmp_path / "model.txt").exists()
+
     def test_classify_retrains_without_model(self, monkeypatch, capsys):
         # no --model: trains on the bundled corpus out of the box
         code, out, err = run(
