@@ -435,6 +435,13 @@ class LineReader:
         return result
 
 
+def _check_labels(labels: np.ndarray, key: str) -> None:
+    """Refuse labels ``serialize`` never writes; one vectorised test per section keeps KNN loads fast."""
+    bad = labels[(labels < 0) | (labels >= len(FormatLabel))]
+    if bad.size:
+        raise ModelFormatError(f"{key} label {bad[0]} is not a FormatLabel value")
+
+
 def deserialize(blob: str) -> TrainedModel:
     """Parse a serialized model; raises ModelFormatError on any damage."""
     return LineReader(blob).parse(read_model)
@@ -458,29 +465,38 @@ def read_model(reader: LineReader) -> TrainedModel:
             label, *vector = reader.take("point", 1 + dim)
             labels[i] = int(label)
             points[i] = [float(x) for x in vector]
+        _check_labels(labels, "point")
         model: TrainedModel = KnnModel(dim=dim, k=k, points=points, labels=labels)
     elif algorithm == Algorithm.DecisionTree:
         (count_s,) = reader.take("nodes", 1)
         count = int(count_s)
         consumed = 0
+        leaf_labels: list[int] = []
 
         def parse_node() -> TreeNode:
             nonlocal consumed
             consumed += 1
             if reader.peek() == "leaf":
                 (label,) = reader.take("leaf", 1)
-                return TreeNode(label=int(label))
+                leaf_labels.append(int(label))
+                return TreeNode(label=leaf_labels[-1])
             feature, threshold = reader.take("split", 2)
             node = TreeNode(feature=int(feature), threshold=float(threshold))
+            if not 0 <= node.feature < dim:
+                raise ModelFormatError(f"split feature {feature} outside 0..{dim - 1}")
             node.left, node.right = parse_node(), parse_node()
             return node
 
         root = parse_node()
         if consumed != count:
             raise ModelFormatError(f"tree section declares {count} nodes but holds {consumed}")
+        _check_labels(np.array(leaf_labels), "leaf")
         model = TreeModel(dim=dim, root=root)
     else:
         class_ids = np.array([int(c) for c in reader.take("classes")], dtype=np.int64)
+        _check_labels(class_ids, "class")
+        if np.any(np.diff(class_ids) <= 0):
+            raise ModelFormatError("classes line is not strictly ascending")
         weights = np.zeros((len(class_ids), dim))
         biases = np.zeros(len(class_ids))
         for i, c in enumerate(class_ids):

@@ -9,14 +9,15 @@ path; an explicit ``--lexicon`` flag wins over the environment.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from pathlib import Path
 
 from . import bow_features, context_features, evaluation
-from .classifiers import Algorithm, ModelFormatError, TrainConfig, predict
-from .context_features import Lexicon, LexiconError
+from .classifiers import Algorithm, TrainConfig, predict
+from .context_features import Lexicon
 from .corpus import (
     Corpus,
     CorpusError,
@@ -30,7 +31,6 @@ from .pipeline import EXTRACTORS, Pipeline
 from .verbalizer import (
     CurrencyMode,
     UnitMode,
-    VerbalizationError,
     VerbalizationStyle,
     YearMode,
     verbalize,
@@ -45,7 +45,7 @@ def _add_corpus_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--corpus",
         type=Path,
-        default=None,
+        default=bundled_corpus_path(),
         help="corpus CSV (id,text,start,end,label); defaults to the bundled corpus",
     )
 
@@ -88,6 +88,7 @@ def _add_style_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--unit-mode", choices=("full", "abbrev"), default="full")
 
 
+@functools.cache  # main may run many times in one process; building the tree takes about 2 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="numctx",
@@ -133,21 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_lexicon_path(args) -> Path:
-    if args.lexicon is not None:
-        return args.lexicon
-    env = os.environ.get("NUMCTX_LEXICON")
-    if env:
-        return Path(env)
-    return context_features.default_lexicon_path()
-
-
 def _load_lexicon(args) -> Lexicon:
-    return context_features.load_lexicon(_resolve_lexicon_path(args))
-
-
-def _load_corpus(args) -> Corpus:
-    return load_corpus(args.corpus if args.corpus is not None else bundled_corpus_path())
+    # read at call time, not as a parser default: the parser outlives changes to the environment
+    env = os.environ.get("NUMCTX_LEXICON")
+    return context_features.load_lexicon(args.lexicon or env or context_features.default_lexicon_path())
 
 
 def _usage_error(message: str):
@@ -188,25 +178,24 @@ def _emit_report(report: dict, fmt: str) -> None:
 
 
 def cmd_validate(args) -> int:
-    path = args.corpus if args.corpus is not None else bundled_corpus_path()
-    sentences, issues = scan_corpus(path)
+    sentences, errors = scan_corpus(args.corpus)
     counts = Corpus(tuple(sentences)).class_counts()
-    print(f"corpus\t{path}")
+    print(f"corpus\t{args.corpus}")
     print(f"rows\t{len(sentences)}")
     for label in LABELS:
         print(f"{label.name}\t{counts[label]}")
     for label in LABELS:
         if counts[label] == 0:
             print(f"warning: class {label.name} has 0 instances")
-    for issue in issues:
-        print(f"error: {issue.error}", file=sys.stderr)
-    return 1 if issues else 0
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
+    return 1 if errors else 0
 
 
 def cmd_evaluate(args) -> int:
     _check_folds(args.folds)
     cfg = _train_config(args)
-    corpus = _load_corpus(args)
+    corpus = load_corpus(args.corpus)
     lexicon = _load_lexicon(args)
     summary = evaluation.cross_validate(
         corpus, args.extractor, cfg, k=args.folds, seed=args.seed,
@@ -219,7 +208,7 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     _check_folds(args.folds)
     cfg = _train_config(args)
-    corpus = _load_corpus(args)
+    corpus = load_corpus(args.corpus)
     lexicon = _load_lexicon(args)
     context_summary = evaluation.cross_validate(
         corpus, "context", cfg, k=args.folds, seed=args.seed, lexicon=lexicon
@@ -233,7 +222,7 @@ def cmd_compare(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _train_config(args)
-    corpus = _load_corpus(args)
+    corpus = load_corpus(args.corpus)
     Pipeline.fit(corpus, cfg, args.extractor, _load_lexicon(args), args.bow_cap).save(args.output)
     print(f"trained {cfg.algorithm.value} on {len(corpus)} rows ({args.extractor} features) -> {args.output}")
     return 0
@@ -254,7 +243,7 @@ def cmd_classify(args) -> int:
     else:
         # no model file: train on the (bundled by default) corpus right here
         cfg = _train_config(args)
-        pipeline = Pipeline.fit(_load_corpus(args), cfg, args.extractor, _load_lexicon(args), args.bow_cap)
+        pipeline = Pipeline.fit(load_corpus(args.corpus), cfg, args.extractor, _load_lexicon(args), args.bow_cap)
 
     for line in sys.stdin:
         text = line.rstrip("\n")
@@ -275,7 +264,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CorpusError, LexiconError, ModelFormatError, VerbalizationError, ValueError, OSError) as exc:
+    except (CorpusError, ValueError, OSError) as exc:  # lexicon, model and verbalization errors are ValueErrors
         print(f"numctx: error: {exc}", file=sys.stderr)
         return 1
 

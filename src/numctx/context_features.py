@@ -57,19 +57,38 @@ class LexiconError(ValueError):
     pass
 
 
+# Unknown and Boundary are given by a failed lookup and a sentence edge, never by an entry
+_ASSIGNABLE = {c.name: c for c in KEYWORD_CLASSES if c not in (KeywordClass.Unknown, KeywordClass.Boundary)}
+
+
+def add_entry(entries: dict[str, KeywordClass], word: str, class_name: str) -> None:
+    """Check one lexicon entry and add it to ``entries``: the word must be one
+    lowercase word without whitespace and new to ``entries``, the class an
+    assignable keyword class. A bad entry raises LexiconError."""
+    if word.split() != [word] or word != word.lower():
+        # tokenize splits on whitespace and lookups lowercase, so such a word could never match
+        raise LexiconError(f"lexicon word {word!r} must be one lowercase word without whitespace")
+    cls = _ASSIGNABLE.get(class_name)
+    if cls is None:
+        if class_name in KeywordClass.__members__:
+            raise LexiconError(f"{class_name} is reserved and may not be assigned")
+        raise LexiconError(f"unknown keyword class {class_name!r}")
+    if word in entries:
+        raise LexiconError(f"duplicate lexicon entry {word!r}")
+    entries[word] = cls
+
+
 @dataclass(frozen=True)
 class Lexicon:
-    """Immutable word -> keyword-class map; keys are lowercase and trimmed."""
+    """Immutable word -> keyword-class map; every entry passes ``add_entry``."""
 
     entries: dict[str, KeywordClass]
     version: str = "v1"
 
     def __post_init__(self) -> None:
+        checked: dict[str, KeywordClass] = {}
         for word, cls in self.entries.items():
-            if word != word.strip().lower() or not word:
-                raise LexiconError(f"lexicon key {word!r} must be non-empty, trimmed, lowercase")
-            if cls in (KeywordClass.Unknown, KeywordClass.Boundary):
-                raise LexiconError(f"lexicon entry {word!r} may not map to {cls.name}")
+            add_entry(checked, word, cls.name)
 
     def lookup(self, word: str) -> KeywordClass:
         return self.entries.get(word.lower(), KeywordClass.Unknown)
@@ -84,31 +103,22 @@ class Lexicon:
 
 def load_lexicon(path: str | Path, version: str | None = None) -> Lexicon:
     """Load a lexicon file: UTF-8, one ``word<TAB>ClassName`` per line,
-    ``#`` starts a comment, blank lines ignored."""
+    ``#`` starts a comment, blank lines ignored. Errors name ``path:line``."""
     p = Path(path)
-    entries: dict[str, KeywordClass] = {}
+    lexicon = Lexicon(entries={}, version=version or p.name)
     with p.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             parts = line.split("\t")
-            if len(parts) != 2:
-                raise LexiconError(f"{p}:{lineno}: expected 'word<TAB>ClassName', got {line!r}")
-            word, class_name = parts[0].strip().lower(), parts[1].strip()
-            if word.split() != [word]:
-                # tokenize splits on whitespace, so such a word could never match
-                raise LexiconError(f"{p}:{lineno}: lexicon word {word!r} must be one word without whitespace")
             try:
-                cls = KeywordClass[class_name]
-            except KeyError:
-                raise LexiconError(f"{p}:{lineno}: unknown keyword class {class_name!r}") from None
-            if cls in (KeywordClass.Unknown, KeywordClass.Boundary):
-                raise LexiconError(f"{p}:{lineno}: {class_name} is reserved and may not be assigned")
-            if word in entries:
-                raise LexiconError(f"{p}:{lineno}: duplicate lexicon entry {word!r}")
-            entries[word] = cls
-    return Lexicon(entries=entries, version=version or p.name)
+                if len(parts) != 2:
+                    raise LexiconError(f"expected 'word<TAB>ClassName', got {line!r}")
+                add_entry(lexicon.entries, parts[0].strip().lower(), parts[1].strip())
+            except LexiconError as exc:
+                raise LexiconError(f"{p}:{lineno}: {exc}") from None
+    return lexicon
 
 
 def default_lexicon_path() -> Path:

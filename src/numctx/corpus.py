@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -73,95 +73,68 @@ class Corpus:
         return counts
 
 
-@dataclass(frozen=True)
-class RowIssue:
-    """A problem found in one corpus row; ``error`` carries the message."""
-
-    line: int
-    row_id: str | None
-    error: CorpusError = field(compare=False)
-
-
 def _normalize_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def scan_corpus(path: str | Path) -> tuple[list[LabeledSentence], list[RowIssue]]:
-    """Parse every row, collecting issues instead of stopping at the first.
+def _parse_row(p: Path, line: int, row: list[str], seen_ids: dict[str, int]) -> LabeledSentence:
+    """The row ending at ``line`` as a sentence; a bad row raises its CorpusError.
+    ``seen_ids`` maps each id read so far to its line, and gains this row's."""
+    if len(row) != len(_HEADER):
+        raise CorpusParseError(f"{p}:{line}: expected {len(_HEADER)} fields, got {len(row)}")
+    row_id, text, start_s, end_s, label_s = row
+    where = f"{p}:{line} (id {row_id})"
+    text = _normalize_newlines(text)
+    try:
+        start, end = int(start_s), int(end_s)
+    except ValueError:
+        raise CorpusParseError(f"{where}: non-integer span {start_s!r},{end_s!r}") from None
+    try:
+        label = FormatLabel.from_name(label_s)
+    except ValueError as exc:
+        raise LabelError(f"{where}: {exc}") from None
+    if not (0 <= start < end <= len(text)):
+        raise SpanError(f"{where}: span ({start},{end}) outside text of length {len(text)}")
+    if not any(t.span == (start, end) for t in locate_numbers(text)):
+        raise SpanError(f"{where}: span ({start},{end}) = {text[start:end]!r} is not a located number token")
+    if row_id in seen_ids:
+        raise DuplicateIdError(f"{p}:{line}: duplicate id {row_id!r} (first seen line {seen_ids[row_id]})")
+    seen_ids[row_id] = line
+    return LabeledSentence(id=row_id, text=text, span=(start, end), label=label)
 
-    Returns the rows that validated plus a list of per-row issues (header
-    problems are reported as line 1).
+
+def scan_corpus(path: str | Path) -> tuple[list[LabeledSentence], list[CorpusError]]:
+    """Parse every row, collecting errors instead of stopping at the first.
+
+    Returns the rows that validated and one CorpusError per bad row, in file
+    order, each naming ``path:line``. Blank rows are skipped. An empty file
+    or a bad header is the one error and yields no rows.
     """
     p = Path(path)
-    sentences: list[LabeledSentence] = []
-    issues: list[RowIssue] = []
-    seen_ids: dict[str, int] = {}
     with p.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            issues.append(RowIssue(1, None, CorpusParseError(f"{p}: empty file, expected header {','.join(_HEADER)}")))
-            return sentences, issues
+        header = next(reader, None)
+        if header is None:
+            return [], [CorpusParseError(f"{p}: empty file, expected header {','.join(_HEADER)}")]
         if header != _HEADER:
-            issues.append(
-                RowIssue(1, None, CorpusParseError(f"{p}:1: bad header {header!r}, expected {_HEADER!r}"))
-            )
-            return sentences, issues
+            return [], [CorpusParseError(f"{p}:1: bad header {header!r}, expected {_HEADER!r}")]
+        sentences: list[LabeledSentence] = []
+        errors: list[CorpusError] = []
+        seen_ids: dict[str, int] = {}
         for row in reader:
-            line = reader.line_num
-            if not row:
-                continue
-            if len(row) != len(_HEADER):
-                issues.append(
-                    RowIssue(line, None, CorpusParseError(f"{p}:{line}: expected {len(_HEADER)} fields, got {len(row)}"))
-                )
-                continue
-            row_id, text, start_s, end_s, label_s = row
-            text = _normalize_newlines(text)
-            try:
-                start, end = int(start_s), int(end_s)
-            except ValueError:
-                issues.append(
-                    RowIssue(line, row_id, CorpusParseError(f"{p}:{line} (id {row_id}): non-integer span {start_s!r},{end_s!r}"))
-                )
-                continue
-            try:
-                label = FormatLabel.from_name(label_s)
-            except ValueError as exc:
-                issues.append(RowIssue(line, row_id, LabelError(f"{p}:{line} (id {row_id}): {exc}")))
-                continue
-            if not (0 <= start < end <= len(text)):
-                issues.append(
-                    RowIssue(line, row_id, SpanError(f"{p}:{line} (id {row_id}): span ({start},{end}) outside text of length {len(text)}"))
-                )
-                continue
-            if not any(t.span == (start, end) for t in locate_numbers(text)):
-                issues.append(
-                    RowIssue(
-                        line,
-                        row_id,
-                        SpanError(
-                            f"{p}:{line} (id {row_id}): span ({start},{end}) = {text[start:end]!r} is not a located number token"
-                        ),
-                    )
-                )
-                continue
-            if row_id in seen_ids:
-                issues.append(
-                    RowIssue(line, row_id, DuplicateIdError(f"{p}:{line}: duplicate id {row_id!r} (first seen line {seen_ids[row_id]})"))
-                )
-                continue
-            seen_ids[row_id] = line
-            sentences.append(LabeledSentence(id=row_id, text=text, span=(start, end), label=label))
-    return sentences, issues
+            if row:
+                try:
+                    sentences.append(_parse_row(p, reader.line_num, row, seen_ids))
+                except CorpusError as exc:
+                    errors.append(exc)
+    return sentences, errors
 
 
 def load_corpus(path: str | Path) -> Corpus:
     """Load and validate a corpus file, raising on the first bad row."""
-    sentences, issues = scan_corpus(path)
-    if issues:
-        raise issues[0].error
+    sentences, errors = scan_corpus(path)
+    if errors:
+        raise errors[0]
     return Corpus(sentences=tuple(sentences))
 
 

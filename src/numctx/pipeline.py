@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bow_features, classifiers, context_features
 from .classifiers import LineReader, ModelFormatError, TrainConfig
-from .context_features import ContextWindow, KeywordClass, Lexicon
+from .context_features import ContextWindow, Lexicon
 from .corpus import Corpus
 from .locator import NumberToken, shape_of, tokenize
 
@@ -137,13 +137,9 @@ class Pipeline:
     def _read(cls, reader: LineReader) -> "Pipeline":
         reader.magic(_MAGIC)
         count, version = reader.take("lexicon", 2, rest=True)
-        entries = {}
+        lexicon = Lexicon(entries={}, version=version)
         for _ in range(int(count)):
-            word, class_name = reader.take("lexentry", 2)
-            if class_name not in KeywordClass.__members__:
-                raise ModelFormatError(f"unknown keyword class {class_name!r}")
-            entries[word] = KeywordClass[class_name]
-        lexicon = Lexicon(entries=entries, version=version)
+            context_features.add_entry(lexicon.entries, *reader.take("lexentry", 2))
         (extractor,) = reader.take("extractor", 1)
         features = make_features(extractor, lexicon)
         features.load(reader)

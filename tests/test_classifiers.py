@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -424,6 +425,27 @@ class TestSerialization:
         blob = serialize(train(X, y, TrainConfig(algorithm=Algorithm.LinearSVM)))
         with pytest.raises(ModelFormatError, match="after the end"):
             deserialize(blob + "junk\nmore junk\n")
+
+    @pytest.mark.parametrize(
+        "algorithm, pattern, replacement, message",
+        [
+            (Algorithm.KNN, r"^point \d+", "point 6", "point label 6 is not a FormatLabel"),
+            (Algorithm.KNN, r"^point \d+", "point -1", "point label -1 is not a FormatLabel"),
+            (Algorithm.DecisionTree, r"^leaf \d+", "leaf 9", "leaf label 9 is not a FormatLabel"),
+            (Algorithm.DecisionTree, r"^split \d+", "split 4", "split feature 4 outside 0..3"),
+            (Algorithm.DecisionTree, r"^split \d+", "split -1", "split feature -1 outside 0..3"),
+            (Algorithm.LinearSVM, r"^classes \d+", "classes 7", "class label 7 is not a FormatLabel"),
+            (Algorithm.LDA, r"^classes 0 1", "classes 1 0", "not strictly ascending"),
+            (Algorithm.LDA, r"^classes 0 1", "classes 1 1", "not strictly ascending"),
+        ],
+    )
+    def test_values_serialize_never_writes_rejected(self, algorithm, pattern, replacement, message):
+        X, y = self._random_data(12)
+        blob = serialize(train(X, y, TrainConfig(algorithm=algorithm)))
+        damaged = re.sub(pattern, replacement, blob, count=1, flags=re.M)
+        assert damaged != blob
+        with pytest.raises(ModelFormatError, match=message):
+            deserialize(damaged)
 
     @pytest.mark.parametrize(
         "key, edit",

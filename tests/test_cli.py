@@ -1,12 +1,17 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import separable_corpus
 from numctx.classifiers import ModelFormatError, deserialize
-from numctx.cli import main
+import numctx
+from numctx.cli import build_parser, main
 from numctx.context_features import default_lexicon_path
 from numctx.corpus import save_corpus
 from numctx.pipeline import Pipeline
@@ -61,6 +66,55 @@ class TestValidate:
         assert code == 1
         assert "s2" in err
 
+    def test_every_bad_row_reported_in_order(self, tmp_path, capsys):
+        # one row of each fault, a blank row, and quoted newlines (csv line numbers count them)
+        path = tmp_path / "faults.csv"
+        path.write_text(
+            HEADER
+            + f's1,"{COURT_SENTENCE}",20,22,Date\n'
+            + f's2,"{COURT_SENTENCE}",20,22\n'
+            + f's3,"{COURT_SENTENCE}",tujuh,22,Date\n'
+            + f's4,"{COURT_SENTENCE}",20,22,Fraction\n'
+            + f's5,"{COURT_SENTENCE}",20,99,Date\n'
+            + f's6,"{COURT_SENTENCE}",0,8,Date\n'
+            + f's1,"{COURT_SENTENCE}",20,22,Date\n'
+            + "\n"
+            + 's9,"Mahkamah menetapkan\n21 Januari ini",20,22,Date\n'
+            + 's10,"pukul\n8.30 pagi",6,8,Time\n',
+            encoding="utf-8",
+        )
+        code, out, err = run(["validate", "--corpus", str(path)], capsys=capsys)
+        assert code == 1
+        assert out.splitlines()[:3] == [f"corpus\t{path}", "rows\t2", "Date\t2"]
+        assert err.splitlines() == [
+            f"error: {path}:3: expected 5 fields, got 4",
+            f"error: {path}:4 (id s3): non-integer span 'tujuh','22'",
+            f"error: {path}:5 (id s4): unknown format label 'Fraction' "
+            "(expected one of: Date, Time, Phone, Currency, Measurement, Percentage)",
+            f"error: {path}:6 (id s5): span (20,99) outside text of length 59",
+            f"error: {path}:7 (id s6): span (0,8) = 'Mahkamah' is not a located number token",
+            f"error: {path}:8: duplicate id 's1' (first seen line 2)",
+            f"error: {path}:13 (id s10): span (6,8) = '8.' is not a located number token",
+        ]
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("", "{path}: empty file, expected header id,text,start,end,label"),
+            (
+                "id,sentence\n",
+                "{path}:1: bad header ['id', 'sentence'], expected ['id', 'text', 'start', 'end', 'label']",
+            ),
+        ],
+    )
+    def test_unreadable_header_is_one_error(self, content, message, tmp_path, capsys):
+        path = tmp_path / "head.csv"
+        path.write_text(content, encoding="utf-8")
+        code, out, err = run(["validate", "--corpus", str(path)], capsys=capsys)
+        assert code == 1
+        assert "rows\t0" in out
+        assert err.splitlines() == ["error: " + message.format(path=path)]
+
     def test_missing_file_exits_1(self, capsys):
         code, out, err = run(["validate", "--corpus", "/nonexistent.csv"], capsys=capsys)
         assert code == 1
@@ -87,6 +141,27 @@ class TestUsageErrors:
     def test_no_command(self, capsys):
         code, out, err = run([], capsys=capsys)
         assert code == 2
+
+
+class TestMain:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_in_one_process_print_what_each_prints_alone(self, toy_corpus_path, monkeypatch, capsys):
+        calls = [
+            (["validate", "--corpus", toy_corpus_path], ""),
+            (["classify", "--corpus", toy_corpus_path], COURT_SENTENCE + "\n"),
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(numctx.__file__).parents[1])}
+        alone = [
+            subprocess.run(
+                [sys.executable, "-m", "numctx.cli", *argv], input=stdin, capture_output=True, text=True, env=env
+            )
+            for argv, stdin in calls
+        ]
+        in_one_process = [run(argv, stdin, monkeypatch, capsys) for argv, stdin in calls]
+        assert in_one_process == [(p.returncode, p.stdout, p.stderr) for p in alone]
+        assert in_one_process[1] == (0, "20-22\tDate\tdua puluh satu januari\n", "")
 
 
 class TestEvaluate:
@@ -247,6 +322,15 @@ class TestTrainAndClassify:
             (lambda text: text.replace("lexentry am TimeWord", "lexentry am", 1), "fields"),
             (lambda text: text.replace("extractor context", "extractor context bow", 1), "fields"),
             (lambda text: text.replace("\nend\n", "\n"), "unexpected end of file"),
+            (lambda text: re.sub(r"^split \d+", "split 99", text, count=1, flags=re.M), "split feature 99"),
+            (lambda text: re.sub(r"^split \d+", "split -1", text, count=1, flags=re.M), "split feature -1"),
+            (lambda text: re.sub(r"^leaf \d+", "leaf 9", text, count=1, flags=re.M), "leaf label 9"),
+            # the entry after 'am' becomes a second 'am'; the declared count still matches
+            (
+                lambda text: re.sub(r"^(lexentry am TimeWord\n)[^\n]*\n", r"\1\1", text, count=1, flags=re.M),
+                "duplicate lexicon entry 'am'",
+            ),
+            (lambda text: text.replace("lexentry am ", "lexentry a\u00a0m ", 1), "without whitespace"),
         ],
     )
     def test_damaged_pipeline_exits_1_naming_file(
@@ -262,8 +346,9 @@ class TestTrainAndClassify:
             capsys=capsys,
         )
         assert code == 1
-        assert f"error: {model_path}: " in err
+        assert re.search(rf"error: {re.escape(str(model_path))}: line \d+: ", err)
         assert message in err
+        assert "Traceback" not in err
 
     def test_bow_vocab_repeating_a_byte_rejected(self, tmp_path, capsys):
         # a repeated byte would leave a column past the vocabulary's size
