@@ -1,38 +1,29 @@
 """Character-unigram bag-of-words benchmark features.
 
 Each character of the number token (attached symbols included) is mapped to
-its 0-255 code value; codes above 255 land in the overflow bucket 255. A
-capped vocabulary assigns columns in order of first appearance over the
-training tokens, and encoding counts the in-vocabulary grams of a token.
+its 0-255 code value; codes above 255 land in the overflow bucket 255. The
+vocabulary assigns columns in order of first appearance over the training
+tokens, so it never exceeds 256 columns, and encoding counts the
+in-vocabulary grams of a token.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-DEFAULT_CAP = 1000
 _OVERFLOW = 255
 
 
 @dataclass(frozen=True)
 class BowVocab:
     byte_to_column: dict[int, int]
-    cap: int
 
     @property
     def size(self) -> int:
         return len(self.byte_to_column)
-
-    def fingerprint(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(str(self.cap).encode())
-        for byte in sorted(self.byte_to_column):
-            digest.update(f"\n{byte}:{self.byte_to_column[byte]}".encode())
-        return digest.hexdigest()
 
 
 def unigrams(token_raw: str) -> list[str]:
@@ -47,17 +38,15 @@ def gram_byte(gram: str) -> int:
     return min(ord(gram), _OVERFLOW)
 
 
-def build_vocab(training_tokens: Iterable[str], cap: int = DEFAULT_CAP) -> BowVocab:
+def build_vocab(training_tokens: Iterable[str]) -> BowVocab:
     """Assign columns to distinct byte values in first-appearance order."""
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
     byte_to_column: dict[int, int] = {}
     for token in training_tokens:
         for gram in unigrams(token):
             byte = gram_byte(gram)
-            if byte not in byte_to_column and len(byte_to_column) < cap:
+            if byte not in byte_to_column:
                 byte_to_column[byte] = len(byte_to_column)
-    return BowVocab(byte_to_column=byte_to_column, cap=cap)
+    return BowVocab(byte_to_column=byte_to_column)
 
 
 def bow_encode(token_raw: str, vocab: BowVocab) -> np.ndarray:

@@ -402,14 +402,13 @@ class LineReader:
         """Key of the next line; None at the end."""
         return self.lines[self.pos].split(" ", 1)[0] if self.pos < len(self.lines) else None
 
-    def take(self, key: str, count: int | None = None, *, rest: bool = False) -> list[str]:
-        """The fields after ``key`` on the next line, exactly ``count`` of them
-        when given; with ``rest`` the last field runs to the end of the line."""
+    def take(self, key: str, count: int | None = None) -> list[str]:
+        """The fields after ``key`` on the next line, exactly ``count`` of them when given."""
         if self.pos >= len(self.lines):
             raise ModelFormatError(f"unexpected end of file, expected {key!r} line")
         line = self.lines[self.pos]
         self.pos += 1
-        found, *fields = line.split(" ", count if rest else -1)
+        found, *fields = line.split(" ")
         if found != key:
             raise ModelFormatError(f"expected {key!r} line, got {line!r}")
         if count is not None and len(fields) != count:
@@ -457,8 +456,13 @@ def read_model(reader: LineReader) -> TrainedModel:
 
     if algorithm == Algorithm.KNN:
         (k_s,) = reader.take("k", 1)
+        k = int(k_s)
+        if k not in (1, 3):
+            raise ModelFormatError(f"k must be 1 or 3, got {k}")
         (n_s,) = reader.take("n", 1)
-        k, n = int(k_s), int(n_s)
+        n = int(n_s)
+        if n < 1:
+            raise ModelFormatError(f"a knn model needs at least 1 point, got n {n}")
         points = np.zeros((n, dim))
         labels = np.zeros(n, dtype=np.int64)
         for i in range(n):
@@ -494,6 +498,8 @@ def read_model(reader: LineReader) -> TrainedModel:
         model = TreeModel(dim=dim, root=root)
     else:
         class_ids = np.array([int(c) for c in reader.take("classes")], dtype=np.int64)
+        if class_ids.size == 0:
+            raise ModelFormatError("classes line names no class")
         _check_labels(class_ids, "class")
         if np.any(np.diff(class_ids) <= 0):
             raise ModelFormatError("classes line is not strictly ascending")

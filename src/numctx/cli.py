@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import bow_features, context_features, evaluation
+from . import context_features, evaluation
 from .classifiers import Algorithm, TrainConfig, predict
 from .context_features import Lexicon
 from .corpus import (
@@ -37,6 +37,10 @@ from .verbalizer import (
 )
 
 _OUT_OF_SCOPE_CLASSIFIERS = ("svm-poly", "svm-rbf")
+# what a model file fixes; with --model only the style flags apply
+_MODEL_FILE_FLAGS = (
+    "corpus", "lexicon", "extractor", "classifier", "k", "max_depth", "min_leaf", "shrinkage", "c_reg", "epochs",
+)
 # a module-level name, so perfbench can time pipeline loading from outside
 load_pipeline = Pipeline.load
 
@@ -73,7 +77,6 @@ def _add_model_flags(parser: argparse.ArgumentParser, extractor: bool = True) ->
     parser.add_argument("--shrinkage", type=float, default=1e-4)
     parser.add_argument("--c-reg", type=float, default=1.0)
     parser.add_argument("--epochs", type=int, default=200)
-    parser.add_argument("--bow-cap", type=int, default=bow_features.DEFAULT_CAP)
 
 
 def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
@@ -198,8 +201,7 @@ def cmd_evaluate(args) -> int:
     corpus = load_corpus(args.corpus)
     lexicon = _load_lexicon(args)
     summary = evaluation.cross_validate(
-        corpus, args.extractor, cfg, k=args.folds, seed=args.seed,
-        lexicon=lexicon, bow_cap=args.bow_cap,
+        corpus, args.extractor, cfg, k=args.folds, seed=args.seed, lexicon=lexicon
     )
     _emit_report(evaluation.evaluation_report(summary), args.format)
     return 0
@@ -213,9 +215,7 @@ def cmd_compare(args) -> int:
     context_summary = evaluation.cross_validate(
         corpus, "context", cfg, k=args.folds, seed=args.seed, lexicon=lexicon
     )
-    bow_summary = evaluation.cross_validate(
-        corpus, "bow", cfg, k=args.folds, seed=args.seed, bow_cap=args.bow_cap
-    )
+    bow_summary = evaluation.cross_validate(corpus, "bow", cfg, k=args.folds, seed=args.seed)
     _emit_report(evaluation.comparison_report(context_summary, bow_summary), args.format)
     return 0
 
@@ -223,7 +223,7 @@ def cmd_compare(args) -> int:
 def cmd_train(args) -> int:
     cfg = _train_config(args)
     corpus = load_corpus(args.corpus)
-    Pipeline.fit(corpus, cfg, args.extractor, _load_lexicon(args), args.bow_cap).save(args.output)
+    Pipeline.fit(corpus, cfg, args.extractor, _load_lexicon(args)).save(args.output)
     print(f"trained {cfg.algorithm.value} on {len(corpus)} rows ({args.extractor} features) -> {args.output}")
     return 0
 
@@ -239,11 +239,16 @@ def _style_from_args(args) -> VerbalizationStyle:
 def cmd_classify(args) -> int:
     style = _style_from_args(args)
     if args.model is not None:
+        defaults = build_parser().parse_args(["classify"])
+        ignored = [name for name in _MODEL_FILE_FLAGS if getattr(args, name) != getattr(defaults, name)]
+        if ignored:
+            flags = ", ".join("--" + name.replace("_", "-") for name in ignored)
+            _usage_error(f"{flags} cannot be combined with --model, which fixes them")
         pipeline = load_pipeline(args.model)
     else:
         # no model file: train on the (bundled by default) corpus right here
         cfg = _train_config(args)
-        pipeline = Pipeline.fit(load_corpus(args.corpus), cfg, args.extractor, _load_lexicon(args), args.bow_cap)
+        pipeline = Pipeline.fit(load_corpus(args.corpus), cfg, args.extractor, _load_lexicon(args))
 
     for line in sys.stdin:
         text = line.rstrip("\n")

@@ -10,7 +10,6 @@ that does not depend on any corpus statistics.
 from __future__ import annotations
 
 import functools
-import hashlib
 from dataclasses import dataclass
 from enum import IntEnum
 from importlib import resources
@@ -83,7 +82,6 @@ class Lexicon:
     """Immutable word -> keyword-class map; every entry passes ``add_entry``."""
 
     entries: dict[str, KeywordClass]
-    version: str = "v1"
 
     def __post_init__(self) -> None:
         checked: dict[str, KeywordClass] = {}
@@ -93,19 +91,12 @@ class Lexicon:
     def lookup(self, word: str) -> KeywordClass:
         return self.entries.get(word.lower(), KeywordClass.Unknown)
 
-    def fingerprint(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(self.version.encode())
-        for word in sorted(self.entries):
-            digest.update(f"\n{word}\t{self.entries[word].name}".encode())
-        return digest.hexdigest()
 
-
-def load_lexicon(path: str | Path, version: str | None = None) -> Lexicon:
+def load_lexicon(path: str | Path) -> Lexicon:
     """Load a lexicon file: UTF-8, one ``word<TAB>ClassName`` per line,
     ``#`` starts a comment, blank lines ignored. Errors name ``path:line``."""
     p = Path(path)
-    lexicon = Lexicon(entries={}, version=version or p.name)
+    lexicon = Lexicon(entries={})
     with p.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -127,7 +118,7 @@ def default_lexicon_path() -> Path:
 
 @functools.cache
 def default_lexicon() -> Lexicon:
-    return load_lexicon(default_lexicon_path(), version="bundled-v1")
+    return load_lexicon(default_lexicon_path())
 
 
 @dataclass(frozen=True)

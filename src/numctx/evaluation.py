@@ -4,8 +4,9 @@ The confusion matrix is oriented with true labels along rows and predicted
 labels along columns, so recall reads along a row and precision down a
 column. Cross-validation pools the per-fold matrices by summation; any
 feature state learned from data (the bag-of-words vocabulary) is rebuilt
-from each fold's training split and fingerprinted so leakage is checkable;
-the corpus is encoded once per distinct fingerprint.
+from each fold's training split, and each fold's state, the extractor's
+``dump()`` lines, is kept so leakage is checkable; the corpus is encoded
+once per distinct state.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bow_features, context_features
+from . import context_features
 from .classifiers import TrainConfig, predict_batch, train
 from .corpus import Corpus, stratified_folds
 from .labels import LABELS, FormatLabel
@@ -120,7 +121,7 @@ class RunSummary:
     mean: float
     std: float
     pooled: ConfusionMatrix
-    fold_fingerprints: tuple[str, ...]
+    fold_states: tuple[tuple[str, ...], ...]
 
 
 def cross_validate(
@@ -131,28 +132,27 @@ def cross_validate(
     seed: int = 42,
     *,
     lexicon: context_features.Lexicon | None = None,
-    bow_cap: int = bow_features.DEFAULT_CAP,
 ) -> RunSummary:
     """Stratified k-fold evaluation of one extractor/classifier pairing."""
     lex = lexicon if lexicon is not None else context_features.default_lexicon()
-    features = make_features(extractor, lex, bow_cap)
+    features = make_features(extractor, lex)
     folds = stratified_folds(corpus, k, seed)
     y = np.array([int(s.label) for s in corpus], dtype=np.int64)
     numbers = corpus_numbers(corpus)
-    encoded: dict[str, np.ndarray] = {}  # fitted-state fingerprint -> all rows
+    encoded: dict[tuple[str, ...], np.ndarray] = {}  # fitted state -> all rows
 
     fold_accuracies: list[float] = []
-    fingerprints: list[str] = []
+    states: list[tuple[str, ...]] = []
     pooled = ConfusionMatrix.empty()
     for fold in folds:
         test_idx = np.array(fold, dtype=np.int64)
         train_idx = np.array(sorted(set(range(len(corpus))) - set(fold)), dtype=np.int64)
         features.fit([numbers[i] for i in train_idx])
-        fingerprint = features.fingerprint()
-        if fingerprint not in encoded:
-            encoded[fingerprint] = encode_rows(features, corpus, numbers)
-        X = encoded[fingerprint]
-        fingerprints.append(fingerprint)
+        state = tuple(features.dump())
+        if state not in encoded:
+            encoded[state] = encode_rows(features, corpus, numbers)
+        X = encoded[state]
+        states.append(state)
         model = train(X[train_idx], y[train_idx], cfg)
         predicted = predict_batch(model, X[test_idx])
         correct = int((predicted == y[test_idx]).sum())
@@ -171,7 +171,7 @@ def cross_validate(
         mean=mean,
         std=std,
         pooled=pooled,
-        fold_fingerprints=tuple(fingerprints),
+        fold_states=tuple(states),
     )
 
 

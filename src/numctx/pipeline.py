@@ -2,10 +2,13 @@
 
 Training, cross-validation and classification all encode through the
 extractors here, so this module alone chooses between context and
-bag-of-words features. A pipeline file holds, line by line: the magic, the
-lexicon (``lexicon <count> <version>`` then one ``lexentry <word> <Class>``
-per entry; the verbalizer reads it too), ``extractor <name>`` and that
-extractor's state, then the model as ``classifiers.serialize`` writes it.
+bag-of-words features. An extractor's fitted state is its ``dump()``
+lines and nothing else: the pipeline file stores them and cross-validation
+compares them. A pipeline file holds, line by line: the magic, the lexicon
+(``lexicon <count>`` then one ``lexentry <word> <Class>`` per entry; the
+verbalizer reads it too), ``extractor <name>`` and that extractor's state,
+then the model as ``classifiers.serialize`` writes it, whose width must be
+the extractor's.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .context_features import ContextWindow, Lexicon
 from .corpus import Corpus
 from .locator import NumberToken, shape_of, tokenize
 
-_MAGIC = "numctx-pipeline v2"
+_MAGIC = "numctx-pipeline v3"
 EXTRACTORS = ("context", "bow")
 
 
@@ -30,6 +33,7 @@ class ContextFeatures:
 
     name = "context"
     windowed = True
+    width = context_features.FEATURE_DIM
 
     def __init__(self, lexicon: Lexicon):
         self.lexicon = lexicon
@@ -40,9 +44,6 @@ class ContextFeatures:
     def encode(self, window: ContextWindow | None, number: NumberToken) -> np.ndarray:
         return context_features.encode(window, shape_of(number), self.lexicon)
 
-    def fingerprint(self) -> str:
-        return self.lexicon.fingerprint()
-
     def dump(self) -> list[str]:
         return []  # the pipeline stores the lexicon
 
@@ -52,45 +53,45 @@ class ContextFeatures:
 
 class BowFeatures:
     """Character counts of the number itself; the window is not read. The
-    state is ``vocab <cap> <byte> ...``, byte values in column order."""
+    state is ``vocab <byte> ...``, byte values in column order."""
 
     name = "bow"
     windowed = False
 
-    def __init__(self, cap: int):
-        self.vocab = bow_features.BowVocab(byte_to_column={}, cap=cap)
+    def __init__(self):
+        self.vocab = bow_features.BowVocab(byte_to_column={})
+
+    @property
+    def width(self) -> int:
+        return self.vocab.size
 
     def fit(self, numbers: list[NumberToken]) -> None:
-        self.vocab = bow_features.build_vocab([n.raw for n in numbers], cap=self.vocab.cap)
+        self.vocab = bow_features.build_vocab([n.raw for n in numbers])
 
     def encode(self, window: ContextWindow | None, number: NumberToken) -> np.ndarray:
         return bow_features.bow_encode(number.raw, self.vocab).astype(np.float64)
 
-    def fingerprint(self) -> str:
-        return self.vocab.fingerprint()
-
     def dump(self) -> list[str]:
         by_column = sorted(self.vocab.byte_to_column, key=self.vocab.byte_to_column.__getitem__)
-        return [f"vocab {self.vocab.cap} {' '.join(map(str, by_column))}"]
+        return [" ".join(["vocab", *map(str, by_column)])]
 
     def load(self, reader: LineReader) -> None:
-        cap, rest = reader.take("vocab", 2, rest=True)
-        by_column = rest.split(" ") if rest else []
-        byte_to_column = {int(b): column for column, b in enumerate(by_column)}
+        by_column = [int(b) for b in reader.take("vocab")]
+        byte_to_column = {b: column for column, b in enumerate(by_column)}
         if len(byte_to_column) != len(by_column):
             raise ModelFormatError("'vocab' line repeats a byte")
-        self.vocab = bow_features.BowVocab(byte_to_column, int(cap))
+        self.vocab = bow_features.BowVocab(byte_to_column)
 
 
 Features = ContextFeatures | BowFeatures
 
 
-def make_features(extractor: str, lexicon: Lexicon, bow_cap: int = bow_features.DEFAULT_CAP) -> Features:
+def make_features(extractor: str, lexicon: Lexicon) -> Features:
     """The unfitted extractor named ``extractor``."""
     if extractor == "context":
         return ContextFeatures(lexicon)
     if extractor == "bow":
-        return BowFeatures(bow_cap)
+        return BowFeatures()
     raise ValueError(f"unknown extractor {extractor!r}, expected one of {EXTRACTORS}")
 
 
@@ -113,9 +114,9 @@ class Pipeline:
     model: classifiers.TrainedModel
 
     @classmethod
-    def fit(cls, corpus: Corpus, cfg: TrainConfig, extractor: str, lexicon: Lexicon, bow_cap: int) -> "Pipeline":
+    def fit(cls, corpus: Corpus, cfg: TrainConfig, extractor: str, lexicon: Lexicon) -> "Pipeline":
         """Fit the extractor on every corpus row, then train the model."""
-        features = make_features(extractor, lexicon, bow_cap)
+        features = make_features(extractor, lexicon)
         numbers = corpus_numbers(corpus)
         features.fit(numbers)
         X = encode_rows(features, corpus, numbers)
@@ -123,7 +124,7 @@ class Pipeline:
 
     def save(self, path: str | Path) -> None:
         entries = self.lexicon.entries
-        lines = [_MAGIC, f"lexicon {len(entries)} {self.lexicon.version}"]
+        lines = [_MAGIC, f"lexicon {len(entries)}"]
         lines += [f"lexentry {word} {entries[word].name}" for word in sorted(entries)]
         lines += [f"extractor {self.features.name}", *self.features.dump(), classifiers.serialize(self.model)]
         Path(path).write_text("\n".join(lines), encoding="utf-8")
@@ -136,11 +137,14 @@ class Pipeline:
     @classmethod
     def _read(cls, reader: LineReader) -> "Pipeline":
         reader.magic(_MAGIC)
-        count, version = reader.take("lexicon", 2, rest=True)
-        lexicon = Lexicon(entries={}, version=version)
+        (count,) = reader.take("lexicon", 1)
+        lexicon = Lexicon(entries={})
         for _ in range(int(count)):
             context_features.add_entry(lexicon.entries, *reader.take("lexentry", 2))
         (extractor,) = reader.take("extractor", 1)
         features = make_features(extractor, lexicon)
         features.load(reader)
-        return cls(lexicon, features, classifiers.read_model(reader))
+        model = classifiers.read_model(reader)
+        if model.dim != features.width:
+            raise ModelFormatError(f"model dim {model.dim} does not match the {extractor} width {features.width}")
+        return cls(lexicon, features, model)

@@ -19,6 +19,12 @@ from numctx.pipeline import Pipeline
 COURT_SENTENCE = "Mahkamah menetapkan 21 Januari ini untuk sebutan semula kes"
 YEN_SENTENCE = "Harga buku itu 500 yen sahaja ."
 HEADER = "id,text,start,end,label\n"
+ZEROS = " ".join(["0"] * 56)
+
+
+def with_model(*lines):
+    """An edit that replaces a pipeline file's model section with ``lines``."""
+    return lambda text: text[: text.index("numctx-model v2")] + "\n".join(["numctx-model v2", *lines, "end", ""])
 
 
 def run(argv, stdin_text=None, monkeypatch=None, capsys=None):
@@ -331,6 +337,13 @@ class TestTrainAndClassify:
                 "duplicate lexicon entry 'am'",
             ),
             (lambda text: text.replace("lexentry am ", "lexentry a\u00a0m ", 1), "without whitespace"),
+            (with_model("algorithm knn", "dim 56", "k 0", "n 1", f"point 0 {ZEROS}"), "k must be 1 or 3, got 0"),
+            (with_model("algorithm knn", "dim 56", "k 1", "n 0"), "needs at least 1 point"),
+            (with_model("algorithm lda", "dim 56", "classes"), "classes line names no class"),
+            (
+                with_model("algorithm lda", "dim 55", "classes 0", f"weights 0 {ZEROS[2:]}", "bias 0 0"),
+                "model dim 55 does not match the context width 56",
+            ),
         ],
     )
     def test_damaged_pipeline_exits_1_naming_file(
@@ -350,6 +363,18 @@ class TestTrainAndClassify:
         assert message in err
         assert "Traceback" not in err
 
+    def test_flags_the_model_file_fixes_are_a_usage_error(self, toy_corpus_path, tmp_path, monkeypatch, capsys):
+        model_path = tmp_path / "model.txt"
+        run(["train", "--corpus", toy_corpus_path, "--output", str(model_path)], capsys=capsys)
+        argv = ["classify", "--model", str(model_path), "--classifier", "svm", "--extractor", "bow"]
+        code, out, err = run(argv, COURT_SENTENCE + "\n", monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert "--extractor, --classifier cannot be combined with --model" in err
+        # a flag left at its default value and the style flags still pass
+        argv = ["classify", "--model", str(model_path), "--classifier", "dt", "--year-mode", "paired"]
+        code, out, err = run(argv, COURT_SENTENCE + "\n", monkeypatch, capsys)
+        assert (code, out) == (0, "20-22\tDate\tdua puluh satu januari\n")
+
     def test_bow_vocab_repeating_a_byte_rejected(self, tmp_path, capsys):
         # a repeated byte would leave a column past the vocabulary's size
         path = tmp_path / "bow.txt"
@@ -368,7 +393,7 @@ class TestTrainAndClassify:
             if kind == "model":
                 deserialize(text[text.index("numctx-model v2") :].replace(" v2", " v1", 1))
             else:
-                path.write_text(text.replace("numctx-pipeline v2", "numctx-pipeline v1"), encoding="utf-8")
+                path.write_text(text.replace("numctx-pipeline v3", "numctx-pipeline v2"), encoding="utf-8")
                 Pipeline.load(path)
 
     def test_style_flags(self, toy_corpus_path, monkeypatch, capsys):
@@ -447,14 +472,12 @@ class TestUserLexicon:
         assert (code, out) == (0, "15-18\tCurrency\tlima ratus yen\n")
 
     def test_lexicon_file_name_with_space_round_trips(self, yen_lexicon, tmp_path, capsys):
-        # the file name is the lexicon version; bow pipelines store the lexicon too
+        # bow pipelines store the lexicon too
         model_path = tmp_path / "bow.txt"
         argv = ["train", "--extractor", "bow", "--lexicon", yen_lexicon, "--output", str(model_path)]
         code, *_ = run(argv, capsys=capsys)
         assert code == 0
-        lexicon = Pipeline.load(model_path).lexicon
-        assert lexicon.version == "my lex.tsv"
-        assert lexicon.lookup("yen").name == "CurrencyWord"
+        assert Pipeline.load(model_path).lexicon.lookup("yen").name == "CurrencyWord"
 
     def test_lexicon_word_with_space_rejected(self, toy_corpus_path, tmp_path, capsys):
         path = tmp_path / "spaced.tsv"

@@ -147,7 +147,7 @@ class TestEncode:
 
     def test_lexicon_monotonicity(self):
         lex = default_lexicon()
-        bigger = Lexicon(entries={**lex.entries, "zzyzx": KeywordClass.TimeWord}, version="test")
+        bigger = Lexicon(entries={**lex.entries, "zzyzx": KeywordClass.TimeWord})
         v1 = encode_span(COURT_SENTENCE, (20, 22), lex)
         v2 = encode_span(COURT_SENTENCE, (20, 22), bigger)
         assert np.array_equal(v1, v2)

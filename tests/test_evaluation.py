@@ -130,7 +130,7 @@ class TestCrossValidate:
         b = cross_validate(corpus, "bow", _dt(), k=5, seed=9)
         assert a.fold_accuracies == b.fold_accuracies
         assert np.array_equal(a.pooled.counts, b.pooled.counts)
-        assert a.fold_fingerprints == b.fold_fingerprints
+        assert a.fold_states == b.fold_states
 
     def test_pooled_total_is_corpus_size(self):
         corpus = load_bundled_corpus()
@@ -148,7 +148,7 @@ class TestCrossValidate:
         assert accuracy(summary.pooled) == pytest.approx(weighted / len(corpus))
 
     def test_bow_vocab_rebuilt_per_fold(self):
-        # fingerprints must match vocabularies built independently per split
+        # each fold's state must be the vocabulary built from its training split alone
         from numctx.bow_features import build_vocab
         from numctx.corpus import stratified_folds
         from numctx.locator import locate_numbers
@@ -160,9 +160,10 @@ class TestCrossValidate:
             token = next(t for t in locate_numbers(sentence.text) if t.span == sentence.span)
             raws.append(token.raw)
         folds = stratified_folds(corpus, 10, 42)
-        for fold, fingerprint in zip(folds, summary.fold_fingerprints):
+        for fold, (state,) in zip(folds, summary.fold_states):
             train_raws = [raws[i] for i in range(len(corpus)) if i not in set(fold)]
-            assert build_vocab(train_raws).fingerprint() == fingerprint
+            _, *by_column = state.split(" ")
+            assert {int(b): column for column, b in enumerate(by_column)} == build_vocab(train_raws).byte_to_column
 
     def test_unknown_extractor(self):
         with pytest.raises(ValueError):

@@ -181,7 +181,7 @@ class TestVerbalizeFixtures:
 
     def test_units_come_from_the_given_lexicon(self):
         added = {"yen": KeywordClass.CurrencyWord, "bakul": KeywordClass.MeasurementUnit}
-        lexicon = Lexicon(entries={**default_lexicon().entries, **added}, version="test")
+        lexicon = Lexicon(entries={**default_lexicon().entries, **added})
         text = "harga 500 yen sahaja"
         assert verbalize(tok(text), C, context=win(text)) == "lima ratus ringgit"
         assert verbalize(tok(text), C, context=win(text), lexicon=lexicon) == "lima ratus yen"
