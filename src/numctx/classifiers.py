@@ -2,7 +2,9 @@
 
 All four learners are deterministic functions of (X, y, config): KNN stores
 the training data verbatim; the decision tree grows CART-style on Gini gain
-with midpoint thresholds; LDA uses class means, a shrinkage-regularized
+with midpoint thresholds, scoring every feature's thresholds at a node in
+one class-count histogram over per-column value ranks (ties: lowest
+threshold, then lowest feature); LDA uses class means, a shrinkage-regularized
 pooled covariance, and class priors; the linear SVM trains one-vs-rest
 hinge-loss separators by full-batch subgradient descent with step
 ``1/(c_reg * t)`` at epoch ``t``, all separators taking each step together.
@@ -225,52 +227,53 @@ def _best_split(M: np.ndarray, labels: np.ndarray, min_leaf: int):
     """Best (feature, threshold, gain) by Gini gain.
 
     Candidates are midpoints between consecutive distinct values; ties keep
-    the lowest feature index, then the lowest threshold.
+    the lowest feature index, then the lowest threshold. Every column is
+    scored at once: each value gets its dense rank within its column, and one
+    class-count histogram over (rank, feature, class), cumulated over the
+    ranks, holds the left-hand class counts of every cut after rank ``r``.
+    The histogram has at most ``n * d * n_classes`` cells.
     """
-    n = len(labels)
+    n, d = M.shape
     classes, y = np.unique(labels, return_inverse=True)
     n_classes = len(classes)
     parent = _gini(np.bincount(y, minlength=n_classes), n)
 
-    best_gain = 0.0
-    best_feature = None
-    best_threshold = None
-    for feature in range(M.shape[1]):
-        col = M[:, feature]
-        order = np.argsort(col, kind="stable")
-        sorted_vals = col[order]
-        sorted_y = y[order]
+    order = np.argsort(M, axis=0, kind="stable")
+    sorted_vals = np.take_along_axis(M, order, axis=0)
+    ranks = np.zeros((n, d), dtype=np.int64)
+    np.cumsum(sorted_vals[1:] != sorted_vals[:-1], axis=0, out=ranks[1:])
+    n_ranks = int(ranks[-1].max(initial=0)) + 1
+    if n_ranks == 1:
+        return None, None, 0.0
+    cells = (ranks * d + np.arange(d)) * n_classes + y[order]
+    hist = np.bincount(cells.ravel(), minlength=n_ranks * d * n_classes)
+    cum = np.cumsum(hist.reshape(n_ranks, d, n_classes), axis=0, dtype=np.float64)
 
-        change = np.nonzero(sorted_vals[:-1] != sorted_vals[1:])[0]
-        if len(change) == 0:
-            continue
-        one_hot = np.zeros((n, n_classes), dtype=np.float64)
-        one_hot[np.arange(n), sorted_y] = 1.0
-        cum = np.cumsum(one_hot, axis=0)
+    # the cut after the last rank sends every row left, so it is never valid;
+    # in a column with fewer ranks the cuts past its last rank leave the right
+    # side empty, are invalid too, and their 0/0 quotients are discarded
+    left_counts = cum[:-1]
+    total_counts = cum[-1]
+    right_counts = total_counts - left_counts
+    n_left = left_counts.sum(axis=2)
+    n_right = n - n_left
 
-        left_counts = cum[change]
-        total_counts = cum[-1]
-        right_counts = total_counts - left_counts
-        n_left = (change + 1).astype(np.float64)
-        n_right = n - n_left
+    valid = (n_left >= min_leaf) & (n_right >= min_leaf)
+    with np.errstate(invalid="ignore"):
+        gini_left = 1.0 - ((left_counts / n_left[..., None]) ** 2).sum(axis=2)
+        gini_right = 1.0 - ((right_counts / n_right[..., None]) ** 2).sum(axis=2)
+    child = (n_left * gini_left + n_right * gini_right) / n
+    gains = np.where(valid, parent - child, -np.inf)
 
-        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not valid.any():
-            continue
-        gini_left = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=1)
-        gini_right = 1.0 - ((right_counts / n_right[:, None]) ** 2).sum(axis=1)
-        child = (n_left * gini_left + n_right * gini_right) / n
-        gains = np.where(valid, parent - child, -np.inf)
-
-        pos = int(np.argmax(gains))  # first max = lowest threshold
-        gain = float(gains[pos])
-        # strict > keeps the lowest feature index on exact gain ties
-        if gain > best_gain:
-            best_gain = gain
-            best_feature = feature
-            i = change[pos]
-            best_threshold = float((sorted_vals[i] + sorted_vals[i + 1]) / 2.0)
-    return best_feature, best_threshold, best_gain
+    cut = np.argmax(gains, axis=0)  # first max per feature = lowest threshold
+    feature_gains = gains[cut, np.arange(d)]
+    feature = int(np.argmax(feature_gains))  # first max = lowest feature index
+    gain = float(feature_gains[feature])
+    if not gain > 0.0:
+        return None, None, 0.0
+    i = int(n_left[cut[feature], feature]) - 1  # last row left of the cut
+    threshold = float((sorted_vals[i, feature] + sorted_vals[i + 1, feature]) / 2.0)
+    return feature, threshold, gain
 
 
 def _grow_tree(M: np.ndarray, labels: np.ndarray, depth: int, max_depth: int | None, min_leaf: int) -> TreeNode:
@@ -477,7 +480,7 @@ def read_model(reader: LineReader) -> TrainedModel:
         consumed = 0
         leaf_labels: list[int] = []
 
-        def parse_node() -> TreeNode:
+        def take_node() -> TreeNode:
             nonlocal consumed
             consumed += 1
             if reader.peek() == "leaf":
@@ -488,10 +491,22 @@ def read_model(reader: LineReader) -> TrainedModel:
             node = TreeNode(feature=int(feature), threshold=float(threshold))
             if not 0 <= node.feature < dim:
                 raise ModelFormatError(f"split feature {feature} outside 0..{dim - 1}")
-            node.left, node.right = parse_node(), parse_node()
             return node
 
-        root = parse_node()
+        # preorder with an explicit stack of the splits still missing a
+        # child, so a deep tree cannot exhaust Python's recursion limit
+        root = take_node()
+        open_splits = [] if root.is_leaf else [root]
+        while open_splits:
+            node = take_node()
+            parent = open_splits[-1]
+            if parent.left is None:
+                parent.left = node
+            else:
+                parent.right = node
+                open_splits.pop()
+            if not node.is_leaf:
+                open_splits.append(node)
         if consumed != count:
             raise ModelFormatError(f"tree section declares {count} nodes but holds {consumed}")
         _check_labels(np.array(leaf_labels), "leaf")

@@ -80,6 +80,9 @@ class BowFeatures:
         byte_to_column = {b: column for column, b in enumerate(by_column)}
         if len(byte_to_column) != len(by_column):
             raise ModelFormatError("'vocab' line repeats a byte")
+        for b in by_column:
+            if not 0 <= b <= 255:  # gram_byte never yields it, so its column could never fire
+                raise ModelFormatError(f"'vocab' byte {b} outside 0..255")
         self.vocab = bow_features.BowVocab(byte_to_column)
 
 

@@ -1,12 +1,14 @@
 import math
 import random
 import re
+from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from numctx import classifiers
 from numctx.classifiers import (
     Algorithm,
     KnnModel,
@@ -15,6 +17,7 @@ from numctx.classifiers import (
     SvmModel,
     TrainConfig,
     TreeModel,
+    _gini,
     deserialize,
     predict,
     predict_batch,
@@ -340,6 +343,94 @@ class TestSvmMatchesPerClassTrainer:
         _assert_svm_matches_oracle(X.astype(np.float64), labels, c_reg, epochs)
 
 
+# --- frozen per-feature split search: the differential oracle ---------------
+
+
+def _oracle_best_split(M, labels, min_leaf):
+    """The split search as it was before every feature was scored at once:
+    one sort, one cumulated one-hot table and one Gini pass per feature."""
+    n = len(labels)
+    classes, y = np.unique(labels, return_inverse=True)
+    n_classes = len(classes)
+    parent = _gini(np.bincount(y, minlength=n_classes), n)
+
+    best_gain = 0.0
+    best_feature = None
+    best_threshold = None
+    for feature in range(M.shape[1]):
+        col = M[:, feature]
+        order = np.argsort(col, kind="stable")
+        sorted_vals = col[order]
+        sorted_y = y[order]
+
+        change = np.nonzero(sorted_vals[:-1] != sorted_vals[1:])[0]
+        if len(change) == 0:
+            continue
+        one_hot = np.zeros((n, n_classes), dtype=np.float64)
+        one_hot[np.arange(n), sorted_y] = 1.0
+        cum = np.cumsum(one_hot, axis=0)
+
+        left_counts = cum[change]
+        total_counts = cum[-1]
+        right_counts = total_counts - left_counts
+        n_left = (change + 1).astype(np.float64)
+        n_right = n - n_left
+
+        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
+        if not valid.any():
+            continue
+        gini_left = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=1)
+        gini_right = 1.0 - ((right_counts / n_right[:, None]) ** 2).sum(axis=1)
+        child = (n_left * gini_left + n_right * gini_right) / n
+        gains = np.where(valid, parent - child, -np.inf)
+
+        pos = int(np.argmax(gains))  # first max = lowest threshold
+        gain = float(gains[pos])
+        # strict > keeps the lowest feature index on exact gain ties
+        if gain > best_gain:
+            best_gain = gain
+            best_feature = feature
+            i = change[pos]
+            best_threshold = float((sorted_vals[i] + sorted_vals[i + 1]) / 2.0)
+    return best_feature, best_threshold, best_gain
+
+
+def _assert_tree_matches_oracle(X, labels, max_depth=16, min_leaf=1):
+    cfg = dt_cfg(max_depth=max_depth, min_leaf=min_leaf)
+    with mock.patch.object(classifiers, "_best_split", _oracle_best_split):
+        expected = serialize(train(X, labels, cfg))
+    assert serialize(train(X, labels, cfg)) == expected
+
+
+def _tree_matrices(data, elements):
+    """(X, labels, max_depth, min_leaf) drawn for the tree oracle."""
+    n = data.draw(st.integers(1, 40), label="rows")
+    dim = data.draw(st.integers(1, 8), label="dim")
+    X = data.draw(hnp.arrays(np.float64, (n, dim), elements=elements), label="X")
+    labels = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n), label="labels")
+    max_depth = data.draw(st.sampled_from([None, 2, 16]), label="max_depth")
+    min_leaf = data.draw(st.integers(1, 3), label="min_leaf")
+    return X, labels, max_depth, min_leaf
+
+
+class TestTreeMatchesPerFeatureSearch:
+    @pytest.mark.parametrize("extractor, rows", _bundled_training_splits())
+    def test_bundled_corpus_bytes(self, bundled_encoding, extractor, rows):
+        X, labels = bundled_encoding(extractor, rows)
+        _assert_tree_matches_oracle(X, labels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_integer_matrices_bytes(self, data):
+        _assert_tree_matches_oracle(*_tree_matrices(data, st.integers(0, 4).map(float)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_real_matrices_bytes(self, data):
+        reals = st.floats(-10, 10, allow_nan=False).map(lambda v: round(v, 2))
+        _assert_tree_matches_oracle(*_tree_matrices(data, reals))
+
+
 class TestSerialization:
     def _random_data(self, seed, n=30, dim=4):
         rng = np.random.default_rng(seed)
@@ -407,6 +498,26 @@ class TestSerialization:
     def test_bad_magic_rejected(self):
         with pytest.raises(ModelFormatError):
             deserialize("something else\n")
+
+    def test_deep_chain_loads_without_recursion(self):
+        # a left-leaning chain of 3,000 splits, then its 3,001 leaves in preorder
+        depth = 3000
+        splits = [f"split 0 {depth - i}.5" for i in range(depth)]
+        leaves = ["leaf 1"] + ["leaf 0"] * depth
+        lines = ["numctx-model v2", "algorithm dt", "dim 1", f"nodes {2 * depth + 1}", *splits, *leaves, "end"]
+        model = deserialize("\n".join(lines) + "\n")
+        assert isinstance(model, TreeModel)
+        assert predict_batch(model, [[0.0], [2.0], [depth + 1.0]]).tolist() == [1, 0, 0]
+        node, seen = model.root, 0
+        while not node.is_leaf:
+            assert node.right.is_leaf
+            node, seen = node.left, seen + 1
+        assert seen == depth
+
+    def test_deep_chain_cut_short_rejected(self):
+        lines = ["numctx-model v2", "algorithm dt", "dim 1", "nodes 6001", *["split 0 0.5"] * 3000, "end"]
+        with pytest.raises(ModelFormatError, match="expected 'split' line, got 'end'"):
+            deserialize("\n".join(lines) + "\n")
 
     def test_node_count_mismatch_rejected(self):
         model = train([[0.0], [1.0]], [D, T], dt_cfg())

@@ -384,6 +384,18 @@ class TestTrainAndClassify:
         with pytest.raises(ModelFormatError, match="repeats a byte"):
             Pipeline.load(path)
 
+    @pytest.mark.parametrize("byte", ["999", "256", "-1"])
+    def test_bow_vocab_byte_outside_0_255_exits_1_naming_file(self, byte, tmp_path, monkeypatch, capsys):
+        # gram_byte never yields such a byte, so its column would never fire
+        path = tmp_path / "bow.txt"
+        run(["train", "--extractor", "bow", "--classifier", "lda", "--output", str(path)], capsys=capsys)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(re.sub(r"^vocab \d+", f"vocab {byte}", text, count=1, flags=re.M), encoding="utf-8")
+        code, out, err = run(["classify", "--model", str(path)], COURT_SENTENCE + "\n", monkeypatch, capsys)
+        assert (code, out) == (1, "")
+        assert re.search(rf"error: {re.escape(str(path))}: line \d+: 'vocab' byte {byte} outside 0..255", err)
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("kind", ["pipeline", "model"])
     def test_v1_file_rejected_with_retrain_message(self, kind, toy_corpus_path, tmp_path, capsys):
         path = tmp_path / "model.txt"
