@@ -1,11 +1,14 @@
 """From-scratch classifiers behind one train/predict contract.
 
-All four learners are deterministic functions of (X, y, config): KNN stores
-the training data verbatim; the decision tree grows CART-style on Gini gain
-with midpoint thresholds, scoring every feature's thresholds at a node in
-one class-count histogram over per-column value ranks (ties: lowest
-threshold, then lowest feature); LDA uses class means, a shrinkage-regularized
-pooled covariance, and class priors; the linear SVM trains one-vs-rest
+All four learners are deterministic functions of (X, y, config) and refuse
+a non-finite X. KNN stores the training data verbatim and measures each
+distinct training point once per query, keeping the every-point order on
+ties (equal distances: lowest training index; k=3 votes: summed distance,
+then label value). The decision tree grows CART-style on Gini gain with
+midpoint thresholds, scoring every feature's thresholds at a node in one
+class-count histogram over per-column value ranks (ties: lowest threshold,
+then lowest feature). LDA uses class means, a shrinkage-regularized pooled
+covariance, and class priors; the linear SVM trains one-vs-rest
 hinge-loss separators by full-batch subgradient descent with step
 ``1/(c_reg * t)`` at epoch ``t``, all separators taking each step together.
 Each class's margins are its own matrix-vector product, and the summed
@@ -14,11 +17,13 @@ builds, so the weights are bit-identical to training one class at a time;
 on other real X that sum may differ in the last bits. LDA and the SVM keep
 one linear form, per-class weights and bias, for scoring and storage. Models
 serialize to a versioned line-oriented text format with reals rendered to
-17 significant digits, so a round-trip is prediction-exact.
+17 significant digits, so a round-trip is prediction-exact; a stored real
+that is nan or infinite is refused on load.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -69,11 +74,29 @@ class TrainConfig:
 
 @dataclass
 class KnnModel:
+    """The training points verbatim, plus their distinct rows derived once.
+
+    ``distinct`` holds each distinct point in order of first appearance,
+    ``first`` the training index where each first appears, and ``inverse``
+    each training point's row in ``distinct``.
+    """
+
     dim: int
     k: int
     points: np.ndarray
     labels: np.ndarray
     algorithm: Algorithm = field(default=Algorithm.KNN, init=False)
+    distinct: np.ndarray = field(init=False, repr=False)
+    first: np.ndarray = field(init=False, repr=False)
+    inverse: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # keyed on each row's bytes: np.unique(axis=0) sorts whole rows and
+        # costs 5-20x as much on a cross-validation fold
+        slots: dict[bytes, int] = {}
+        self.inverse = np.array([slots.setdefault(row.tobytes(), len(slots)) for row in self.points], dtype=np.intp)
+        self.first = np.unique(self.inverse, return_index=True)[1]
+        self.distinct = self.points[self.first]
 
 
 class TreeNode:
@@ -153,6 +176,8 @@ def train(X, y, cfg: TrainConfig) -> TrainedModel:
         raise ValueError("training set is empty")
     if len(M) != len(labels):
         raise ValueError(f"got {len(M)} vectors but {len(labels)} labels")
+    if not np.isfinite(M).all():
+        raise ValueError("X holds a non-finite value")
 
     if cfg.algorithm == Algorithm.KNN:
         return KnnModel(dim=M.shape[1], k=cfg.k, points=M.copy(), labels=labels.copy())
@@ -193,7 +218,14 @@ def predict_batch(model: TrainedModel, X) -> np.ndarray:
 
 
 def _knn_predict_one(model: KnnModel, x: np.ndarray) -> int:
-    d = np.sqrt(((model.points - x) ** 2).sum(axis=1))
+    # each distinct point is measured once, by the per-row expression a scan
+    # over every point uses, so each distance is bit-equal to that scan's
+    d_distinct = np.sqrt(((model.distinct - x) ** 2).sum(axis=1))
+    if model.k == 1:
+        # distinct points are in first-appearance order, so the first
+        # minimum is the lowest training index the stable sort would pick
+        return int(model.labels[model.first[np.argmin(d_distinct)]])
+    d = d_distinct[model.inverse]
     k = min(model.k, len(d))
     # stable sort: equal distances resolve to the lower training index
     nearest = np.argsort(d, kind="stable")[:k]
@@ -370,16 +402,16 @@ def serialize(model: TrainedModel) -> str:
             lines.append(f"point {int(lab)} {_fmt_vec(row)}")
     elif isinstance(model, TreeModel):
         node_lines: list[str] = []
-
-        def emit(node: TreeNode) -> None:
+        # preorder with an explicit stack, so a deep tree cannot exhaust
+        # Python's recursion limit
+        stack = [model.root]
+        while stack:
+            node = stack.pop()
             if node.is_leaf:
                 node_lines.append(f"leaf {node.label}")
             else:
                 node_lines.append(f"split {node.feature} {_fmt(node.threshold)}")
-                emit(node.left)
-                emit(node.right)
-
-        emit(model.root)
+                stack += (node.right, node.left)
         lines.append(f"nodes {len(node_lines)}")
         lines.extend(node_lines)
     elif isinstance(model, LinearModel):
@@ -444,6 +476,14 @@ def _check_labels(labels: np.ndarray, key: str) -> None:
         raise ModelFormatError(f"{key} label {bad[0]} is not a FormatLabel value")
 
 
+def _finite(key: str, fields: list[str]) -> list[float]:
+    """The reals on a ``key`` line; nan and inf are refused, as ``train`` never stores them."""
+    values = [float(x) for x in fields]
+    if not all(map(math.isfinite, values)):
+        raise ModelFormatError(f"{key} line holds a non-finite value")
+    return values
+
+
 def deserialize(blob: str) -> TrainedModel:
     """Parse a serialized model; raises ModelFormatError on any damage."""
     return LineReader(blob).parse(read_model)
@@ -471,7 +511,7 @@ def read_model(reader: LineReader) -> TrainedModel:
         for i in range(n):
             label, *vector = reader.take("point", 1 + dim)
             labels[i] = int(label)
-            points[i] = [float(x) for x in vector]
+            points[i] = _finite("point", vector)
         _check_labels(labels, "point")
         model: TrainedModel = KnnModel(dim=dim, k=k, points=points, labels=labels)
     elif algorithm == Algorithm.DecisionTree:
@@ -488,7 +528,8 @@ def read_model(reader: LineReader) -> TrainedModel:
                 leaf_labels.append(int(label))
                 return TreeNode(label=leaf_labels[-1])
             feature, threshold = reader.take("split", 2)
-            node = TreeNode(feature=int(feature), threshold=float(threshold))
+            (threshold_value,) = _finite("split", [threshold])
+            node = TreeNode(feature=int(feature), threshold=threshold_value)
             if not 0 <= node.feature < dim:
                 raise ModelFormatError(f"split feature {feature} outside 0..{dim - 1}")
             return node
@@ -525,8 +566,8 @@ def read_model(reader: LineReader) -> TrainedModel:
             bias_class, bias = reader.take("bias", 2)
             if int(weight_class) != c or int(bias_class) != c:
                 raise ModelFormatError("weights/bias lines out of order with classes line")
-            weights[i] = [float(x) for x in vector]
-            biases[i] = float(bias)
+            weights[i] = _finite("weights", vector)
+            (biases[i],) = _finite("bias", [bias])
         linear = LdaModel if algorithm == Algorithm.LDA else SvmModel
         model = linear(dim=dim, class_ids=class_ids, weights=weights, biases=biases)
 

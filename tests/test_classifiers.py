@@ -89,6 +89,13 @@ class TestTrainContract:
         with pytest.raises(ValueError):
             train([[0.0], [1.0]], [D, D], TrainConfig(algorithm=Algorithm.LDA))
 
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_rejected(self, algorithm, value):
+        X = [[0.0, 1.0], [1.0, value]]
+        with pytest.raises(ValueError, match="non-finite"):
+            train(X, [D, T], TrainConfig(algorithm=algorithm))
+
     def test_determinism(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(40, 5))
@@ -263,6 +270,35 @@ class TestLinearSvm:
         assert accuracy >= 0.95
 
 
+# --- frozen every-point KNN scan: the differential oracle -------------------
+
+
+def _oracle_knn_predict_one(model, x):
+    """KNN predict as it was before distinct points were measured once: every
+    training point's distance, then a stable sort of all of them."""
+    d = np.sqrt(((model.points - x) ** 2).sum(axis=1))
+    k = min(model.k, len(d))
+    # stable sort: equal distances resolve to the lower training index
+    nearest = np.argsort(d, kind="stable")[:k]
+    votes: dict[int, int] = {}
+    summed: dict[int, float] = {}
+    for i in nearest:
+        lab = int(model.labels[i])
+        votes[lab] = votes.get(lab, 0) + 1
+        summed[lab] = summed.get(lab, 0.0) + float(d[i])
+    best_count = max(votes.values())
+    tied = [lab for lab, n in votes.items() if n == best_count]
+    tied.sort(key=lambda lab: (summed[lab], lab))
+    return tied[0]
+
+
+def _assert_knn_matches_oracle(X, labels, queries, k):
+    model = train(X, labels, knn_cfg(k))
+    expected = [_oracle_knn_predict_one(model, q) for q in queries]
+    assert predict_batch(model, queries).tolist() == expected
+    assert [int(predict(model, q)) for q in queries] == expected
+
+
 # --- frozen per-class SVM trainer: the differential oracle ------------------
 
 
@@ -315,17 +351,42 @@ def bundled_encoding():
     lexicon = default_lexicon()
 
     def encode(extractor, rows):
+        """The training rows' vectors and labels, then every corpus row's
+        vector, all under features fitted on the training rows."""
         features = make_features(extractor, lexicon)
         features.fit([numbers[i] for i in rows])
-        return encode_rows(features, corpus, numbers)[list(rows)], labels[list(rows)]
+        every_row = encode_rows(features, corpus, numbers)
+        return every_row[list(rows)], labels[list(rows)], every_row
 
     return encode
+
+
+class TestKnnMatchesEveryPointScan:
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("extractor, rows", _bundled_training_splits())
+    def test_bundled_corpus_predictions(self, bundled_encoding, extractor, rows, k):
+        X, labels, every_row = bundled_encoding(extractor, rows)
+        _assert_knn_matches_oracle(X, labels, every_row, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_duplicate_heavy_matrices(self, data):
+        # few values, -0.0 among them: many duplicate points, equal points
+        # with different labels, and ties in distance
+        elements = st.sampled_from([0.0, -0.0, 1.0, 2.0])
+        n = data.draw(st.integers(1, 30), label="rows")
+        dim = data.draw(st.integers(1, 4), label="dim")
+        X = data.draw(hnp.arrays(np.float64, (n, dim), elements=elements), label="X")
+        labels = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n), label="labels")
+        queries = data.draw(hnp.arrays(np.float64, (8, dim), elements=elements), label="queries")
+        k = data.draw(st.sampled_from([1, 3]), label="k")
+        _assert_knn_matches_oracle(X, labels, queries, k)
 
 
 class TestSvmMatchesPerClassTrainer:
     @pytest.mark.parametrize("extractor, rows", _bundled_training_splits())
     def test_bundled_corpus_bytes(self, bundled_encoding, extractor, rows):
-        X, labels = bundled_encoding(extractor, rows)
+        X, labels, _ = bundled_encoding(extractor, rows)
         _assert_svm_matches_oracle(X, labels)
 
     @settings(max_examples=60, deadline=None)
@@ -416,7 +477,7 @@ def _tree_matrices(data, elements):
 class TestTreeMatchesPerFeatureSearch:
     @pytest.mark.parametrize("extractor, rows", _bundled_training_splits())
     def test_bundled_corpus_bytes(self, bundled_encoding, extractor, rows):
-        X, labels = bundled_encoding(extractor, rows)
+        X, labels, _ = bundled_encoding(extractor, rows)
         _assert_tree_matches_oracle(X, labels)
 
     @settings(max_examples=100, deadline=None)
@@ -505,8 +566,10 @@ class TestSerialization:
         splits = [f"split 0 {depth - i}.5" for i in range(depth)]
         leaves = ["leaf 1"] + ["leaf 0"] * depth
         lines = ["numctx-model v2", "algorithm dt", "dim 1", f"nodes {2 * depth + 1}", *splits, *leaves, "end"]
-        model = deserialize("\n".join(lines) + "\n")
+        blob = "\n".join(lines) + "\n"
+        model = deserialize(blob)
         assert isinstance(model, TreeModel)
+        assert serialize(model) == blob
         assert predict_batch(model, [[0.0], [2.0], [depth + 1.0]]).tolist() == [1, 0, 0]
         node, seen = model.root, 0
         while not node.is_leaf:
@@ -548,6 +611,10 @@ class TestSerialization:
             (Algorithm.LinearSVM, r"^classes \d+", "classes 7", "class label 7 is not a FormatLabel"),
             (Algorithm.LDA, r"^classes 0 1", "classes 1 0", "not strictly ascending"),
             (Algorithm.LDA, r"^classes 0 1", "classes 1 1", "not strictly ascending"),
+            (Algorithm.KNN, r"^(point \d+) \S+", r"\1 nan", "point line holds a non-finite value"),
+            (Algorithm.DecisionTree, r"^(split \d+) \S+", r"\1 inf", "split line holds a non-finite value"),
+            (Algorithm.LDA, r"^(weights \d+) \S+", r"\1 -inf", "weights line holds a non-finite value"),
+            (Algorithm.LinearSVM, r"^(bias \d+) \S+", r"\1 NaN", "bias line holds a non-finite value"),
         ],
     )
     def test_values_serialize_never_writes_rejected(self, algorithm, pattern, replacement, message):

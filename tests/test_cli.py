@@ -344,6 +344,22 @@ class TestTrainAndClassify:
                 with_model("algorithm lda", "dim 55", "classes 0", f"weights 0 {ZEROS[2:]}", "bias 0 0"),
                 "model dim 55 does not match the context width 56",
             ),
+            (
+                lambda text: re.sub(r"^(split \d+) \S+", r"\1 nan", text, count=1, flags=re.M),
+                "split line holds a non-finite",
+            ),
+            (
+                with_model("algorithm knn", "dim 56", "k 1", "n 1", f"point 0 nan {ZEROS[2:]}"),
+                "point line holds a non-finite",
+            ),
+            (
+                with_model("algorithm lda", "dim 56", "classes 0", f"weights 0 {ZEROS[2:]} inf", "bias 0 0"),
+                "weights line holds a non-finite",
+            ),
+            (
+                with_model("algorithm svm", "dim 56", "classes 0", f"weights 0 {ZEROS}", "bias 0 -inf"),
+                "bias line holds a non-finite",
+            ),
         ],
     )
     def test_damaged_pipeline_exits_1_naming_file(

@@ -3,11 +3,13 @@
 The cases are ``evaluate`` (TSV and JSON) for every classifier and extractor,
 ``compare`` (TSV and JSON) for every classifier, and ``train`` then
 ``classify --model`` over the bundled corpus's distinct sentences, where the
-stdout, stderr and exit code are pinned together. Several of the classify
-streams end in an abort today; they are pinned as they are, so a change
-that alters any output byte fails here. A change that alters output on
-purpose prints the new table with ``PYTHONPATH=src python
-tests/test_golden.py`` and replaces ``DIGESTS``.
+stdout, stderr and exit code are pinned together. KNN is also pinned at
+``--k 3`` (``evaluate`` TSV and ``train`` then ``classify`` for each
+extractor), so its vote and tie order are gated as well as its nearest
+point. Several of the classify streams end in an abort today; they are
+pinned as they are, so a change that alters any output byte fails here. A
+change that alters output on purpose prints the new table with
+``PYTHONPATH=src python tests/test_golden.py`` and replaces ``DIGESTS``.
 """
 
 import hashlib
@@ -31,6 +33,8 @@ CASES = (
     [f"evaluate {c} {e} {f}" for c in CLASSIFIERS for e in EXTRACTORS for f in FORMATS]
     + [f"compare {c} {f}" for c in CLASSIFIERS for f in FORMATS]
     + [f"classify {c} {e}" for c in CLASSIFIERS for e in EXTRACTORS]
+    + [f"evaluate knn {e} tsv --k 3" for e in EXTRACTORS]
+    + [f"classify knn {e} --k 3" for e in EXTRACTORS]
 )
 
 DIGESTS = {
@@ -66,6 +70,10 @@ DIGESTS = {
     "classify lda bow": "204e805cc3cc3f014fd1531f7ab220e5a51162a3414cf4d70fc26188834085db",
     "classify svm context": "6b0c9a7b287b728e4b1016123589335fbf3bb1d7ba3880e729bff6fc5514eeae",
     "classify svm bow": "7f030799a32f0995594ee3b26d345f6300ee4b071d56110fb7b3e492319ce6ee",
+    "evaluate knn context tsv --k 3": "07aaa03ca4acdada74b9962d88abfa60628b4db3658aa7312c51121d34f92d0f",
+    "evaluate knn bow tsv --k 3": "e3c9563c86b31ff8a0b96875f4fea17564a0b6212e8d6ac064253c571534a136",
+    "classify knn context --k 3": "cb0e8aabeebcd6404fce3acda73011bf9fedd60683c1a2bb042506334f365dff",
+    "classify knn bow --k 3": "4e1ca04da0eee88b2782220fcef1f288be99494ba068ff12afb90511820db052",
 }
 
 
@@ -85,17 +93,20 @@ def run(argv: list[str], stdin_text: str = "") -> tuple[int, str, str]:
 
 
 def digest_of(case: str) -> str:
-    command, classifier, *options = case.split()
+    spec, _, flags = case.partition(" --")
+    model_flags = f"--{flags}".split() if flags else []
+    command, classifier, *options = spec.split()
     if command == "classify":
         sentences = dict.fromkeys(s.text for s in load_corpus(bundled_corpus_path()))
         with tempfile.TemporaryDirectory() as tmp:
             model = str(Path(tmp) / "model.txt")
-            code, _, err = run(["train", "--classifier", classifier, "--extractor", *options, "--output", model])
+            argv = ["train", "--classifier", classifier, "--extractor", *options, *model_flags, "--output", model]
+            code, _, err = run(argv)
             assert code == 0, err
             pinned = json.dumps(run(["classify", "--model", model], "".join(f"{s}\n" for s in sentences)))
     else:
         *extractor, fmt = options
-        argv = [command, "--classifier", classifier, "--seed", "42", "--format", fmt]
+        argv = [command, "--classifier", classifier, *model_flags, "--seed", "42", "--format", fmt]
         code, out, err = run(argv + ["--extractor", *extractor] if extractor else argv)
         assert (code, err) == (0, ""), err
         pinned = out
