@@ -258,7 +258,8 @@ def _majority(labels: np.ndarray) -> int:
 def _best_split(M: np.ndarray, labels: np.ndarray, min_leaf: int):
     """Best (feature, threshold, gain) by Gini gain.
 
-    Candidates are midpoints between consecutive distinct values; ties keep
+    Candidates are midpoints between consecutive distinct values, or the
+    lower value where the midpoint does not lie in [lower, upper); ties keep
     the lowest feature index, then the lowest threshold. Every column is
     scored at once: each value gets its dense rank within its column, and one
     class-count histogram over (rank, feature, class), cumulated over the
@@ -304,7 +305,10 @@ def _best_split(M: np.ndarray, labels: np.ndarray, min_leaf: int):
     if not gain > 0.0:
         return None, None, 0.0
     i = int(n_left[cut[feature], feature]) - 1  # last row left of the cut
-    threshold = float((sorted_vals[i, feature] + sorted_vals[i + 1, feature]) / 2.0)
+    a, b = float(sorted_vals[i, feature]), float(sorted_vals[i + 1, feature])
+    threshold = (a + b) / 2.0
+    if not a <= threshold < b:  # the sum overflowed, or a and b are adjacent floats
+        threshold = a
     return feature, threshold, gain
 
 

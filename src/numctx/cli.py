@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import context_features, evaluation
-from .classifiers import Algorithm, TrainConfig, predict
+from .classifiers import Algorithm, TrainConfig
 from .context_features import Lexicon
 from .corpus import (
     Corpus,
@@ -257,7 +257,7 @@ def cmd_classify(args) -> int:
         tokens = tokenize(text)
         for number in locate_numbers(text):
             window = context_features.window_for_token(tokens, number)
-            label = predict(pipeline.model, pipeline.features.encode(window, number))
+            label = pipeline.label(window, number)
             words = verbalize(number, label, style, context=window, lexicon=pipeline.lexicon)
             start, end = number.span
             print(f"{start}-{end}\t{label.name}\t{words}")

@@ -3,8 +3,9 @@
 The feature of a number is its two neighboring words on each side plus the
 number's own surface shape. Window words are mapped to keyword classes
 through an editable lexicon, and the four positions, the shape kind, and a
-digit-count bucket are one-hot encoded into a fixed 56-dimension vector
-that does not depend on any corpus statistics.
+digit-count bucket are six integer codes (``codes``), one-hot encoded into
+a fixed 56-dimension vector (``one_hot``) that does not depend on any
+corpus statistics.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ _N_CLASSES = len(KEYWORD_CLASSES)
 _N_SHAPES = len(SHAPE_KINDS)
 _N_BUCKETS = 3
 FEATURE_DIM = 4 * _N_CLASSES + _N_SHAPES + _N_BUCKETS
+# where the block of each of the six codes starts
+_OFFSETS = (0, _N_CLASSES, 2 * _N_CLASSES, 3 * _N_CLASSES, 4 * _N_CLASSES, 4 * _N_CLASSES + _N_SHAPES)
 
 
 class LexiconError(ValueError):
@@ -182,16 +185,25 @@ def _bucket(digit_count: int) -> int:
     return 2
 
 
+def codes(window: ContextWindow, shape: NumberShape, lexicon: Lexicon) -> tuple[int, ...]:
+    """The six codes a context vector is the one-hot of: the keyword class of
+    each window slot (pre2, pre1, post1, post2), the shape kind and the
+    digit bucket."""
+    classes = [int(classify_word(lexicon, word)) for word in window.slots()]
+    return (*classes, int(shape.kind), _bucket(shape.digit_count))
+
+
+def one_hot(codes: tuple[int, ...]) -> np.ndarray:
+    """The fixed 56-dim vector of six codes, one 1.0 in each block."""
+    vec = np.zeros(FEATURE_DIM, dtype=np.float64)
+    for offset, code in zip(_OFFSETS, codes):
+        vec[offset + code] = 1.0
+    return vec
+
+
 def encode(window: ContextWindow, shape: NumberShape, lexicon: Lexicon) -> np.ndarray:
     """Encode a window + shape into the fixed 56-dim one-hot vector."""
-    vec = np.zeros(FEATURE_DIM, dtype=np.float64)
-    for pos, word in enumerate(window.slots()):
-        cls = classify_word(lexicon, word)
-        vec[pos * _N_CLASSES + int(cls)] = 1.0
-    shape_base = 4 * _N_CLASSES
-    vec[shape_base + int(shape.kind)] = 1.0
-    vec[shape_base + _N_SHAPES + _bucket(shape.digit_count)] = 1.0
-    return vec
+    return one_hot(codes(window, shape, lexicon))
 
 
 def token_at(text: str, span: tuple[int, int]) -> NumberToken:

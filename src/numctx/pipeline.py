@@ -2,7 +2,13 @@
 
 Training, cross-validation and classification all encode through the
 extractors here, so this module alone chooses between context and
-bag-of-words features. An extractor's fitted state is its ``dump()``
+bag-of-words features. An extractor maps a number to a hashable ``key``,
+everything its vector depends on (the six context codes, or the number's
+raw text for bag-of-words), and ``vector(key)`` is that number's feature
+row; ``encode`` is the two in turn. A pipeline is not changed after it is
+built, so ``Pipeline.label`` remembers the label of each key it has seen
+(up to ``MEMO_SIZE`` keys, least recently used dropped first) and runs the
+model only for a new key. An extractor's fitted state is its ``dump()``
 lines and nothing else: the pipeline file stores them and cross-validation
 compares them. A pipeline file holds, line by line: the magic, the lexicon
 (``lexicon <count>`` then one ``lexentry <word> <Class>`` per entry; the
@@ -13,7 +19,9 @@ the extractor's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from collections.abc import Callable, Hashable
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +30,24 @@ from . import bow_features, classifiers, context_features
 from .classifiers import LineReader, ModelFormatError, TrainConfig
 from .context_features import ContextWindow, Lexicon
 from .corpus import Corpus
+from .labels import FormatLabel
 from .locator import NumberToken, shape_of, tokenize
 
 _MAGIC = "numctx-pipeline v3"
 EXTRACTORS = ("context", "bow")
+# keys whose label a pipeline remembers: context keys are bounded by the
+# code space (11**4 * 9 * 3), bag-of-words keys are raw numbers and are not
+MEMO_SIZE = 4096
 
 
-class ContextFeatures:
+class _Extractor:
+    """``encode`` for an extractor that defines ``key`` and ``vector``."""
+
+    def encode(self, window: ContextWindow | None, number: NumberToken) -> np.ndarray:
+        return self.vector(self.key(window, number))
+
+
+class ContextFeatures(_Extractor):
     """The fixed 56-dim window and shape encoding; it learns nothing."""
 
     name = "context"
@@ -41,8 +60,11 @@ class ContextFeatures:
     def fit(self, numbers: list[NumberToken]) -> None:
         pass
 
-    def encode(self, window: ContextWindow | None, number: NumberToken) -> np.ndarray:
-        return context_features.encode(window, shape_of(number), self.lexicon)
+    def key(self, window: ContextWindow, number: NumberToken) -> tuple[int, ...]:
+        return context_features.codes(window, shape_of(number), self.lexicon)
+
+    def vector(self, key: tuple[int, ...]) -> np.ndarray:
+        return context_features.one_hot(key)
 
     def dump(self) -> list[str]:
         return []  # the pipeline stores the lexicon
@@ -51,7 +73,7 @@ class ContextFeatures:
         pass
 
 
-class BowFeatures:
+class BowFeatures(_Extractor):
     """Character counts of the number itself; the window is not read. The
     state is ``vocab <byte> ...``, byte values in column order."""
 
@@ -68,8 +90,11 @@ class BowFeatures:
     def fit(self, numbers: list[NumberToken]) -> None:
         self.vocab = bow_features.build_vocab([n.raw for n in numbers])
 
-    def encode(self, window: ContextWindow | None, number: NumberToken) -> np.ndarray:
-        return bow_features.bow_encode(number.raw, self.vocab).astype(np.float64)
+    def key(self, window: ContextWindow | None, number: NumberToken) -> str:
+        return number.raw
+
+    def vector(self, key: str) -> np.ndarray:
+        return bow_features.bow_encode(key, self.vocab).astype(np.float64)
 
     def dump(self) -> list[str]:
         by_column = sorted(self.vocab.byte_to_column, key=self.vocab.byte_to_column.__getitem__)
@@ -115,6 +140,21 @@ class Pipeline:
     lexicon: Lexicon
     features: Features
     model: classifiers.TrainedModel
+    memo: Callable[[Hashable], FormatLabel] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        model, features = self.model, self.features
+
+        # closes over the parts, not self: with no reference cycle a dropped
+        # pipeline is freed at once, not at the next garbage collection
+        def predict(key: Hashable) -> FormatLabel:
+            return classifiers.predict(model, features.vector(key))
+
+        self.memo = functools.lru_cache(maxsize=MEMO_SIZE)(predict)
+
+    def label(self, window: ContextWindow, number: NumberToken) -> FormatLabel:
+        """The model's label for ``number`` in ``window``, computed once per key."""
+        return self.memo(self.features.key(window, number))
 
     @classmethod
     def fit(cls, corpus: Corpus, cfg: TrainConfig, extractor: str, lexicon: Lexicon) -> "Pipeline":

@@ -96,11 +96,12 @@ _COMPATIBLE: dict[FormatLabel, frozenset[ShapeKind]] = {
 
 
 def cardinal(n: int) -> str:
-    """Render a non-negative integer below 10**18 as Malay words."""
+    """Render a non-negative integer as Malay words; from 10**18 up, past the
+    largest magnitude word, the digits are read one by one."""
     if n < 0:
         raise ValueError(f"cardinal is defined for non-negative integers, got {n}")
     if n >= CARDINAL_LIMIT:
-        raise ValueError(f"cardinal is defined below 10**18, got {n}")
+        return _digits_spoken(str(n))
     if n == 0:
         return _ONES[0]
 

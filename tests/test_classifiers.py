@@ -121,6 +121,21 @@ class TestDecisionTree:
         assert model.root.left.label == int(D)
         assert model.root.right.label == int(T)
 
+    @pytest.mark.parametrize(
+        "values",
+        [[1.6e308, 1.7e308], [-1.7e308, -1.6e308], [1 + 2**-52, 1 + 2**-51]],
+        ids=["overflow", "negative-overflow", "adjacent"],
+    )
+    def test_threshold_is_lower_value_when_midpoint_is_not_below_upper(self, values):
+        # the midpoint overflows to +-inf, or rounds up to the upper value
+        X = [[v] for v in values]
+        model = train(X, [D, T], dt_cfg())
+        assert model.root.threshold == values[0]
+        assert predict_batch(model, X).tolist() == [int(D), int(T)]
+        reloaded = deserialize(serialize(model))
+        assert serialize(reloaded) == serialize(model)
+        assert predict_batch(reloaded, X).tolist() == [int(D), int(T)]
+
     def test_training_set_consistency(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(60, 4))

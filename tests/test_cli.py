@@ -289,6 +289,22 @@ class TestTrainAndClassify:
         assert lines[0] == "20-22\tDate\tdua puluh satu januari"
         assert lines[1] == "6-8\tPercentage\tlima peratus"
 
+    @pytest.mark.parametrize("classifier", ["dt", "knn", "lda", "svm"])
+    def test_numbers_from_10_18_read_digit_by_digit(self, classifier, monkeypatch, capsys):
+        # 21 digits, then 22 after RM: past kuadrilion, so no magnitude word
+        code, out, err = run(
+            ["classify", "--classifier", classifier],
+            stdin_text="Nombor 123456789012345678901 itu .\nKos berjumlah RM 1234567890123456789012 ringgit semuanya .\n",
+            monkeypatch=monkeypatch,
+            capsys=capsys,
+        )
+        assert (code, err) == (0, "")
+        digits = "satu dua tiga empat lima enam tujuh lapan sembilan kosong"
+        first, second = out.splitlines()
+        assert first.startswith("7-28\t")
+        assert f"\t{digits} {digits} satu" in first
+        assert second == f"14-39\tCurrency\t{digits} {digits} satu dua ringgit"
+
     def test_classify_empty_input(self, toy_corpus_path, monkeypatch, capsys):
         code, out, err = run(
             ["classify", "--corpus", toy_corpus_path],

@@ -61,9 +61,15 @@ class TestCardinal:
 
     def test_range_errors(self):
         with pytest.raises(ValueError):
-            cardinal(10**18)
-        with pytest.raises(ValueError):
             cardinal(-1)
+
+    def test_digit_by_digit_from_10_18(self):
+        # past kuadrilion there is no magnitude word, so the digits are read
+        assert cardinal(10**18) == "satu " + " ".join(["kosong"] * 18)
+        assert cardinal(123456789012345678901) == (
+            "satu dua tiga empat lima enam tujuh lapan sembilan kosong "
+            "satu dua tiga empat lima enam tujuh lapan sembilan kosong satu"
+        )
 
     def test_largest_value(self):
         words = cardinal(10**18 - 1)
