@@ -18,7 +18,6 @@ from .context_features import (
     Lexicon,
     classify_word,
     default_lexicon,
-    encode,
     extract_window,
     load_lexicon,
     token_at,

@@ -510,14 +510,15 @@ def read_model(reader: LineReader) -> TrainedModel:
         n = int(n_s)
         if n < 1:
             raise ModelFormatError(f"a knn model needs at least 1 point, got n {n}")
-        points = np.zeros((n, dim))
-        labels = np.zeros(n, dtype=np.int64)
-        for i in range(n):
+        # the arrays are built from the lines read, so a declared n or dim allocates nothing
+        point_labels, points = [], []
+        for _ in range(n):
             label, *vector = reader.take("point", 1 + dim)
-            labels[i] = int(label)
-            points[i] = _finite("point", vector)
+            point_labels.append(int(label))
+            points.append(_finite("point", vector))
+        labels = np.array(point_labels, dtype=np.int64)
         _check_labels(labels, "point")
-        model: TrainedModel = KnnModel(dim=dim, k=k, points=points, labels=labels)
+        model: TrainedModel = KnnModel(dim=dim, k=k, points=np.array(points), labels=labels)
     elif algorithm == Algorithm.DecisionTree:
         (count_s,) = reader.take("nodes", 1)
         count = int(count_s)
@@ -563,17 +564,16 @@ def read_model(reader: LineReader) -> TrainedModel:
         _check_labels(class_ids, "class")
         if np.any(np.diff(class_ids) <= 0):
             raise ModelFormatError("classes line is not strictly ascending")
-        weights = np.zeros((len(class_ids), dim))
-        biases = np.zeros(len(class_ids))
-        for i, c in enumerate(class_ids):
+        weights, biases = [], []
+        for c in class_ids:
             weight_class, *vector = reader.take("weights", 1 + dim)
             bias_class, bias = reader.take("bias", 2)
             if int(weight_class) != c or int(bias_class) != c:
                 raise ModelFormatError("weights/bias lines out of order with classes line")
-            weights[i] = _finite("weights", vector)
-            (biases[i],) = _finite("bias", [bias])
+            weights.append(_finite("weights", vector))
+            biases += _finite("bias", [bias])
         linear = LdaModel if algorithm == Algorithm.LDA else SvmModel
-        model = linear(dim=dim, class_ids=class_ids, weights=weights, biases=biases)
+        model = linear(dim=dim, class_ids=class_ids, weights=np.array(weights), biases=np.array(biases))
 
     reader.take("end", 0)
     return model

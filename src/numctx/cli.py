@@ -154,15 +154,19 @@ def _train_config(args) -> TrainConfig:
             f"classifier {args.classifier!r} is unsupported (out of scope); "
             "supported classifiers are dt, knn, lda, svm - see README"
         )
-    return TrainConfig(
-        algorithm=Algorithm(args.classifier),
-        k=args.k,
-        max_depth=None if args.max_depth == 0 else args.max_depth,
-        min_leaf=args.min_leaf,
-        shrinkage=args.shrinkage,
-        c_reg=args.c_reg,
-        epochs=args.epochs,
-    )
+    try:
+        return TrainConfig(
+            algorithm=Algorithm(args.classifier),
+            k=args.k,
+            max_depth=None if args.max_depth == 0 else args.max_depth,
+            min_leaf=args.min_leaf,
+            shrinkage=args.shrinkage,
+            c_reg=args.c_reg,
+            epochs=args.epochs,
+        )
+    except ValueError as exc:  # each message starts with the field: the flag with underscores
+        name, rest = str(exc).split(" ", 1)
+        _usage_error(f"--{name.replace('_', '-')} {rest}")
 
 
 def _check_folds(folds: int) -> None:

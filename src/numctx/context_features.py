@@ -11,6 +11,7 @@ corpus statistics.
 from __future__ import annotations
 
 import functools
+import io
 from dataclasses import dataclass
 from enum import IntEnum
 from importlib import resources
@@ -18,15 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-# shape_of and tokenize are not called here; perfbench/tracing.py wraps these names
 from .locator import (
     SHAPE_KINDS,
     NumberShape,
     NumberToken,
     WordToken,
     locate_numbers,
-    shape_of,
-    tokenize,
 )
 
 
@@ -95,23 +93,30 @@ class Lexicon:
         return self.entries.get(word.lower(), KeywordClass.Unknown)
 
 
+def read_utf8(path: Path, error: type[ValueError]) -> str:
+    """The text of ``path``; bytes that are not UTF-8 raise ``error`` naming the file and offset."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: byte {exc.start} (0x{exc.object[exc.start]:02x}) is not UTF-8: {exc.reason}") from None
+
+
 def load_lexicon(path: str | Path) -> Lexicon:
     """Load a lexicon file: UTF-8, one ``word<TAB>ClassName`` per line,
     ``#`` starts a comment, blank lines ignored. Errors name ``path:line``."""
     p = Path(path)
     lexicon = Lexicon(entries={})
-    with p.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            try:
-                if len(parts) != 2:
-                    raise LexiconError(f"expected 'word<TAB>ClassName', got {line!r}")
-                add_entry(lexicon.entries, parts[0].strip().lower(), parts[1].strip())
-            except LexiconError as exc:
-                raise LexiconError(f"{p}:{lineno}: {exc}") from None
+    for lineno, line in enumerate(io.StringIO(read_utf8(p, LexiconError), newline=None), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split("\t")
+        try:
+            if len(parts) != 2:
+                raise LexiconError(f"expected 'word<TAB>ClassName', got {line!r}")
+            add_entry(lexicon.entries, parts[0].strip().lower(), parts[1].strip())
+        except LexiconError as exc:
+            raise LexiconError(f"{p}:{lineno}: {exc}") from None
     return lexicon
 
 
@@ -199,11 +204,6 @@ def one_hot(codes: tuple[int, ...]) -> np.ndarray:
     for offset, code in zip(_OFFSETS, codes):
         vec[offset + code] = 1.0
     return vec
-
-
-def encode(window: ContextWindow, shape: NumberShape, lexicon: Lexicon) -> np.ndarray:
-    """Encode a window + shape into the fixed 56-dim one-hot vector."""
-    return one_hot(codes(window, shape, lexicon))
 
 
 def token_at(text: str, span: tuple[int, int]) -> NumberToken:

@@ -4,19 +4,21 @@ Corpus files are UTF-8 CSV with header ``id,text,start,end,label`` and
 RFC 4180 quoting. ``start``/``end`` are character offsets (Unicode scalar
 values, end exclusive) of one number token inside ``text``; a sentence
 containing several numbers appears as several rows sharing the text but
-carrying distinct ids and spans.
+carrying distinct ids and spans. A row carries the number token its span locates.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from . import context_features
 from .labels import LABELS, FormatLabel
-from .locator import locate_numbers
+from .locator import NumberToken
 
 _HEADER = ["id", "text", "start", "end", "label"]
 
@@ -47,10 +49,17 @@ class StratificationError(CorpusError):
 
 @dataclass(frozen=True)
 class LabeledSentence:
+    """One row; ``number`` is the located number token at ``span`` (ValueError if none is)."""
+
     id: str
     text: str
     span: tuple[int, int]
     label: FormatLabel
+    number: NumberToken = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # through the module, so a wrapper around context_features.token_at sees every row
+        object.__setattr__(self, "number", context_features.token_at(self.text, self.span))
 
 
 @dataclass(frozen=True)
@@ -95,38 +104,43 @@ def _parse_row(p: Path, line: int, row: list[str], seen_ids: dict[str, int]) -> 
         raise LabelError(f"{where}: {exc}") from None
     if not (0 <= start < end <= len(text)):
         raise SpanError(f"{where}: span ({start},{end}) outside text of length {len(text)}")
-    if not any(t.span == (start, end) for t in locate_numbers(text)):
-        raise SpanError(f"{where}: span ({start},{end}) = {text[start:end]!r} is not a located number token")
+    try:
+        sentence = LabeledSentence(id=row_id, text=text, span=(start, end), label=label)
+    except ValueError:
+        raise SpanError(f"{where}: span ({start},{end}) = {text[start:end]!r} is not a located number token") from None
     if row_id in seen_ids:
         raise DuplicateIdError(f"{p}:{line}: duplicate id {row_id!r} (first seen line {seen_ids[row_id]})")
     seen_ids[row_id] = line
-    return LabeledSentence(id=row_id, text=text, span=(start, end), label=label)
+    return sentence
 
 
 def scan_corpus(path: str | Path) -> tuple[list[LabeledSentence], list[CorpusError]]:
     """Parse every row, collecting errors instead of stopping at the first.
 
     Returns the rows that validated and one CorpusError per bad row, in file
-    order, each naming ``path:line``. Blank rows are skipped. An empty file
-    or a bad header is the one error and yields no rows.
+    order, each naming ``path:line``. Blank rows are skipped. An empty file,
+    a bad header or bytes that are not UTF-8 is the one error and yields no rows.
     """
     p = Path(path)
-    with p.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return [], [CorpusParseError(f"{p}: empty file, expected header {','.join(_HEADER)}")]
-        if header != _HEADER:
-            return [], [CorpusParseError(f"{p}:1: bad header {header!r}, expected {_HEADER!r}")]
-        sentences: list[LabeledSentence] = []
-        errors: list[CorpusError] = []
-        seen_ids: dict[str, int] = {}
-        for row in reader:
-            if row:
-                try:
-                    sentences.append(_parse_row(p, reader.line_num, row, seen_ids))
-                except CorpusError as exc:
-                    errors.append(exc)
+    try:
+        text = context_features.read_utf8(p, CorpusParseError)
+    except CorpusParseError as exc:
+        return [], [exc]
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        return [], [CorpusParseError(f"{p}: empty file, expected header {','.join(_HEADER)}")]
+    if header != _HEADER:
+        return [], [CorpusParseError(f"{p}:1: bad header {header!r}, expected {_HEADER!r}")]
+    sentences: list[LabeledSentence] = []
+    errors: list[CorpusError] = []
+    seen_ids: dict[str, int] = {}
+    for row in reader:
+        if row:
+            try:
+                sentences.append(_parse_row(p, reader.line_num, row, seen_ids))
+            except CorpusError as exc:
+                errors.append(exc)
     return sentences, errors
 
 

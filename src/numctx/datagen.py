@@ -17,7 +17,6 @@ from pathlib import Path
 
 from .corpus import Corpus, LabeledSentence, save_corpus
 from .labels import FormatLabel
-from .locator import locate_numbers
 
 DEFAULT_SEED = 7
 
@@ -265,10 +264,7 @@ def generate_corpus(seed: int = DEFAULT_SEED) -> Corpus:
             template = templates[cursor % len(templates)]
             cursor += 1
             text, spans = _assemble(template(rng))
-            located = {t.span for t in locate_numbers(text)}
             for span, span_label in spans:
-                if span not in located:
-                    raise AssertionError(f"template bug: span {span} not located in {text!r}")
                 serial += 1
                 sentences.append(
                     LabeledSentence(id=f"s{serial:04d}", text=text, span=span, label=span_label)

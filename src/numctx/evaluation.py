@@ -20,7 +20,7 @@ from . import context_features
 from .classifiers import TrainConfig, predict_batch, train
 from .corpus import Corpus, stratified_folds
 from .labels import LABELS, FormatLabel
-from .pipeline import corpus_numbers, encode_rows, make_features
+from .pipeline import encode_rows, make_features
 
 
 @dataclass
@@ -138,7 +138,6 @@ def cross_validate(
     features = make_features(extractor, lex)
     folds = stratified_folds(corpus, k, seed)
     y = np.array([int(s.label) for s in corpus], dtype=np.int64)
-    numbers = corpus_numbers(corpus)
     encoded: dict[tuple[str, ...], np.ndarray] = {}  # fitted state -> all rows
 
     fold_accuracies: list[float] = []
@@ -147,10 +146,10 @@ def cross_validate(
     for fold in folds:
         test_idx = np.array(fold, dtype=np.int64)
         train_idx = np.array(sorted(set(range(len(corpus))) - set(fold)), dtype=np.int64)
-        features.fit([numbers[i] for i in train_idx])
+        features.fit([corpus[i].number for i in train_idx])
         state = tuple(features.dump())
         if state not in encoded:
-            encoded[state] = encode_rows(features, corpus, numbers)
+            encoded[state] = encode_rows(features, corpus)
         X = encoded[state]
         states.append(state)
         model = train(X[train_idx], y[train_idx], cfg)

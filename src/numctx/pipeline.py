@@ -5,16 +5,15 @@ extractors here, so this module alone chooses between context and
 bag-of-words features. An extractor maps a number to a hashable ``key``,
 everything its vector depends on (the six context codes, or the number's
 raw text for bag-of-words), and ``vector(key)`` is that number's feature
-row; ``encode`` is the two in turn. A pipeline is not changed after it is
-built, so ``Pipeline.label`` remembers the label of each key it has seen
-(up to ``MEMO_SIZE`` keys, least recently used dropped first) and runs the
-model only for a new key. An extractor's fitted state is its ``dump()``
-lines and nothing else: the pipeline file stores them and cross-validation
-compares them. A pipeline file holds, line by line: the magic, the lexicon
-(``lexicon <count>`` then one ``lexentry <word> <Class>`` per entry; the
-verbalizer reads it too), ``extractor <name>`` and that extractor's state,
-then the model as ``classifiers.serialize`` writes it, whose width must be
-the extractor's.
+row. A pipeline is not changed after it is built, so ``Pipeline.label``
+remembers the label of each key it has seen (up to ``MEMO_SIZE`` keys,
+least recently used dropped first) and runs the model only for a new key.
+An extractor's fitted state is its ``dump()`` lines and nothing else: the
+pipeline file stores them and cross-validation compares them. A pipeline
+file holds, line by line: the magic, the lexicon (``lexicon <count>`` then
+one ``lexentry <word> <Class>`` per entry; the verbalizer reads it too),
+``extractor <name>`` and that extractor's state, then the model as
+``classifiers.serialize`` writes it, whose width must be the extractor's.
 """
 
 from __future__ import annotations
@@ -40,14 +39,7 @@ EXTRACTORS = ("context", "bow")
 MEMO_SIZE = 4096
 
 
-class _Extractor:
-    """``encode`` for an extractor that defines ``key`` and ``vector``."""
-
-    def encode(self, window: ContextWindow | None, number: NumberToken) -> np.ndarray:
-        return self.vector(self.key(window, number))
-
-
-class ContextFeatures(_Extractor):
+class ContextFeatures:
     """The fixed 56-dim window and shape encoding; it learns nothing."""
 
     name = "context"
@@ -73,7 +65,7 @@ class ContextFeatures(_Extractor):
         pass
 
 
-class BowFeatures(_Extractor):
+class BowFeatures:
     """Character counts of the number itself; the window is not read. The
     state is ``vocab <byte> ...``, byte values in column order."""
 
@@ -123,16 +115,12 @@ def make_features(extractor: str, lexicon: Lexicon) -> Features:
     raise ValueError(f"unknown extractor {extractor!r}, expected one of {EXTRACTORS}")
 
 
-def corpus_numbers(corpus: Corpus) -> list[NumberToken]:
-    return [context_features.token_at(s.text, s.span) for s in corpus]
-
-
-def encode_rows(features: Features, corpus: Corpus, numbers: list[NumberToken]) -> np.ndarray:
-    """Every corpus row encoded; windows are built only for extractors that read them."""
-    windows = [None] * len(numbers)
+def encode_rows(features: Features, corpus: Corpus) -> np.ndarray:
+    """Every corpus row's vector; windows are built only for extractors that read them."""
+    windows = [None] * len(corpus)
     if features.windowed:
-        windows = [context_features.window_for_token(tokenize(s.text), n) for s, n in zip(corpus, numbers)]
-    return np.vstack([features.encode(w, n) for w, n in zip(windows, numbers)])
+        windows = [context_features.window_for_token(tokenize(s.text), s.number) for s in corpus]
+    return np.vstack([features.vector(features.key(w, s.number)) for w, s in zip(windows, corpus)])
 
 
 @dataclass
@@ -160,9 +148,8 @@ class Pipeline:
     def fit(cls, corpus: Corpus, cfg: TrainConfig, extractor: str, lexicon: Lexicon) -> "Pipeline":
         """Fit the extractor on every corpus row, then train the model."""
         features = make_features(extractor, lexicon)
-        numbers = corpus_numbers(corpus)
-        features.fit(numbers)
-        X = encode_rows(features, corpus, numbers)
+        features.fit([s.number for s in corpus])
+        X = encode_rows(features, corpus)
         return cls(lexicon, features, classifiers.train(X, [s.label for s in corpus], cfg))
 
     def save(self, path: str | Path) -> None:
@@ -175,7 +162,7 @@ class Pipeline:
     @classmethod
     def load(cls, path: str | Path) -> "Pipeline":
         """Read a pipeline file; any damage raises ModelFormatError naming ``path``."""
-        return LineReader(Path(path).read_text(encoding="utf-8")).parse(cls._read, f"{path}: ")
+        return LineReader(context_features.read_utf8(Path(path), ModelFormatError)).parse(cls._read, f"{path}: ")
 
     @classmethod
     def _read(cls, reader: LineReader) -> "Pipeline":

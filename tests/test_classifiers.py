@@ -27,7 +27,7 @@ from numctx.classifiers import (
 from numctx.context_features import default_lexicon
 from numctx.corpus import bundled_corpus_path, load_corpus, stratified_folds
 from numctx.labels import FormatLabel
-from numctx.pipeline import EXTRACTORS, corpus_numbers, encode_rows, make_features
+from numctx.pipeline import EXTRACTORS, encode_rows, make_features
 
 D, T, P, C, M, PC = FormatLabel
 
@@ -361,7 +361,7 @@ def _bundled_training_splits():
 @pytest.fixture(scope="module")
 def bundled_encoding():
     corpus = load_corpus(bundled_corpus_path())
-    numbers = corpus_numbers(corpus)
+    numbers = [s.number for s in corpus]
     labels = np.array([int(s.label) for s in corpus], dtype=np.int64)
     lexicon = default_lexicon()
 
@@ -370,7 +370,7 @@ def bundled_encoding():
         vector, all under features fitted on the training rows."""
         features = make_features(extractor, lexicon)
         features.fit([numbers[i] for i in rows])
-        every_row = encode_rows(features, corpus, numbers)
+        every_row = encode_rows(features, corpus)
         return every_row[list(rows)], labels[list(rows)], every_row
 
     return encode

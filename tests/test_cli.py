@@ -126,6 +126,35 @@ class TestValidate:
         assert code == 1
 
 
+class TestNotUtf8:
+    """A file that is not UTF-8 is one error naming the file and the offset of its first bad byte."""
+
+    def test_validate_corpus(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes((HEADER + 's1,"Caf\xe9 21 Januari",5,7,Date\n').encode("latin-1"))
+        code, out, err = run(["validate", "--corpus", str(path)], capsys=capsys)
+        assert code == 1
+        assert "rows\t0" in out
+        offset = len(HEADER) + len('s1,"Caf')
+        assert err.splitlines() == [f"error: {path}: byte {offset} (0xe9) is not UTF-8: invalid continuation byte"]
+
+    def test_lexicon(self, toy_corpus_path, tmp_path, capsys):
+        path = tmp_path / "latin1.tsv"
+        path.write_bytes("ringgit\tCurrencyWord\ncaf\xe9\tValueWord\n".encode("latin-1"))
+        code, out, err = run(["evaluate", "--corpus", toy_corpus_path, "--lexicon", str(path)], capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == f"numctx: error: {path}: byte 24 (0xe9) is not UTF-8: invalid continuation byte\n"
+
+    def test_model(self, toy_corpus_path, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "model.txt"
+        run(["train", "--corpus", toy_corpus_path, "--output", str(path)], capsys=capsys)
+        path.write_bytes(path.read_bytes().replace(b"lexentry am ", b"lexentry \xe9m ", 1))
+        offset = path.read_bytes().index(b"\xe9")
+        code, out, err = run(["classify", "--model", str(path)], "ayat 5\n", monkeypatch, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"numctx: error: {path}: byte {offset} (0xe9) is not UTF-8: invalid continuation byte\n"
+
+
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         code, out, err = run(["evaluate", "--bogus"], capsys=capsys)
@@ -147,6 +176,22 @@ class TestUsageErrors:
     def test_no_command(self, capsys):
         code, out, err = run([], capsys=capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--classifier", "knn", "--k", "2"],
+            ["--max-depth", "-1"],
+            ["--min-leaf", "0"],
+            ["--shrinkage", "-1"],
+            ["--c-reg", "0"],
+            ["--epochs", "0"],
+        ],
+    )
+    def test_out_of_range_classifier_flag_names_the_flag(self, flags, capsys):
+        code, out, err = run(["evaluate", *flags], capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"numctx: error: {flags[-2]} must be ")
 
 
 class TestMain:
@@ -356,6 +401,19 @@ class TestTrainAndClassify:
             (with_model("algorithm knn", "dim 56", "k 0", "n 1", f"point 0 {ZEROS}"), "k must be 1 or 3, got 0"),
             (with_model("algorithm knn", "dim 56", "k 1", "n 0"), "needs at least 1 point"),
             (with_model("algorithm lda", "dim 56", "classes"), "classes line names no class"),
+            # declared sizes far past the file's lines are refused by the lines, not by an allocation
+            (
+                with_model("algorithm knn", "dim 56", "k 1", "n 1000000000000", f"point 0 {ZEROS}"),
+                "expected 'point' line, got 'end'",
+            ),
+            (
+                with_model("algorithm knn", "dim 1000000000000", "k 1", "n 1", f"point 0 {ZEROS}"),
+                "'point' line holds 57 fields, expected 1000000000001",
+            ),
+            (
+                with_model("algorithm lda", "dim 1000000000000", "classes 0", f"weights 0 {ZEROS}", "bias 0 0"),
+                "'weights' line holds 57 fields, expected 1000000000001",
+            ),
             (
                 with_model("algorithm lda", "dim 55", "classes 0", f"weights 0 {ZEROS[2:]}", "bias 0 0"),
                 "model dim 55 does not match the context width 56",

@@ -8,10 +8,11 @@ from numctx.context_features import (
     Lexicon,
     LexiconError,
     classify_word,
+    codes,
     default_lexicon,
-    encode,
     extract_window,
     load_lexicon,
+    one_hot,
     token_at,
     window_for_token,
 )
@@ -24,7 +25,8 @@ COURT_SENTENCE = "Mahkamah menetapkan 21 Januari ini untuk sebutan semula kes"
 def encode_span(text, span, lexicon):
     """Encode the number at ``span`` as ``classify`` does."""
     tok = token_at(text, span)
-    return ContextFeatures(lexicon).encode(window_for_token(tokenize(text), tok), tok)
+    features = ContextFeatures(lexicon)
+    return features.vector(features.key(window_for_token(tokenize(text), tok), tok))
 
 
 class TestExtractWindow:
@@ -99,7 +101,7 @@ def _shape(text):
 class TestEncode:
     def test_degenerate_window(self):
         window = ContextWindow(None, None, None, None)
-        vec = encode(window, NumberShape(ShapeKind.PlainInt, 1, (1,)), default_lexicon())
+        vec = one_hot(codes(window, NumberShape(ShapeKind.PlainInt, 1, (1,)), default_lexicon()))
         assert vec.shape == (FEATURE_DIM,)
         boundary = int(KeywordClass.Boundary)
         for pos in range(4):
@@ -112,7 +114,7 @@ class TestEncode:
 
     def test_court_window_classes(self):
         window = ContextWindow("mahkamah", "menetapkan", "januari", "ini")
-        vec = encode(window, NumberShape(ShapeKind.PlainInt, 2, (2,)), default_lexicon())
+        vec = one_hot(codes(window, NumberShape(ShapeKind.PlainInt, 2, (2,)), default_lexicon()))
         unknown, month = int(KeywordClass.Unknown), int(KeywordClass.Month)
         assert vec[0 * 11 + unknown] == 1.0
         assert vec[1 * 11 + unknown] == 1.0
@@ -123,7 +125,7 @@ class TestEncode:
         # four position blocks + shape block + bucket block, each one-hot
         for text in ["RM 2.50", "12:47", "5", "21/01/2020"]:
             window = ContextWindow("a", None, "peratus", "jam")
-            vec = encode(window, _shape(text), default_lexicon())
+            vec = one_hot(codes(window, _shape(text), default_lexicon()))
             assert vec.sum() == 6.0
 
     @pytest.mark.parametrize(
@@ -131,7 +133,7 @@ class TestEncode:
     )
     def test_digit_buckets(self, digits, bucket_offset):
         window = ContextWindow(None, None, None, None)
-        vec = encode(window, NumberShape(ShapeKind.PlainInt, digits, (digits,)), default_lexicon())
+        vec = one_hot(codes(window, NumberShape(ShapeKind.PlainInt, digits, (digits,)), default_lexicon()))
         assert vec[53 + bucket_offset] == 1.0
 
     def test_locality(self):

@@ -137,6 +137,20 @@ class TestLoadCorpus:
         assert load_corpus(out) == corpus
 
 
+class TestRowCarriesItsNumber:
+    @pytest.mark.parametrize("span", [(12, 13), (0, 4)], ids=["cuts-the-number", "on-a-word"])
+    def test_span_that_is_not_a_located_number_cannot_be_built(self, span):
+        with pytest.raises(ValueError, match="is not a located number token"):
+            LabeledSentence("s1", "ayat nombor 21 sahaja", span, FormatLabel.Date)
+
+    def test_number_is_the_token_at_the_span_and_not_a_field_compared(self):
+        sentence = make_sentence("s1", value="RM 2.50")
+        assert (sentence.number.raw, sentence.number.span) == ("RM 2.50", sentence.span)
+        assert sentence == make_sentence("s1", value="RM 2.50")
+        assert hash(sentence) == hash(make_sentence("s1", value="RM 2.50"))
+        assert "number" not in repr(sentence)
+
+
 class TestStratifiedFolds:
     def test_singletons(self):
         corpus = Corpus(sentences=tuple(make_sentence(f"s{i}") for i in range(10)))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from numctx import context_features
 from numctx.bow_features import bow_encode
 from numctx.classifiers import Algorithm, TrainConfig, predict
 from numctx.context_features import (
@@ -18,13 +19,13 @@ from numctx.context_features import (
     classify_word,
     codes,
     default_lexicon,
-    encode,
     one_hot,
     window_for_token,
 )
 from numctx.corpus import bundled_corpus_path, load_corpus
+from numctx.evaluation import cross_validate
 from numctx.locator import SHAPE_KINDS, NumberShape, locate_numbers, shape_of, tokenize
-from numctx.pipeline import EXTRACTORS, MEMO_SIZE, ContextFeatures, Pipeline, corpus_numbers
+from numctx.pipeline import EXTRACTORS, MEMO_SIZE, ContextFeatures, Pipeline
 
 # --- frozen one-hot encoder: the differential oracle -------------------------
 
@@ -60,7 +61,7 @@ def _oracle_vector(pipeline, window, number):
 
 LEXICON = default_lexicon()
 CORPUS = load_corpus(bundled_corpus_path())
-NUMBERS = corpus_numbers(CORPUS)
+NUMBERS = [s.number for s in CORPUS]
 WINDOWS = [window_for_token(tokenize(s.text), n) for s, n in zip(CORPUS, NUMBERS)]
 ALGORITHMS = [a.value for a in Algorithm]
 
@@ -87,12 +88,12 @@ def bundled_pipelines():
 
 class TestCodes:
     def test_one_hot_of_codes_is_the_frozen_encoding_on_every_corpus_row(self):
+        features = ContextFeatures(LEXICON)
         for window, number in zip(WINDOWS, NUMBERS):
             expected = _oracle_encode(window, shape_of(number), LEXICON)
             key = codes(window, shape_of(number), LEXICON)
             assert np.array_equal(one_hot(key), expected)
-            assert np.array_equal(encode(window, shape_of(number), LEXICON), expected)
-            assert np.array_equal(ContextFeatures(LEXICON).encode(window, number), expected)
+            assert np.array_equal(features.vector(features.key(window, number)), expected)
 
     @settings(max_examples=300, deadline=None)
     @given(windows, shapes)
@@ -180,3 +181,17 @@ class TestMemo:
             assert gone() is None
         finally:
             gc.enable()
+
+
+class TestEachRowLocatedOnce:
+    def test_fit_and_cross_validate_locate_nothing_once_the_corpus_is_loaded(self, monkeypatch):
+        calls = []
+        locate = context_features.locate_numbers
+        monkeypatch.setattr(context_features, "locate_numbers", lambda text: calls.append(text) or locate(text))
+        corpus = load_corpus(bundled_corpus_path())
+        assert len(calls) == len(corpus)
+        calls.clear()
+        for extractor in EXTRACTORS:
+            Pipeline.fit(corpus, TrainConfig(algorithm=Algorithm.DecisionTree), extractor, LEXICON)
+            cross_validate(corpus, extractor, TrainConfig(algorithm=Algorithm.DecisionTree), k=2, lexicon=LEXICON)
+        assert calls == []
