@@ -9,21 +9,11 @@ in-vocabulary grams of a token.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 _OVERFLOW = 255
-
-
-@dataclass(frozen=True)
-class BowVocab:
-    byte_to_column: dict[int, int]
-
-    @property
-    def size(self) -> int:
-        return len(self.byte_to_column)
 
 
 def unigrams(token_raw: str) -> list[str]:
@@ -38,22 +28,21 @@ def gram_byte(gram: str) -> int:
     return min(ord(gram), _OVERFLOW)
 
 
-def build_vocab(training_tokens: Iterable[str]) -> BowVocab:
-    """Assign columns to distinct byte values in first-appearance order."""
-    byte_to_column: dict[int, int] = {}
+def build_vocab(training_tokens: Iterable[str]) -> dict[int, int]:
+    """Byte value -> column, columns assigned in first-appearance order, so
+    the dict's insertion order is its column order."""
+    columns: dict[int, int] = {}
     for token in training_tokens:
         for gram in unigrams(token):
-            byte = gram_byte(gram)
-            if byte not in byte_to_column:
-                byte_to_column[byte] = len(byte_to_column)
-    return BowVocab(byte_to_column=byte_to_column)
+            columns.setdefault(gram_byte(gram), len(columns))
+    return columns
 
 
-def bow_encode(token_raw: str, vocab: BowVocab) -> np.ndarray:
+def bow_encode(token_raw: str, columns: dict[int, int]) -> np.ndarray:
     """Count in-vocabulary gram bytes; out-of-vocabulary grams are dropped."""
-    counts = np.zeros(vocab.size, dtype=np.int64)
+    counts = np.zeros(len(columns), dtype=np.float64)
     for gram in unigrams(token_raw):
-        column = vocab.byte_to_column.get(gram_byte(gram))
+        column = columns.get(gram_byte(gram))
         if column is not None:
             counts[column] += 1
     return counts

@@ -462,13 +462,14 @@ class LineReader:
             raise ModelFormatError(f"'{name} {found}' files are no longer read; retrain to write {expected!r}")
 
     def parse(self, read, source: str = ""):
-        """``read(self)``, which must consume every line; any ValueError it
-        raises becomes a ModelFormatError naming ``source`` and the line."""
+        """``read(self)``, which must consume every line; any ValueError or
+        OverflowError (a number too large for int64) it raises becomes a
+        ModelFormatError naming ``source`` and the line."""
         try:
             result = read(self)
             if self.pos < len(self.lines):
                 raise ModelFormatError(f"unexpected content after the end: {self.lines[self.pos]!r}")
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ModelFormatError(f"{source}line {self.pos}: {exc}") from None
         return result
 

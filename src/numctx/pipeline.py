@@ -73,11 +73,11 @@ class BowFeatures:
     windowed = False
 
     def __init__(self):
-        self.vocab = bow_features.BowVocab(byte_to_column={})
+        self.vocab: dict[int, int] = {}  # byte -> column, inserted in column order
 
     @property
     def width(self) -> int:
-        return self.vocab.size
+        return len(self.vocab)
 
     def fit(self, numbers: list[NumberToken]) -> None:
         self.vocab = bow_features.build_vocab([n.raw for n in numbers])
@@ -86,21 +86,20 @@ class BowFeatures:
         return number.raw
 
     def vector(self, key: str) -> np.ndarray:
-        return bow_features.bow_encode(key, self.vocab).astype(np.float64)
+        return bow_features.bow_encode(key, self.vocab)
 
     def dump(self) -> list[str]:
-        by_column = sorted(self.vocab.byte_to_column, key=self.vocab.byte_to_column.__getitem__)
-        return [" ".join(["vocab", *map(str, by_column)])]
+        return [" ".join(["vocab", *map(str, self.vocab)])]
 
     def load(self, reader: LineReader) -> None:
         by_column = [int(b) for b in reader.take("vocab")]
-        byte_to_column = {b: column for column, b in enumerate(by_column)}
-        if len(byte_to_column) != len(by_column):
+        vocab = {b: column for column, b in enumerate(by_column)}
+        if len(vocab) != len(by_column):
             raise ModelFormatError("'vocab' line repeats a byte")
         for b in by_column:
             if not 0 <= b <= 255:  # gram_byte never yields it, so its column could never fire
                 raise ModelFormatError(f"'vocab' byte {b} outside 0..255")
-        self.vocab = bow_features.BowVocab(byte_to_column)
+        self.vocab = vocab
 
 
 Features = ContextFeatures | BowFeatures

@@ -6,10 +6,14 @@ format admits several spoken variants, the choice is made explicit through
 live next to the number instead of inside it (a month name after a day, an
 ``am``/``pm`` marker after a clock time, the unit after a measurement), so
 ``verbalize`` accepts the optional context window those words come from.
+Which shapes each label can be read from, and the reader that reads them,
+live in one table, ``_READINGS``; a label applied to any other shape raises
+``VerbalizationError`` before a reader runs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -66,33 +70,6 @@ DEFAULT_STYLE = VerbalizationStyle()
 
 class VerbalizationError(ValueError):
     """A token's shape cannot be read under the requested format label."""
-
-
-# shapes each format label can verbalize
-_COMPATIBLE: dict[FormatLabel, frozenset[ShapeKind]] = {
-    FormatLabel.Date: frozenset(
-        {ShapeKind.PlainInt, ShapeKind.SlashDate, ShapeKind.HyphenGroups}
-    ),
-    FormatLabel.Time: frozenset({ShapeKind.PlainInt, ShapeKind.ColonTime, ShapeKind.DotTime}),
-    FormatLabel.Phone: frozenset(
-        {ShapeKind.PlainInt, ShapeKind.HyphenGroups, ShapeKind.SignedPhone}
-    ),
-    FormatLabel.Currency: frozenset(
-        {ShapeKind.CurrencyPrefixed, ShapeKind.PlainInt, ShapeKind.Decimal, ShapeKind.DotTime}
-    ),
-    FormatLabel.Measurement: frozenset(
-        {ShapeKind.PlainInt, ShapeKind.Decimal, ShapeKind.DotTime}
-    ),
-    FormatLabel.Percentage: frozenset(
-        {
-            ShapeKind.PercentSuffixed,
-            ShapeKind.PlainInt,
-            ShapeKind.Decimal,
-            ShapeKind.DotTime,
-            ShapeKind.HyphenGroups,
-        }
-    ),
-}
 
 
 def cardinal(n: int) -> str:
@@ -179,22 +156,10 @@ def verbalize(
     bundled one by default) tells which context words name a currency or unit."""
     lexicon = lexicon if lexicon is not None else default_lexicon()
     shape = shape_of(token)
-    if shape.kind not in _COMPATIBLE[label]:
-        raise VerbalizationError(
-            f"token {token.raw!r} with shape {shape.kind.name} cannot be read as {label.name}"
-        )
-    if label == FormatLabel.Date:
-        words = _verbalize_date(token, shape, style, context)
-    elif label == FormatLabel.Time:
-        words = _verbalize_time(token, shape, context)
-    elif label == FormatLabel.Phone:
-        words = _verbalize_phone(token)
-    elif label == FormatLabel.Currency:
-        words = _verbalize_currency(token, style, context, lexicon)
-    elif label == FormatLabel.Measurement:
-        words = _verbalize_measurement(token, style, context, lexicon)
-    else:
-        words = _verbalize_percentage(token)
+    reader, kinds = _READINGS[label]
+    if shape.kind not in kinds:
+        raise VerbalizationError(f"token {token.raw!r} with shape {shape.kind.name} cannot be read as {label.name}")
+    words = reader(token, shape, style, context, lexicon)
     return " ".join(words.lower().split())
 
 
@@ -217,7 +182,7 @@ def _month_from_context(context: ContextWindow | None) -> str | None:
     return None
 
 
-def _verbalize_date(token, shape, style, context) -> str:
+def _verbalize_date(token, shape, style, context, lexicon) -> str:
     if shape.kind == ShapeKind.SlashDate:
         day, month, year = (int(g) for g in token.digit_groups)
         return f"{cardinal(day)} {_month_name(month)} {year_words(year, style.year_mode)}"
@@ -250,7 +215,7 @@ def _day_period(hour24: int) -> str:
     return "malam"
 
 
-def _verbalize_time(token, shape, context) -> str:
+def _verbalize_time(token, shape, style, context, lexicon) -> str:
     hour = int(token.digit_groups[0])
     minutes = int(token.digit_groups[1]) if len(token.digit_groups) > 1 else 0
     period = None
@@ -273,7 +238,7 @@ def _verbalize_time(token, shape, context) -> str:
     return f"{cardinal(hour12)} {period}"
 
 
-def _verbalize_phone(token) -> str:
+def _verbalize_phone(token, shape, style, context, lexicon) -> str:
     # digit by digit; group breaks (hyphens) become pauses, '+' is silent
     return " ".join(_digits_spoken(group) for group in token.digit_groups)
 
@@ -296,7 +261,7 @@ def _currency_unit(context: ContextWindow | None, lexicon: Lexicon) -> str:
     return "ringgit"
 
 
-def _verbalize_currency(token, style, context, lexicon) -> str:
+def _verbalize_currency(token, shape, style, context, lexicon) -> str:
     whole, cents = _split_money(token)
     if style.currency_mode == CurrencyMode.Symbolic:
         parts = ["rm"]
@@ -335,7 +300,7 @@ def _measurement_unit(context: ContextWindow | None, mode: UnitMode, lexicon: Le
     return None
 
 
-def _verbalize_measurement(token, style, context, lexicon) -> str:
+def _verbalize_measurement(token, shape, style, context, lexicon) -> str:
     words = _decimal_words(token)
     unit = _measurement_unit(context, style.unit_mode, lexicon)
     if unit:
@@ -343,8 +308,25 @@ def _verbalize_measurement(token, style, context, lexicon) -> str:
     return words
 
 
-def _verbalize_percentage(token) -> str:
+def _verbalize_percentage(token, shape, style, context, lexicon) -> str:
     if "-" in token.separators:
         joined = " hingga ".join(cardinal(int(g)) for g in token.digit_groups)
         return f"{joined} peratus"
     return f"{_decimal_words(token)} peratus"
+
+
+# the one reading table: each label's reader and the shapes that reader accepts
+_READINGS: dict[FormatLabel, tuple[Callable[..., str], tuple[ShapeKind, ...]]] = {
+    FormatLabel.Date: (_verbalize_date, (ShapeKind.PlainInt, ShapeKind.SlashDate, ShapeKind.HyphenGroups)),
+    FormatLabel.Time: (_verbalize_time, (ShapeKind.PlainInt, ShapeKind.ColonTime, ShapeKind.DotTime)),
+    FormatLabel.Phone: (_verbalize_phone, (ShapeKind.PlainInt, ShapeKind.HyphenGroups, ShapeKind.SignedPhone)),
+    FormatLabel.Currency: (
+        _verbalize_currency,
+        (ShapeKind.CurrencyPrefixed, ShapeKind.PlainInt, ShapeKind.Decimal, ShapeKind.DotTime),
+    ),
+    FormatLabel.Measurement: (_verbalize_measurement, (ShapeKind.PlainInt, ShapeKind.Decimal, ShapeKind.DotTime)),
+    FormatLabel.Percentage: (
+        _verbalize_percentage,
+        (ShapeKind.PercentSuffixed, ShapeKind.PlainInt, ShapeKind.Decimal, ShapeKind.DotTime, ShapeKind.HyphenGroups),
+    ),
+}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from numctx.bow_features import BowVocab, bow_encode, build_vocab, gram_byte, unigrams
+from numctx.bow_features import bow_encode, build_vocab, gram_byte, unigrams
 
 
 class TestUnigrams:
@@ -38,11 +38,17 @@ class TestGramByte:
 class TestBuildVocab:
     def test_first_appearance_order(self):
         vocab = build_vocab(["1500"])
-        assert vocab.byte_to_column == {49: 0, 53: 1, 48: 2}
-        assert vocab.size == 3
+        assert vocab == {49: 0, 53: 1, 48: 2}
+        assert len(vocab) == 3
 
     def test_empty(self):
-        assert build_vocab([]).size == 0
+        assert len(build_vocab([])) == 0
+
+    def test_insertion_order_is_column_order(self):
+        # the pipeline file writes the keys as they come, as the column order
+        vocab = build_vocab(["RM 2.50", "1500"])
+        assert list(vocab.values()) == list(range(len(vocab)))
+        assert list(vocab) == [82, 77, 32, 50, 46, 53, 48, 49]
 
 
 class TestBowEncode:
@@ -55,7 +61,7 @@ class TestBowEncode:
         assert bow_encode("", vocab).tolist() == [0, 0, 0]
 
     def test_out_of_vocab_dropped(self):
-        vocab = BowVocab(byte_to_column={49: 0, 48: 1})
+        vocab = {49: 0, 48: 1}
         counts = bow_encode("1500", vocab)
         assert counts.sum() == 3  # the '5' gram is dropped
 
@@ -75,4 +81,4 @@ class TestBowEncode:
     def test_encoding_does_not_mutate_vocab(self):
         vocab = build_vocab(["1500"])
         bow_encode("zzz999%", vocab)
-        assert vocab.byte_to_column == {49: 0, 53: 1, 48: 2}
+        assert vocab == {49: 0, 53: 1, 48: 2}

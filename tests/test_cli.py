@@ -414,6 +414,15 @@ class TestTrainAndClassify:
                 with_model("algorithm lda", "dim 1000000000000", "classes 0", f"weights 0 {ZEROS}", "bias 0 0"),
                 "'weights' line holds 57 fields, expected 1000000000001",
             ),
+            # a label past int64 overflows the label array; it must still name the file and line
+            (
+                with_model("algorithm knn", "dim 56", "k 1", "n 1", f"point {10**20} {ZEROS}"),
+                "int too large",
+            ),
+            (
+                with_model("algorithm svm", "dim 56", f"classes {10**20}", f"weights 0 {ZEROS}", "bias 0 0"),
+                "int too large",
+            ),
             (
                 with_model("algorithm lda", "dim 55", "classes 0", f"weights 0 {ZEROS[2:]}", "bias 0 0"),
                 "model dim 55 does not match the context width 56",

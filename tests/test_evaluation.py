@@ -163,7 +163,7 @@ class TestCrossValidate:
         for fold, (state,) in zip(folds, summary.fold_states):
             train_raws = [raws[i] for i in range(len(corpus)) if i not in set(fold)]
             _, *by_column = state.split(" ")
-            assert {int(b): column for column, b in enumerate(by_column)} == build_vocab(train_raws).byte_to_column
+            assert {int(b): column for column, b in enumerate(by_column)} == build_vocab(train_raws)
 
     def test_unknown_extractor(self):
         with pytest.raises(ValueError):

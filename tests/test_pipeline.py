@@ -1,6 +1,7 @@
 """Pipeline.label against the path it memoises: the model's predict on the
 encoded vector, with the context vector built by a frozen copy of the
-one-hot encoder that came before the six codes."""
+one-hot encoder that came before the six codes and the bag-of-words vector
+counted from the pipeline's stored vocabulary line."""
 
 import gc
 import weakref
@@ -10,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from numctx import context_features
-from numctx.bow_features import bow_encode
 from numctx.classifiers import Algorithm, TrainConfig, predict
 from numctx.context_features import (
     KEYWORD_CLASSES,
@@ -56,7 +56,16 @@ def _oracle_encode(window, shape, lexicon):
 def _oracle_vector(pipeline, window, number):
     if isinstance(pipeline.features, ContextFeatures):
         return _oracle_encode(window, shape_of(number), pipeline.lexicon)
-    return bow_encode(number.raw, pipeline.features.vocab).astype(np.float64)
+    # each character's code, clamped to 255, counts in the column given by its
+    # position on the pipeline's dumped 'vocab' line; other characters drop
+    (line,) = pipeline.features.dump()
+    by_column = [int(b) for b in line.split(" ")[1:]]
+    vec = np.zeros(len(by_column), dtype=np.float64)
+    for c in number.raw:
+        code = min(ord(c), 255)
+        if code in by_column:
+            vec[by_column.index(code)] += 1.0
+    return vec
 
 
 LEXICON = default_lexicon()

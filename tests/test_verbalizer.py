@@ -4,7 +4,7 @@ import pytest
 
 from numctx.context_features import ContextWindow, KeywordClass, Lexicon, default_lexicon, window_for_token
 from numctx.labels import FormatLabel
-from numctx.locator import NumberToken, ShapeKind, locate_numbers, tokenize
+from numctx.locator import NumberToken, ShapeKind, locate_numbers, shape_of, tokenize
 from numctx.verbalizer import (
     DEFAULT_STYLE,
     CurrencyMode,
@@ -205,6 +205,18 @@ class TestVerbalizeFixtures:
         assert verbalize(tok("10-20 peratus"), PC) == "sepuluh hingga dua puluh peratus"
 
 
+# frozen copy of the shapes each label can be read from; verbalize must raise
+# for exactly the label and shape pairs outside it
+READABLE = {
+    D: {ShapeKind.PlainInt, ShapeKind.SlashDate, ShapeKind.HyphenGroups},
+    T: {ShapeKind.PlainInt, ShapeKind.ColonTime, ShapeKind.DotTime},
+    P: {ShapeKind.PlainInt, ShapeKind.HyphenGroups, ShapeKind.SignedPhone},
+    C: {ShapeKind.CurrencyPrefixed, ShapeKind.PlainInt, ShapeKind.Decimal, ShapeKind.DotTime},
+    M: {ShapeKind.PlainInt, ShapeKind.Decimal, ShapeKind.DotTime},
+    PC: {ShapeKind.PercentSuffixed, ShapeKind.PlainInt, ShapeKind.Decimal, ShapeKind.DotTime, ShapeKind.HyphenGroups},
+}
+
+
 class TestCompatibility:
     def test_error_names_token_and_label(self):
         with pytest.raises(VerbalizationError, match=r"12:47.*Currency"):
@@ -237,13 +249,16 @@ class TestCompatibility:
             ShapeKind.CurrencyPrefixed: "RM 2.50",
             ShapeKind.PercentSuffixed: "25%",
         }
+        assert set(samples) == set(ShapeKind)
         allowed = set(string.ascii_lowercase + " ")
         for kind, text in samples.items():
+            assert shape_of(tok(text)).kind == kind
             for label in FormatLabel:
-                try:
-                    words = verbalize(tok(text), label)
-                except VerbalizationError:
+                if kind not in READABLE[label]:
+                    with pytest.raises(VerbalizationError):
+                        verbalize(tok(text), label)
                     continue
+                words = verbalize(tok(text), label)
                 assert words
                 assert set(words) <= allowed
                 assert "  " not in words
