@@ -99,24 +99,15 @@ class KnnModel:
         self.distinct = self.points[self.first]
 
 
+@dataclass(slots=True, eq=False, repr=False)  # a generated repr would recurse once per level
 class TreeNode:
     """Internal split (feature, threshold, children) or leaf (label)."""
 
-    __slots__ = ("feature", "threshold", "left", "right", "label")
-
-    def __init__(
-        self,
-        feature: int | None = None,
-        threshold: float | None = None,
-        left: "TreeNode | None" = None,
-        right: "TreeNode | None" = None,
-        label: int | None = None,
-    ):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.label = label
+    feature: int | None = None
+    threshold: float | None = None
+    left: TreeNode | None = None
+    right: TreeNode | None = None
+    label: int | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -474,11 +465,12 @@ class LineReader:
         return result
 
 
-def _check_labels(labels: np.ndarray, key: str) -> None:
-    """Refuse labels ``serialize`` never writes; one vectorised test per section keeps KNN loads fast."""
-    bad = labels[(labels < 0) | (labels >= len(FormatLabel))]
-    if bad.size:
-        raise ModelFormatError(f"{key} label {bad[0]} is not a FormatLabel value")
+def _label(field: str, key: str) -> int:
+    """The label on a ``key`` line; one ``serialize`` never writes is refused at that line."""
+    label = int(field)
+    if not 0 <= label < len(FormatLabel):
+        raise ModelFormatError(f"{key} label {label} is not a FormatLabel value")
+    return label
 
 
 def _finite(key: str, fields: list[str]) -> list[float]:
@@ -504,9 +496,7 @@ def read_model(reader: LineReader) -> TrainedModel:
 
     if algorithm == Algorithm.KNN:
         (k_s,) = reader.take("k", 1)
-        k = int(k_s)
-        if k not in (1, 3):
-            raise ModelFormatError(f"k must be 1 or 3, got {k}")
+        k = TrainConfig(algorithm, k=int(k_s)).k
         (n_s,) = reader.take("n", 1)
         n = int(n_s)
         if n < 1:
@@ -515,63 +505,53 @@ def read_model(reader: LineReader) -> TrainedModel:
         point_labels, points = [], []
         for _ in range(n):
             label, *vector = reader.take("point", 1 + dim)
-            point_labels.append(int(label))
+            point_labels.append(_label(label, "point"))
             points.append(_finite("point", vector))
         labels = np.array(point_labels, dtype=np.int64)
-        _check_labels(labels, "point")
         model: TrainedModel = KnnModel(dim=dim, k=k, points=np.array(points), labels=labels)
     elif algorithm == Algorithm.DecisionTree:
         (count_s,) = reader.take("nodes", 1)
-        count = int(count_s)
-        consumed = 0
-        leaf_labels: list[int] = []
-
-        def take_node() -> TreeNode:
-            nonlocal consumed
-            consumed += 1
+        count, first = int(count_s), reader.pos
+        # preorder: each node is the next child of the deepest split still
+        # missing one; the explicit stack of those splits means a deep tree
+        # cannot exhaust Python's recursion limit
+        root: TreeNode | None = None
+        open_splits: list[TreeNode] = []
+        while root is None or open_splits:
             if reader.peek() == "leaf":
                 (label,) = reader.take("leaf", 1)
-                leaf_labels.append(int(label))
-                return TreeNode(label=leaf_labels[-1])
-            feature, threshold = reader.take("split", 2)
-            (threshold_value,) = _finite("split", [threshold])
-            node = TreeNode(feature=int(feature), threshold=threshold_value)
-            if not 0 <= node.feature < dim:
-                raise ModelFormatError(f"split feature {feature} outside 0..{dim - 1}")
-            return node
-
-        # preorder with an explicit stack of the splits still missing a
-        # child, so a deep tree cannot exhaust Python's recursion limit
-        root = take_node()
-        open_splits = [] if root.is_leaf else [root]
-        while open_splits:
-            node = take_node()
-            parent = open_splits[-1]
-            if parent.left is None:
-                parent.left = node
+                node = TreeNode(label=_label(label, "leaf"))
             else:
-                parent.right = node
-                open_splits.pop()
+                feature, threshold = reader.take("split", 2)
+                node = TreeNode(feature=int(feature), threshold=_finite("split", [threshold])[0])
+                if not 0 <= node.feature < dim:
+                    raise ModelFormatError(f"split feature {feature} outside 0..{dim - 1}")
+            if root is None:
+                root = node
+            elif open_splits[-1].left is None:
+                open_splits[-1].left = node
+            else:
+                open_splits.pop().right = node
             if not node.is_leaf:
                 open_splits.append(node)
-        if consumed != count:
-            raise ModelFormatError(f"tree section declares {count} nodes but holds {consumed}")
-        _check_labels(np.array(leaf_labels), "leaf")
+        if reader.pos - first != count:
+            raise ModelFormatError(f"tree section declares {count} nodes but holds {reader.pos - first}")
         model = TreeModel(dim=dim, root=root)
     else:
-        class_ids = np.array([int(c) for c in reader.take("classes")], dtype=np.int64)
+        class_ids = np.array([_label(c, "class") for c in reader.take("classes")], dtype=np.int64)
         if class_ids.size == 0:
             raise ModelFormatError("classes line names no class")
-        _check_labels(class_ids, "class")
         if np.any(np.diff(class_ids) <= 0):
             raise ModelFormatError("classes line is not strictly ascending")
         weights, biases = [], []
         for c in class_ids:
             weight_class, *vector = reader.take("weights", 1 + dim)
-            bias_class, bias = reader.take("bias", 2)
-            if int(weight_class) != c or int(bias_class) != c:
-                raise ModelFormatError("weights/bias lines out of order with classes line")
+            if int(weight_class) != c:
+                raise ModelFormatError(f"weights line for class {weight_class} out of order with the classes line")
             weights.append(_finite("weights", vector))
+            bias_class, bias = reader.take("bias", 2)
+            if int(bias_class) != c:
+                raise ModelFormatError(f"bias line for class {bias_class} out of order with the classes line")
             biases += _finite("bias", [bias])
         linear = LdaModel if algorithm == Algorithm.LDA else SvmModel
         model = linear(dim=dim, class_ids=class_ids, weights=np.array(weights), biases=np.array(biases))

@@ -154,6 +154,8 @@ def _train_config(args) -> TrainConfig:
             f"classifier {args.classifier!r} is unsupported (out of scope); "
             "supported classifiers are dt, knn, lda, svm - see README"
         )
+    if args.max_depth < 0:  # TrainConfig spells unlimited None, the flag 0
+        _usage_error(f"--max-depth must be >= 0 (0 = unlimited), got {args.max_depth}")
     try:
         return TrainConfig(
             algorithm=Algorithm(args.classifier),

@@ -41,18 +41,6 @@ class NumberToken:
     prefix_symbol: str | None = None
     suffix_symbol: str | None = None
 
-    @property
-    def internal_punct(self) -> frozenset[str]:
-        return frozenset(self.separators)
-
-    def body(self) -> str:
-        """The digit groups joined by their separators (symbols stripped)."""
-        parts = [self.digit_groups[0]]
-        for sep, grp in zip(self.separators, self.digit_groups[1:]):
-            parts.append(sep)
-            parts.append(grp)
-        return "".join(parts)
-
 
 class ShapeKind(IntEnum):
     PlainInt = 0

@@ -92,13 +92,13 @@ class BowFeatures:
         return [" ".join(["vocab", *map(str, self.vocab)])]
 
     def load(self, reader: LineReader) -> None:
-        by_column = [int(b) for b in reader.take("vocab")]
-        vocab = {b: column for column, b in enumerate(by_column)}
-        if len(vocab) != len(by_column):
-            raise ModelFormatError("'vocab' line repeats a byte")
-        for b in by_column:
+        vocab: dict[int, int] = {}
+        for b in map(int, reader.take("vocab")):
             if not 0 <= b <= 255:  # gram_byte never yields it, so its column could never fire
                 raise ModelFormatError(f"'vocab' byte {b} outside 0..255")
+            if b in vocab:
+                raise ModelFormatError("'vocab' line repeats a byte")
+            vocab[b] = len(vocab)
         self.vocab = vocab
 
 

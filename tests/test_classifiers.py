@@ -630,6 +630,8 @@ class TestSerialization:
             (Algorithm.DecisionTree, r"^(split \d+) \S+", r"\1 inf", "split line holds a non-finite value"),
             (Algorithm.LDA, r"^(weights \d+) \S+", r"\1 -inf", "weights line holds a non-finite value"),
             (Algorithm.LinearSVM, r"^(bias \d+) \S+", r"\1 NaN", "bias line holds a non-finite value"),
+            (Algorithm.LDA, r"^weights 0", "weights 1", "weights line for class 1 out of order"),
+            (Algorithm.LinearSVM, r"^bias 0", "bias 1", "bias line for class 1 out of order"),
         ],
     )
     def test_values_serialize_never_writes_rejected(self, algorithm, pattern, replacement, message):
@@ -637,7 +639,9 @@ class TestSerialization:
         blob = serialize(train(X, y, TrainConfig(algorithm=algorithm)))
         damaged = re.sub(pattern, replacement, blob, count=1, flags=re.M)
         assert damaged != blob
-        with pytest.raises(ModelFormatError, match=message):
+        # the error names the damaged line itself, not a later one of its section
+        lineno = next(i for i, (a, b) in enumerate(zip(blob.splitlines(), damaged.splitlines()), 1) if a != b)
+        with pytest.raises(ModelFormatError, match=rf"^line {lineno}: .*{message}"):
             deserialize(damaged)
 
     @pytest.mark.parametrize(

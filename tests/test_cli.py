@@ -192,6 +192,8 @@ class TestUsageErrors:
         code, out, err = run(["evaluate", *flags], capsys=capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"numctx: error: {flags[-2]} must be ")
+        if flags[0] == "--max-depth":  # the flag's own range: 0 means unlimited, None cannot be typed
+            assert err == "numctx: error: --max-depth must be >= 0 (0 = unlimited), got -1\n"
 
 
 class TestMain:
@@ -414,14 +416,14 @@ class TestTrainAndClassify:
                 with_model("algorithm lda", "dim 1000000000000", "classes 0", f"weights 0 {ZEROS}", "bias 0 0"),
                 "'weights' line holds 57 fields, expected 1000000000001",
             ),
-            # a label past int64 overflows the label array; it must still name the file and line
+            # a label past int64 is out of range like any other, not an int64 overflow
             (
                 with_model("algorithm knn", "dim 56", "k 1", "n 1", f"point {10**20} {ZEROS}"),
-                "int too large",
+                f"point label {10**20} is not a FormatLabel value",
             ),
             (
                 with_model("algorithm svm", "dim 56", f"classes {10**20}", f"weights 0 {ZEROS}", "bias 0 0"),
-                "int too large",
+                f"class label {10**20} is not a FormatLabel value",
             ),
             (
                 with_model("algorithm lda", "dim 55", "classes 0", f"weights 0 {ZEROS[2:]}", "bias 0 0"),

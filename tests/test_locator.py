@@ -47,7 +47,7 @@ class TestLocateNumbers:
         (token,) = locate_numbers("RM 2.50")
         assert token.prefix_symbol == "RM"
         assert token.digit_groups == ("2", "50")
-        assert token.internal_punct == {"."}
+        assert token.separators == (".",)
         assert token.raw == "RM 2.50"
 
     def test_currency_glued(self):
@@ -139,9 +139,10 @@ class TestShapeOf:
 
 
 def _reconstruct(token: NumberToken) -> str:
-    prefix_len = len(token.raw) - len(token.body()) - len(token.suffix_symbol or "")
+    body = token.digit_groups[0] + "".join(s + g for s, g in zip(token.separators, token.digit_groups[1:]))
+    prefix_len = len(token.raw) - len(body) - len(token.suffix_symbol or "")
     prefix_text = token.raw[:prefix_len]
-    return prefix_text + token.body() + (token.suffix_symbol or "")
+    return prefix_text + body + (token.suffix_symbol or "")
 
 
 _TEXT_ALPHABET = st.sampled_from(list("ab 0123456789.,:-/%+RM"))

@@ -192,6 +192,19 @@ class TestMemo:
             gc.enable()
 
 
+class TestSavedFileRoundTrip:
+    @pytest.mark.parametrize(
+        "algorithm, extractor, k", [(a, e, 1) for a in ALGORITHMS for e in EXTRACTORS] + [("knn", "context", 3)]
+    )
+    def test_save_load_save_is_byte_identical(self, algorithm, extractor, k, tmp_path):
+        # a trained file relinks every tree node and keeps the vocabulary's column order
+        pipeline = Pipeline.fit(CORPUS, TrainConfig(algorithm=Algorithm(algorithm), k=k), extractor, LEXICON)
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        pipeline.save(first)
+        Pipeline.load(first).save(second)
+        assert second.read_bytes() == first.read_bytes()
+
+
 class TestEachRowLocatedOnce:
     def test_fit_and_cross_validate_locate_nothing_once_the_corpus_is_loaded(self, monkeypatch):
         calls = []
