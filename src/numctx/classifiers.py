@@ -1,24 +1,30 @@
 """From-scratch classifiers behind one train/predict contract.
 
 All four learners are deterministic functions of (X, y, config) and refuse
-a non-finite X. KNN stores the training data verbatim and measures each
-distinct training point once per query, keeping the every-point order on
-ties (equal distances: lowest training index; k=3 votes: summed distance,
-then label value). The decision tree grows CART-style on Gini gain with
-midpoint thresholds, scoring every feature's thresholds at a node in one
-class-count histogram over per-column value ranks (ties: lowest threshold,
-then lowest feature). LDA uses class means, a shrinkage-regularized pooled
-covariance, and class priors; the linear SVM trains one-vs-rest
-hinge-loss separators by full-batch subgradient descent with step
-``1/(c_reg * t)`` at epoch ``t``, all separators taking each step together.
-Each class's margins are its own matrix-vector product, and the summed
-subgradient is exact on integer-valued features, the only kind the program
-builds, so the weights are bit-identical to training one class at a time;
-on other real X that sum may differ in the last bits. LDA and the SVM keep
-one linear form, per-class weights and bias, for scoring and storage. Models
-serialize to a versioned line-oriented text format with reals rendered to
-17 significant digits, so a round-trip is prediction-exact; a stored real
-that is nan or infinite is refused on load.
+an X that is empty, has no columns or holds a non-finite value. KNN stores
+the training data verbatim and measures each distinct training point once
+per query, keeping the every-point order on ties (equal distances: lowest
+training index; k=3 votes: summed distance, then label value). The decision
+tree and the SVM train on each distinct (row, label) pair once, weighted by
+the number of training rows it stands for, as CART case weights do; both
+kinds of distinct row come from ``_distinct_rows``. The tree grows
+CART-style on Gini gain with midpoint thresholds, scoring every feature's
+thresholds at a node in one weighted class-count histogram over per-column
+value ranks (ties: lowest threshold, then lowest feature; a majority leaf
+takes the lowest label). Its counts are whole numbers, so the tree is
+bit-identical to one grown on every row. LDA uses class means, a
+shrinkage-regularized pooled covariance, and class priors; the linear SVM
+trains one-vs-rest hinge-loss separators by full-batch subgradient descent
+with step ``1/(c_reg * t)`` at epoch ``t``, all separators taking each step
+together. Each class's margins are its own matrix-vector product, and the
+weighted, summed subgradient is exact on integer-valued features, the only
+kind the program builds, so the weights are bit-identical to training on
+every row, one class at a time; on other real X that sum may differ in the
+last bits. LDA and the SVM keep one linear form, per-class weights and
+bias, for scoring and storage. Models serialize to a versioned
+line-oriented text format with reals rendered to 17 significant digits, so
+a round-trip is prediction-exact; a stored real that is nan or infinite, or
+a ``dim`` below 1, is refused on load.
 """
 
 from __future__ import annotations
@@ -91,12 +97,7 @@ class KnnModel:
     inverse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # keyed on each row's bytes: np.unique(axis=0) sorts whole rows and
-        # costs 5-20x as much on a cross-validation fold
-        slots: dict[bytes, int] = {}
-        self.inverse = np.array([slots.setdefault(row.tobytes(), len(slots)) for row in self.points], dtype=np.intp)
-        self.first = np.unique(self.inverse, return_index=True)[1]
-        self.distinct = self.points[self.first]
+        self.distinct, self.first, self.inverse = _distinct_rows(self.points)
 
 
 @dataclass(slots=True, eq=False, repr=False)  # a generated repr would recurse once per level
@@ -154,6 +155,20 @@ def _as_matrix(X) -> np.ndarray:
     return M
 
 
+def _distinct_rows(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each distinct row of ``M`` in order of first appearance, the index
+    where each first appears, and each row's index into the distinct rows.
+
+    Rows are keyed on their bytes, so 0.0 and -0.0 stay apart; np.unique
+    (axis=0) sorts whole rows and costs 5-20x as much on a
+    cross-validation fold.
+    """
+    slots: dict[bytes, int] = {}
+    inverse = np.array([slots.setdefault(row.tobytes(), len(slots)) for row in M], dtype=np.intp)
+    first = np.unique(inverse, return_index=True)[1]
+    return M[first], first, inverse
+
+
 def _check_dim(model: TrainedModel, width: int) -> None:
     if width != model.dim:
         raise ValueError(f"feature dimension {width} does not match model dimension {model.dim}")
@@ -165,6 +180,8 @@ def train(X, y, cfg: TrainConfig) -> TrainedModel:
     labels = np.asarray([int(v) for v in y], dtype=np.int64)
     if len(M) == 0:
         raise ValueError("training set is empty")
+    if M.shape[1] == 0:
+        raise ValueError("X has no feature columns")
     if len(M) != len(labels):
         raise ValueError(f"got {len(M)} vectors but {len(labels)} labels")
     if not np.isfinite(M).all():
@@ -172,13 +189,18 @@ def train(X, y, cfg: TrainConfig) -> TrainedModel:
 
     if cfg.algorithm == Algorithm.KNN:
         return KnnModel(dim=M.shape[1], k=cfg.k, points=M.copy(), labels=labels.copy())
-    if cfg.algorithm == Algorithm.DecisionTree:
-        root = _grow_tree(M, labels, depth=0, max_depth=cfg.max_depth, min_leaf=cfg.min_leaf)
-        return TreeModel(dim=M.shape[1], root=root)
     if cfg.algorithm == Algorithm.LDA:
         return _train_lda(M, labels, cfg.shrinkage)
+    # the tree and the SVM see each distinct (row, label) pair once, weighted
+    # by its count; the row's float bits are the key, so no label past 2**53
+    # is rounded into another
+    _, first, inverse = _distinct_rows(np.column_stack([M.view(np.int64), labels]))
+    counts = np.bincount(inverse)
+    if cfg.algorithm == Algorithm.DecisionTree:
+        root = _grow_tree(M[first], labels[first], counts, 0, cfg.max_depth, cfg.min_leaf)
+        return TreeModel(dim=M.shape[1], root=root)
     if cfg.algorithm == Algorithm.LinearSVM:
-        return _train_svm(M, labels, cfg.c_reg, cfg.epochs)
+        return _train_svm(M[first], labels[first], counts, cfg.c_reg, cfg.epochs)
     raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
 
 
@@ -239,15 +261,16 @@ def _gini(counts: np.ndarray, total: int) -> float:
     return 1.0 - float(((counts / total) ** 2).sum())
 
 
-def _majority(labels: np.ndarray) -> int:
-    values, counts = np.unique(labels, return_counts=True)
+def _majority(labels: np.ndarray, counts: np.ndarray) -> int:
+    values, y = np.unique(labels, return_inverse=True)
     # np.unique sorts ascending, argmax takes the first max: count ties
     # resolve to the lowest label value
-    return int(values[np.argmax(counts)])
+    return int(values[np.argmax(np.bincount(y, weights=counts))])
 
 
-def _best_split(M: np.ndarray, labels: np.ndarray, min_leaf: int):
-    """Best (feature, threshold, gain) by Gini gain.
+def _best_split(M: np.ndarray, labels: np.ndarray, counts: np.ndarray, min_leaf: int):
+    """Best (feature, threshold, gain) by Gini gain, row ``i`` standing for
+    ``counts[i]`` equal rows.
 
     Candidates are midpoints between consecutive distinct values, or the
     lower value where the midpoint does not lie in [lower, upper); ties keep
@@ -255,23 +278,24 @@ def _best_split(M: np.ndarray, labels: np.ndarray, min_leaf: int):
     scored at once: each value gets its dense rank within its column, and one
     class-count histogram over (rank, feature, class), cumulated over the
     ranks, holds the left-hand class counts of every cut after rank ``r``.
-    The histogram has at most ``n * d * n_classes`` cells.
+    The histogram has at most ``len(M) * d * n_classes`` cells.
     """
-    n, d = M.shape
+    d = M.shape[1]
+    n = int(counts.sum())
     classes, y = np.unique(labels, return_inverse=True)
     n_classes = len(classes)
-    parent = _gini(np.bincount(y, minlength=n_classes), n)
+    parent = _gini(np.bincount(y, weights=counts, minlength=n_classes), n)
 
     order = np.argsort(M, axis=0, kind="stable")
     sorted_vals = np.take_along_axis(M, order, axis=0)
-    ranks = np.zeros((n, d), dtype=np.int64)
+    ranks = np.zeros(M.shape, dtype=np.int64)
     np.cumsum(sorted_vals[1:] != sorted_vals[:-1], axis=0, out=ranks[1:])
     n_ranks = int(ranks[-1].max(initial=0)) + 1
     if n_ranks == 1:
         return None, None, 0.0
     cells = (ranks * d + np.arange(d)) * n_classes + y[order]
-    hist = np.bincount(cells.ravel(), minlength=n_ranks * d * n_classes)
-    cum = np.cumsum(hist.reshape(n_ranks, d, n_classes), axis=0, dtype=np.float64)
+    hist = np.bincount(cells.ravel(), weights=counts[order].ravel(), minlength=n_ranks * d * n_classes)
+    cum = np.cumsum(hist.reshape(n_ranks, d, n_classes), axis=0)
 
     # the cut after the last rank sends every row left, so it is never valid;
     # in a column with fewer ranks the cuts past its last rank leave the right
@@ -295,7 +319,8 @@ def _best_split(M: np.ndarray, labels: np.ndarray, min_leaf: int):
     gain = float(feature_gains[feature])
     if not gain > 0.0:
         return None, None, 0.0
-    i = int(n_left[cut[feature], feature]) - 1  # last row left of the cut
+    # the last row left of the cut: ranks ascend down each sorted column
+    i = int(np.searchsorted(ranks[:, feature], cut[feature], side="right")) - 1
     a, b = float(sorted_vals[i, feature]), float(sorted_vals[i + 1, feature])
     threshold = (a + b) / 2.0
     if not a <= threshold < b:  # the sum overflowed, or a and b are adjacent floats
@@ -303,17 +328,19 @@ def _best_split(M: np.ndarray, labels: np.ndarray, min_leaf: int):
     return feature, threshold, gain
 
 
-def _grow_tree(M: np.ndarray, labels: np.ndarray, depth: int, max_depth: int | None, min_leaf: int) -> TreeNode:
+def _grow_tree(
+    M: np.ndarray, labels: np.ndarray, counts: np.ndarray, depth: int, max_depth: int | None, min_leaf: int
+) -> TreeNode:
     if len(np.unique(labels)) == 1:
         return TreeNode(label=int(labels[0]))
     if max_depth is not None and depth >= max_depth:
-        return TreeNode(label=_majority(labels))
-    feature, threshold, gain = _best_split(M, labels, min_leaf)
+        return TreeNode(label=_majority(labels, counts))
+    feature, threshold, gain = _best_split(M, labels, counts, min_leaf)
     if feature is None or gain <= _MIN_GAIN:
-        return TreeNode(label=_majority(labels))
+        return TreeNode(label=_majority(labels, counts))
     mask = M[:, feature] <= threshold
-    left = _grow_tree(M[mask], labels[mask], depth + 1, max_depth, min_leaf)
-    right = _grow_tree(M[~mask], labels[~mask], depth + 1, max_depth, min_leaf)
+    left = _grow_tree(M[mask], labels[mask], counts[mask], depth + 1, max_depth, min_leaf)
+    right = _grow_tree(M[~mask], labels[~mask], counts[~mask], depth + 1, max_depth, min_leaf)
     return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
 
 
@@ -358,19 +385,22 @@ def _train_lda(M: np.ndarray, labels: np.ndarray, shrinkage: float) -> LdaModel:
 # --- linear SVM ----------------------------------------------------------
 
 
-def _train_svm(M: np.ndarray, labels: np.ndarray, c_reg: float, epochs: int) -> SvmModel:
+def _train_svm(M: np.ndarray, labels: np.ndarray, counts: np.ndarray, c_reg: float, epochs: int) -> SvmModel:
     class_ids = np.unique(labels)
-    n, dim = M.shape
-    targets = np.where(labels == class_ids[:, None], 1.0, -1.0)  # (n_classes, n)
+    rows, dim = M.shape
+    n = int(counts.sum())
+    targets = np.where(labels == class_ids[:, None], 1.0, -1.0)  # (n_classes, rows)
+    # a violating row pulls its class's separator toward its own side, once
+    # for each training row it stands for
+    pulls = targets * counts
     weights = np.zeros((len(class_ids), dim))
     biases = np.zeros(len(class_ids))
-    outputs = np.empty((len(class_ids), n))
+    outputs = np.empty((len(class_ids), rows))
     for t in range(1, epochs + 1):
         eta = 1.0 / (c_reg * t)
         for row in range(len(class_ids)):
             np.dot(M, weights[row], out=outputs[row])
-        # a violating row pulls its class's separator toward its own side
-        pull = np.where(targets * (outputs + biases[:, None]) < 1.0, targets, 0.0)
+        pull = np.where(targets * (outputs + biases[:, None]) < 1.0, pulls, 0.0)
         weights = weights - eta * (c_reg * weights - (pull @ M) / n)
         biases = biases - eta * (-pull.sum(axis=1) / n)
     return SvmModel(dim=dim, class_ids=class_ids.astype(np.int64), weights=weights, biases=biases)
@@ -493,6 +523,8 @@ def read_model(reader: LineReader) -> TrainedModel:
     algorithm = Algorithm(algo_name)
     (dim_s,) = reader.take("dim", 1)
     dim = int(dim_s)
+    if dim < 1:  # with no feature, every number would get the same label
+        raise ModelFormatError(f"dim must be at least 1, got {dim}")
 
     if algorithm == Algorithm.KNN:
         (k_s,) = reader.take("k", 1)

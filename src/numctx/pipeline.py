@@ -99,6 +99,8 @@ class BowFeatures:
             if b in vocab:
                 raise ModelFormatError("'vocab' line repeats a byte")
             vocab[b] = len(vocab)
+        if not vocab:  # every number has at least one byte, so fit never writes this
+            raise ModelFormatError("'vocab' line names no byte")
         self.vocab = vocab
 
 

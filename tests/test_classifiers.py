@@ -1,15 +1,14 @@
 import math
 import random
 import re
-from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from numctx import classifiers
 from numctx.classifiers import (
+    _MIN_GAIN,
     Algorithm,
     KnnModel,
     LdaModel,
@@ -17,6 +16,8 @@ from numctx.classifiers import (
     SvmModel,
     TrainConfig,
     TreeModel,
+    TreeNode,
+    _distinct_rows,
     _gini,
     deserialize,
     predict,
@@ -75,6 +76,11 @@ class TestTrainContract:
     def test_empty_input(self):
         with pytest.raises(ValueError):
             train([], [], dt_cfg())
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_no_feature_columns_rejected(self, algorithm):
+        with pytest.raises(ValueError, match="no feature columns"):
+            train(np.zeros((3, 0)), [D, T, D], TrainConfig(algorithm=algorithm))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -285,6 +291,55 @@ class TestLinearSvm:
         assert accuracy >= 0.95
 
 
+def _duplicate_heavy(data):
+    """(X, labels): up to 40 rows drawn from at most 6 distinct ones over
+    {0.0, -0.0, 1.0, 2.0}, so rows repeat, often with conflicting labels."""
+    dim = data.draw(st.integers(1, 4), label="dim")
+    size = data.draw(st.integers(1, 6), label="pool size")
+    elements = st.sampled_from([0.0, -0.0, 1.0, 2.0])
+    pool = data.draw(hnp.arrays(np.float64, (size, dim), elements=elements), label="pool")
+    n = data.draw(st.integers(1, 40), label="rows")
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n), label="picks")
+    labels = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n), label="labels")
+    return pool[picks], labels
+
+
+class TestDistinctRows:
+    def test_first_appearance_order(self):
+        M = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [3.0, 0.0], [0.0, 0.0]])
+        distinct, first, inverse = _distinct_rows(M)
+        assert distinct.tolist() == [[1.0, 2.0], [0.0, 0.0], [3.0, 0.0]]
+        assert first.tolist() == [0, 1, 3]
+        assert inverse.tolist() == [0, 1, 0, 2, 1]
+        assert (distinct[inverse] == M).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_counts_sum_to_rows(self, data):
+        X, _ = _duplicate_heavy(data)
+        distinct, first, inverse = _distinct_rows(X)
+        assert np.bincount(inverse).sum() == len(X)
+        assert (first == [list(inverse).index(i) for i in range(len(distinct))]).all()
+
+    def test_zero_and_negative_zero_kept_apart(self):
+        distinct, _, inverse = _distinct_rows(np.array([[0.0], [-0.0], [0.0]]))
+        assert len(distinct) == 2
+        assert inverse.tolist() == [0, 1, 0]
+
+    def test_equal_row_with_other_label_kept_apart(self):
+        M, labels = np.array([[1.0], [1.0], [1.0]]), np.array([2, 3, 2])
+        _, first, inverse = _distinct_rows(np.column_stack([M, labels]))
+        assert first.tolist() == [0, 1]
+        assert np.bincount(inverse).tolist() == [2, 1]
+
+    @pytest.mark.parametrize("algorithm", [Algorithm.DecisionTree, Algorithm.LinearSVM])
+    def test_labels_past_2_to_53_kept_apart(self, algorithm):
+        # 2**53 + 1 rounds to 2**53 as a float64, yet the majority is 2**53
+        labels = [2**53 + 1, 2**53, 2**53]
+        model = train(np.zeros((3, 1)), labels, TrainConfig(algorithm=algorithm, max_depth=1))
+        assert int(predict_batch(model, np.zeros((1, 1)))[0]) == 2**53
+
+
 # --- frozen every-point KNN scan: the differential oracle -------------------
 
 
@@ -418,6 +473,98 @@ class TestSvmMatchesPerClassTrainer:
         c_reg = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="c_reg")
         _assert_svm_matches_oracle(X.astype(np.float64), labels, c_reg, epochs)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_duplicate_heavy_matrices(self, data):
+        X, labels = _duplicate_heavy(data)
+        epochs = data.draw(st.integers(1, 20), label="epochs")
+        c_reg = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="c_reg")
+        _assert_svm_matches_oracle(X, labels, c_reg, epochs)
+
+
+# --- frozen unweighted tree: the differential oracle ------------------------
+
+
+def _oracle_majority(labels):
+    values, counts = np.unique(labels, return_counts=True)
+    return int(values[np.argmax(counts)])
+
+
+def _oracle_grow_tree(M, labels, depth, max_depth, min_leaf, best_split):
+    """The tree grown as it was before rows were weighted: every training row
+    its own, duplicates included, split by ``best_split(M, labels, min_leaf)``."""
+    if len(np.unique(labels)) == 1:
+        return TreeNode(label=int(labels[0]))
+    if max_depth is not None and depth >= max_depth:
+        return TreeNode(label=_oracle_majority(labels))
+    feature, threshold, gain = best_split(M, labels, min_leaf)
+    if feature is None or gain <= _MIN_GAIN:
+        return TreeNode(label=_oracle_majority(labels))
+    mask = M[:, feature] <= threshold
+    left = _oracle_grow_tree(M[mask], labels[mask], depth + 1, max_depth, min_leaf, best_split)
+    right = _oracle_grow_tree(M[~mask], labels[~mask], depth + 1, max_depth, min_leaf, best_split)
+    return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
+
+
+def _oracle_rank_split(M, labels, min_leaf):
+    """The split search as it was before rows were weighted: one class-count
+    histogram over per-column value ranks, every row counted once."""
+    n, d = M.shape
+    classes, y = np.unique(labels, return_inverse=True)
+    n_classes = len(classes)
+    parent = _gini(np.bincount(y, minlength=n_classes), n)
+
+    order = np.argsort(M, axis=0, kind="stable")
+    sorted_vals = np.take_along_axis(M, order, axis=0)
+    ranks = np.zeros((n, d), dtype=np.int64)
+    np.cumsum(sorted_vals[1:] != sorted_vals[:-1], axis=0, out=ranks[1:])
+    n_ranks = int(ranks[-1].max(initial=0)) + 1
+    if n_ranks == 1:
+        return None, None, 0.0
+    cells = (ranks * d + np.arange(d)) * n_classes + y[order]
+    hist = np.bincount(cells.ravel(), minlength=n_ranks * d * n_classes)
+    cum = np.cumsum(hist.reshape(n_ranks, d, n_classes), axis=0, dtype=np.float64)
+
+    left_counts = cum[:-1]
+    right_counts = cum[-1] - left_counts
+    n_left = left_counts.sum(axis=2)
+    n_right = n - n_left
+    valid = (n_left >= min_leaf) & (n_right >= min_leaf)
+    with np.errstate(invalid="ignore"):
+        gini_left = 1.0 - ((left_counts / n_left[..., None]) ** 2).sum(axis=2)
+        gini_right = 1.0 - ((right_counts / n_right[..., None]) ** 2).sum(axis=2)
+    child = (n_left * gini_left + n_right * gini_right) / n
+    gains = np.where(valid, parent - child, -np.inf)
+
+    cut = np.argmax(gains, axis=0)
+    feature_gains = gains[cut, np.arange(d)]
+    feature = int(np.argmax(feature_gains))
+    gain = float(feature_gains[feature])
+    if not gain > 0.0:
+        return None, None, 0.0
+    i = int(n_left[cut[feature], feature]) - 1  # last row left of the cut
+    a, b = float(sorted_vals[i, feature]), float(sorted_vals[i + 1, feature])
+    threshold = (a + b) / 2.0
+    if not a <= threshold < b:
+        threshold = a
+    return feature, threshold, gain
+
+
+def _assert_tree_matches_oracle(X, labels, max_depth=16, min_leaf=1, best_split=_oracle_rank_split):
+    X, labels = np.asarray(X, dtype=np.float64), np.asarray(labels, dtype=np.int64)
+    expected = TreeModel(dim=X.shape[1], root=_oracle_grow_tree(X, labels, 0, max_depth, min_leaf, best_split))
+    assert serialize(train(X, labels, dt_cfg(max_depth=max_depth, min_leaf=min_leaf))) == serialize(expected)
+
+
+class TestTreeMatchesUnweightedTree:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_duplicate_heavy_matrices(self, data):
+        X, labels = _duplicate_heavy(data)
+        max_depth = data.draw(st.sampled_from([None, 2, 16]), label="max_depth")
+        min_leaf = data.draw(st.integers(1, 3), label="min_leaf")
+        _assert_tree_matches_oracle(X, labels, max_depth, min_leaf)
+
 
 # --- frozen per-feature split search: the differential oracle ---------------
 
@@ -471,13 +618,6 @@ def _oracle_best_split(M, labels, min_leaf):
     return best_feature, best_threshold, best_gain
 
 
-def _assert_tree_matches_oracle(X, labels, max_depth=16, min_leaf=1):
-    cfg = dt_cfg(max_depth=max_depth, min_leaf=min_leaf)
-    with mock.patch.object(classifiers, "_best_split", _oracle_best_split):
-        expected = serialize(train(X, labels, cfg))
-    assert serialize(train(X, labels, cfg)) == expected
-
-
 def _tree_matrices(data, elements):
     """(X, labels, max_depth, min_leaf) drawn for the tree oracle."""
     n = data.draw(st.integers(1, 40), label="rows")
@@ -493,18 +633,18 @@ class TestTreeMatchesPerFeatureSearch:
     @pytest.mark.parametrize("extractor, rows", _bundled_training_splits())
     def test_bundled_corpus_bytes(self, bundled_encoding, extractor, rows):
         X, labels, _ = bundled_encoding(extractor, rows)
-        _assert_tree_matches_oracle(X, labels)
+        _assert_tree_matches_oracle(X, labels, best_split=_oracle_best_split)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_integer_matrices_bytes(self, data):
-        _assert_tree_matches_oracle(*_tree_matrices(data, st.integers(0, 4).map(float)))
+        _assert_tree_matches_oracle(*_tree_matrices(data, st.integers(0, 4).map(float)), best_split=_oracle_best_split)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_real_matrices_bytes(self, data):
         reals = st.floats(-10, 10, allow_nan=False).map(lambda v: round(v, 2))
-        _assert_tree_matches_oracle(*_tree_matrices(data, reals))
+        _assert_tree_matches_oracle(*_tree_matrices(data, reals), best_split=_oracle_best_split)
 
 
 class TestSerialization:

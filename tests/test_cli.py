@@ -403,6 +403,7 @@ class TestTrainAndClassify:
             (with_model("algorithm knn", "dim 56", "k 0", "n 1", f"point 0 {ZEROS}"), "k must be 1 or 3, got 0"),
             (with_model("algorithm knn", "dim 56", "k 1", "n 0"), "needs at least 1 point"),
             (with_model("algorithm lda", "dim 56", "classes"), "classes line names no class"),
+            (with_model("algorithm lda", "dim 0", "classes 0", "weights 0", "bias 0 0"), "dim must be at least 1, got 0"),
             # declared sizes far past the file's lines are refused by the lines, not by an allocation
             (
                 with_model("algorithm knn", "dim 56", "k 1", "n 1000000000000", f"point 0 {ZEROS}"),
@@ -483,6 +484,15 @@ class TestTrainAndClassify:
         text = path.read_text(encoding="utf-8")
         path.write_text(re.sub(r"^(vocab \d+ (\d+))", r"\1 \2", text, flags=re.M), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="repeats a byte"):
+            Pipeline.load(path)
+
+    def test_bow_vocab_naming_no_byte_rejected(self, tmp_path, capsys):
+        # with no column, every number would be labelled by the model's biases alone
+        path = tmp_path / "bow.txt"
+        run(["train", "--extractor", "bow", "--output", str(path)], capsys=capsys)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(re.sub(r"^vocab .*$", "vocab", text, count=1, flags=re.M), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=r"line \d+: 'vocab' line names no byte"):
             Pipeline.load(path)
 
     @pytest.mark.parametrize("byte", ["999", "256", "-1"])

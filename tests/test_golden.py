@@ -1,15 +1,18 @@
-"""Byte-identical gate: sha256 pins of what the CLI prints at seed 42.
+"""Byte-identical gate: sha256 pins of what the CLI prints and writes at seed 42.
 
 The cases are ``evaluate`` (TSV and JSON) for every classifier and extractor,
 ``compare`` (TSV and JSON) for every classifier, and ``train`` then
 ``classify --model`` over the bundled corpus's distinct sentences, where the
-stdout, stderr and exit code are pinned together. KNN is also pinned at
-``--k 3`` (``evaluate`` TSV and ``train`` then ``classify`` for each
-extractor), so its vote and tie order are gated as well as its nearest
-point. Several of the classify streams end in an abort today; they are
-pinned as they are, so a change that alters any output byte fails here. A
-change that alters output on purpose prints the new table with
-``PYTHONPATH=src python tests/test_golden.py`` and replaces ``DIGESTS``.
+stdout, stderr and exit code are pinned together. The model file ``train``
+writes is pinned too, for every classifier and extractor, so a change to
+how a model is fitted must keep its stored bytes as well as its
+predictions. KNN is also pinned at ``--k 3`` (``evaluate`` TSV, ``train``,
+and ``train`` then ``classify`` for each extractor), so its vote and tie
+order are gated as well as its nearest point. Several of the classify
+streams end in an abort today; they are pinned as they are, so a change
+that alters any output byte fails here. A change that alters output on
+purpose prints the new table with ``PYTHONPATH=src python
+tests/test_golden.py`` and replaces ``DIGESTS``.
 """
 
 import hashlib
@@ -35,6 +38,8 @@ CASES = (
     + [f"classify {c} {e}" for c in CLASSIFIERS for e in EXTRACTORS]
     + [f"evaluate knn {e} tsv --k 3" for e in EXTRACTORS]
     + [f"classify knn {e} --k 3" for e in EXTRACTORS]
+    + [f"train {c} {e}" for c in CLASSIFIERS for e in EXTRACTORS]
+    + [f"train knn {e} --k 3" for e in EXTRACTORS]
 )
 
 DIGESTS = {
@@ -74,6 +79,16 @@ DIGESTS = {
     "evaluate knn bow tsv --k 3": "e3c9563c86b31ff8a0b96875f4fea17564a0b6212e8d6ac064253c571534a136",
     "classify knn context --k 3": "cb0e8aabeebcd6404fce3acda73011bf9fedd60683c1a2bb042506334f365dff",
     "classify knn bow --k 3": "4e1ca04da0eee88b2782220fcef1f288be99494ba068ff12afb90511820db052",
+    "train dt context": "f0be005a3ddee4bdb3718bf1b24cda1761dcb46ffff9c2a8e22111fe72b28375",
+    "train dt bow": "81b26126365047e000c53b9ae11ae970ef172b27f4e7b6e7846d48e5e8e90181",
+    "train knn context": "b89ec7e5ef1bdece8000a037595b1d58fc75e5f1f0bb366007c28b0cea0fc406",
+    "train knn bow": "4d59238b2309990b6ab00c281ad862e195a98a1bd1f9314b7dd4c64d6ea701ce",
+    "train lda context": "524f991fb7edf65d990b52571dadd1a8e6506c8fc123348ab64e59ae4d7062b9",
+    "train lda bow": "acbb6aabce1f08ec6758112f09819e01b2aa99db133d4cf039e59badab6c3216",
+    "train svm context": "a77b0b11e98fa09a20cedcb50bfca0f03b1b2214d8b164cc3fc82fc32b882940",
+    "train svm bow": "47cbd35b2a5473ed3a9ca1214676b1488165d48b20f05dc16914d610bc240b17",
+    "train knn context --k 3": "52c03b992f6c6aad3d6c3dd7f595516d86ae8486bb8600480b8455208820de72",
+    "train knn bow --k 3": "d7eefe2fd794ffac6f924a7e27b3f9cd71a2e911e098c0864552f88b0bd6aabd",
 }
 
 
@@ -96,14 +111,16 @@ def digest_of(case: str) -> str:
     spec, _, flags = case.partition(" --")
     model_flags = f"--{flags}".split() if flags else []
     command, classifier, *options = spec.split()
-    if command == "classify":
-        sentences = dict.fromkeys(s.text for s in load_corpus(bundled_corpus_path()))
+    if command in ("train", "classify"):
         with tempfile.TemporaryDirectory() as tmp:
-            model = str(Path(tmp) / "model.txt")
-            argv = ["train", "--classifier", classifier, "--extractor", *options, *model_flags, "--output", model]
+            model = Path(tmp) / "model.txt"
+            argv = ["train", "--classifier", classifier, "--extractor", *options, *model_flags, "--output", str(model)]
             code, _, err = run(argv)
             assert code == 0, err
-            pinned = json.dumps(run(["classify", "--model", model], "".join(f"{s}\n" for s in sentences)))
+            if command == "train":
+                return hashlib.sha256(model.read_bytes()).hexdigest()
+            sentences = dict.fromkeys(s.text for s in load_corpus(bundled_corpus_path()))
+            pinned = json.dumps(run(["classify", "--model", str(model)], "".join(f"{s}\n" for s in sentences)))
     else:
         *extractor, fmt = options
         argv = [command, "--classifier", classifier, *model_flags, "--seed", "42", "--format", fmt]
