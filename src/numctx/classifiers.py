@@ -8,23 +8,23 @@ training index; k=3 votes: summed distance, then label value). The decision
 tree and the SVM train on each distinct (row, label) pair once, weighted by
 the number of training rows it stands for, as CART case weights do; both
 kinds of distinct row come from ``_distinct_rows``. The tree grows
-CART-style on Gini gain with midpoint thresholds, scoring every feature's
-thresholds at a node in one weighted class-count histogram over per-column
-value ranks (ties: lowest threshold, then lowest feature; a majority leaf
-takes the lowest label). Its counts are whole numbers, so the tree is
-bit-identical to one grown on every row. LDA uses class means, a
-shrinkage-regularized pooled covariance, and class priors; the linear SVM
-trains one-vs-rest hinge-loss separators by full-batch subgradient descent
-with step ``1/(c_reg * t)`` at epoch ``t``, all separators taking each step
-together. Each class's margins are its own matrix-vector product, and the
-weighted, summed subgradient is exact on integer-valued features, the only
-kind the program builds, so the weights are bit-identical to training on
-every row, one class at a time; on other real X that sum may differ in the
-last bits. LDA and the SVM keep one linear form, per-class weights and
-bias, for scoring and storage. Models serialize to a versioned
-line-oriented text format with reals rendered to 17 significant digits, so
-a round-trip is prediction-exact; a stored real that is nan or infinite, or
-a ``dim`` below 1, is refused on load.
+CART-style on Gini gain with midpoint thresholds, level by level from one
+stable presort per column, every open node of a level scored at once; it
+does not recurse, so any depth trains (ties: lowest feature, then lowest
+threshold; a majority leaf takes the lowest label). Its counts are whole
+numbers, so the tree is bit-identical to one grown on every row. LDA uses
+class means, a shrinkage-regularized pooled covariance, and class priors;
+the linear SVM trains one-vs-rest hinge-loss separators by full-batch
+subgradient descent with step ``1/(c_reg * t)`` at epoch ``t``, all
+separators taking each step together. Each class's margins are its own
+matrix-vector product, and the weighted, summed subgradient is exact on
+integer-valued features, the only kind the program builds, so the weights
+are bit-identical to training on every row, one class at a time; on other
+real X that sum may differ in the last bits. LDA and the SVM keep one
+linear form, per-class weights and bias, for scoring and storage. Models
+serialize to a versioned line-oriented text format with reals rendered to
+17 significant digits, so a round-trip is prediction-exact; a stored real
+that is nan or infinite, or a ``dim`` below 1, is refused on load.
 """
 
 from __future__ import annotations
@@ -197,8 +197,7 @@ def train(X, y, cfg: TrainConfig) -> TrainedModel:
     _, first, inverse = _distinct_rows(np.column_stack([M.view(np.int64), labels]))
     counts = np.bincount(inverse)
     if cfg.algorithm == Algorithm.DecisionTree:
-        root = _grow_tree(M[first], labels[first], counts, 0, cfg.max_depth, cfg.min_leaf)
-        return TreeModel(dim=M.shape[1], root=root)
+        return _train_tree(M[first], labels[first], counts, cfg.max_depth, cfg.min_leaf)
     if cfg.algorithm == Algorithm.LinearSVM:
         return _train_svm(M[first], labels[first], counts, cfg.c_reg, cfg.epochs)
     raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
@@ -257,91 +256,92 @@ def _knn_predict_one(model: KnnModel, x: np.ndarray) -> int:
 # --- decision tree -------------------------------------------------------
 
 
-def _gini(counts: np.ndarray, total: int) -> float:
-    return 1.0 - float(((counts / total) ** 2).sum())
+def _best_cuts(
+    M: np.ndarray, order: np.ndarray, nid: np.ndarray, hist: np.ndarray, is_open: np.ndarray, y: np.ndarray,
+    counts: np.ndarray, min_leaf: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(node, feature, lower value, upper value) of the best cut of each open
+    node whose gain is above ``_MIN_GAIN``.
 
-
-def _majority(labels: np.ndarray, counts: np.ndarray) -> int:
-    values, y = np.unique(labels, return_inverse=True)
-    # np.unique sorts ascending, argmax takes the first max: count ties
-    # resolve to the lowest label value
-    return int(values[np.argmax(np.bincount(y, weights=counts))])
-
-
-def _best_split(M: np.ndarray, labels: np.ndarray, counts: np.ndarray, min_leaf: int):
-    """Best (feature, threshold, gain) by Gini gain, row ``i`` standing for
-    ``counts[i]`` equal rows.
-
-    Candidates are midpoints between consecutive distinct values, or the
-    lower value where the midpoint does not lie in [lower, upper); ties keep
-    the lowest feature index, then the lowest threshold. Every column is
-    scored at once: each value gets its dense rank within its column, and one
-    class-count histogram over (rank, feature, class), cumulated over the
-    ranks, holds the left-hand class counts of every cut after rank ``r``.
-    The histogram has at most ``len(M) * d * n_classes`` cells.
+    ``order[f]`` holds column ``f``'s active rows grouped by node, each
+    node's in value order; ``nid`` is the node at each position, ``hist``
+    each node's class counts. A cut is a candidate where the next row is in
+    the same node and holds another value. Gini sums run over the training
+    set's classes in ascending order (an absent class adds an exact 0.0). A
+    node takes the first maximum gain in (feature, position) order: the
+    lowest feature, then the lowest threshold.
     """
-    d = M.shape[1]
-    n = int(counts.sum())
+    n_classes = hist.shape[1]
+    vals = M[order, np.arange(len(order))[:, None]]
+    changes, same_node = vals[:, 1:] != vals[:, :-1], nid[1:] == nid[:-1]
+    feat, pos = np.nonzero(changes & same_node & is_open[nid[1:]])
+    node = nid[pos]
+    # a run: one column's rows of one value in one node, numbered from 1; row r of cum sums runs 1..r
+    run = np.cumsum(np.concatenate([np.ones((len(vals), 1), dtype=bool), changes | ~same_node], axis=1))
+    cells = run * n_classes + y[order].ravel()
+    cum = np.cumsum(np.bincount(cells, counts[order].ravel(), (run[-1] + 1) * n_classes).reshape(-1, n_classes), 0)
+    at = feat * len(nid)
+    left = cum[run[at + pos]] - cum[run[at + np.searchsorted(nid, node)] - 1]  # (candidates, n_classes)
+    total = hist.sum(axis=1)
+    n, n_left = total[node], left.sum(axis=1)
+    n_right = n - n_left
+    parent = 1.0 - ((hist / total[:, None]) ** 2).sum(axis=1)
+    gini_left = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
+    gini_right = 1.0 - (((hist[node] - left) / n_right[:, None]) ** 2).sum(axis=1)
+    child = (n_left * gini_left + n_right * gini_right) / n
+    gain = np.where((n_left >= min_leaf) & (n_right >= min_leaf), parent[node] - child, -np.inf)
+    ranked = np.lexsort((-gain, node))  # stable: by node, then falling gain, then (feature, position)
+    ranked_node = node[ranked]
+    best = ranked[np.searchsorted(ranked_node, ranked_node) == np.arange(len(ranked))]  # each node's first
+    best = best[gain[best] > _MIN_GAIN]
+    return node[best], feat[best], vals[feat[best], pos[best]], vals[feat[best], pos[best] + 1]
+
+
+def _train_tree(
+    M: np.ndarray, labels: np.ndarray, counts: np.ndarray, max_depth: int | None, min_leaf: int
+) -> TreeModel:
+    """The tree grown breadth-first, row ``i`` standing for ``counts[i]``
+    equal rows: each column is argsorted once, stably, and at each level its
+    active rows are stably sorted by node, so ``_best_cuts`` scores every
+    node of the level at once. A node with one class, at ``max_depth`` or
+    without a cut is a leaf. Training does not recurse.
+    """
     classes, y = np.unique(labels, return_inverse=True)
     n_classes = len(classes)
-    parent = _gini(np.bincount(y, weights=counts, minlength=n_classes), n)
+    order = np.argsort(M, axis=0, kind="stable").T  # (d, active rows), grouped by node
+    node_of = np.zeros(len(M), dtype=np.intp)  # each row's node in the level, -1 once in a leaf
+    root = TreeNode()
+    level, depth = [root], 0
+    while level:
+        rows = order[0]
+        nid = node_of[rows]  # the node at each position, ascending
+        hist = np.bincount(nid * n_classes + y[rows], counts[rows], len(level) * n_classes).reshape(-1, n_classes)
+        is_open = (np.count_nonzero(hist, axis=1) > 1) & (max_depth is None or depth < max_depth)
+        split, feature, lower, upper = _best_cuts(M, order, nid, hist, is_open, y, counts, min_leaf)
 
-    order = np.argsort(M, axis=0, kind="stable")
-    sorted_vals = np.take_along_axis(M, order, axis=0)
-    ranks = np.zeros(M.shape, dtype=np.int64)
-    np.cumsum(sorted_vals[1:] != sorted_vals[:-1], axis=0, out=ranks[1:])
-    n_ranks = int(ranks[-1].max(initial=0)) + 1
-    if n_ranks == 1:
-        return None, None, 0.0
-    cells = (ranks * d + np.arange(d)) * n_classes + y[order]
-    hist = np.bincount(cells.ravel(), weights=counts[order].ravel(), minlength=n_ranks * d * n_classes)
-    cum = np.cumsum(hist.reshape(n_ranks, d, n_classes), axis=0)
+        split_of = np.full(len(level), -1)  # each split node's left child in the next level
+        feature_of, threshold_of = np.zeros(len(level), dtype=np.intp), np.zeros(len(level))
+        next_level: list[TreeNode] = []
+        for k, f, a, b in zip(split.tolist(), feature.tolist(), lower.tolist(), upper.tolist()):
+            threshold = (a + b) / 2.0
+            if not a <= threshold < b:  # the sum overflowed, or a and b are adjacent floats
+                threshold = a
+            split_of[k], feature_of[k], threshold_of[k] = len(next_level), f, threshold
+            level[k].feature, level[k].threshold, level[k].left, level[k].right = f, threshold, TreeNode(), TreeNode()
+            next_level += [level[k].left, level[k].right]
+        # argmax takes the first maximum, so a majority tie goes to the lowest label
+        for tree_node, label in zip(level, classes[np.argmax(hist, axis=1)].tolist()):
+            if tree_node.feature is None:
+                tree_node.label = label
 
-    # the cut after the last rank sends every row left, so it is never valid;
-    # in a column with fewer ranks the cuts past its last rank leave the right
-    # side empty, are invalid too, and their 0/0 quotients are discarded
-    left_counts = cum[:-1]
-    total_counts = cum[-1]
-    right_counts = total_counts - left_counts
-    n_left = left_counts.sum(axis=2)
-    n_right = n - n_left
-
-    valid = (n_left >= min_leaf) & (n_right >= min_leaf)
-    with np.errstate(invalid="ignore"):
-        gini_left = 1.0 - ((left_counts / n_left[..., None]) ** 2).sum(axis=2)
-        gini_right = 1.0 - ((right_counts / n_right[..., None]) ** 2).sum(axis=2)
-    child = (n_left * gini_left + n_right * gini_right) / n
-    gains = np.where(valid, parent - child, -np.inf)
-
-    cut = np.argmax(gains, axis=0)  # first max per feature = lowest threshold
-    feature_gains = gains[cut, np.arange(d)]
-    feature = int(np.argmax(feature_gains))  # first max = lowest feature index
-    gain = float(feature_gains[feature])
-    if not gain > 0.0:
-        return None, None, 0.0
-    # the last row left of the cut: ranks ascend down each sorted column
-    i = int(np.searchsorted(ranks[:, feature], cut[feature], side="right")) - 1
-    a, b = float(sorted_vals[i, feature]), float(sorted_vals[i + 1, feature])
-    threshold = (a + b) / 2.0
-    if not a <= threshold < b:  # the sum overflowed, or a and b are adjacent floats
-        threshold = a
-    return feature, threshold, gain
-
-
-def _grow_tree(
-    M: np.ndarray, labels: np.ndarray, counts: np.ndarray, depth: int, max_depth: int | None, min_leaf: int
-) -> TreeNode:
-    if len(np.unique(labels)) == 1:
-        return TreeNode(label=int(labels[0]))
-    if max_depth is not None and depth >= max_depth:
-        return TreeNode(label=_majority(labels, counts))
-    feature, threshold, gain = _best_split(M, labels, counts, min_leaf)
-    if feature is None or gain <= _MIN_GAIN:
-        return TreeNode(label=_majority(labels, counts))
-    mask = M[:, feature] <= threshold
-    left = _grow_tree(M[mask], labels[mask], counts[mask], depth + 1, max_depth, min_leaf)
-    right = _grow_tree(M[~mask], labels[~mask], counts[~mask], depth + 1, max_depth, min_leaf)
-    return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
+        goes_right = M[rows, feature_of[nid]] > threshold_of[nid]
+        node_of[rows] = np.where(split_of[nid] < 0, -1, split_of[nid] + goes_right)
+        key = node_of[order]
+        # a stable sort puts the rows now in leaves (-1) first; drop them
+        order = order[np.arange(len(order))[:, None], np.argsort(key, axis=1, kind="stable")]
+        order = order[:, np.count_nonzero(key[0] < 0) :]
+        level, depth = next_level, depth + 1
+    return TreeModel(dim=M.shape[1], root=root)
 
 
 def _tree_descend(node: TreeNode, x: np.ndarray) -> int:

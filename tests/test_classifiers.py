@@ -18,7 +18,6 @@ from numctx.classifiers import (
     TreeModel,
     TreeNode,
     _distinct_rows,
-    _gini,
     deserialize,
     predict,
     predict_batch,
@@ -181,6 +180,15 @@ class TestDecisionTree:
         X = [[0.0, 0.0], [1.0, 1.0]]
         model = train(X, [D, T], dt_cfg())
         assert model.root.feature == 0
+
+    def test_unlimited_depth_grows_a_1500_deep_chain(self):
+        # each Gini split peels one row off the end, so the tree is 1,500 levels deep
+        X = np.arange(1500, dtype=np.float64)[:, None]
+        y = [i % 2 for i in range(1500)]
+        model = train(X, y, dt_cfg(max_depth=None))
+        reloaded = deserialize(serialize(model))
+        assert serialize(reloaded) == serialize(model)
+        assert predict_batch(reloaded, X).tolist() == y
 
 
 class TestKnn:
@@ -485,6 +493,10 @@ class TestSvmMatchesPerClassTrainer:
 # --- frozen unweighted tree: the differential oracle ------------------------
 
 
+def _gini(counts, total):
+    return 1.0 - float(((counts / total) ** 2).sum())
+
+
 def _oracle_majority(labels):
     values, counts = np.unique(labels, return_counts=True)
     return int(values[np.argmax(counts)])
@@ -562,6 +574,18 @@ class TestTreeMatchesUnweightedTree:
     def test_duplicate_heavy_matrices(self, data):
         X, labels = _duplicate_heavy(data)
         max_depth = data.draw(st.sampled_from([None, 2, 16]), label="max_depth")
+        min_leaf = data.draw(st.integers(1, 3), label="min_leaf")
+        _assert_tree_matches_oracle(X, labels, max_depth, min_leaf)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_bow_like_matrices(self, data):
+        # counts 0-4 over many rows: deep trees whose levels hold many nodes at once
+        n = data.draw(st.integers(50, 300), label="rows")
+        dim = data.draw(st.integers(1, 20), label="dim")
+        X = data.draw(hnp.arrays(np.float64, (n, dim), elements=st.integers(0, 4).map(float)), label="X")
+        labels = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n), label="labels")
+        max_depth = data.draw(st.sampled_from([None, 16]), label="max_depth")
         min_leaf = data.draw(st.integers(1, 3), label="min_leaf")
         _assert_tree_matches_oracle(X, labels, max_depth, min_leaf)
 
