@@ -1,10 +1,10 @@
 """Character-unigram bag-of-words benchmark features.
 
 Each character of the number token (attached symbols included) is mapped to
-its 0-255 code value; codes above 255 land in the overflow bucket 255. The
-vocabulary assigns columns in order of first appearance over the training
-tokens, so it never exceeds 256 columns, and encoding counts the
-in-vocabulary grams of a token.
+its 0-255 code value; codes above 255 land in the overflow bucket 255. A
+token's 256 byte counts are one fixed encoding. The vocabulary is the bytes
+the training tokens hold, in order of first appearance, and it picks the
+encoding's columns in that order; other bytes drop.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from typing import Iterable
 import numpy as np
 
 _OVERFLOW = 255
+BYTES = _OVERFLOW + 1  # width of the fixed encoding
 
 
 def unigrams(token_raw: str) -> list[str]:
@@ -28,21 +29,17 @@ def gram_byte(gram: str) -> int:
     return min(ord(gram), _OVERFLOW)
 
 
-def build_vocab(training_tokens: Iterable[str]) -> dict[int, int]:
-    """Byte value -> column, columns assigned in first-appearance order, so
-    the dict's insertion order is its column order."""
-    columns: dict[int, int] = {}
-    for token in training_tokens:
-        for gram in unigrams(token):
-            columns.setdefault(gram_byte(gram), len(columns))
-    return columns
+def build_vocab(training_tokens: Iterable[str]) -> list[int]:
+    """The byte values of the training tokens, in first-appearance order."""
+    # a byte first appears with the first of the characters that map to it
+    first_characters = dict.fromkeys("".join(training_tokens))
+    return list(dict.fromkeys(map(gram_byte, first_characters)))
 
 
-def bow_encode(token_raw: str, columns: dict[int, int]) -> np.ndarray:
-    """Count in-vocabulary gram bytes; out-of-vocabulary grams are dropped."""
-    counts = np.zeros(len(columns), dtype=np.float64)
+def bow_encode(token_raw: str, columns: np.ndarray | list[int]) -> np.ndarray:
+    """The token's counts of the byte values ``columns``, in that order; a
+    gram whose byte is not among them is dropped."""
+    counts = np.zeros(BYTES, dtype=np.float64)
     for gram in unigrams(token_raw):
-        column = columns.get(gram_byte(gram))
-        if column is not None:
-            counts[column] += 1
-    return counts
+        counts[gram_byte(gram)] += 1
+    return counts[columns]

@@ -177,7 +177,7 @@ def _check_dim(model: TrainedModel, width: int) -> None:
 def train(X, y, cfg: TrainConfig) -> TrainedModel:
     """Fit the configured algorithm on (X, y); deterministic given cfg."""
     M = _as_matrix(X)
-    labels = np.asarray([int(v) for v in y], dtype=np.int64)
+    labels = np.asarray([_label(v, "training") for v in y], dtype=np.int64)
     if len(M) == 0:
         raise ValueError("training set is empty")
     if M.shape[1] == 0:
@@ -192,9 +192,8 @@ def train(X, y, cfg: TrainConfig) -> TrainedModel:
     if cfg.algorithm == Algorithm.LDA:
         return _train_lda(M, labels, cfg.shrinkage)
     # the tree and the SVM see each distinct (row, label) pair once, weighted
-    # by its count; the row's float bits are the key, so no label past 2**53
-    # is rounded into another
-    _, first, inverse = _distinct_rows(np.column_stack([M.view(np.int64), labels]))
+    # by its count
+    _, first, inverse = _distinct_rows(np.column_stack([M, labels]))
     counts = np.bincount(inverse)
     if cfg.algorithm == Algorithm.DecisionTree:
         return _train_tree(M[first], labels[first], counts, cfg.max_depth, cfg.min_leaf)
@@ -354,12 +353,13 @@ def _tree_descend(node: TreeNode, x: np.ndarray) -> int:
 
 
 def _train_lda(M: np.ndarray, labels: np.ndarray, shrinkage: float) -> LdaModel:
-    class_ids = np.unique(labels)
+    # a return flag keeps np.unique (numpy 2) from importing numpy.ma
+    class_ids, y = np.unique(labels, return_inverse=True)
     if len(class_ids) < 2:
         raise ValueError("LDA requires at least 2 classes in the training data")
     n, dim = M.shape
     means = np.vstack([M[labels == c].mean(axis=0) for c in class_ids])
-    centered = M - means[np.searchsorted(class_ids, labels)]
+    centered = M - means[y]
     scatter = centered.T @ centered
     denom = n - len(class_ids)
     pooled = scatter / denom if denom > 0 else np.zeros((dim, dim))
@@ -375,7 +375,7 @@ def _train_lda(M: np.ndarray, labels: np.ndarray, shrinkage: float) -> LdaModel:
             "pooled covariance is singular even after shrinkage; increase the shrinkage value"
         ) from None
     inv_covariance = np.linalg.inv(covariance)
-    log_priors = np.log(np.array([(labels == c).sum() for c in class_ids], dtype=np.float64) / n)
+    log_priors = np.log(np.bincount(y) / n)
     # the discriminant is linear in x: keep only its weights and bias
     coef = means @ inv_covariance  # (n_classes, dim)
     intercept = -0.5 * np.einsum("ij,ij->i", coef, means) + log_priors
@@ -386,7 +386,7 @@ def _train_lda(M: np.ndarray, labels: np.ndarray, shrinkage: float) -> LdaModel:
 
 
 def _train_svm(M: np.ndarray, labels: np.ndarray, counts: np.ndarray, c_reg: float, epochs: int) -> SvmModel:
-    class_ids = np.unique(labels)
+    class_ids = np.unique(labels, return_inverse=True)[0]  # the flag: see _train_lda
     rows, dim = M.shape
     n = int(counts.sum())
     targets = np.where(labels == class_ids[:, None], 1.0, -1.0)  # (n_classes, rows)
@@ -418,7 +418,9 @@ def _fmt_vec(v: np.ndarray) -> str:
 
 
 def serialize(model: TrainedModel) -> str:
-    """Render a model as a versioned, platform-independent text blob."""
+    """Render a model as a versioned text blob. Its bytes are equal under the
+    same BLAS kernel; LDA weights can differ in their last digits across
+    kernels."""
     lines = [_MAGIC, f"algorithm {model.algorithm.value}", f"dim {model.dim}"]
     if isinstance(model, KnnModel):
         lines.append(f"k {model.k}")
@@ -495,11 +497,13 @@ class LineReader:
         return result
 
 
-def _label(field: str, key: str) -> int:
-    """The label on a ``key`` line; one ``serialize`` never writes is refused at that line."""
+def _label(field, key: str) -> int:
+    """``field`` as a label; one outside the FormatLabel values raises a
+    ValueError naming ``key``, so ``train`` never fits a label that
+    ``read_model`` would refuse on the line that holds it."""
     label = int(field)
     if not 0 <= label < len(FormatLabel):
-        raise ModelFormatError(f"{key} label {label} is not a FormatLabel value")
+        raise ValueError(f"{key} label {label} is not a FormatLabel value")
     return label
 
 

@@ -2,11 +2,11 @@
 
 The confusion matrix is oriented with true labels along rows and predicted
 labels along columns, so recall reads along a row and precision down a
-column. Cross-validation pools the per-fold matrices by summation; any
-feature state learned from data (the bag-of-words vocabulary) is rebuilt
-from each fold's training split, and each fold's state, the extractor's
-``dump()`` lines, is kept so leakage is checkable; the corpus is encoded
-once per distinct state.
+column. Cross-validation pools the per-fold matrices by summation. It
+encodes each corpus row once; any feature state learned from data (the
+bag-of-words vocabulary) is rebuilt from each fold's training split and
+picks that fold's columns of the encoding, and each fold's state, the
+extractor's ``dump()`` lines, is kept so leakage is checkable.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ class ConfusionMatrix:
     counts: np.ndarray  # (6, 6) int64, rows true / columns predicted
 
     @classmethod
-    def empty(cls) -> "ConfusionMatrix":
-        return cls(counts=np.zeros((len(LABELS), len(LABELS)), dtype=np.int64))
-
-    @classmethod
     def from_counts(cls, rows) -> "ConfusionMatrix":
         counts = np.asarray(rows, dtype=np.int64)
         if counts.shape != (len(LABELS), len(LABELS)):
@@ -39,9 +35,6 @@ class ConfusionMatrix:
         if (counts < 0).any():
             raise ValueError("confusion counts must be non-negative")
         return cls(counts=counts)
-
-    def add(self, true_label: FormatLabel, predicted: FormatLabel, amount: int = 1) -> None:
-        self.counts[int(true_label), int(predicted)] += amount
 
     def total(self) -> int:
         return int(self.counts.sum())
@@ -138,26 +131,21 @@ def cross_validate(
     features = make_features(extractor, lex)
     folds = stratified_folds(corpus, k, seed)
     y = np.array([int(s.label) for s in corpus], dtype=np.int64)
-    encoded: dict[tuple[str, ...], np.ndarray] = {}  # fitted state -> all rows
+    every_column = encode_rows(features, corpus)  # unfitted, it keeps every column
 
     fold_accuracies: list[float] = []
     states: list[tuple[str, ...]] = []
-    pooled = ConfusionMatrix.empty()
+    predicted = np.empty_like(y)  # each row's label from the one fold that tests it
     for fold in folds:
-        test_idx = np.array(fold, dtype=np.int64)
-        train_idx = np.array(sorted(set(range(len(corpus))) - set(fold)), dtype=np.int64)
-        features.fit([corpus[i].number for i in train_idx])
-        state = tuple(features.dump())
-        if state not in encoded:
-            encoded[state] = encode_rows(features, corpus)
-        X = encoded[state]
-        states.append(state)
-        model = train(X[train_idx], y[train_idx], cfg)
-        predicted = predict_batch(model, X[test_idx])
-        correct = int((predicted == y[test_idx]).sum())
-        fold_accuracies.append(correct / len(test_idx))
-        for true_value, pred_value in zip(y[test_idx], predicted):
-            pooled.add(FormatLabel(int(true_value)), FormatLabel(int(pred_value)))
+        test = np.zeros(len(corpus), dtype=bool)
+        test[list(fold)] = True
+        features.fit([s.number for s, held_out in zip(corpus, test) if not held_out])
+        states.append(tuple(features.dump()))
+        X = every_column[:, features.columns]
+        model = train(X[~test], y[~test], cfg)
+        predicted[test] = predict_batch(model, X[test])
+        fold_accuracies.append(int((predicted[test] == y[test]).sum()) / len(fold))
+    pooled = np.bincount(y * len(LABELS) + predicted, minlength=len(LABELS) ** 2)
 
     highest, mean, std = summarize(fold_accuracies)
     return RunSummary(
@@ -169,7 +157,7 @@ def cross_validate(
         highest=highest,
         mean=mean,
         std=std,
-        pooled=pooled,
+        pooled=ConfusionMatrix(pooled.reshape(len(LABELS), len(LABELS))),
         fold_states=tuple(states),
     )
 

@@ -5,15 +5,20 @@ extractors here, so this module alone chooses between context and
 bag-of-words features. An extractor maps a number to a hashable ``key``,
 everything its vector depends on (the six context codes, or the number's
 raw text for bag-of-words), and ``vector(key)`` is that number's feature
-row. A pipeline is not changed after it is built, so ``Pipeline.label``
-remembers the label of each key it has seen (up to ``MEMO_SIZE`` keys,
-least recently used dropped first) and runs the model only for a new key.
+row: the ``columns`` its fitted state keeps of one fixed encoding, all 56
+context columns or the vocabulary's bytes out of the 256 byte counts. An
+unfitted extractor keeps every column, so cross-validation encodes the
+corpus once and takes each fold's columns from it. A pipeline is not
+changed after it is built, so ``Pipeline.label`` remembers the label of
+each key it has seen (up to ``MEMO_SIZE`` keys, least recently used
+dropped first) and runs the model only for a new key.
 An extractor's fitted state is its ``dump()`` lines and nothing else: the
 pipeline file stores them and cross-validation compares them. A pipeline
 file holds, line by line: the magic, the lexicon (``lexicon <count>`` then
 one ``lexentry <word> <Class>`` per entry; the verbalizer reads it too),
 ``extractor <name>`` and that extractor's state, then the model as
-``classifiers.serialize`` writes it, whose width must be the extractor's.
+``classifiers.serialize`` writes it, whose width must be the extractor's
+number of columns.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ class ContextFeatures:
 
     name = "context"
     windowed = True
-    width = context_features.FEATURE_DIM
+    columns = np.arange(context_features.FEATURE_DIM)
 
     def __init__(self, lexicon: Lexicon):
         self.lexicon = lexicon
@@ -67,41 +72,37 @@ class ContextFeatures:
 
 class BowFeatures:
     """Character counts of the number itself; the window is not read. The
-    state is ``vocab <byte> ...``, byte values in column order."""
+    state is ``vocab <byte> ...``, the kept byte values in column order."""
 
     name = "bow"
     windowed = False
 
     def __init__(self):
-        self.vocab: dict[int, int] = {}  # byte -> column, inserted in column order
-
-    @property
-    def width(self) -> int:
-        return len(self.vocab)
+        self.columns = np.arange(bow_features.BYTES)
 
     def fit(self, numbers: list[NumberToken]) -> None:
-        self.vocab = bow_features.build_vocab([n.raw for n in numbers])
+        self.columns = np.array(bow_features.build_vocab([n.raw for n in numbers]), dtype=np.intp)
 
     def key(self, window: ContextWindow | None, number: NumberToken) -> str:
         return number.raw
 
     def vector(self, key: str) -> np.ndarray:
-        return bow_features.bow_encode(key, self.vocab)
+        return bow_features.bow_encode(key, self.columns)
 
     def dump(self) -> list[str]:
-        return [" ".join(["vocab", *map(str, self.vocab)])]
+        return [" ".join(["vocab", *map(str, self.columns)])]
 
     def load(self, reader: LineReader) -> None:
-        vocab: dict[int, int] = {}
+        columns: list[int] = []
         for b in map(int, reader.take("vocab")):
-            if not 0 <= b <= 255:  # gram_byte never yields it, so its column could never fire
+            if not 0 <= b < bow_features.BYTES:  # not one of the byte counts
                 raise ModelFormatError(f"'vocab' byte {b} outside 0..255")
-            if b in vocab:
+            if b in columns:
                 raise ModelFormatError("'vocab' line repeats a byte")
-            vocab[b] = len(vocab)
-        if not vocab:  # every number has at least one byte, so fit never writes this
+            columns.append(b)
+        if not columns:  # every number has at least one byte, so fit never writes this
             raise ModelFormatError("'vocab' line names no byte")
-        self.vocab = vocab
+        self.columns = np.array(columns, dtype=np.intp)
 
 
 Features = ContextFeatures | BowFeatures
@@ -176,6 +177,6 @@ class Pipeline:
         features = make_features(extractor, lexicon)
         features.load(reader)
         model = classifiers.read_model(reader)
-        if model.dim != features.width:
-            raise ModelFormatError(f"model dim {model.dim} does not match the {extractor} width {features.width}")
+        if model.dim != len(features.columns):
+            raise ModelFormatError(f"model dim {model.dim} does not match the {extractor} width {len(features.columns)}")
         return cls(lexicon, features, model)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from numctx.bow_features import bow_encode, build_vocab, gram_byte, unigrams
+from numctx.bow_features import BYTES, bow_encode, build_vocab, gram_byte, unigrams
 
 
 class TestUnigrams:
@@ -37,18 +38,26 @@ class TestGramByte:
 
 class TestBuildVocab:
     def test_first_appearance_order(self):
-        vocab = build_vocab(["1500"])
-        assert vocab == {49: 0, 53: 1, 48: 2}
-        assert len(vocab) == 3
+        assert build_vocab(["1500"]) == [49, 53, 48]
 
     def test_empty(self):
         assert len(build_vocab([])) == 0
 
+    def test_overflow_characters_share_one_byte(self):
+        assert build_vocab(["€1", "漢", "2"]) == [255, 49, 50]
+
+    @given(st.lists(st.text()))
+    def test_matches_per_gram_loop(self, tokens):
+        # the loop build_vocab ran before it deduplicated characters first
+        columns: dict[int, int] = {}
+        for token in tokens:
+            for gram in unigrams(token):
+                columns.setdefault(gram_byte(gram), len(columns))
+        assert build_vocab(tokens) == list(columns)
+
     def test_insertion_order_is_column_order(self):
-        # the pipeline file writes the keys as they come, as the column order
-        vocab = build_vocab(["RM 2.50", "1500"])
-        assert list(vocab.values()) == list(range(len(vocab)))
-        assert list(vocab) == [82, 77, 32, 50, 46, 53, 48, 49]
+        # the pipeline file writes the bytes as they come, as the column order
+        assert build_vocab(["RM 2.50", "1500"]) == [82, 77, 32, 50, 46, 53, 48, 49]
 
 
 class TestBowEncode:
@@ -61,7 +70,7 @@ class TestBowEncode:
         assert bow_encode("", vocab).tolist() == [0, 0, 0]
 
     def test_out_of_vocab_dropped(self):
-        vocab = {49: 0, 48: 1}
+        vocab = [49, 48]
         counts = bow_encode("1500", vocab)
         assert counts.sum() == 3  # the '5' gram is dropped
 
@@ -81,4 +90,10 @@ class TestBowEncode:
     def test_encoding_does_not_mutate_vocab(self):
         vocab = build_vocab(["1500"])
         bow_encode("zzz999%", vocab)
-        assert vocab == {49: 0, 53: 1, 48: 2}
+        assert vocab == [49, 53, 48]
+
+    def test_vocab_picks_columns_of_every_byte(self):
+        # cross-validation encodes with every byte once, then picks a fold's vocabulary
+        vocab = build_vocab(["RM 2.50", "1500"])
+        for token in ["1500", "RM 2.50", "999", "abc", "€5"]:
+            assert np.array_equal(bow_encode(token, np.arange(BYTES))[vocab], bow_encode(token, vocab))

@@ -85,6 +85,13 @@ class TestTrainContract:
         with pytest.raises(ValueError):
             train([[0.0], [1.0]], [D], dt_cfg())
 
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    @pytest.mark.parametrize("label", [-1, 6, 2**53])
+    def test_label_not_a_format_label_refused(self, algorithm, label):
+        # read_model refuses such a label, so train must not fit one
+        with pytest.raises(ValueError, match=f"^training label {label} is not a FormatLabel value$"):
+            train([[0.0], [1.0]], [D, label], TrainConfig(algorithm=algorithm))
+
     def test_predict_dimension_mismatch(self):
         model = train([[0.0, 1.0], [1.0, 0.0]], [D, T], dt_cfg())
         with pytest.raises(ValueError):
@@ -339,13 +346,6 @@ class TestDistinctRows:
         _, first, inverse = _distinct_rows(np.column_stack([M, labels]))
         assert first.tolist() == [0, 1]
         assert np.bincount(inverse).tolist() == [2, 1]
-
-    @pytest.mark.parametrize("algorithm", [Algorithm.DecisionTree, Algorithm.LinearSVM])
-    def test_labels_past_2_to_53_kept_apart(self, algorithm):
-        # 2**53 + 1 rounds to 2**53 as a float64, yet the majority is 2**53
-        labels = [2**53 + 1, 2**53, 2**53]
-        model = train(np.zeros((3, 1)), labels, TrainConfig(algorithm=algorithm, max_depth=1))
-        assert int(predict_batch(model, np.zeros((1, 1)))[0]) == 2**53
 
 
 # --- frozen every-point KNN scan: the differential oracle -------------------

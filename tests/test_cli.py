@@ -276,6 +276,25 @@ class TestCompare:
         assert "--extractor" in err
         assert out == ""
 
+    def test_lda_and_svm_never_import_numpy_ma(self):
+        # numpy.ma holds about 1.3 MB resident, and np.unique with no return
+        # flag imports it on numpy 2; a fresh process shows what compare loads
+        script = (
+            "import json, sys\n"
+            "import numpy\n"
+            "numpy_alone = 'numpy.ma' in sys.modules\n"
+            "from numctx import cli\n"
+            "codes = [cli.main(['compare', '--classifier', name]) for name in ('lda', 'svm')]\n"
+            "print(json.dumps([numpy_alone, codes, 'numpy.ma' in sys.modules]), file=sys.stderr)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(numctx.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        numpy_alone, codes, after = json.loads(proc.stderr.splitlines()[-1])
+        if numpy_alone:
+            pytest.skip("import numpy alone already loads numpy.ma (numpy 1.x)")
+        assert codes == [0, 0]
+        assert not after
+
 
 class TestTrainAndClassify:
     def test_train_then_classify(self, toy_corpus_path, tmp_path, monkeypatch, capsys):

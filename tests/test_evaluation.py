@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import separable_corpus
-from numctx.classifiers import Algorithm, TrainConfig
-from numctx.corpus import load_bundled_corpus
+from numctx import evaluation
+from numctx.classifiers import Algorithm, TrainConfig, predict_batch, train
+from numctx.context_features import default_lexicon
+from numctx.corpus import load_bundled_corpus, stratified_folds
 from numctx.evaluation import (
     ConfusionMatrix,
     accuracy,
@@ -20,6 +22,7 @@ from numctx.evaluation import (
     summarize,
 )
 from numctx.labels import LABELS, FormatLabel
+from numctx.pipeline import EXTRACTORS, encode_rows, make_features
 
 D, T, P, C, M, PC = FormatLabel
 
@@ -46,9 +49,9 @@ class TestMetrics:
             assert precision(cm, label) == 1.0
 
     def test_precision_empty_column_convention(self):
-        cm = ConfusionMatrix.empty()
-        cm.add(D, T, 3)
-        assert precision(cm, P) == 1.0
+        counts = np.zeros((6, 6), dtype=np.int64)
+        counts[D, T] = 3
+        assert precision(ConfusionMatrix.from_counts(counts), P) == 1.0
 
     def test_recall_date_row(self, reference_cm):
         assert recall(reference_cm, D) == pytest.approx(69 / 84)
@@ -89,7 +92,7 @@ class TestMetrics:
 
     def test_accuracy_empty_errors(self):
         with pytest.raises(ValueError):
-            accuracy(ConfusionMatrix.empty())
+            accuracy(ConfusionMatrix.from_counts(np.zeros((6, 6))))
 
     def test_class_metrics_in_range(self, reference_cm):
         for metrics in class_metrics(reference_cm).values():
@@ -139,8 +142,6 @@ class TestCrossValidate:
 
     def test_micro_consistency(self):
         # pooled-matrix accuracy equals the fold-size-weighted mean accuracy
-        from numctx.corpus import stratified_folds
-
         corpus = load_bundled_corpus()
         summary = cross_validate(corpus, "context", _dt(), k=10, seed=42)
         folds = stratified_folds(corpus, 10, 42)
@@ -150,7 +151,6 @@ class TestCrossValidate:
     def test_bow_vocab_rebuilt_per_fold(self):
         # each fold's state must be the vocabulary built from its training split alone
         from numctx.bow_features import build_vocab
-        from numctx.corpus import stratified_folds
         from numctx.locator import locate_numbers
 
         corpus = load_bundled_corpus()
@@ -163,7 +163,7 @@ class TestCrossValidate:
         for fold, (state,) in zip(folds, summary.fold_states):
             train_raws = [raws[i] for i in range(len(corpus)) if i not in set(fold)]
             _, *by_column = state.split(" ")
-            assert {int(b): column for column, b in enumerate(by_column)} == build_vocab(train_raws)
+            assert [int(b) for b in by_column] == build_vocab(train_raws)
 
     def test_unknown_extractor(self):
         with pytest.raises(ValueError):
@@ -172,6 +172,72 @@ class TestCrossValidate:
     def test_fold_count_respected(self):
         summary = cross_validate(separable_corpus(), "context", _dt(), k=5, seed=1)
         assert len(summary.fold_accuracies) == 5
+
+
+# --- frozen per-state encoding: the differential oracle ----------------------
+
+
+def _oracle_cross_validate(corpus, extractor, cfg, k, seed):
+    """cross_validate as it was before the corpus was encoded once: one
+    encode_rows per distinct fitted state, training indices from a set
+    difference, and one confusion add per test row."""
+    features = make_features(extractor, default_lexicon())
+    y = np.array([int(s.label) for s in corpus], dtype=np.int64)
+    encoded = {}
+    accuracies, states = [], []
+    counts = np.zeros((len(LABELS), len(LABELS)), dtype=np.int64)
+    for fold in stratified_folds(corpus, k, seed):
+        test_idx = np.array(fold, dtype=np.int64)
+        train_idx = np.array(sorted(set(range(len(corpus))) - set(fold)), dtype=np.int64)
+        features.fit([corpus[i].number for i in train_idx])
+        state = tuple(features.dump())
+        if state not in encoded:
+            encoded[state] = encode_rows(features, corpus)
+        X = encoded[state]
+        states.append(state)
+        model = train(X[train_idx], y[train_idx], cfg)
+        predicted = predict_batch(model, X[test_idx])
+        accuracies.append(int((predicted == y[test_idx]).sum()) / len(test_idx))
+        for true_value, pred_value in zip(y[test_idx], predicted):
+            counts[true_value, pred_value] += 1
+    return tuple(accuracies), counts, tuple(states)
+
+
+@pytest.fixture(scope="module")
+def bundled():
+    return load_bundled_corpus()
+
+
+class TestMatchesPerStateEncoding:
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    @pytest.mark.parametrize("k", [2, 5, 10])
+    @pytest.mark.parametrize("algorithm", [Algorithm.DecisionTree, Algorithm.KNN, Algorithm.LDA])
+    @pytest.mark.parametrize("extractor", EXTRACTORS)
+    def test_equal_to_oracle(self, bundled, extractor, algorithm, k, seed):
+        self._check(bundled, extractor, TrainConfig(algorithm=algorithm), k, seed)
+
+    def test_svm_equal_to_oracle(self, bundled):
+        self._check(bundled, "bow", TrainConfig(algorithm=Algorithm.LinearSVM), 5, 7)
+
+    @staticmethod
+    def _check(corpus, extractor, cfg, k, seed):
+        summary = cross_validate(corpus, extractor, cfg, k=k, seed=seed)
+        accuracies, counts, states = _oracle_cross_validate(corpus, extractor, cfg, k, seed)
+        assert summary.fold_accuracies == accuracies
+        assert np.array_equal(summary.pooled.counts, counts)
+        assert summary.fold_states == states
+
+    @pytest.mark.parametrize("extractor", EXTRACTORS)
+    def test_corpus_encoded_once(self, bundled, extractor, monkeypatch):
+        calls = []
+
+        def counted(features, corpus):
+            calls.append(features.name)
+            return encode_rows(features, corpus)
+
+        monkeypatch.setattr(evaluation, "encode_rows", counted)
+        cross_validate(bundled, extractor, _dt(), k=10, seed=42)
+        assert calls == [extractor]
 
 
 class TestReports:
