@@ -174,10 +174,22 @@ def _check_dim(model: TrainedModel, width: int) -> None:
         raise ValueError(f"feature dimension {width} does not match model dimension {model.dim}")
 
 
+def _training_labels(y) -> np.ndarray:
+    """``y`` as int64 labels; the first one outside the FormatLabel values
+    raises ``_label``'s error. A 1-d integer array, as cross-validation
+    passes, is checked with one range test."""
+    if isinstance(y, np.ndarray) and y.ndim == 1 and y.dtype.kind in "iu":
+        bad = (y < 0) | (y >= len(FormatLabel))
+        if bad.any():
+            _label(y[bad.argmax()], "training")  # raises
+        return y.astype(np.int64)
+    return np.asarray([_label(v, "training") for v in y], dtype=np.int64)
+
+
 def train(X, y, cfg: TrainConfig) -> TrainedModel:
     """Fit the configured algorithm on (X, y); deterministic given cfg."""
     M = _as_matrix(X)
-    labels = np.asarray([_label(v, "training") for v in y], dtype=np.int64)
+    labels = _training_labels(y)
     if len(M) == 0:
         raise ValueError("training set is empty")
     if M.shape[1] == 0:

@@ -26,7 +26,7 @@ from .corpus import (
     scan_corpus,
 )
 from .labels import LABELS
-from .locator import locate_numbers, tokenize
+from .locator import locate_numbers, shape_of
 from .pipeline import EXTRACTORS, Pipeline
 from .verbalizer import (
     CurrencyMode,
@@ -260,11 +260,11 @@ def cmd_classify(args) -> int:
         text = line.rstrip("\n")
         if not text:
             continue
-        tokens = tokenize(text)
-        for number in locate_numbers(text):
-            window = context_features.window_for_token(tokens, number)
-            label = pipeline.label(window, number)
-            words = verbalize(number, label, style, context=window, lexicon=pipeline.lexicon)
+        numbers = locate_numbers(text)
+        for number, window in zip(numbers, context_features.line_windows(text, numbers)):
+            shape = shape_of(number)
+            label = pipeline.label(window, number, shape)
+            words = verbalize(number, label, style, context=window, lexicon=pipeline.lexicon, shape=shape)
             start, end = number.span
             print(f"{start}-{end}\t{label.name}\t{words}")
     return 0

@@ -1,17 +1,21 @@
 """Context-window feature extraction.
 
 The feature of a number is its two neighboring words on each side plus the
-number's own surface shape. Window words are mapped to keyword classes
-through an editable lexicon, and the four positions, the shape kind, and a
-digit-count bucket are six integer codes (``codes``), one-hot encoded into
-a fixed 56-dimension vector (``one_hot``) that does not depend on any
-corpus statistics.
+number's own surface shape. ``line_windows`` finds the window of every
+number of a line from one scan of the line's words (``scan_words``); two
+bisects over the word offsets give the first and last word a number
+covers. Window words are mapped to keyword classes through an editable
+lexicon, and the four positions, the shape kind, and a digit-count bucket
+are six integer codes (``codes``), one-hot encoded into a fixed
+56-dimension vector (``one_hot``) that does not depend on any corpus
+statistics.
 """
 
 from __future__ import annotations
 
 import functools
 import io
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from importlib import resources
@@ -25,6 +29,7 @@ from .locator import (
     NumberToken,
     WordToken,
     locate_numbers,
+    scan_words,
 )
 
 
@@ -146,32 +151,50 @@ def extract_window(tokens: list[WordToken], number_index: int) -> ContextWindow:
     """Window around the word token at ``number_index``."""
     if not 0 <= number_index < len(tokens):
         raise IndexError(f"number_index {number_index} out of range for {len(tokens)} tokens")
-    return _window_between(tokens, number_index, number_index)
+    return _window_between([t.lowered for t in tokens], number_index, number_index)
 
 
 def window_for_token(tokens: list[WordToken], number: NumberToken) -> ContextWindow:
-    """Window around a located number.
+    """Window around a located number, given the line's ``tokenize`` tokens."""
+    starts = [t.span[0] for t in tokens]
+    ends = [t.span[1] for t in tokens]
+    return _covering_window(starts, ends, [t.lowered for t in tokens], number)
 
-    A number may cover several word tokens (an absorbed ``RM`` keeps its own
-    word token), so the window is taken before the first and after the last
-    word token overlapping the number's span.
+
+def line_windows(text: str, numbers: list[NumberToken]) -> list[ContextWindow]:
+    """The window of each of ``numbers``, located in ``text``, from one scan
+    of the line's words."""
+    if not numbers:
+        return []
+    starts, ends, lowered = scan_words(text)
+    return [_covering_window(starts, ends, lowered, number) for number in numbers]
+
+
+def _covering_window(starts: list[int], ends: list[int], lowered: list[str], number: NumberToken) -> ContextWindow:
+    """Window before the first and after the last word overlapping the number.
+
+    A number may cover several words (an absorbed ``RM`` keeps its own
+    word), and words are disjoint and in text order, so the covered words
+    run from the first that ends after the number starts to the last that
+    starts before it ends.
     """
     start, end = number.span
-    covered = [i for i, t in enumerate(tokens) if t.span[0] < end and t.span[1] > start]
-    if not covered:
+    first = bisect_right(ends, start)
+    last = bisect_left(starts, end) - 1
+    if first > last:
         raise ValueError(f"number token {number.raw!r} at {number.span} overlaps no word token")
-    return _window_between(tokens, covered[0], covered[-1])
+    return _window_between(lowered, first, last)
 
 
-def _window_between(tokens: list[WordToken], first: int, last: int) -> ContextWindow:
-    def word(i: int) -> str | None:
-        return tokens[i].lowered if 0 <= i < len(tokens) else None
-
+def _window_between(lowered: list[str], first: int, last: int) -> ContextWindow:
+    """The two words before word ``first`` and the two after word ``last``;
+    a slot past either end of the line is None."""
+    n = len(lowered)
     return ContextWindow(
-        preposition2=word(first - 2),
-        preposition1=word(first - 1),
-        postposition1=word(last + 1),
-        postposition2=word(last + 2),
+        preposition2=lowered[first - 2] if first >= 2 else None,
+        preposition1=lowered[first - 1] if first >= 1 else None,
+        postposition1=lowered[last + 1] if last + 1 < n else None,
+        postposition2=lowered[last + 2] if last + 2 < n else None,
     )
 
 

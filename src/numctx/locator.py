@@ -1,5 +1,10 @@
 """Tokenization and number location.
 
+Words are runs of non-space text with leading and trailing sentence
+punctuation detached. ``scan_words`` is the one pass over a line's words
+that ``classify`` makes: each word's start, end and lowered text, with no
+object per word; ``tokenize`` gives the same words as ``WordToken``s.
+
 Numbers are maximal ASCII digit runs. Punctuation out of ``. , : - /`` is
 absorbed into a number only when flanked by digits on both sides, so a
 sentence-final full stop never joins the number before it. An immediately
@@ -72,6 +77,19 @@ def tokenize(text: str) -> list[WordToken]:
     dropped.
     """
     return [WordToken(surface=m[0], span=m.span(), lowered=m[0].lower()) for m in _WORD_RE.finditer(text)]
+
+
+def scan_words(text: str) -> tuple[list[int], list[int], list[str]]:
+    """The starts, ends and lowered texts of the words ``tokenize`` finds, in
+    text order."""
+    starts: list[int] = []
+    ends: list[int] = []
+    lowered: list[str] = []
+    for m in _WORD_RE.finditer(text):
+        starts.append(m.start())
+        ends.append(m.end())
+        lowered.append(m[0].lower())
+    return starts, ends, lowered
 
 
 def locate_numbers(text: str) -> list[NumberToken]:

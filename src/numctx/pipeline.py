@@ -35,7 +35,7 @@ from .classifiers import LineReader, ModelFormatError, TrainConfig
 from .context_features import ContextWindow, Lexicon
 from .corpus import Corpus
 from .labels import FormatLabel
-from .locator import NumberToken, shape_of, tokenize
+from .locator import NumberShape, NumberToken, shape_of
 
 _MAGIC = "numctx-pipeline v3"
 EXTRACTORS = ("context", "bow")
@@ -57,8 +57,8 @@ class ContextFeatures:
     def fit(self, numbers: list[NumberToken]) -> None:
         pass
 
-    def key(self, window: ContextWindow, number: NumberToken) -> tuple[int, ...]:
-        return context_features.codes(window, shape_of(number), self.lexicon)
+    def key(self, window: ContextWindow, number: NumberToken, shape: NumberShape) -> tuple[int, ...]:
+        return context_features.codes(window, shape, self.lexicon)
 
     def vector(self, key: tuple[int, ...]) -> np.ndarray:
         return context_features.one_hot(key)
@@ -83,7 +83,7 @@ class BowFeatures:
     def fit(self, numbers: list[NumberToken]) -> None:
         self.columns = np.array(bow_features.build_vocab([n.raw for n in numbers]), dtype=np.intp)
 
-    def key(self, window: ContextWindow | None, number: NumberToken) -> str:
+    def key(self, window: ContextWindow | None, number: NumberToken, shape: NumberShape | None) -> str:
         return number.raw
 
     def vector(self, key: str) -> np.ndarray:
@@ -118,11 +118,13 @@ def make_features(extractor: str, lexicon: Lexicon) -> Features:
 
 
 def encode_rows(features: Features, corpus: Corpus) -> np.ndarray:
-    """Every corpus row's vector; windows are built only for extractors that read them."""
-    windows = [None] * len(corpus)
-    if features.windowed:
-        windows = [context_features.window_for_token(tokenize(s.text), s.number) for s in corpus]
-    return np.vstack([features.vector(features.key(w, s.number)) for w, s in zip(windows, corpus)])
+    """Every corpus row's vector; windows and shapes are built only for extractors that read them."""
+    if not features.windowed:
+        return np.vstack([features.vector(features.key(None, s.number, None)) for s in corpus])
+    windows = [context_features.line_windows(s.text, [s.number])[0] for s in corpus]
+    return np.vstack(
+        [features.vector(features.key(w, s.number, shape_of(s.number))) for w, s in zip(windows, corpus)]
+    )
 
 
 @dataclass
@@ -142,9 +144,9 @@ class Pipeline:
 
         self.memo = functools.lru_cache(maxsize=MEMO_SIZE)(predict)
 
-    def label(self, window: ContextWindow, number: NumberToken) -> FormatLabel:
-        """The model's label for ``number`` in ``window``, computed once per key."""
-        return self.memo(self.features.key(window, number))
+    def label(self, window: ContextWindow, number: NumberToken, shape: NumberShape) -> FormatLabel:
+        """The model's label for ``number``, of shape ``shape``, in ``window``; computed once per key."""
+        return self.memo(self.features.key(window, number, shape))
 
     @classmethod
     def fit(cls, corpus: Corpus, cfg: TrainConfig, extractor: str, lexicon: Lexicon) -> "Pipeline":

@@ -19,7 +19,7 @@ from enum import Enum
 
 from .context_features import ContextWindow, KeywordClass, Lexicon, default_lexicon
 from .labels import FormatLabel
-from .locator import NumberToken, ShapeKind, shape_of
+from .locator import NumberShape, NumberToken, ShapeKind, shape_of
 
 _ONES = ["kosong", "satu", "dua", "tiga", "empat", "lima", "enam", "tujuh", "lapan", "sembilan"]
 _MAGNITUDES = ["", "ribu", "juta", "bilion", "trilion", "kuadrilion"]
@@ -151,11 +151,13 @@ def verbalize(
     style: VerbalizationStyle = DEFAULT_STYLE,
     context: ContextWindow | None = None,
     lexicon: Lexicon | None = None,
+    shape: NumberShape | None = None,
 ) -> str:
     """Convert a classified number token into Malay words; ``lexicon`` (the
-    bundled one by default) tells which context words name a currency or unit."""
+    bundled one by default) tells which context words name a currency or unit.
+    ``shape`` is the token's ``shape_of``, for a caller that already has it."""
     lexicon = lexicon if lexicon is not None else default_lexicon()
-    shape = shape_of(token)
+    shape = shape if shape is not None else shape_of(token)
     reader, kinds = _READINGS[label]
     if shape.kind not in kinds:
         raise VerbalizationError(f"token {token.raw!r} with shape {shape.kind.name} cannot be read as {label.name}")

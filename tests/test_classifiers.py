@@ -86,11 +86,15 @@ class TestTrainContract:
             train([[0.0], [1.0]], [D], dt_cfg())
 
     @pytest.mark.parametrize("algorithm", list(Algorithm))
-    @pytest.mark.parametrize("label", [-1, 6, 2**53])
+    @pytest.mark.parametrize("label", [-1, 6, 2**53, 2**64])
     def test_label_not_a_format_label_refused(self, algorithm, label):
         # read_model refuses such a label, so train must not fit one
-        with pytest.raises(ValueError, match=f"^training label {label} is not a FormatLabel value$"):
+        message = f"^training label {label} is not a FormatLabel value$"
+        with pytest.raises(ValueError, match=message):
             train([[0.0], [1.0]], [D, label], TrainConfig(algorithm=algorithm))
+        if label < 2**63:  # as cross-validation passes labels; the first bad one is named
+            with pytest.raises(ValueError, match=message):
+                train([[0.0], [1.0], [2.0]], np.array([D, label, 7], dtype=np.int64), TrainConfig(algorithm=algorithm))
 
     def test_predict_dimension_mismatch(self):
         model = train([[0.0, 1.0], [1.0, 0.0]], [D, T], dt_cfg())

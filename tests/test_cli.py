@@ -11,6 +11,7 @@ import pytest
 from conftest import separable_corpus
 from numctx.classifiers import ModelFormatError, deserialize
 import numctx
+from numctx import cli, context_features, locator, pipeline, verbalizer
 from numctx.cli import build_parser, main
 from numctx.context_features import default_lexicon_path
 from numctx.corpus import save_corpus
@@ -18,6 +19,9 @@ from numctx.pipeline import Pipeline
 
 COURT_SENTENCE = "Mahkamah menetapkan 21 Januari ini untuk sebutan semula kes"
 YEN_SENTENCE = "Harga buku itu 500 yen sahaja ."
+# two numbers each; the second line's RM is its own word, covered by the number
+CLOCK_SENTENCE = "Mahkamah menetapkan 21 Januari ini pada jam 10:30 pagi"
+SPACED_RM_SENTENCE = "Harga naik 5% kepada RM 12 sahaja"
 HEADER = "id,text,start,end,label\n"
 ZEROS = " ".join(["0"] * 56)
 
@@ -370,6 +374,38 @@ class TestTrainAndClassify:
         assert first.startswith("7-28\t")
         assert f"\t{digits} {digits} satu" in first
         assert second == f"14-39\tCurrency\t{digits} {digits} satu dua ringgit"
+
+    def test_classify_scans_each_line_once_and_shapes_each_number_once(self, tmp_path, monkeypatch, capsys):
+        model_path = tmp_path / "model.txt"
+        assert run(["train", "--output", str(model_path)], capsys=capsys)[0] == 0
+        calls = {"scan_words": 0, "shape_of": 0, "tokenize": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        # every module's own reference, so a call through any of them counts
+        for module in (locator, context_features, pipeline, verbalizer, cli):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        code, out, err = run(
+            ["classify", "--model", str(model_path)],
+            stdin_text=CLOCK_SENTENCE + "\n" + SPACED_RM_SENTENCE + "\n",
+            monkeypatch=monkeypatch,
+            capsys=capsys,
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "20-22\tDate\tdua puluh satu januari",
+            "44-49\tTime\tsepuluh tiga puluh pagi",
+            "11-13\tPercentage\tlima peratus",
+            "21-26\tCurrency\tdua belas ringgit",
+        ]
+        assert calls == {"scan_words": 2, "shape_of": 4, "tokenize": 0}
 
     def test_classify_empty_input(self, toy_corpus_path, monkeypatch, capsys):
         code, out, err = run(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from numctx.context_features import (
     FEATURE_DIM,
@@ -11,12 +12,13 @@ from numctx.context_features import (
     codes,
     default_lexicon,
     extract_window,
+    line_windows,
     load_lexicon,
     one_hot,
     token_at,
     window_for_token,
 )
-from numctx.locator import NumberShape, ShapeKind, locate_numbers, shape_of, tokenize
+from numctx.locator import NumberShape, NumberToken, ShapeKind, locate_numbers, shape_of, tokenize
 from numctx.pipeline import ContextFeatures
 
 COURT_SENTENCE = "Mahkamah menetapkan 21 Januari ini untuk sebutan semula kes"
@@ -25,8 +27,9 @@ COURT_SENTENCE = "Mahkamah menetapkan 21 Januari ini untuk sebutan semula kes"
 def encode_span(text, span, lexicon):
     """Encode the number at ``span`` as ``classify`` does."""
     tok = token_at(text, span)
+    (window,) = line_windows(text, [tok])
     features = ContextFeatures(lexicon)
-    return features.vector(features.key(window_for_token(tokenize(text), tok), tok))
+    return features.vector(features.key(window, tok, shape_of(tok)))
 
 
 class TestExtractWindow:
@@ -59,6 +62,50 @@ class TestExtractWindow:
         window = window_for_token(tokens, number)
         # 'RM' belongs to the number, so the window starts before it
         assert window == ContextWindow("harga", "barang", "sahaja", None)
+
+
+    def test_number_over_no_word_refused(self):
+        # a span over the space alone; located numbers always cover a word
+        space = NumberToken(raw=" ", span=(4, 5), digit_groups=("",), separators=())
+        with pytest.raises(ValueError, match="overlaps no word token"):
+            window_for_token(tokenize("satu dua"), space)
+        with pytest.raises(ValueError, match="overlaps no word token"):
+            line_windows("satu dua", [space])
+
+
+# --- differential oracle ----------------------------------------------------
+# A frozen copy of window_for_token as it was before the covered words were
+# found by bisect: a scan of every token of the line for each number.
+
+
+def _oracle_window(tokens, number):
+    start, end = number.span
+    covered = [i for i, t in enumerate(tokens) if t.span[0] < end and t.span[1] > start]
+    if not covered:
+        raise ValueError(f"number token {number.raw!r} at {number.span} overlaps no word token")
+
+    def word(i):
+        return tokens[i].lowered if 0 <= i < len(tokens) else None
+
+    first, last = covered[0], covered[-1]
+    return ContextWindow(word(first - 2), word(first - 1), word(last + 1), word(last + 2))
+
+
+# glued and spaced RM, every character that ends or splits a word, tabs, and
+# letters that lowercase to another letter (ẞ), to two characters (İ) or by
+# their place in the word (Σ)
+_LINE_ALPHABET = st.sampled_from(list("0123456789aK+%.,:/-;!?()\"' \tİẞΣ") + ["RM", "RM "])
+
+
+class TestLineWindowsMatchTheTokenScan:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_LINE_ALPHABET, max_size=40).map("".join))
+    def test_random_line(self, text):
+        numbers = locate_numbers(text)
+        tokens = tokenize(text)
+        expected = [_oracle_window(tokens, n) for n in numbers]
+        assert line_windows(text, numbers) == expected
+        assert [window_for_token(tokens, n) for n in numbers] == expected
 
 
 class TestClassifyWord:

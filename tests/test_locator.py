@@ -8,6 +8,7 @@ from numctx.locator import (
     ShapeKind,
     WordToken,
     locate_numbers,
+    scan_words,
     shape_of,
     tokenize,
 )
@@ -201,6 +202,10 @@ def _oracle_tokenize(text: str) -> list[WordToken]:
     return tokens
 
 
+def _columns(tokens: list[WordToken]) -> tuple[list[int], list[int], list[str]]:
+    return [t.span[0] for t in tokens], [t.span[1] for t in tokens], [t.lowered for t in tokens]
+
+
 def _oracle_is_digit(ch: str) -> bool:
     return "0" <= ch <= "9"
 
@@ -279,6 +284,7 @@ class TestMatchesFrozenScanner:
     def test_random_text(self, text):
         assert locate_numbers(text) == _oracle_locate_numbers(text)
         assert tokenize(text) == _oracle_tokenize(text)
+        assert scan_words(text) == _columns(_oracle_tokenize(text))
 
     @pytest.mark.parametrize(
         "text",
@@ -291,3 +297,4 @@ class TestMatchesFrozenScanner:
     def test_edge_cases(self, text):
         assert locate_numbers(text) == _oracle_locate_numbers(text)
         assert tokenize(text) == _oracle_tokenize(text)
+        assert scan_words(text) == _columns(_oracle_tokenize(text))

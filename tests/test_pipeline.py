@@ -72,6 +72,8 @@ LEXICON = default_lexicon()
 CORPUS = load_corpus(bundled_corpus_path())
 NUMBERS = [s.number for s in CORPUS]
 WINDOWS = [window_for_token(tokenize(s.text), n) for s, n in zip(CORPUS, NUMBERS)]
+SHAPES = [shape_of(n) for n in NUMBERS]
+ROWS = list(zip(WINDOWS, NUMBERS, SHAPES))
 ALGORITHMS = [a.value for a in Algorithm]
 
 # words of every keyword class: one lexicon word per assignable class, an
@@ -98,11 +100,11 @@ def bundled_pipelines():
 class TestCodes:
     def test_one_hot_of_codes_is_the_frozen_encoding_on_every_corpus_row(self):
         features = ContextFeatures(LEXICON)
-        for window, number in zip(WINDOWS, NUMBERS):
-            expected = _oracle_encode(window, shape_of(number), LEXICON)
-            key = codes(window, shape_of(number), LEXICON)
+        for window, number, shape in ROWS:
+            expected = _oracle_encode(window, shape, LEXICON)
+            key = codes(window, shape, LEXICON)
             assert np.array_equal(one_hot(key), expected)
-            assert np.array_equal(features.vector(features.key(window, number)), expected)
+            assert np.array_equal(features.vector(features.key(window, number, shape)), expected)
 
     @settings(max_examples=300, deadline=None)
     @given(windows, shapes)
@@ -125,20 +127,20 @@ class TestLabelMatchesPredict:
         pipeline = bundled_pipelines[(algorithm, extractor)]
         expected = [predict(pipeline.model, _oracle_vector(pipeline, w, n)) for w, n in zip(WINDOWS, NUMBERS)]
         pipeline.memo.cache_clear()
-        first = [pipeline.label(w, n) for w, n in zip(WINDOWS, NUMBERS)]
+        first = [pipeline.label(*row) for row in ROWS]
         misses = pipeline.memo.cache_info().misses
-        second = [pipeline.label(w, n) for w, n in zip(WINDOWS, NUMBERS)]
+        second = [pipeline.label(*row) for row in ROWS]
         assert first == expected
         assert second == expected
-        distinct = {pipeline.features.key(w, n) for w, n in zip(WINDOWS, NUMBERS)}
+        distinct = {pipeline.features.key(*row) for row in ROWS}
         assert misses == len(distinct) < len(NUMBERS)  # the first pass already hits
         assert pipeline.memo.cache_info().misses == misses  # the second pass only hits
 
     @pytest.mark.parametrize("extractor", EXTRACTORS)
     def test_key_determines_the_vector_on_every_corpus_row(self, bundled_pipelines, extractor):
         pipeline = bundled_pipelines[("dt", extractor)]
-        for window, number in zip(WINDOWS, NUMBERS):
-            vector = pipeline.features.vector(pipeline.features.key(window, number))
+        for window, number, shape in ROWS:
+            vector = pipeline.features.vector(pipeline.features.key(window, number, shape))
             assert np.array_equal(vector, _oracle_vector(pipeline, window, number))
 
     @settings(max_examples=200, deadline=None)
@@ -146,7 +148,7 @@ class TestLabelMatchesPredict:
     def test_bow_key_determines_the_vector(self, bundled_pipelines, text):
         pipeline = bundled_pipelines[("dt", "bow")]
         for number in locate_numbers(text):
-            vector = pipeline.features.vector(pipeline.features.key(None, number))
+            vector = pipeline.features.vector(pipeline.features.key(None, number, None))
             assert np.array_equal(vector, _oracle_vector(pipeline, None, number))
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -163,7 +165,7 @@ class TestMemo:
         pipeline = bundled_pipelines[("dt", "bow")]
         pipeline.memo.cache_clear()
         numbers = [n for i in range(MEMO_SIZE + 200) for n in locate_numbers(str(i))]
-        labels = [pipeline.label(None, n) for n in numbers]
+        labels = [pipeline.label(None, n, None) for n in numbers]
         info = pipeline.memo.cache_info()
         assert info.maxsize == MEMO_SIZE
         assert info.currsize == MEMO_SIZE
@@ -174,7 +176,7 @@ class TestMemo:
     def test_each_pipeline_has_its_own_memo(self):
         a = Pipeline.fit(CORPUS, TrainConfig(algorithm=Algorithm.KNN), "context", LEXICON)
         b = Pipeline.fit(CORPUS, TrainConfig(algorithm=Algorithm.KNN), "context", LEXICON)
-        a.label(WINDOWS[0], NUMBERS[0])
+        a.label(*ROWS[0])
         assert a.memo.cache_info().currsize == 1
         assert b.memo.cache_info().currsize == 0
 
@@ -182,7 +184,7 @@ class TestMemo:
         # a memo that referred back to its pipeline would keep every dropped
         # pipeline, model included, alive until the next garbage collection
         pipeline = Pipeline.fit(CORPUS, TrainConfig(algorithm=Algorithm.KNN), "context", LEXICON)
-        pipeline.label(WINDOWS[0], NUMBERS[0])
+        pipeline.label(*ROWS[0])
         gone = weakref.ref(pipeline)
         gc.disable()
         try:
