@@ -70,10 +70,12 @@ class TrainConfig:
             raise ValueError(f"max_depth must be >= 1 or None, got {self.max_depth}")
         if self.min_leaf < 1:
             raise ValueError(f"min_leaf must be >= 1, got {self.min_leaf}")
-        if self.shrinkage < 0:
-            raise ValueError(f"shrinkage must be >= 0, got {self.shrinkage}")
-        if self.c_reg <= 0:
-            raise ValueError(f"c_reg must be > 0, got {self.c_reg}")
+        # negated range tests, so nan fails them too: a non-finite value would
+        # train a model file that no load accepts
+        if not 0 <= self.shrinkage < math.inf:
+            raise ValueError(f"shrinkage must be finite and >= 0, got {self.shrinkage}")
+        if not 0 < self.c_reg < math.inf:
+            raise ValueError(f"c_reg must be finite and > 0, got {self.c_reg}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 

@@ -20,14 +20,15 @@ from dataclasses import dataclass
 from enum import IntEnum
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .locator import (
+    SENTENCE_PUNCTUATION,
     SHAPE_KINDS,
     NumberShape,
     NumberToken,
-    WordToken,
     locate_numbers,
     scan_words,
 )
@@ -68,11 +69,16 @@ _ASSIGNABLE = {c.name: c for c in KEYWORD_CLASSES if c not in (KeywordClass.Unkn
 
 def add_entry(entries: dict[str, KeywordClass], word: str, class_name: str) -> None:
     """Check one lexicon entry and add it to ``entries``: the word must be one
-    lowercase word without whitespace and new to ``entries``, the class an
-    assignable keyword class. A bad entry raises LexiconError."""
-    if word.split() != [word] or word != word.lower():
-        # tokenize splits on whitespace and lookups lowercase, so such a word could never match
-        raise LexiconError(f"lexicon word {word!r} must be one lowercase word without whitespace")
+    lowercase word as ``scan_words`` finds it (without whitespace, neither
+    starting nor ending with sentence punctuation) and new to ``entries``,
+    the class an assignable keyword class. A bad entry raises LexiconError."""
+    if word.split() != [word] or word != word.lower() or word.strip(SENTENCE_PUNCTUATION) != word:
+        # scan_words splits on whitespace and detaches end punctuation, and
+        # lookups lowercase, so such a word could never match
+        raise LexiconError(
+            f"lexicon word {word!r} must be one lowercase word without whitespace, "
+            f"neither starting nor ending with any of {SENTENCE_PUNCTUATION}"
+        )
     cls = _ASSIGNABLE.get(class_name)
     if cls is None:
         if class_name in KeywordClass.__members__:
@@ -134,68 +140,47 @@ def default_lexicon() -> Lexicon:
     return load_lexicon(default_lexicon_path())
 
 
-@dataclass(frozen=True)
-class ContextWindow:
-    """The lowered words around a number; ``None`` marks a sentence boundary."""
+class ContextWindow(NamedTuple):
+    """The lowered words around a number; ``None`` marks a sentence boundary.
+    Iterating a window gives its four slots in this order."""
 
     preposition2: str | None
     preposition1: str | None
     postposition1: str | None
     postposition2: str | None
 
-    def slots(self) -> tuple[str | None, str | None, str | None, str | None]:
-        return (self.preposition2, self.preposition1, self.postposition1, self.postposition2)
-
-
-def extract_window(tokens: list[WordToken], number_index: int) -> ContextWindow:
-    """Window around the word token at ``number_index``."""
-    if not 0 <= number_index < len(tokens):
-        raise IndexError(f"number_index {number_index} out of range for {len(tokens)} tokens")
-    return _window_between([t.lowered for t in tokens], number_index, number_index)
-
-
-def window_for_token(tokens: list[WordToken], number: NumberToken) -> ContextWindow:
-    """Window around a located number, given the line's ``tokenize`` tokens."""
-    starts = [t.span[0] for t in tokens]
-    ends = [t.span[1] for t in tokens]
-    return _covering_window(starts, ends, [t.lowered for t in tokens], number)
-
 
 def line_windows(text: str, numbers: list[NumberToken]) -> list[ContextWindow]:
     """The window of each of ``numbers``, located in ``text``, from one scan
-    of the line's words."""
-    if not numbers:
-        return []
-    starts, ends, lowered = scan_words(text)
-    return [_covering_window(starts, ends, lowered, number) for number in numbers]
-
-
-def _covering_window(starts: list[int], ends: list[int], lowered: list[str], number: NumberToken) -> ContextWindow:
-    """Window before the first and after the last word overlapping the number.
+    of the line's words: the two words before the first and the two after
+    the last word overlapping the number, a slot past either end of the line
+    being None.
 
     A number may cover several words (an absorbed ``RM`` keeps its own
     word), and words are disjoint and in text order, so the covered words
     run from the first that ends after the number starts to the last that
     starts before it ends.
     """
-    start, end = number.span
-    first = bisect_right(ends, start)
-    last = bisect_left(starts, end) - 1
-    if first > last:
-        raise ValueError(f"number token {number.raw!r} at {number.span} overlaps no word token")
-    return _window_between(lowered, first, last)
-
-
-def _window_between(lowered: list[str], first: int, last: int) -> ContextWindow:
-    """The two words before word ``first`` and the two after word ``last``;
-    a slot past either end of the line is None."""
+    if not numbers:
+        return []
+    starts, ends, lowered = scan_words(text)
     n = len(lowered)
-    return ContextWindow(
-        preposition2=lowered[first - 2] if first >= 2 else None,
-        preposition1=lowered[first - 1] if first >= 1 else None,
-        postposition1=lowered[last + 1] if last + 1 < n else None,
-        postposition2=lowered[last + 2] if last + 2 < n else None,
-    )
+    windows = []
+    for number in numbers:
+        start, end = number.span
+        first = bisect_right(ends, start)
+        last = bisect_left(starts, end) - 1
+        if first > last:
+            raise ValueError(f"number token {number.raw!r} at {number.span} overlaps no word token")
+        windows.append(
+            ContextWindow(
+                preposition2=lowered[first - 2] if first >= 2 else None,
+                preposition1=lowered[first - 1] if first >= 1 else None,
+                postposition1=lowered[last + 1] if last + 1 < n else None,
+                postposition2=lowered[last + 2] if last + 2 < n else None,
+            )
+        )
+    return windows
 
 
 def classify_word(lexicon: Lexicon, word: str | None) -> KeywordClass:
@@ -217,7 +202,7 @@ def codes(window: ContextWindow, shape: NumberShape, lexicon: Lexicon) -> tuple[
     """The six codes a context vector is the one-hot of: the keyword class of
     each window slot (pre2, pre1, post1, post2), the shape kind and the
     digit bucket."""
-    classes = [int(classify_word(lexicon, word)) for word in window.slots()]
+    classes = [int(classify_word(lexicon, word)) for word in window]
     return (*classes, int(shape.kind), _bucket(shape.digit_count))
 
 

@@ -1,9 +1,9 @@
-"""Tokenization and number location.
+"""Word scanning and number location.
 
 Words are runs of non-space text with leading and trailing sentence
-punctuation detached. ``scan_words`` is the one pass over a line's words
-that ``classify`` makes: each word's start, end and lowered text, with no
-object per word; ``tokenize`` gives the same words as ``WordToken``s.
+punctuation (``SENTENCE_PUNCTUATION``) detached. ``scan_words`` is the one
+pass over a line's words: each word's start, end and lowered text, with no
+object per word.
 
 Numbers are maximal ASCII digit runs. Punctuation out of ``. , : - /`` is
 absorbed into a number only when flanked by digits on both sides, so a
@@ -21,14 +21,10 @@ from enum import IntEnum
 # [0-9], not \d: ASCII digits only. [^\W_] is exactly str.isalnum. + before RM.
 _NUMBER_RE = re.compile(r"(?:(?<![^\W_])(?:(\+)|(RM) ?))?([0-9]+(?:[.,:/-][0-9]+)*)(%)?")
 _SEPARATOR_RE = re.compile(r"([.,:/-])")
-_WORD_RE = re.compile(r"""[^\s.,;!?()"']+(?:[.,;!?()"']+[^\s.,;!?()"']+)*""")
-
-
-@dataclass(frozen=True)
-class WordToken:
-    surface: str
-    span: tuple[int, int]
-    lowered: str
+# detached from both ends of a word, kept inside it
+SENTENCE_PUNCTUATION = ".,;!?()\"'"
+_PUNCT = re.escape(SENTENCE_PUNCTUATION)
+_WORD_RE = re.compile(rf"[^\s{_PUNCT}]+(?:[{_PUNCT}]+[^\s{_PUNCT}]+)*")
 
 
 @dataclass(frozen=True)
@@ -69,19 +65,14 @@ class NumberShape:
     group_lengths: tuple[int, ...]
 
 
-def tokenize(text: str) -> list[WordToken]:
-    """Split on whitespace and detach leading/trailing sentence punctuation.
-
-    Punctuation inside a chunk (e.g. the dot of ``2.50`` or the hyphen of
-    ``kata-kata``) is left in place. Chunks that are punctuation only are
-    dropped.
-    """
-    return [WordToken(surface=m[0], span=m.span(), lowered=m[0].lower()) for m in _WORD_RE.finditer(text)]
-
-
 def scan_words(text: str) -> tuple[list[int], list[int], list[str]]:
-    """The starts, ends and lowered texts of the words ``tokenize`` finds, in
-    text order."""
+    """The starts, ends and lowered texts of the words of ``text``, in text order.
+
+    A word is a whitespace-separated chunk with its leading and trailing
+    sentence punctuation detached. Punctuation inside a chunk (e.g. the dot
+    of ``2.50`` or the hyphen of ``kata-kata``) is left in place. Chunks
+    that are punctuation only are dropped.
+    """
     starts: list[int] = []
     ends: list[int] = []
     lowered: list[str] = []

@@ -142,7 +142,7 @@ def _digits_spoken(digits: str) -> str:
 def _context_slots(context: ContextWindow | None) -> list[str]:
     if context is None:
         return []
-    return [w for w in context.slots() if w is not None]
+    return [w for w in context if w is not None]
 
 
 def verbalize(

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from numctx.corpus import Corpus, LabeledSentence
@@ -46,3 +48,25 @@ def separable_corpus(per_class: int = 10) -> Corpus:
                 )
             )
     return Corpus(sentences=tuple(rows))
+
+
+# --- the frozen word oracle --------------------------------------------------
+# A frozen copy of the character-walking tokenizer that the compiled word
+# pattern replaced: each word of ``text`` as (start, end, surface), in text
+# order. Locator and window tests compare the program's one word scan to it.
+
+_ORACLE_STRIP = ".,;!?()\"'"
+
+
+def _oracle_tokenize(text: str) -> list[tuple[int, int, str]]:
+    words: list[tuple[int, int, str]] = []
+    for m in re.finditer(r"\S+", text):
+        start, end = m.start(), m.end()
+        while start < end and text[start] in _ORACLE_STRIP:
+            start += 1
+        while end > start and text[end - 1] in _ORACLE_STRIP:
+            end -= 1
+        if start == end:
+            continue
+        words.append((start, end, text[start:end]))
+    return words

@@ -29,11 +29,11 @@ from numctx.classifiers import (
     train,
 )
 from numctx.cli import main
-from numctx.context_features import extract_window
+from numctx.context_features import line_windows
 from numctx.corpus import Corpus, LabeledSentence, load_bundled_corpus, stratified_folds
 from numctx.evaluation import ConfusionMatrix, cross_validate, precision, recall
 from numctx.labels import LABELS, FormatLabel
-from numctx.locator import locate_numbers, tokenize
+from numctx.locator import locate_numbers
 from numctx.verbalizer import VerbalizationStyle, YearMode, cardinal, verbalize, year_words
 
 COURT_SENTENCE = "Mahkamah menetapkan 21 Januari ini untuk sebutan semula kes"
@@ -113,11 +113,9 @@ def test_2_bow_byte_encoding():
 
 def test_3_context_window():
     with _report("3 context window of the reference sentence"):
-        tokens = tokenize(COURT_SENTENCE)
         (number,) = locate_numbers(COURT_SENTENCE)
-        index = next(i for i, t in enumerate(tokens) if t.span == number.span)
-        window = extract_window(tokens, index)
-        assert window.slots() == ("mahkamah", "menetapkan", "januari", "ini")
+        (window,) = line_windows(COURT_SENTENCE, [number])
+        assert tuple(window) == ("mahkamah", "menetapkan", "januari", "ini")
 
 
 # --- criterion 4: verbalizer fixtures ---------------------------------------
@@ -137,9 +135,7 @@ def test_4_verbalizer_fixtures():
 
         text = "2.00 PM"
         (two_pm,) = locate_numbers(text)
-        from numctx.context_features import window_for_token
-
-        window = window_for_token(tokenize(text), two_pm)
+        (window,) = line_windows(text, [two_pm])
         assert verbalize(two_pm, FormatLabel.Time, context=window) == "dua petang"
 
         (year,) = locate_numbers("1924")

@@ -63,7 +63,17 @@ class TestConfig:
             TrainConfig(algorithm=Algorithm.KNN, k=2)
 
     def test_bad_hyperparameters(self):
-        for kw in [dict(min_leaf=0), dict(max_depth=0), dict(c_reg=0.0), dict(epochs=0), dict(shrinkage=-1.0)]:
+        for kw in [
+            dict(min_leaf=0),
+            dict(max_depth=0),
+            dict(c_reg=0.0),
+            dict(epochs=0),
+            dict(shrinkage=-1.0),
+            dict(shrinkage=math.nan),
+            dict(shrinkage=math.inf),
+            dict(c_reg=math.nan),
+            dict(c_reg=math.inf),
+        ]:
             with pytest.raises(ValueError):
                 TrainConfig(algorithm=Algorithm.DecisionTree, **kw)
 

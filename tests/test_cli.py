@@ -190,6 +190,10 @@ class TestUsageErrors:
             ["--shrinkage", "-1"],
             ["--c-reg", "0"],
             ["--epochs", "0"],
+            ["--classifier", "lda", "--shrinkage", "nan"],
+            ["--classifier", "lda", "--shrinkage", "inf"],
+            ["--classifier", "svm", "--c-reg", "nan"],
+            ["--classifier", "svm", "--c-reg", "inf"],
         ],
     )
     def test_out_of_range_classifier_flag_names_the_flag(self, flags, capsys):
@@ -378,7 +382,7 @@ class TestTrainAndClassify:
     def test_classify_scans_each_line_once_and_shapes_each_number_once(self, tmp_path, monkeypatch, capsys):
         model_path = tmp_path / "model.txt"
         assert run(["train", "--output", str(model_path)], capsys=capsys)[0] == 0
-        calls = {"scan_words": 0, "shape_of": 0, "tokenize": 0}
+        calls = {"scan_words": 0, "shape_of": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -405,7 +409,7 @@ class TestTrainAndClassify:
             "11-13\tPercentage\tlima peratus",
             "21-26\tCurrency\tdua belas ringgit",
         ]
-        assert calls == {"scan_words": 2, "shape_of": 4, "tokenize": 0}
+        assert calls == {"scan_words": 2, "shape_of": 4}
 
     def test_classify_empty_input(self, toy_corpus_path, monkeypatch, capsys):
         code, out, err = run(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import _oracle_tokenize
+from hypothesis import example, given, settings, strategies as st
 
 from numctx.context_features import (
     FEATURE_DIM,
@@ -8,17 +9,16 @@ from numctx.context_features import (
     KeywordClass,
     Lexicon,
     LexiconError,
+    add_entry,
     classify_word,
     codes,
     default_lexicon,
-    extract_window,
     line_windows,
     load_lexicon,
     one_hot,
     token_at,
-    window_for_token,
 )
-from numctx.locator import NumberShape, NumberToken, ShapeKind, locate_numbers, shape_of, tokenize
+from numctx.locator import NumberShape, NumberToken, ShapeKind, locate_numbers, scan_words, shape_of
 from numctx.pipeline import ContextFeatures
 
 COURT_SENTENCE = "Mahkamah menetapkan 21 Januari ini untuk sebutan semula kes"
@@ -32,63 +32,59 @@ def encode_span(text, span, lexicon):
     return features.vector(features.key(window, tok, shape_of(tok)))
 
 
-class TestExtractWindow:
+class TestLineWindows:
     def test_court_sentence(self):
-        tokens = tokenize(COURT_SENTENCE)
-        window = extract_window(tokens, 2)
-        assert window == ContextWindow("mahkamah", "menetapkan", "januari", "ini")
+        assert line_windows(COURT_SENTENCE, locate_numbers(COURT_SENTENCE)) == [
+            ContextWindow("mahkamah", "menetapkan", "januari", "ini")
+        ]
 
     def test_first_token_has_boundaries(self):
-        tokens = tokenize("21 Januari ini")
-        window = extract_window(tokens, 0)
+        text = "21 Januari ini"
+        (window,) = line_windows(text, locate_numbers(text))
         assert window.preposition2 is None
         assert window.preposition1 is None
         assert window.postposition1 == "januari"
 
     def test_two_numbers_by_hand(self):
         text = "dari 5 hingga 10 peratus"
-        tokens = tokenize(text)
-        window = window_for_token(tokens, locate_numbers(text)[1])
+        window = line_windows(text, locate_numbers(text))[1]
         assert window == ContextWindow("5", "hingga", "peratus", None)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            extract_window(tokenize("satu dua"), 5)
 
     def test_absorbed_symbol_words_not_in_window(self):
         text = "harga barang RM 2.50 sahaja"
-        tokens = tokenize(text)
-        (number,) = locate_numbers(text)
-        window = window_for_token(tokens, number)
+        (window,) = line_windows(text, locate_numbers(text))
         # 'RM' belongs to the number, so the window starts before it
         assert window == ContextWindow("harga", "barang", "sahaja", None)
-
 
     def test_number_over_no_word_refused(self):
         # a span over the space alone; located numbers always cover a word
         space = NumberToken(raw=" ", span=(4, 5), digit_groups=("",), separators=())
         with pytest.raises(ValueError, match="overlaps no word token"):
-            window_for_token(tokenize("satu dua"), space)
-        with pytest.raises(ValueError, match="overlaps no word token"):
             line_windows("satu dua", [space])
 
 
 # --- differential oracle ----------------------------------------------------
-# A frozen copy of window_for_token as it was before the covered words were
-# found by bisect: a scan of every token of the line for each number.
+# A frozen copy of the window rule as it was before the covered words were
+# found by bisect: a scan of every word of the line for each number, over
+# the words of conftest's frozen tokenizer.
 
 
-def _oracle_window(tokens, number):
+def _oracle_window(words, number):
     start, end = number.span
-    covered = [i for i, t in enumerate(tokens) if t.span[0] < end and t.span[1] > start]
+    covered = [i for i, (w_start, w_end, _) in enumerate(words) if w_start < end and w_end > start]
     if not covered:
         raise ValueError(f"number token {number.raw!r} at {number.span} overlaps no word token")
 
     def word(i):
-        return tokens[i].lowered if 0 <= i < len(tokens) else None
+        return words[i][2].lower() if 0 <= i < len(words) else None
 
     first, last = covered[0], covered[-1]
-    return ContextWindow(word(first - 2), word(first - 1), word(last + 1), word(last + 2))
+    return ContextWindow(
+        preposition2=word(first - 2),
+        preposition1=word(first - 1),
+        postposition1=word(last + 1),
+        postposition2=word(last + 2),
+    )
 
 
 # glued and spaced RM, every character that ends or splits a word, tabs, and
@@ -102,10 +98,8 @@ class TestLineWindowsMatchTheTokenScan:
     @given(st.lists(_LINE_ALPHABET, max_size=40).map("".join))
     def test_random_line(self, text):
         numbers = locate_numbers(text)
-        tokens = tokenize(text)
-        expected = [_oracle_window(tokens, n) for n in numbers]
-        assert line_windows(text, numbers) == expected
-        assert [window_for_token(tokens, n) for n in numbers] == expected
+        words = _oracle_tokenize(text)
+        assert line_windows(text, numbers) == [_oracle_window(words, n) for n in numbers]
 
 
 class TestClassifyWord:
@@ -229,6 +223,22 @@ class TestLexiconFile:
         path.write_text("jam\tTimeWord\njam\tTimeWord\n", encoding="utf-8")
         with pytest.raises(LexiconError):
             load_lexicon(path)
+
+    # whitespace, sentence punctuation, a hyphen that stays inside a word,
+    # and letters whose lowercase differs
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(st.sampled_from(list(".,;!?()\"'- \t\u00a0aZİẞΣ")), max_size=6) | st.text(max_size=6))
+    @example("rm.")
+    @example("(jam")
+    def test_entry_rule_is_the_word_scan(self, word):
+        # a word is accepted exactly when scan_words finds it whole and
+        # lowered, so every accepted word can match
+        try:
+            add_entry({}, word, "TimeWord")
+            accepted = True
+        except LexiconError:
+            accepted = False
+        assert accepted == (scan_words(word)[2] == [word])
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "lex.tsv"

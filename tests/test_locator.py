@@ -1,46 +1,45 @@
-import re
-
 import pytest
+from conftest import _oracle_tokenize
 from hypothesis import given, settings, strategies as st
 
 from numctx.locator import (
     NumberToken,
     ShapeKind,
-    WordToken,
     locate_numbers,
     scan_words,
     shape_of,
-    tokenize,
 )
 
 
-class TestTokenize:
+def surfaces(text: str) -> list[str]:
+    starts, ends, _ = scan_words(text)
+    return [text[start:end] for start, end in zip(starts, ends)]
+
+
+class TestScanWords:
     def test_court_sentence(self):
-        tokens = tokenize("Mahkamah menetapkan 21 Januari ini untuk sebutan semula kes")
-        assert [t.lowered for t in tokens] == [
+        _, _, lowered = scan_words("Mahkamah menetapkan 21 Januari ini untuk sebutan semula kes")
+        assert lowered == [
             "mahkamah", "menetapkan", "21", "januari", "ini", "untuk", "sebutan", "semula", "kes",
         ]
 
     def test_empty_text(self):
-        assert tokenize("") == []
+        assert scan_words("") == ([], [], [])
 
     def test_detaches_final_full_stop(self):
         # hand tokenization: trailing '.' leaves the word, number dot stays
-        tokens = tokenize("harga RM 2.50.")
-        assert [t.surface for t in tokens] == ["harga", "RM", "2.50"]
+        assert surfaces("harga RM 2.50.") == ["harga", "RM", "2.50"]
 
     def test_detaches_leading_and_trailing_punctuation(self):
-        tokens = tokenize('(dia berkata "ya!") ...')
-        assert [t.surface for t in tokens] == ["dia", "berkata", "ya"]
+        assert surfaces('(dia berkata "ya!") ...') == ["dia", "berkata", "ya"]
 
     def test_spans_match_source(self):
         text = "ayat, dengan 2.50 nombor."
-        for token in tokenize(text):
-            start, end = token.span
-            assert text[start:end] == token.surface
+        for start, end, lowered in zip(*scan_words(text)):
+            assert text[start:end].lower() == lowered
 
     def test_word_internal_hyphen_kept(self):
-        assert [t.surface for t in tokenize("kata-kata itu")] == ["kata-kata", "itu"]
+        assert surfaces("kata-kata itu") == ["kata-kata", "itu"]
 
 
 class TestLocateNumbers:
@@ -181,29 +180,13 @@ class TestProperties:
 
 
 # --- differential oracle ----------------------------------------------------
-# A frozen copy of the character-walking scanners that the compiled patterns
-# replaced; the patterns must give exactly the same tokens on every input.
-
-_ORACLE_STRIP = ".,;!?()\"'"
-
-
-def _oracle_tokenize(text: str) -> list[WordToken]:
-    tokens: list[WordToken] = []
-    for m in re.finditer(r"\S+", text):
-        start, end = m.start(), m.end()
-        while start < end and text[start] in _ORACLE_STRIP:
-            start += 1
-        while end > start and text[end - 1] in _ORACLE_STRIP:
-            end -= 1
-        if start == end:
-            continue
-        surface = text[start:end]
-        tokens.append(WordToken(surface=surface, span=(start, end), lowered=surface.lower()))
-    return tokens
+# A frozen copy of the character-walking number scanner that the compiled
+# pattern replaced; the pattern must give exactly the same tokens on every
+# input, as scan_words must give the words of conftest's frozen tokenizer.
 
 
-def _columns(tokens: list[WordToken]) -> tuple[list[int], list[int], list[str]]:
-    return [t.span[0] for t in tokens], [t.span[1] for t in tokens], [t.lowered for t in tokens]
+def _columns(words: list[tuple[int, int, str]]) -> tuple[list[int], list[int], list[str]]:
+    return [start for start, _, _ in words], [end for _, end, _ in words], [w.lower() for _, _, w in words]
 
 
 def _oracle_is_digit(ch: str) -> bool:
@@ -283,7 +266,6 @@ class TestMatchesFrozenScanner:
     @given(st.lists(_ORACLE_ALPHABET, max_size=30).map("".join))
     def test_random_text(self, text):
         assert locate_numbers(text) == _oracle_locate_numbers(text)
-        assert tokenize(text) == _oracle_tokenize(text)
         assert scan_words(text) == _columns(_oracle_tokenize(text))
 
     @pytest.mark.parametrize(
@@ -296,5 +278,4 @@ class TestMatchesFrozenScanner:
     )
     def test_edge_cases(self, text):
         assert locate_numbers(text) == _oracle_locate_numbers(text)
-        assert tokenize(text) == _oracle_tokenize(text)
         assert scan_words(text) == _columns(_oracle_tokenize(text))

@@ -19,12 +19,12 @@ from numctx.context_features import (
     classify_word,
     codes,
     default_lexicon,
+    line_windows,
     one_hot,
-    window_for_token,
 )
 from numctx.corpus import bundled_corpus_path, load_corpus
 from numctx.evaluation import cross_validate
-from numctx.locator import SHAPE_KINDS, NumberShape, locate_numbers, shape_of, tokenize
+from numctx.locator import SHAPE_KINDS, NumberShape, locate_numbers, shape_of
 from numctx.pipeline import EXTRACTORS, MEMO_SIZE, ContextFeatures, Pipeline
 
 # --- frozen one-hot encoder: the differential oracle -------------------------
@@ -44,7 +44,9 @@ def _oracle_bucket(digit_count):
 def _oracle_encode(window, shape, lexicon):
     """``context_features.encode`` as it was before the six codes."""
     vec = np.zeros(56, dtype=np.float64)
-    for pos, word in enumerate(window.slots()):
+    # slots by name, so the oracle does not depend on the window's field order
+    slots = (window.preposition2, window.preposition1, window.postposition1, window.postposition2)
+    for pos, word in enumerate(slots):
         cls = classify_word(lexicon, word)
         vec[pos * _N_CLASSES + int(cls)] = 1.0
     shape_base = 4 * _N_CLASSES
@@ -71,7 +73,7 @@ def _oracle_vector(pipeline, window, number):
 LEXICON = default_lexicon()
 CORPUS = load_corpus(bundled_corpus_path())
 NUMBERS = [s.number for s in CORPUS]
-WINDOWS = [window_for_token(tokenize(s.text), n) for s, n in zip(CORPUS, NUMBERS)]
+WINDOWS = [line_windows(s.text, [n])[0] for s, n in zip(CORPUS, NUMBERS)]
 SHAPES = [shape_of(n) for n in NUMBERS]
 ROWS = list(zip(WINDOWS, NUMBERS, SHAPES))
 ALGORITHMS = [a.value for a in Algorithm]

@@ -2,9 +2,9 @@ import string
 
 import pytest
 
-from numctx.context_features import ContextWindow, KeywordClass, Lexicon, default_lexicon, window_for_token
+from numctx.context_features import ContextWindow, KeywordClass, Lexicon, default_lexicon, line_windows
 from numctx.labels import FormatLabel
-from numctx.locator import NumberToken, ShapeKind, locate_numbers, shape_of, tokenize
+from numctx.locator import NumberToken, ShapeKind, locate_numbers, shape_of
 from numctx.verbalizer import (
     DEFAULT_STYLE,
     CurrencyMode,
@@ -26,7 +26,7 @@ def tok(text: str) -> NumberToken:
 
 
 def win(text: str, index: int = 0) -> ContextWindow:
-    return window_for_token(tokenize(text), locate_numbers(text)[index])
+    return line_windows(text, locate_numbers(text))[index]
 
 
 class TestCardinal:
