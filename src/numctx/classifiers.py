@@ -254,16 +254,12 @@ def _knn_predict_one(model: KnnModel, x: np.ndarray) -> int:
     k = min(model.k, len(d))
     # stable sort: equal distances resolve to the lower training index
     nearest = np.argsort(d, kind="stable")[:k]
-    votes: dict[int, int] = {}
-    summed: dict[int, float] = {}
-    for i in nearest:
-        lab = int(model.labels[i])
-        votes[lab] = votes.get(lab, 0) + 1
-        summed[lab] = summed.get(lab, 0.0) + float(d[i])
-    best_count = max(votes.values())
-    tied = [lab for lab, n in votes.items() if n == best_count]
-    tied.sort(key=lambda lab: (summed[lab], lab))
-    return tied[0]
+    labels = model.labels[nearest]
+    votes = np.bincount(labels, minlength=len(FormatLabel))
+    # a weighted bincount adds in neighbour order, as a running sum would
+    summed = np.bincount(labels, d[nearest], minlength=len(FormatLabel))
+    # most votes, then least summed distance; the stable sort leaves the lowest label first
+    return int(np.lexsort((summed, -votes))[0])
 
 
 # --- decision tree -------------------------------------------------------

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .corpus import Corpus, LabeledSentence, save_corpus
 from .labels import FormatLabel
+from .verbalizer import MONTHS
 
 DEFAULT_SEED = 7
 
@@ -29,10 +30,7 @@ FILLERS = [
     "sudah", "masih", "turut", "sambil", "program", "majlis",
 ]
 
-_MONTH_WORDS = [
-    "Januari", "Februari", "Mac", "April", "Mei", "Jun",
-    "Julai", "Ogos", "September", "Oktober", "November", "Disember",
-]
+_MONTH_WORDS = [m.capitalize() for m in MONTHS]
 _PERIODS = ["pagi", "petang", "malam"]
 _UNITS = ["meter", "kilometer", "gram", "kilogram"]
 _COLLECTIVES = ["orang", "buah", "ekor", "biji", "botol"]

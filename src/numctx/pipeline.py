@@ -119,6 +119,8 @@ def make_features(extractor: str, lexicon: Lexicon) -> Features:
 
 def encode_rows(features: Features, corpus: Corpus) -> np.ndarray:
     """Every corpus row's vector; windows and shapes are built only for extractors that read them."""
+    if not corpus:  # np.vstack refuses an empty list; train names the empty set
+        return np.zeros((0, len(features.columns)))
     if not features.windowed:
         return np.vstack([features.vector(features.key(None, s.number, None)) for s in corpus])
     windows = [context_features.line_windows(s.text, [s.number])[0] for s in corpus]

@@ -5,7 +5,8 @@ format admits several spoken variants, the choice is made explicit through
 ``VerbalizationStyle`` rather than guessed. Some templates need words that
 live next to the number instead of inside it (a month name after a day, an
 ``am``/``pm`` marker after a clock time, the unit after a measurement), so
-``verbalize`` accepts the optional context window those words come from.
+``verbalize`` accepts the optional context window those words come from, and
+the lexicon tells which of those words names a month, a currency or a unit.
 Which shapes each label can be read from, and the reader that reads them,
 live in one table, ``_READINGS``; a label applied to any other shape raises
 ``VerbalizationError`` before a reader runs.
@@ -17,13 +18,13 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
-from .context_features import ContextWindow, KeywordClass, Lexicon, default_lexicon
+from .context_features import ContextWindow, KeywordClass, Lexicon, classify_word, default_lexicon
 from .labels import FormatLabel
 from .locator import NumberShape, NumberToken, ShapeKind, shape_of
 
 _ONES = ["kosong", "satu", "dua", "tiga", "empat", "lima", "enam", "tujuh", "lapan", "sembilan"]
 _MAGNITUDES = ["", "ribu", "juta", "bilion", "trilion", "kuadrilion"]
-_MONTHS = [
+MONTHS = [
     "januari", "februari", "mac", "april", "mei", "jun",
     "julai", "ogos", "september", "oktober", "november", "disember",
 ]
@@ -38,7 +39,8 @@ _UNIT_ABBREVS = {
     "ml": "mililiter",
     "l": "liter",
 }
-_PERIOD_WORDS = {"pagi", "petang", "malam", "tengah", "am", "pm"}
+# the period a window word names; "pm" (None) names the afternoon or evening of the hour
+_PERIODS = {"pagi": "pagi", "petang": "petang", "malam": "malam", "tengah": "tengah hari", "am": "pagi", "pm": None}
 
 CARDINAL_LIMIT = 10**18
 
@@ -154,7 +156,8 @@ def verbalize(
     shape: NumberShape | None = None,
 ) -> str:
     """Convert a classified number token into Malay words; ``lexicon`` (the
-    bundled one by default) tells which context words name a currency or unit.
+    bundled one by default) tells which context words name a month, a
+    currency or a unit, so a lexicon without ``Month`` rows names no month.
     ``shape`` is the token's ``shape_of``, for a caller that already has it."""
     lexicon = lexicon if lexicon is not None else default_lexicon()
     shape = shape if shape is not None else shape_of(token)
@@ -167,31 +170,29 @@ def verbalize(
 
 def _month_name(month: int) -> str:
     if 1 <= month <= 12:
-        return _MONTHS[month - 1]
+        return MONTHS[month - 1]
     # out-of-range month group: read it as a plain cardinal
     return cardinal(month)
 
 
-_MONTH_SET = frozenset(_MONTHS)
-
-
-def _month_from_context(context: ContextWindow | None) -> str | None:
+def _month_from_context(context: ContextWindow | None, lexicon: Lexicon) -> str | None:
+    """The first of post1, post2, pre1, pre2 that the lexicon classes as a month."""
     if context is None:
         return None
     for word in (context.postposition1, context.postposition2, context.preposition1, context.preposition2):
-        if word in _MONTH_SET:
+        if classify_word(lexicon, word) == KeywordClass.Month:
             return word
     return None
 
 
 def _verbalize_date(token, shape, style, context, lexicon) -> str:
-    if shape.kind == ShapeKind.SlashDate:
-        day, month, year = (int(g) for g in token.digit_groups)
+    # yyyy-mm-dd is d/m/y reversed; the kind test matters, as a PlainInt
+    # such as 2024,05,12 has the same group lengths
+    iso = shape.kind == ShapeKind.HyphenGroups and shape.group_lengths == (4, 2, 2)
+    if shape.kind == ShapeKind.SlashDate or iso:
+        day, month, year = (int(g) for g in (token.digit_groups[::-1] if iso else token.digit_groups))
         return f"{cardinal(day)} {_month_name(month)} {year_words(year, style.year_mode)}"
     if shape.kind == ShapeKind.HyphenGroups:
-        if shape.group_lengths == (4, 2, 2):
-            year, month, day = (int(g) for g in token.digit_groups)
-            return f"{cardinal(day)} {_month_name(month)} {year_words(year, style.year_mode)}"
         if shape.group_lengths == (4, 2):
             year, month = int(token.digit_groups[0]), int(token.digit_groups[1])
             return f"{_month_name(month)} {year_words(year, style.year_mode)}"
@@ -201,7 +202,7 @@ def _verbalize_date(token, shape, style, context, lexicon) -> str:
     value = int("".join(token.digit_groups))
     if shape.digit_count == 4:
         return year_words(value, style.year_mode)
-    month = _month_from_context(context)
+    month = _month_from_context(context, lexicon)
     if month:
         return f"{cardinal(value)} {month}"
     return cardinal(value)
@@ -220,20 +221,8 @@ def _day_period(hour24: int) -> str:
 def _verbalize_time(token, shape, style, context, lexicon) -> str:
     hour = int(token.digit_groups[0])
     minutes = int(token.digit_groups[1]) if len(token.digit_groups) > 1 else 0
-    period = None
-    for word in _context_slots(context):
-        if word in _PERIOD_WORDS:
-            if word == "am":
-                period = "pagi"
-            elif word == "pm":
-                period = _day_period(hour % 12 + 12)
-            elif word == "tengah":
-                period = "tengah hari"
-            else:
-                period = word
-            break
-    if period is None:
-        period = _day_period(hour)
+    word = next((w for w in _context_slots(context) if w in _PERIODS), None)
+    period = _PERIODS.get(word) or _day_period(hour % 12 + 12 if word == "pm" else hour)
     hour12 = hour % 12 or 12
     if minutes:
         return f"{cardinal(hour12)} {cardinal(minutes)} {period}"
@@ -245,15 +234,12 @@ def _verbalize_phone(token, shape, style, context, lexicon) -> str:
     return " ".join(_digits_spoken(group) for group in token.digit_groups)
 
 
-def _split_money(token: NumberToken) -> tuple[int, int]:
-    """(whole, cents): a final '.' group is cents, comma groups join."""
+def _whole_and_fraction(token: NumberToken) -> tuple[int, str]:
+    """The whole part, comma groups joined, and the digits of a final '.'
+    group, or "" when the token has none."""
     if token.separators and token.separators[-1] == ".":
-        whole_digits = "".join(token.digit_groups[:-1])
-        cents_digits = token.digit_groups[-1]
-        # single fraction digit means tens of sen: 2.5 reads as 2.50
-        cents = int(cents_digits) * 10 if len(cents_digits) == 1 else int(cents_digits)
-        return int(whole_digits), cents
-    return int("".join(token.digit_groups)), 0
+        return int("".join(token.digit_groups[:-1])), token.digit_groups[-1]
+    return int("".join(token.digit_groups)), ""
 
 
 def _currency_unit(context: ContextWindow | None, lexicon: Lexicon) -> str:
@@ -264,18 +250,13 @@ def _currency_unit(context: ContextWindow | None, lexicon: Lexicon) -> str:
 
 
 def _verbalize_currency(token, shape, style, context, lexicon) -> str:
-    whole, cents = _split_money(token)
-    if style.currency_mode == CurrencyMode.Symbolic:
-        parts = ["rm"]
-        if whole or not cents:
-            parts.append(cardinal(whole))
-        if cents:
-            parts.append(f"{cardinal(cents)} sen")
-        return " ".join(parts)
-    unit = _currency_unit(context, lexicon)
-    parts = []
+    whole, fraction = _whole_and_fraction(token)
+    # a single fraction digit means tens of sen: 2.5 reads as 2.50
+    cents = int(fraction.ljust(2, "0")) if fraction else 0
+    symbolic = style.currency_mode == CurrencyMode.Symbolic
+    parts = ["rm"] if symbolic else []
     if whole or not cents:
-        parts.append(f"{cardinal(whole)} {unit}")
+        parts.append(cardinal(whole) if symbolic else f"{cardinal(whole)} {_currency_unit(context, lexicon)}")
     if cents:
         parts.append(f"{cardinal(cents)} sen")
     return " ".join(parts)
@@ -283,10 +264,10 @@ def _verbalize_currency(token, shape, style, context, lexicon) -> str:
 
 def _decimal_words(token: NumberToken) -> str:
     """Integer part, then 'perpuluhan' and spoken digits for a '.' group."""
-    if token.separators and token.separators[-1] == ".":
-        whole = int("".join(token.digit_groups[:-1]))
-        return f"{cardinal(whole)} perpuluhan {_digits_spoken(token.digit_groups[-1])}"
-    return cardinal(int("".join(token.digit_groups)))
+    whole, fraction = _whole_and_fraction(token)
+    if fraction:
+        return f"{cardinal(whole)} perpuluhan {_digits_spoken(fraction)}"
+    return cardinal(whole)
 
 
 def _measurement_unit(context: ContextWindow | None, mode: UnitMode, lexicon: Lexicon) -> str | None:

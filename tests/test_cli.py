@@ -411,6 +411,17 @@ class TestTrainAndClassify:
         ]
         assert calls == {"scan_words": 2, "shape_of": 4}
 
+    @pytest.mark.parametrize("extractor", ["context", "bow"])
+    @pytest.mark.parametrize("command", ["train", "classify"])
+    def test_header_only_corpus_names_the_empty_training_set(self, command, extractor, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text(HEADER, encoding="utf-8")
+        argv = [command, "--corpus", str(path), "--extractor", extractor]
+        if command == "train":
+            argv += ["--output", str(tmp_path / "m.txt")]
+        code, out, err = run(argv, stdin_text="harga 5% sahaja\n", monkeypatch=monkeypatch, capsys=capsys)
+        assert (code, out, err) == (1, "", "numctx: error: training set is empty\n")
+
     def test_classify_empty_input(self, toy_corpus_path, monkeypatch, capsys):
         code, out, err = run(
             ["classify", "--corpus", toy_corpus_path],
@@ -626,7 +637,32 @@ def yen_lexicon(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def jan_lexicon(tmp_path):
+    """The bundled lexicon plus the month abbreviation ``jan``."""
+    path = tmp_path / "jan.tsv"
+    bundled = default_lexicon_path().read_text(encoding="utf-8")
+    path.write_text(bundled + "jan\tMonth\n", encoding="utf-8")
+    return str(path)
+
+
 class TestUserLexicon:
+    @pytest.mark.parametrize("classifier", ["dt", "knn", "lda", "svm"])
+    def test_date_reader_takes_month_words_from_model_lexicon(
+        self, classifier, jan_lexicon, tmp_path, monkeypatch, capsys
+    ):
+        model_path = tmp_path / "model.txt"
+        argv = ["train", "--classifier", classifier, "--lexicon", jan_lexicon, "--output", str(model_path)]
+        code, *_ = run(argv, capsys=capsys)
+        assert code == 0
+        code, out, err = run(
+            ["classify", "--model", str(model_path)],
+            stdin_text="Mesyuarat pada 21 jan ini\n",
+            monkeypatch=monkeypatch,
+            capsys=capsys,
+        )
+        assert (code, out) == (0, "15-17\tDate\tdua puluh satu jan\n")
+
     @pytest.mark.parametrize("classifier", ["lda", "svm"])
     def test_verbalizer_reads_lexicon_on_the_fly(self, classifier, yen_lexicon, monkeypatch, capsys):
         code, out, err = run(

@@ -1,12 +1,16 @@
+import itertools
 import string
+from collections.abc import Callable
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from numctx.context_features import ContextWindow, KeywordClass, Lexicon, default_lexicon, line_windows
 from numctx.labels import FormatLabel
 from numctx.locator import NumberToken, ShapeKind, locate_numbers, shape_of
 from numctx.verbalizer import (
     DEFAULT_STYLE,
+    MONTHS,
     CurrencyMode,
     UnitMode,
     VerbalizationError,
@@ -205,6 +209,22 @@ class TestVerbalizeFixtures:
         assert verbalize(tok("10-20 peratus"), PC) == "sepuluh hingga dua puluh peratus"
 
 
+class TestMonthWords:
+    def test_bundled_lexicon_month_words_are_months(self):
+        entries = default_lexicon().entries
+        assert [w for w, c in entries.items() if c == KeywordClass.Month] == MONTHS
+
+    def test_month_word_comes_from_the_given_lexicon(self):
+        lexicon = Lexicon(entries={**default_lexicon().entries, "jan": KeywordClass.Month})
+        text = "Mesyuarat pada 21 jan ini"
+        assert verbalize(tok(text), D, context=win(text)) == "dua puluh satu"
+        assert verbalize(tok(text), D, context=win(text), lexicon=lexicon) == "dua puluh satu jan"
+
+    def test_lexicon_without_months_names_none(self):
+        text = "Mahkamah menetapkan 21 Januari ini"
+        assert verbalize(tok(text), D, context=win(text), lexicon=Lexicon(entries={})) == "dua puluh satu"
+
+
 # frozen copy of the shapes each label can be read from; verbalize must raise
 # for exactly the label and shape pairs outside it
 READABLE = {
@@ -269,3 +289,293 @@ class TestStyleDefaults:
         assert DEFAULT_STYLE.year_mode == YearMode.Full
         assert DEFAULT_STYLE.currency_mode == CurrencyMode.Spoken
         assert DEFAULT_STYLE.unit_mode == UnitMode.Full
+
+
+# --- frozen oracle --------------------------------------------------------
+# The six readers and verbalize as they stood while the verbalizer still kept
+# a second copy of several reading rules (its own month set, two money and
+# decimal splits, two date lines, two currency templates, an if/elif period
+# chain). verbalize must read every token, label, style and window exactly as
+# they do, errors included.
+
+_ONES = ["kosong", "satu", "dua", "tiga", "empat", "lima", "enam", "tujuh", "lapan", "sembilan"]
+_MONTHS = [
+    "januari", "februari", "mac", "april", "mei", "jun",
+    "julai", "ogos", "september", "oktober", "november", "disember",
+]
+_UNIT_ABBREVS = {
+    "mm": "milimeter",
+    "cm": "sentimeter",
+    "m": "meter",
+    "km": "kilometer",
+    "mg": "miligram",
+    "g": "gram",
+    "kg": "kilogram",
+    "ml": "mililiter",
+    "l": "liter",
+}
+_PERIOD_WORDS = {"pagi", "petang", "malam", "tengah", "am", "pm"}
+
+
+def _digits_spoken(digits: str) -> str:
+    return " ".join(_ONES[int(d)] for d in digits)
+
+
+def _context_slots(context: ContextWindow | None) -> list[str]:
+    if context is None:
+        return []
+    return [w for w in context if w is not None]
+
+
+def oracle_verbalize(token, label, style=DEFAULT_STYLE, context=None, lexicon=None, shape=None) -> str:
+    lexicon = lexicon if lexicon is not None else default_lexicon()
+    shape = shape if shape is not None else shape_of(token)
+    reader, kinds = _READINGS[label]
+    if shape.kind not in kinds:
+        raise VerbalizationError(f"token {token.raw!r} with shape {shape.kind.name} cannot be read as {label.name}")
+    words = reader(token, shape, style, context, lexicon)
+    return " ".join(words.lower().split())
+
+
+def _month_name(month: int) -> str:
+    if 1 <= month <= 12:
+        return _MONTHS[month - 1]
+    # out-of-range month group: read it as a plain cardinal
+    return cardinal(month)
+
+
+_MONTH_SET = frozenset(_MONTHS)
+
+
+def _month_from_context(context: ContextWindow | None) -> str | None:
+    if context is None:
+        return None
+    for word in (context.postposition1, context.postposition2, context.preposition1, context.preposition2):
+        if word in _MONTH_SET:
+            return word
+    return None
+
+
+def _verbalize_date(token, shape, style, context, lexicon) -> str:
+    if shape.kind == ShapeKind.SlashDate:
+        day, month, year = (int(g) for g in token.digit_groups)
+        return f"{cardinal(day)} {_month_name(month)} {year_words(year, style.year_mode)}"
+    if shape.kind == ShapeKind.HyphenGroups:
+        if shape.group_lengths == (4, 2, 2):
+            year, month, day = (int(g) for g in token.digit_groups)
+            return f"{cardinal(day)} {_month_name(month)} {year_words(year, style.year_mode)}"
+        if shape.group_lengths == (4, 2):
+            year, month = int(token.digit_groups[0]), int(token.digit_groups[1])
+            return f"{_month_name(month)} {year_words(year, style.year_mode)}"
+        return " ".join(cardinal(int(g)) for g in token.digit_groups)
+    # plain integer: 4 digits read as a year, anything else as a day number
+    # with the month picked up from the surrounding words when present
+    value = int("".join(token.digit_groups))
+    if shape.digit_count == 4:
+        return year_words(value, style.year_mode)
+    month = _month_from_context(context)
+    if month:
+        return f"{cardinal(value)} {month}"
+    return cardinal(value)
+
+
+def _day_period(hour24: int) -> str:
+    if hour24 == 12:
+        return "tengah hari"
+    if hour24 < 12:
+        return "pagi"
+    if hour24 <= 18:
+        return "petang"
+    return "malam"
+
+
+def _verbalize_time(token, shape, style, context, lexicon) -> str:
+    hour = int(token.digit_groups[0])
+    minutes = int(token.digit_groups[1]) if len(token.digit_groups) > 1 else 0
+    period = None
+    for word in _context_slots(context):
+        if word in _PERIOD_WORDS:
+            if word == "am":
+                period = "pagi"
+            elif word == "pm":
+                period = _day_period(hour % 12 + 12)
+            elif word == "tengah":
+                period = "tengah hari"
+            else:
+                period = word
+            break
+    if period is None:
+        period = _day_period(hour)
+    hour12 = hour % 12 or 12
+    if minutes:
+        return f"{cardinal(hour12)} {cardinal(minutes)} {period}"
+    return f"{cardinal(hour12)} {period}"
+
+
+def _verbalize_phone(token, shape, style, context, lexicon) -> str:
+    # digit by digit; group breaks (hyphens) become pauses, '+' is silent
+    return " ".join(_digits_spoken(group) for group in token.digit_groups)
+
+
+def _split_money(token: NumberToken) -> tuple[int, int]:
+    """(whole, cents): a final '.' group is cents, comma groups join."""
+    if token.separators and token.separators[-1] == ".":
+        whole_digits = "".join(token.digit_groups[:-1])
+        cents_digits = token.digit_groups[-1]
+        # single fraction digit means tens of sen: 2.5 reads as 2.50
+        cents = int(cents_digits) * 10 if len(cents_digits) == 1 else int(cents_digits)
+        return int(whole_digits), cents
+    return int("".join(token.digit_groups)), 0
+
+
+def _currency_unit(context: ContextWindow | None, lexicon: Lexicon) -> str:
+    for word in _context_slots(context):
+        if lexicon.lookup(word) == KeywordClass.CurrencyWord:
+            return word
+    return "ringgit"
+
+
+def _verbalize_currency(token, shape, style, context, lexicon) -> str:
+    whole, cents = _split_money(token)
+    if style.currency_mode == CurrencyMode.Symbolic:
+        parts = ["rm"]
+        if whole or not cents:
+            parts.append(cardinal(whole))
+        if cents:
+            parts.append(f"{cardinal(cents)} sen")
+        return " ".join(parts)
+    unit = _currency_unit(context, lexicon)
+    parts = []
+    if whole or not cents:
+        parts.append(f"{cardinal(whole)} {unit}")
+    if cents:
+        parts.append(f"{cardinal(cents)} sen")
+    return " ".join(parts)
+
+
+def _decimal_words(token: NumberToken) -> str:
+    """Integer part, then 'perpuluhan' and spoken digits for a '.' group."""
+    if token.separators and token.separators[-1] == ".":
+        whole = int("".join(token.digit_groups[:-1]))
+        return f"{cardinal(whole)} perpuluhan {_digits_spoken(token.digit_groups[-1])}"
+    return cardinal(int("".join(token.digit_groups)))
+
+
+def _measurement_unit(context: ContextWindow | None, mode: UnitMode, lexicon: Lexicon) -> str | None:
+    if context is None:
+        return None
+    word = context.postposition1
+    if word is None:
+        return None
+    if word in _UNIT_ABBREVS:
+        return _UNIT_ABBREVS[word] if mode == UnitMode.Full else word
+    if lexicon.lookup(word) in (KeywordClass.MeasurementUnit, KeywordClass.CollectiveNoun):
+        return word
+    return None
+
+
+def _verbalize_measurement(token, shape, style, context, lexicon) -> str:
+    words = _decimal_words(token)
+    unit = _measurement_unit(context, style.unit_mode, lexicon)
+    if unit:
+        return f"{words} {unit}"
+    return words
+
+
+def _verbalize_percentage(token, shape, style, context, lexicon) -> str:
+    if "-" in token.separators:
+        joined = " hingga ".join(cardinal(int(g)) for g in token.digit_groups)
+        return f"{joined} peratus"
+    return f"{_decimal_words(token)} peratus"
+
+
+_READINGS: dict[FormatLabel, tuple[Callable[..., str], tuple[ShapeKind, ...]]] = {
+    FormatLabel.Date: (_verbalize_date, (ShapeKind.PlainInt, ShapeKind.SlashDate, ShapeKind.HyphenGroups)),
+    FormatLabel.Time: (_verbalize_time, (ShapeKind.PlainInt, ShapeKind.ColonTime, ShapeKind.DotTime)),
+    FormatLabel.Phone: (_verbalize_phone, (ShapeKind.PlainInt, ShapeKind.HyphenGroups, ShapeKind.SignedPhone)),
+    FormatLabel.Currency: (
+        _verbalize_currency,
+        (ShapeKind.CurrencyPrefixed, ShapeKind.PlainInt, ShapeKind.Decimal, ShapeKind.DotTime),
+    ),
+    FormatLabel.Measurement: (_verbalize_measurement, (ShapeKind.PlainInt, ShapeKind.Decimal, ShapeKind.DotTime)),
+    FormatLabel.Percentage: (
+        _verbalize_percentage,
+        (ShapeKind.PercentSuffixed, ShapeKind.PlainInt, ShapeKind.Decimal, ShapeKind.DotTime, ShapeKind.HyphenGroups),
+    ),
+}
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except ValueError as exc:  # VerbalizationError, or int() past its digit limit
+        return (type(exc), str(exc))
+
+
+STYLES = [VerbalizationStyle(*modes) for modes in itertools.product(YearMode, CurrencyMode, UnitMode)]
+
+
+def _digits(min_size: int, max_size: int) -> st.SearchStrategy[str]:
+    return st.text("0123456789", min_size=min_size, max_size=max_size)
+
+
+_TOKENS = st.one_of(
+    # any digit groups, each but the last followed by a separator, with or
+    # without the attached symbols
+    st.builds(
+        lambda prefix, groups, seps, suffix: prefix + "".join(map("".join, zip(groups[:-1], seps))) + groups[-1] + suffix,
+        st.sampled_from(["", "", "+", "RM", "RM "]),
+        st.lists(
+            st.one_of(st.sampled_from(["0", "1", "5", "01", "12", "13", "21", "50", "2024"]), _digits(1, 20)),
+            min_size=1,
+            max_size=4,
+        ),
+        st.lists(st.sampled_from(".,:-/"), min_size=3, max_size=3),
+        st.sampled_from(["", "", "%"]),
+    ),
+    # plain integers: every label reads them, and Date takes a month word from the window
+    _digits(1, 20),
+    # the shapes the date, time and money readers take apart
+    st.builds("{}-{}-{}".format, _digits(4, 4), _digits(2, 2), _digits(2, 2)),
+    st.builds("{}-{}".format, _digits(4, 4), _digits(2, 2)),
+    st.builds("{}/{}/{}".format, _digits(1, 2), _digits(1, 2), _digits(1, 4)),
+    st.builds("{}{}.{}".format, st.sampled_from(["", "RM ", "RM"]), _digits(1, 4), _digits(1, 3)),
+    st.builds("{}.{}".format, _digits(1, 2), _digits(2, 2)),
+    st.builds("{}:{}".format, _digits(1, 2), _digits(2, 2)),
+    st.builds("{}.{}%".format, _digits(1, 3), _digits(1, 2)),
+)
+# each label that reads the token's shape is drawn three times as often as one that refuses it
+_CASES = _TOKENS.flatmap(
+    lambda text: st.tuples(
+        st.just(text),
+        st.sampled_from([*[lb for lb in FormatLabel if shape_of(tok(text)).kind in READABLE[lb]] * 2, *FormatLabel]),
+    )
+)
+_WINDOW_WORDS = st.one_of(
+    st.none(),
+    # period words, then months (with an abbreviation the bundled lexicon lacks)
+    st.sampled_from(["pagi", "petang", "malam", "tengah", "hari", "am", "pm"]),
+    st.sampled_from([*MONTHS, "jan", "ogo"]),
+    # currency words, then unit words and abbreviations, collective nouns
+    st.sampled_from(["ringgit", "euro", "dolar", "baht", "sen", "rm"]),
+    st.sampled_from(["meter", "kilometer", "gram", "mol", "orang", "buah", "ekor", "cm", "km", "kg", "ml", "l", "mg"]),
+    # words the bundled lexicon does not class, and words of other classes
+    st.sampled_from(["mesyuarat", "harga", "pada", "ini", "peratus", "juta", "tel", "jam"]),
+)
+_WINDOWS = st.one_of(st.none(), st.builds(ContextWindow, _WINDOW_WORDS, _WINDOW_WORDS, _WINDOW_WORDS, _WINDOW_WORDS))
+
+
+class TestMatchesFrozenReaders:
+    @settings(max_examples=1000, deadline=None)
+    @given(_CASES, st.sampled_from(STYLES), _WINDOWS)
+    @example(("2024-12-01", D), DEFAULT_STYLE, None)  # ISO: day last
+    @example(("RM 2.5", C), DEFAULT_STYLE, None)  # one fraction digit: tens of sen
+    @example(("RM 0.5", C), STYLES[-1], None)
+    @example(("21", D), DEFAULT_STYLE, ContextWindow("pada", "mac", "jun", None))  # post before pre
+    @example(("2.00", T), DEFAULT_STYLE, ContextWindow(None, None, "pm", "pagi"))
+    def test_verbalize_reads_as_the_frozen_readers(self, case, style, window):
+        text, label = case
+        token = tok(text)
+        expected = _outcome(oracle_verbalize, token, label, style, window)
+        assert _outcome(verbalize, token, label, style, window) == expected
+        assert _outcome(verbalize, token, label, style, window, None, shape_of(token)) == expected
