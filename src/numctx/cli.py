@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 data/runtime error, 2 usage error. All randomness
 flows from ``--seed``, so two invocations with equal flags produce
-byte-identical reports. ``NUMCTX_LEXICON`` overrides the default lexicon
-path; an explicit ``--lexicon`` flag wins over the environment.
+byte-identical reports. ``--corpus`` and ``--lexicon`` default to the
+bundled corpus and lexicon; no environment variable is read.
 """
 
 from __future__ import annotations
@@ -11,13 +11,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import context_features, evaluation
 from .classifiers import Algorithm, TrainConfig
-from .context_features import Lexicon
 from .corpus import (
     Corpus,
     CorpusError,
@@ -37,110 +35,82 @@ from .verbalizer import (
 )
 
 _OUT_OF_SCOPE_CLASSIFIERS = ("svm-poly", "svm-rbf")
-# what a model file fixes; with --model only the style flags apply
-_MODEL_FILE_FLAGS = (
-    "corpus", "lexicon", "extractor", "classifier", "k", "max_depth", "min_leaf", "shrinkage", "c_reg", "epochs",
-)
 # a module-level name, so perfbench can time pipeline loading from outside
 load_pipeline = Pipeline.load
 
 
-def _add_corpus_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+@functools.cache  # main may run many times in one process; building the tree takes about 2 ms
+def build_parser() -> argparse.ArgumentParser:
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument(
         "--corpus",
         type=Path,
         default=bundled_corpus_path(),
         help="corpus CSV (id,text,start,end,label); defaults to the bundled corpus",
     )
-
-
-def _add_lexicon_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+    lexicon = argparse.ArgumentParser(add_help=False)
+    lexicon.add_argument(
         "--lexicon",
         type=Path,
-        default=None,
-        help="keyword lexicon file; defaults to $NUMCTX_LEXICON, then the bundled lexicon",
+        default=context_features.default_lexicon_path(),
+        help="keyword lexicon file; defaults to the bundled lexicon",
     )
-
-
-def _add_model_flags(parser: argparse.ArgumentParser, extractor: bool = True) -> None:
-    if extractor:  # compare always runs both extractors
-        parser.add_argument("--extractor", choices=EXTRACTORS, default="context")
-    parser.add_argument(
+    extractor = argparse.ArgumentParser(add_help=False)  # compare always runs both extractors
+    extractor.add_argument("--extractor", choices=EXTRACTORS, default="context")
+    classifier = argparse.ArgumentParser(add_help=False)
+    classifier.add_argument(
         "--classifier",
         choices=[a.value for a in Algorithm] + list(_OUT_OF_SCOPE_CLASSIFIERS),
         default="dt",
     )
-    parser.add_argument("--k", type=int, default=1, help="neighbors for knn (1 or 3)")
-    parser.add_argument("--max-depth", type=int, default=16, help="dt depth limit, 0 = unlimited")
-    parser.add_argument("--min-leaf", type=int, default=1)
-    parser.add_argument("--shrinkage", type=float, default=1e-4)
-    parser.add_argument("--c-reg", type=float, default=1.0)
-    parser.add_argument("--epochs", type=int, default=200)
+    classifier.add_argument("--k", type=int, default=1, help="neighbors for knn (1 or 3)")
+    classifier.add_argument("--max-depth", type=int, default=16, help="dt depth limit, 0 = unlimited")
+    classifier.add_argument("--min-leaf", type=int, default=1)
+    classifier.add_argument("--shrinkage", type=float, default=1e-4)
+    classifier.add_argument("--c-reg", type=float, default=1.0)
+    classifier.add_argument("--epochs", type=int, default=200)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--folds", type=int, default=10)
+    report.add_argument("--seed", type=int, default=42, help="seeds the fold assignment")
+    report.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    style = argparse.ArgumentParser(add_help=False)
+    style.add_argument("--year-mode", choices=("full", "paired"), default="full")
+    style.add_argument("--currency-mode", choices=("spoken", "symbolic"), default="spoken")
+    style.add_argument("--unit-mode", choices=("full", "abbrev"), default="full")
+    # what a model file fixes, by name and default; with --model only the style flags apply
+    model_file_flags = {
+        name: default
+        for group in (corpus, lexicon, extractor, classifier)
+        for name, default in vars(group.parse_args([])).items()
+    }
 
-
-def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--folds", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=42, help="seeds the fold assignment")
-    parser.add_argument("--format", choices=("tsv", "json"), default="tsv")
-
-
-def _add_style_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--year-mode", choices=("full", "paired"), default="full")
-    parser.add_argument("--currency-mode", choices=("spoken", "symbolic"), default="spoken")
-    parser.add_argument("--unit-mode", choices=("full", "abbrev"), default="full")
-
-
-@functools.cache  # main may run many times in one process; building the tree takes about 2 ms
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="numctx",
         description="locate numbers in Malay sentences, classify their format, verbalize them",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_validate = sub.add_parser("validate", help="check a corpus file and print class counts")
-    _add_corpus_flag(p_validate)
-    p_validate.set_defaults(func=cmd_validate)
-
-    p_train = sub.add_parser("train", help="train on a corpus and write a model file")
-    _add_corpus_flag(p_train)
-    _add_lexicon_flag(p_train)
-    _add_model_flags(p_train)
+    sub.add_parser(
+        "validate", parents=[corpus], help="check a corpus file and print class counts"
+    ).set_defaults(func=cmd_validate)
+    p_train = sub.add_parser(
+        "train", parents=[corpus, lexicon, extractor, classifier], help="train on a corpus and write a model file"
+    )
     p_train.add_argument("--output", type=Path, required=True, help="model file to write")
     p_train.set_defaults(func=cmd_train)
-
-    p_eval = sub.add_parser("evaluate", help="k-fold cross-validation report")
-    _add_corpus_flag(p_eval)
-    _add_lexicon_flag(p_eval)
-    _add_model_flags(p_eval)
-    _add_eval_flags(p_eval)
-    p_eval.set_defaults(func=cmd_evaluate)
-
-    p_cmp = sub.add_parser("compare", help="context vs bag-of-words comparison report")
-    _add_corpus_flag(p_cmp)
-    _add_lexicon_flag(p_cmp)
-    _add_model_flags(p_cmp, extractor=False)
-    _add_eval_flags(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
-
+    sub.add_parser(
+        "evaluate", parents=[corpus, lexicon, extractor, classifier, report], help="k-fold cross-validation report"
+    ).set_defaults(func=cmd_evaluate)
+    sub.add_parser(
+        "compare", parents=[corpus, lexicon, classifier, report], help="context vs bag-of-words comparison report"
+    ).set_defaults(func=cmd_compare)
     p_cls = sub.add_parser(
-        "classify", help="read sentences on stdin, print span/label/verbalization lines"
+        "classify",
+        parents=[corpus, lexicon, extractor, classifier, style],
+        help="read sentences on stdin, print span/label/verbalization lines",
     )
-    _add_corpus_flag(p_cls)
-    _add_lexicon_flag(p_cls)
-    _add_model_flags(p_cls)
-    _add_style_flags(p_cls)
     p_cls.add_argument("--model", type=Path, default=None, help="model file from 'train'")
-    p_cls.set_defaults(func=cmd_classify)
-
+    p_cls.set_defaults(func=cmd_classify, model_file_flags=model_file_flags)
     return parser
-
-
-def _load_lexicon(args) -> Lexicon:
-    # read at call time, not as a parser default: the parser outlives changes to the environment
-    env = os.environ.get("NUMCTX_LEXICON")
-    return context_features.load_lexicon(args.lexicon or env or context_features.default_lexicon_path())
 
 
 def _usage_error(message: str):
@@ -205,7 +175,7 @@ def cmd_evaluate(args) -> int:
     _check_folds(args.folds)
     cfg = _train_config(args)
     corpus = load_corpus(args.corpus)
-    lexicon = _load_lexicon(args)
+    lexicon = context_features.load_lexicon(args.lexicon)
     summary = evaluation.cross_validate(
         corpus, args.extractor, cfg, k=args.folds, seed=args.seed, lexicon=lexicon
     )
@@ -217,7 +187,7 @@ def cmd_compare(args) -> int:
     _check_folds(args.folds)
     cfg = _train_config(args)
     corpus = load_corpus(args.corpus)
-    lexicon = _load_lexicon(args)
+    lexicon = context_features.load_lexicon(args.lexicon)
     context_summary = evaluation.cross_validate(
         corpus, "context", cfg, k=args.folds, seed=args.seed, lexicon=lexicon
     )
@@ -229,7 +199,7 @@ def cmd_compare(args) -> int:
 def cmd_train(args) -> int:
     cfg = _train_config(args)
     corpus = load_corpus(args.corpus)
-    Pipeline.fit(corpus, cfg, args.extractor, _load_lexicon(args)).save(args.output)
+    Pipeline.fit(corpus, cfg, args.extractor, context_features.load_lexicon(args.lexicon)).save(args.output)
     print(f"trained {cfg.algorithm.value} on {len(corpus)} rows ({args.extractor} features) -> {args.output}")
     return 0
 
@@ -245,8 +215,7 @@ def _style_from_args(args) -> VerbalizationStyle:
 def cmd_classify(args) -> int:
     style = _style_from_args(args)
     if args.model is not None:
-        defaults = build_parser().parse_args(["classify"])
-        ignored = [name for name in _MODEL_FILE_FLAGS if getattr(args, name) != getattr(defaults, name)]
+        ignored = [name for name, default in args.model_file_flags.items() if getattr(args, name) != default]
         if ignored:
             flags = ", ".join("--" + name.replace("_", "-") for name in ignored)
             _usage_error(f"{flags} cannot be combined with --model, which fixes them")
@@ -254,7 +223,8 @@ def cmd_classify(args) -> int:
     else:
         # no model file: train on the (bundled by default) corpus right here
         cfg = _train_config(args)
-        pipeline = Pipeline.fit(load_corpus(args.corpus), cfg, args.extractor, _load_lexicon(args))
+        corpus = load_corpus(args.corpus)
+        pipeline = Pipeline.fit(corpus, cfg, args.extractor, context_features.load_lexicon(args.lexicon))
 
     for line in sys.stdin:
         text = line.rstrip("\n")

@@ -73,8 +73,8 @@ def add_entry(entries: dict[str, KeywordClass], word: str, class_name: str) -> N
     starting nor ending with sentence punctuation) and new to ``entries``,
     the class an assignable keyword class. A bad entry raises LexiconError."""
     if word.split() != [word] or word != word.lower() or word.strip(SENTENCE_PUNCTUATION) != word:
-        # scan_words splits on whitespace and detaches end punctuation, and
-        # lookups lowercase, so such a word could never match
+        # scan_words splits on whitespace, detaches end punctuation and
+        # lowercases, so such a word could never match
         raise LexiconError(
             f"lexicon word {word!r} must be one lowercase word without whitespace, "
             f"neither starting nor ending with any of {SENTENCE_PUNCTUATION}"
@@ -101,7 +101,8 @@ class Lexicon:
             add_entry(checked, word, cls.name)
 
     def lookup(self, word: str) -> KeywordClass:
-        return self.entries.get(word.lower(), KeywordClass.Unknown)
+        """The class of ``word``, lowered as ``scan_words`` gives it."""
+        return self.entries.get(word, KeywordClass.Unknown)
 
 
 def read_utf8(path: Path, error: type[ValueError]) -> str:

@@ -196,7 +196,7 @@ def stratified_folds(corpus: Corpus, k: int, seed: int) -> list[tuple[int, ...]]
     for label in LABELS:
         if 0 < len(by_class[label]) < k:
             raise StratificationError(
-                f"class {label.name} has {len(by_class[label])} members, fewer than k={k}"
+                f"class {label.name} has {len(by_class[label])} members, fewer than the {k} folds"
             )
 
     rng = random.Random(seed)

@@ -258,6 +258,12 @@ class TestEvaluate:
         code, out, err = run(["evaluate", "--corpus", str(path)], capsys=capsys)
         assert code == 1
 
+    def test_more_folds_than_a_class_has_members_exits_1_naming_the_folds(self, capsys):
+        # the message names the --folds value, not --k, the knn neighbour count
+        code, out, err = run(["evaluate", "--folds", "1000"], capsys=capsys)
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"numctx: error: class \w+ has \d+ members, fewer than the 1000 folds\n", err)
+
 
 class TestCompare:
     def test_two_rows_and_delta(self, toy_corpus_path, capsys):
@@ -547,6 +553,49 @@ class TestTrainAndClassify:
         code, out, err = run(argv, COURT_SENTENCE + "\n", monkeypatch, capsys)
         assert (code, out) == (0, "20-22\tDate\tdua puluh satu januari\n")
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            # a path other than the default; the file is never read
+            ("--corpus", None),
+            ("--lexicon", None),
+            ("--extractor", "bow"),
+            ("--classifier", "svm"),
+            ("--k", "3"),
+            ("--max-depth", "5"),
+            ("--min-leaf", "2"),
+            ("--shrinkage", "0.5"),
+            ("--c-reg", "2"),
+            ("--epochs", "10"),
+        ],
+    )
+    def test_each_flag_the_model_file_fixes_is_named(
+        self, flag, value, toy_corpus_path, tmp_path, monkeypatch, capsys
+    ):
+        model_path = tmp_path / "model.txt"
+        run(["train", "--corpus", toy_corpus_path, "--output", str(model_path)], capsys=capsys)
+        argv = ["classify", "--model", str(model_path), flag, value or toy_corpus_path]
+        code, out, err = run(argv, COURT_SENTENCE + "\n", monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"numctx: error: {flag} cannot be combined with --model, which fixes them\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--year-mode", "paired"],
+            ["--currency-mode", "symbolic"],
+            ["--unit-mode", "abbrev"],
+            # a fixed flag at its default, as --corpus with the bundled corpus
+            ["--lexicon", str(default_lexicon_path())],
+        ],
+    )
+    def test_style_flags_combine_with_model(self, flags, toy_corpus_path, tmp_path, monkeypatch, capsys):
+        model_path = tmp_path / "model.txt"
+        run(["train", "--corpus", toy_corpus_path, "--output", str(model_path)], capsys=capsys)
+        argv = ["classify", "--model", str(model_path), *flags]
+        code, out, err = run(argv, COURT_SENTENCE + "\n", monkeypatch, capsys)
+        assert (code, out, err) == (0, "20-22\tDate\tdua puluh satu januari\n", "")
+
     def test_bow_vocab_repeating_a_byte_rejected(self, tmp_path, capsys):
         # a repeated byte would leave a column past the vocabulary's size
         path = tmp_path / "bow.txt"
@@ -601,31 +650,28 @@ class TestTrainAndClassify:
 
 
 class TestLexiconResolution:
-    def test_env_var_override(self, toy_corpus_path, tmp_path, monkeypatch, capsys):
-        # an empty lexicon via the env var degrades the separable corpus
+    def test_empty_lexicon_degrades_the_report(self, toy_corpus_path, tmp_path, capsys):
+        # the separable corpus is told apart by keyword classes alone
         empty = tmp_path / "empty.tsv"
         empty.write_text("# nothing\n", encoding="utf-8")
-        monkeypatch.setenv("NUMCTX_LEXICON", str(empty))
         argv = ["evaluate", "--corpus", toy_corpus_path, "--folds", "6", "--format", "json"]
-        code, out, err = run(argv, capsys=capsys)
+        code, out, err = run(argv + ["--lexicon", str(empty)], capsys=capsys)
         assert code == 0
         degraded = json.loads(out)["summary"]["mean_pct"]
-        monkeypatch.delenv("NUMCTX_LEXICON")
         code, out, err = run(argv, capsys=capsys)
         full = json.loads(out)["summary"]["mean_pct"]
         assert degraded < full == 100.0
 
-    def test_flag_beats_env(self, toy_corpus_path, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv", [["evaluate", "--folds", "6"], ["classify"]])
+    def test_environment_does_not_choose_the_lexicon(self, argv, toy_corpus_path, tmp_path, monkeypatch, capsys):
         empty = tmp_path / "empty.tsv"
         empty.write_text("# nothing\n", encoding="utf-8")
+        argv = [*argv, "--corpus", toy_corpus_path]
+        monkeypatch.delenv("NUMCTX_LEXICON", raising=False)
+        unset = run(argv, COURT_SENTENCE + "\n", monkeypatch, capsys)
         monkeypatch.setenv("NUMCTX_LEXICON", str(empty))
-        argv = [
-            "evaluate", "--corpus", toy_corpus_path, "--folds", "6",
-            "--format", "json", "--lexicon", str(default_lexicon_path()),
-        ]
-        code, out, err = run(argv, capsys=capsys)
-        assert code == 0
-        assert json.loads(out)["summary"]["mean_pct"] == 100.0
+        assert run(argv, COURT_SENTENCE + "\n", monkeypatch, capsys) == unset
+        assert unset[0] == 0
 
 
 @pytest.fixture

@@ -18,7 +18,6 @@ tests/test_golden.py`` and replaces ``DIGESTS``.
 import hashlib
 import io
 import json
-import os
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -131,13 +130,11 @@ def digest_of(case: str) -> str:
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_output_matches_pinned_digest(case, monkeypatch):
-    monkeypatch.delenv("NUMCTX_LEXICON", raising=False)
+def test_output_matches_pinned_digest(case):
     assert digest_of(case) == DIGESTS[case]
 
 
 if __name__ == "__main__":
-    os.environ.pop("NUMCTX_LEXICON", None)
     print("DIGESTS = {")
     for case in CASES:
         print(f'    "{case}": "{digest_of(case)}",')
