@@ -16,12 +16,17 @@ numbers, so the tree is bit-identical to one grown on every row. LDA uses
 class means, a shrinkage-regularized pooled covariance, and class priors;
 the linear SVM trains one-vs-rest hinge-loss separators by full-batch
 subgradient descent with step ``1/(c_reg * t)`` at epoch ``t``, all
-separators taking each step together. Each class's margins are its own
-matrix-vector product, and the weighted, summed subgradient is exact on
-integer-valued features, the only kind the program builds, so the weights
-are bit-identical to training on every row, one class at a time; on other
-real X that sum may differ in the last bits. LDA and the SVM keep one
-linear form, per-class weights and bias, for scoring and storage. Models
+separators taking each step together. One stacked matrix-vector product
+gives every class's margins: it makes per class the gemv call ``np.dot``
+makes, where a gemm would sum each margin in its BLAS kernel's blocking
+order. One product with ``[X | 1]`` gives the weighted subgradient and bias
+sums, exact on integer-valued features, the only kind the program builds.
+So the weights are those of training on every row, one class at a time,
+wherever gemv sums a row alike in both matrices; it sums a matrix's last
+(rows mod 4) rows in another order. On other real X the subgradient may
+differ in the last bits. LDA and the SVM keep one linear form, per-class
+weights and bias, for scoring and storage; ``train`` refuses one whose
+training overflows or whose weights or biases are not finite. Models
 serialize to a versioned line-oriented text format with reals rendered to
 17 significant digits, so a round-trip is prediction-exact; a stored real
 that is nan or infinite, or a ``dim`` below 1, is refused on load.
@@ -70,8 +75,9 @@ class TrainConfig:
             raise ValueError(f"max_depth must be >= 1 or None, got {self.max_depth}")
         if self.min_leaf < 1:
             raise ValueError(f"min_leaf must be >= 1, got {self.min_leaf}")
-        # negated range tests, so nan fails them too: a non-finite value would
-        # train a model file that no load accepts
+        # negated range tests, so nan fails them too. A finite value can still
+        # overflow training (c_reg 1e-320 makes the SVM's step infinite),
+        # which train refuses
         if not 0 <= self.shrinkage < math.inf:
             raise ValueError(f"shrinkage must be finite and >= 0, got {self.shrinkage}")
         if not 0 < self.c_reg < math.inf:
@@ -161,12 +167,15 @@ def _distinct_rows(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each distinct row of ``M`` in order of first appearance, the index
     where each first appears, and each row's index into the distinct rows.
 
-    Rows are keyed on their bytes, so 0.0 and -0.0 stay apart; np.unique
-    (axis=0) sorts whole rows and costs 5-20x as much on a
+    Rows are keyed on their bytes, so 0.0 and -0.0 stay apart; one void
+    view of the whole matrix gives every row's bytes in one ``tolist``.
+    np.unique (axis=0) sorts whole rows and costs 5-20x as much on a
     cross-validation fold.
     """
+    C = np.ascontiguousarray(M)
+    keys = C.view(np.dtype((np.void, C.itemsize * C.shape[1]))).ravel().tolist()
     slots: dict[bytes, int] = {}
-    inverse = np.array([slots.setdefault(row.tobytes(), len(slots)) for row in M], dtype=np.intp)
+    inverse = np.array([slots.setdefault(key, len(slots)) for key in keys], dtype=np.intp)
     first = np.unique(inverse, return_index=True)[1]
     return M[first], first, inverse
 
@@ -204,7 +213,7 @@ def train(X, y, cfg: TrainConfig) -> TrainedModel:
     if cfg.algorithm == Algorithm.KNN:
         return KnnModel(dim=M.shape[1], k=cfg.k, points=M.copy(), labels=labels.copy())
     if cfg.algorithm == Algorithm.LDA:
-        return _train_lda(M, labels, cfg.shrinkage)
+        return _fit_linear(lambda: _train_lda(M, labels, cfg.shrinkage), f"shrinkage {cfg.shrinkage}")
     # the tree and the SVM see each distinct (row, label) pair once, weighted
     # by its count
     _, first, inverse = _distinct_rows(np.column_stack([M, labels]))
@@ -212,8 +221,26 @@ def train(X, y, cfg: TrainConfig) -> TrainedModel:
     if cfg.algorithm == Algorithm.DecisionTree:
         return _train_tree(M[first], labels[first], counts, cfg.max_depth, cfg.min_leaf)
     if cfg.algorithm == Algorithm.LinearSVM:
-        return _train_svm(M[first], labels[first], counts, cfg.c_reg, cfg.epochs)
+        return _fit_linear(
+            lambda: _train_svm(M[first], labels[first], counts, cfg.c_reg, cfg.epochs), f"c_reg {cfg.c_reg}"
+        )
     raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
+
+
+def _fit_linear(fit, setting: str) -> LinearModel:
+    """The model ``fit()`` trains, refused with a ValueError naming
+    ``setting`` when training overflows or leaves a weight or bias that is
+    not finite, since no model file holds one. No bound on a setting alone
+    prevents that: ``c_reg`` 1e-320 makes the SVM's first step 1/c_reg
+    infinite."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            model = fit()
+    except FloatingPointError:
+        model = None
+    if model is None or not (np.isfinite(model.weights).all() and np.isfinite(model.biases).all()):
+        raise ValueError(f"{setting} overflows training, and no model file holds a non-finite weight")
+    return model
 
 
 def predict(model: TrainedModel, x) -> FormatLabel:
@@ -396,24 +423,47 @@ def _train_lda(M: np.ndarray, labels: np.ndarray, shrinkage: float) -> LdaModel:
 
 
 def _train_svm(M: np.ndarray, labels: np.ndarray, counts: np.ndarray, c_reg: float, epochs: int) -> SvmModel:
+    """One-vs-rest separators, row ``i`` standing for ``counts[i]`` equal rows.
+
+    Each class's weights and bias are one row of ``wb``. One stacked
+    matrix-vector product gives every class's margins: numpy's matmul makes,
+    per class, the gemv call ``np.dot(M, w)`` makes, so each margin keeps
+    that call's bits, where a gemm would sum it in its kernel's blocking
+    order. One product with ``[M | 1]`` gives the subgradient and the bias
+    sum, exact on integer-valued features. Each element takes the per-class
+    update's operations in their order, ``wb - eta * (decay * wb - grad / n)``:
+    the decay row's 0 leaves the bias unregularized, and as a bias is never
+    -0.0, its ``0 * b - s / n`` is the per-class ``-s / n``.
+    """
     class_ids = np.unique(labels, return_inverse=True)[0]  # the flag: see _train_lda
     rows, dim = M.shape
-    n = int(counts.sum())
-    targets = np.where(labels == class_ids[:, None], 1.0, -1.0)  # (n_classes, rows)
+    k, n = len(class_ids), int(counts.sum())
+    targets = np.where(labels == class_ids[:, None], 1.0, -1.0)  # (k, rows)
     # a violating row pulls its class's separator toward its own side, once
     # for each training row it stands for
     pulls = targets * counts
-    weights = np.zeros((len(class_ids), dim))
-    biases = np.zeros(len(class_ids))
-    outputs = np.empty((len(class_ids), rows))
+    with_ones = np.column_stack([M, np.ones(rows)])
+    decay = np.append(np.full(dim, c_reg), 0.0)
+    wb = np.zeros((k, dim + 1))
+    weights, biases = wb[:, :dim, None], wb[:, dim:]  # views, updated with wb
+    outputs = np.empty((k, rows, 1))
+    margins, violating = outputs[:, :, 0], np.empty((k, rows), dtype=bool)
+    pull, step, grad = np.empty((k, rows)), np.empty((k, dim + 1)), np.empty((k, dim + 1))
     for t in range(1, epochs + 1):
         eta = 1.0 / (c_reg * t)
-        for row in range(len(class_ids)):
-            np.dot(M, weights[row], out=outputs[row])
-        pull = np.where(targets * (outputs + biases[:, None]) < 1.0, pulls, 0.0)
-        weights = weights - eta * (c_reg * weights - (pull @ M) / n)
-        biases = biases - eta * (-pull.sum(axis=1) / n)
-    return SvmModel(dim=dim, class_ids=class_ids.astype(np.int64), weights=weights, biases=biases)
+        np.matmul(M, weights, out=outputs)
+        np.add(margins, biases, out=margins)
+        np.multiply(targets, margins, out=margins)
+        np.less(margins, 1.0, out=violating)
+        # a row that does not violate pulls by a signed zero; a zero's sign never reaches wb
+        np.multiply(pulls, violating, out=pull)
+        np.matmul(pull, with_ones, out=grad)
+        np.divide(grad, n, out=grad)
+        np.multiply(decay, wb, out=step)
+        np.subtract(step, grad, out=step)
+        np.multiply(step, eta, out=step)
+        np.subtract(wb, step, out=wb)
+    return SvmModel(dim=dim, class_ids=class_ids.astype(np.int64), weights=wb[:, :dim].copy(), biases=wb[:, dim].copy())
 
 
 # --- serialization -------------------------------------------------------
@@ -429,8 +479,8 @@ def _fmt_vec(v: np.ndarray) -> str:
 
 def serialize(model: TrainedModel) -> str:
     """Render a model as a versioned text blob. Its bytes are equal under the
-    same BLAS kernel; LDA weights can differ in their last digits across
-    kernels."""
+    same BLAS kernel; LDA weights, and SVM weights of some training sets,
+    can differ in their last digits across kernels."""
     lines = [_MAGIC, f"algorithm {model.algorithm.value}", f"dim {model.dim}"]
     if isinstance(model, KnnModel):
         lines.append(f"k {model.k}")

@@ -25,11 +25,14 @@ from numctx.classifiers import (
     train,
 )
 from numctx.context_features import default_lexicon
-from numctx.corpus import bundled_corpus_path, load_corpus, stratified_folds
+from numctx.corpus import Corpus, bundled_corpus_path, load_corpus, stratified_folds
+from numctx.datagen import generate_corpus
 from numctx.labels import FormatLabel
 from numctx.pipeline import EXTRACTORS, encode_rows, make_features
 
 D, T, P, C, M, PC = FormatLabel
+# how train refuses a linear model whose training overflows
+OVERFLOW = "overflows training, and no model file holds a non-finite weight"
 
 
 def dt_cfg(**kw):
@@ -121,6 +124,27 @@ class TestTrainContract:
         X = [[0.0, 1.0], [1.0, value]]
         with pytest.raises(ValueError, match="non-finite"):
             train(X, [D, T], TrainConfig(algorithm=algorithm))
+
+    @pytest.mark.parametrize(
+        "c_reg, X",
+        [
+            (1e-320, [[0.0, 1.0], [1.0, 0.0]]),  # the first step, 1/c_reg, is already infinite
+            (1e-300, [[0.0, 1e10], [1e10, 0.0]]),  # a finite step overflows the weights
+        ],
+    )
+    def test_svm_training_that_overflows_refused(self, c_reg, X):
+        # RuntimeWarning is an error under this suite's settings, so none is warned either
+        with pytest.raises(ValueError, match=rf"^c_reg {c_reg} {OVERFLOW}$"):
+            train(X, [D, T], TrainConfig(algorithm=Algorithm.LinearSVM, c_reg=c_reg))
+        # the same c_reg on unit-sized features trains
+        model = train([[0.0, 1.0], [1.0, 0.0]], [D, T], TrainConfig(algorithm=Algorithm.LinearSVM, c_reg=1e-300))
+        assert np.isfinite(model.weights).all()
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])  # nan weights; finite weights from an overflowed scatter
+    def test_lda_training_that_overflows_refused(self, scale):
+        X = np.array([[1.0, 0.0], [2.0, 1.0], [-1.0, 0.0], [-2.0, 1.0]]) * [scale, 1.0]
+        with pytest.raises(ValueError, match=rf"^shrinkage 0.0001 {OVERFLOW}$"):
+            train(X, [D, D, T, T], TrainConfig(algorithm=Algorithm.LDA))
 
     def test_determinism(self):
         rng = np.random.default_rng(0)
@@ -424,20 +448,38 @@ def _assert_svm_matches_oracle(X, labels, c_reg=1.0, epochs=200):
     assert serialize(train(X, labels, cfg)) == serialize(expected)
 
 
+def _fold_splits(corpus):
+    """(name, training rows) of every training split of 10-fold CV at seed 42."""
+    every_row, folds = set(range(len(corpus))), stratified_folds(corpus, 10, 42)
+    return [(f"fold{i}", tuple(sorted(every_row - set(fold)))) for i, fold in enumerate(folds)]
+
+
+def _split_params(splits):
+    """One (extractor, training rows) parameter per extractor and split."""
+    return [pytest.param(e, rows, id=f"{e}-{name}") for e in EXTRACTORS for name, rows in splits]
+
+
 def _bundled_training_splits():
     """(extractor, training rows): the full bundled corpus, then every training
     split of 10-fold CV at seed 42, each with its features fitted the way
     ``cross_validate`` fits them."""
     corpus = load_corpus(bundled_corpus_path())
-    splits = [("full", tuple(range(len(corpus))))]
-    for i, fold in enumerate(stratified_folds(corpus, 10, 42)):
-        splits.append((f"fold{i}", tuple(sorted(set(range(len(corpus))) - set(fold)))))
-    return [pytest.param(e, rows, id=f"{e}-{name}") for e in EXTRACTORS for name, rows in splits]
+    return _split_params([("full", tuple(range(len(corpus))))] + _fold_splits(corpus))
 
 
-@pytest.fixture(scope="module")
-def bundled_encoding():
-    corpus = load_corpus(bundled_corpus_path())
+def _cv_workload_corpus():
+    """The corpus ``perfbench`` cross-validates in its cv workload at seed 29:
+    generated corpora 29000 and 29001 end to end, 674 rows."""
+    return Corpus(tuple(s for seed in (29000, 29001) for s in generate_corpus(seed)))
+
+
+def _cv_workload_training_splits():
+    """(extractor, training rows) of every training split ``compare`` makes
+    of the cv workload's corpus."""
+    return _split_params(_fold_splits(_cv_workload_corpus()))
+
+
+def _encoder(corpus):
     numbers = [s.number for s in corpus]
     labels = np.array([int(s.label) for s in corpus], dtype=np.int64)
     lexicon = default_lexicon()
@@ -451,6 +493,16 @@ def bundled_encoding():
         return every_row[list(rows)], labels[list(rows)], every_row
 
     return encode
+
+
+@pytest.fixture(scope="module")
+def bundled_encoding():
+    return _encoder(load_corpus(bundled_corpus_path()))
+
+
+@pytest.fixture(scope="module")
+def cv_workload_encoding():
+    return _encoder(_cv_workload_corpus())
 
 
 class TestKnnMatchesEveryPointScan:
@@ -480,6 +532,33 @@ class TestSvmMatchesPerClassTrainer:
     def test_bundled_corpus_bytes(self, bundled_encoding, extractor, rows):
         X, labels, _ = bundled_encoding(extractor, rows)
         _assert_svm_matches_oracle(X, labels)
+
+    @pytest.mark.parametrize("extractor, rows", _cv_workload_training_splits())
+    def test_cv_workload_bytes(self, cv_workload_encoding, extractor, rows):
+        # the shapes the benchmark trains on: about 36 distinct context rows
+        # of 56 columns, about 480 distinct BoW rows of 19
+        X, labels, _ = cv_workload_encoding(extractor, rows)
+        _assert_svm_matches_oracle(X, labels)
+
+    @pytest.mark.parametrize("extractor, rows", [p for p in _bundled_training_splits() if p.id.endswith("-full")])
+    def test_bundled_corpus_bytes_at_c_reg_0_1(self, bundled_encoding, extractor, rows):
+        # ten times the default step at every epoch
+        X, labels, _ = bundled_encoding(extractor, rows)
+        _assert_svm_matches_oracle(X, labels, c_reg=0.1)
+
+    @pytest.mark.parametrize(
+        "X, labels",
+        [
+            # one distinct training row: the margins are a 1-row product
+            pytest.param([[1.0, 2.0, 0.0]] * 3, [P, P, P], id="one-distinct-row"),
+            pytest.param([[3.0, 1.0]], [C], id="one-row"),
+            # one column: the margins are a 1-column product
+            pytest.param([[0.0], [1.0], [2.0], [3.0], [1.0], [4.0]], [D, T, T, P, D, P], id="one-column"),
+            pytest.param([[0.0, 1.0], [2.0, 0.0], [1.0, 1.0], [3.0, 4.0]], [M] * 4, id="one-class"),
+        ],
+    )
+    def test_edge_shapes_bytes(self, X, labels):
+        _assert_svm_matches_oracle(np.array(X), labels)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

@@ -24,6 +24,8 @@ CLOCK_SENTENCE = "Mahkamah menetapkan 21 Januari ini pada jam 10:30 pagi"
 SPACED_RM_SENTENCE = "Harga naik 5% kepada RM 12 sahaja"
 HEADER = "id,text,start,end,label\n"
 ZEROS = " ".join(["0"] * 56)
+# --c-reg 1e-320 makes the SVM's first step 1/c_reg infinite
+C_REG_OVERFLOW = "c_reg 1e-320 overflows training, and no model file holds a non-finite weight"
 
 
 def with_model(*lines):
@@ -258,6 +260,10 @@ class TestEvaluate:
         code, out, err = run(["evaluate", "--corpus", str(path)], capsys=capsys)
         assert code == 1
 
+    def test_c_reg_that_overflows_training_exits_1(self, capsys):
+        code, out, err = run(["evaluate", "--classifier", "svm", "--c-reg", "1e-320"], capsys=capsys)
+        assert (code, out, err) == (1, "", f"numctx: error: {C_REG_OVERFLOW}\n")
+
     def test_more_folds_than_a_class_has_members_exits_1_naming_the_folds(self, capsys):
         # the message names the --folds value, not --k, the knn neighbour count
         code, out, err = run(["evaluate", "--folds", "1000"], capsys=capsys)
@@ -311,6 +317,15 @@ class TestCompare:
 
 
 class TestTrainAndClassify:
+    def test_c_reg_that_overflows_training_exits_1_and_writes_no_file(self, tmp_path):
+        # a process of its own, so a RuntimeWarning would reach its stderr
+        model_path = tmp_path / "model.txt"
+        argv = ["train", "--classifier", "svm", "--c-reg", "1e-320", "--output", str(model_path)]
+        env = {**os.environ, "PYTHONPATH": str(Path(numctx.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "numctx.cli", *argv], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"numctx: error: {C_REG_OVERFLOW}\n")
+        assert not model_path.exists()
+
     def test_train_then_classify(self, toy_corpus_path, tmp_path, monkeypatch, capsys):
         model_path = tmp_path / "model.txt"
         code, out, err = run(
