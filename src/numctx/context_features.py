@@ -91,7 +91,9 @@ def add_entry(entries: dict[str, KeywordClass], word: str, class_name: str) -> N
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Immutable word -> keyword-class map; every entry passes ``add_entry``."""
+    """Word -> keyword-class map; every entry passes ``add_entry``. Only the
+    field is frozen: ``load_lexicon`` and ``Pipeline._read`` fill the dict
+    in place, and the program changes it no more once they return."""
 
     entries: dict[str, KeywordClass]
 
@@ -100,8 +102,11 @@ class Lexicon:
         for word, cls in self.entries.items():
             add_entry(checked, word, cls.name)
 
-    def lookup(self, word: str) -> KeywordClass:
-        """The class of ``word``, lowered as ``scan_words`` gives it."""
+    def lookup(self, word: str | None) -> KeywordClass:
+        """The class of a window slot: Boundary for None (past the sentence
+        edge), else of ``word`` as ``scan_words`` lowers it, or Unknown."""
+        if word is None:
+            return KeywordClass.Boundary
         return self.entries.get(word, KeywordClass.Unknown)
 
 
@@ -184,13 +189,6 @@ def line_windows(text: str, numbers: list[NumberToken]) -> list[ContextWindow]:
     return windows
 
 
-def classify_word(lexicon: Lexicon, word: str | None) -> KeywordClass:
-    """Boundary for out-of-sentence positions, else lexicon class or Unknown."""
-    if word is None:
-        return KeywordClass.Boundary
-    return lexicon.lookup(word)
-
-
 def _bucket(digit_count: int) -> int:
     if digit_count <= 2:
         return 0
@@ -203,7 +201,7 @@ def codes(window: ContextWindow, shape: NumberShape, lexicon: Lexicon) -> tuple[
     """The six codes a context vector is the one-hot of: the keyword class of
     each window slot (pre2, pre1, post1, post2), the shape kind and the
     digit bucket."""
-    classes = [int(classify_word(lexicon, word)) for word in window]
+    classes = [int(lexicon.lookup(word)) for word in window]
     return (*classes, int(shape.kind), _bucket(shape.digit_count))
 
 

@@ -169,15 +169,6 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
             writer.writerow([s.id, s.text, s.span[0], s.span[1], s.label.name])
 
 
-def _shuffled(items: list[int], rng: random.Random) -> list[int]:
-    # explicit Fisher-Yates so the permutation is pinned to the seed
-    out = list(items)
-    for i in range(len(out) - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        out[i], out[j] = out[j], out[i]
-    return out
-
-
 def stratified_folds(corpus: Corpus, k: int, seed: int) -> list[tuple[int, ...]]:
     """Partition corpus indices into ``k`` class-stratified folds.
 
@@ -203,7 +194,9 @@ def stratified_folds(corpus: Corpus, k: int, seed: int) -> list[tuple[int, ...]]
     folds: list[list[int]] = [[] for _ in range(k)]
     cursor = 0
     for label in LABELS:
-        for index in _shuffled(by_class[label], rng):
+        # the golden digests pin the permutation that shuffle draws for the seed
+        rng.shuffle(by_class[label])
+        for index in by_class[label]:
             folds[cursor % k].append(index)
             cursor += 1
     return [tuple(sorted(fold)) for fold in folds]

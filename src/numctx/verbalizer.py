@@ -7,6 +7,8 @@ live next to the number instead of inside it (a month name after a day, an
 ``am``/``pm`` marker after a clock time, the unit after a measurement), so
 ``verbalize`` accepts the optional context window those words come from, and
 the lexicon tells which of those words names a month, a currency or a unit.
+A month, a day period or a currency is the first window word that names one,
+searched post1, post2, pre1, pre2 (``_cue``); a unit is read from post1 only.
 Which shapes each label can be read from, and the reader that reads them,
 live in one table, ``_READINGS``; a label applied to any other shape raises
 ``VerbalizationError`` before a reader runs.
@@ -18,7 +20,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
-from .context_features import ContextWindow, KeywordClass, Lexicon, classify_word, default_lexicon
+from .context_features import ContextWindow, KeywordClass, Lexicon, default_lexicon
 from .labels import FormatLabel
 from .locator import NumberShape, NumberToken, ShapeKind, shape_of
 
@@ -141,10 +143,12 @@ def _digits_spoken(digits: str) -> str:
     return " ".join(_ONES[int(d)] for d in digits)
 
 
-def _context_slots(context: ContextWindow | None) -> list[str]:
+def _cue(context: ContextWindow | None, accepts: Callable[[str], bool]) -> str | None:
+    """The first window word that ``accepts`` takes, trying post1, post2, pre1, pre2."""
     if context is None:
-        return []
-    return [w for w in context if w is not None]
+        return None
+    slots = (context.postposition1, context.postposition2, context.preposition1, context.preposition2)
+    return next((word for word in slots if word is not None and accepts(word)), None)
 
 
 def verbalize(
@@ -175,16 +179,6 @@ def _month_name(month: int) -> str:
     return cardinal(month)
 
 
-def _month_from_context(context: ContextWindow | None, lexicon: Lexicon) -> str | None:
-    """The first of post1, post2, pre1, pre2 that the lexicon classes as a month."""
-    if context is None:
-        return None
-    for word in (context.postposition1, context.postposition2, context.preposition1, context.preposition2):
-        if classify_word(lexicon, word) == KeywordClass.Month:
-            return word
-    return None
-
-
 def _verbalize_date(token, shape, style, context, lexicon) -> str:
     # yyyy-mm-dd is d/m/y reversed; the kind test matters, as a PlainInt
     # such as 2024,05,12 has the same group lengths
@@ -202,7 +196,7 @@ def _verbalize_date(token, shape, style, context, lexicon) -> str:
     value = int("".join(token.digit_groups))
     if shape.digit_count == 4:
         return year_words(value, style.year_mode)
-    month = _month_from_context(context, lexicon)
+    month = _cue(context, lambda w: lexicon.lookup(w) == KeywordClass.Month)
     if month:
         return f"{cardinal(value)} {month}"
     return cardinal(value)
@@ -221,7 +215,7 @@ def _day_period(hour24: int) -> str:
 def _verbalize_time(token, shape, style, context, lexicon) -> str:
     hour = int(token.digit_groups[0])
     minutes = int(token.digit_groups[1]) if len(token.digit_groups) > 1 else 0
-    word = next((w for w in _context_slots(context) if w in _PERIODS), None)
+    word = _cue(context, _PERIODS.__contains__)
     period = _PERIODS.get(word) or _day_period(hour % 12 + 12 if word == "pm" else hour)
     hour12 = hour % 12 or 12
     if minutes:
@@ -242,13 +236,6 @@ def _whole_and_fraction(token: NumberToken) -> tuple[int, str]:
     return int("".join(token.digit_groups)), ""
 
 
-def _currency_unit(context: ContextWindow | None, lexicon: Lexicon) -> str:
-    for word in _context_slots(context):
-        if lexicon.lookup(word) == KeywordClass.CurrencyWord:
-            return word
-    return "ringgit"
-
-
 def _verbalize_currency(token, shape, style, context, lexicon) -> str:
     whole, fraction = _whole_and_fraction(token)
     # a single fraction digit means tens of sen: 2.5 reads as 2.50
@@ -256,7 +243,9 @@ def _verbalize_currency(token, shape, style, context, lexicon) -> str:
     symbolic = style.currency_mode == CurrencyMode.Symbolic
     parts = ["rm"] if symbolic else []
     if whole or not cents:
-        parts.append(cardinal(whole) if symbolic else f"{cardinal(whole)} {_currency_unit(context, lexicon)}")
+        parts.append(cardinal(whole))
+        if not symbolic:
+            parts.append(_cue(context, lambda w: lexicon.lookup(w) == KeywordClass.CurrencyWord) or "ringgit")
     if cents:
         parts.append(f"{cardinal(cents)} sen")
     return " ".join(parts)

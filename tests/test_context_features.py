@@ -10,7 +10,6 @@ from numctx.context_features import (
     Lexicon,
     LexiconError,
     add_entry,
-    classify_word,
     codes,
     default_lexicon,
     line_windows,
@@ -104,16 +103,16 @@ class TestLineWindowsMatchTheTokenScan:
 
 class TestClassifyWord:
     def test_month(self):
-        assert classify_word(default_lexicon(), "januari") == KeywordClass.Month
+        assert default_lexicon().lookup("januari") == KeywordClass.Month
 
     def test_percent_word(self):
-        assert classify_word(default_lexicon(), "peratus") == KeywordClass.PercentWord
+        assert default_lexicon().lookup("peratus") == KeywordClass.PercentWord
 
     def test_unknown(self):
-        assert classify_word(default_lexicon(), "xyzzy") == KeywordClass.Unknown
+        assert default_lexicon().lookup("xyzzy") == KeywordClass.Unknown
 
     def test_boundary(self):
-        assert classify_word(default_lexicon(), None) == KeywordClass.Boundary
+        assert default_lexicon().lookup(None) == KeywordClass.Boundary
 
     def test_case_insensitive(self):
         # the lexicon holds lowercase words; the window scan lowers the line's words
@@ -135,7 +134,7 @@ class TestClassifyWord:
         ],
     )
     def test_keyword_inventory(self, word, cls):
-        assert classify_word(default_lexicon(), word) == cls
+        assert default_lexicon().lookup(word) == cls
 
 
 def _shape(text):

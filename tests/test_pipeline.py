@@ -16,7 +16,6 @@ from numctx.context_features import (
     KEYWORD_CLASSES,
     ContextWindow,
     KeywordClass,
-    classify_word,
     codes,
     default_lexicon,
     line_windows,
@@ -47,7 +46,7 @@ def _oracle_encode(window, shape, lexicon):
     # slots by name, so the oracle does not depend on the window's field order
     slots = (window.preposition2, window.preposition1, window.postposition1, window.postposition2)
     for pos, word in enumerate(slots):
-        cls = classify_word(lexicon, word)
+        cls = lexicon.lookup(word)
         vec[pos * _N_CLASSES + int(cls)] = 1.0
     shape_base = 4 * _N_CLASSES
     vec[shape_base + int(shape.kind)] = 1.0

@@ -150,6 +150,10 @@ class TestVerbalizeFixtures:
         text = "pukul 2.30 petang"
         assert verbalize(tok(text), T, context=win(text)) == "dua tiga puluh petang"
 
+    def test_period_after_the_time_beats_one_before(self):
+        text = "Esok pagi pukul 8.30 malam"
+        assert verbalize(tok(text), T, context=win(text)) == "lapan tiga puluh malam"
+
     def test_time_colon_noon(self):
         assert verbalize(tok("12:47"), T) == "dua belas empat puluh tujuh tengah hari"
 
@@ -198,6 +202,10 @@ class TestVerbalizeFixtures:
         text = "dua 3 bakul buah"
         assert verbalize(tok(text), M, context=win(text)) == "tiga"
         assert verbalize(tok(text), M, context=win(text), lexicon=lexicon) == "tiga bakul"
+
+    def test_currency_word_after_the_number_beats_one_before(self):
+        text = "dolar 500 ringgit sahaja"
+        assert verbalize(tok(text), C, context=win(text)) == "lima ratus ringgit"
 
     def test_currency_plain_ringgit_default(self):
         assert verbalize(tok("250"), C) == "dua ratus lima puluh ringgit"
@@ -322,9 +330,12 @@ def _digits_spoken(digits: str) -> str:
 
 
 def _context_slots(context: ContextWindow | None) -> list[str]:
+    # the period and currency readers search post1, post2, pre1, pre2, as the
+    # month search does: a word right after a number names it before one in front
     if context is None:
         return []
-    return [w for w in context if w is not None]
+    slots = (context.postposition1, context.postposition2, context.preposition1, context.preposition2)
+    return [w for w in slots if w is not None]
 
 
 def oracle_verbalize(token, label, style=DEFAULT_STYLE, context=None, lexicon=None, shape=None) -> str:
@@ -573,6 +584,8 @@ class TestMatchesFrozenReaders:
     @example(("RM 0.5", C), STYLES[-1], None)
     @example(("21", D), DEFAULT_STYLE, ContextWindow("pada", "mac", "jun", None))  # post before pre
     @example(("2.00", T), DEFAULT_STYLE, ContextWindow(None, None, "pm", "pagi"))
+    @example(("8.30", T), DEFAULT_STYLE, ContextWindow("pagi", "pukul", "malam", None))  # Esok pagi pukul 8.30 malam
+    @example(("500", C), DEFAULT_STYLE, ContextWindow(None, "dolar", "ringgit", None))  # post1 before pre1
     def test_verbalize_reads_as_the_frozen_readers(self, case, style, window):
         text, label = case
         token = tok(text)
