@@ -6,8 +6,9 @@ the training data verbatim and measures each distinct training point once
 per query, keeping the every-point order on ties (equal distances: lowest
 training index; k=3 votes: summed distance, then label value). The decision
 tree and the SVM train on each distinct (row, label) pair once, weighted by
-the number of training rows it stands for, as CART case weights do; both
-kinds of distinct row come from ``_distinct_rows``. The tree grows
+the number of training rows it stands for, as CART case weights do; the
+SVM keeps X's last (rows mod 4) rows apart. Both kinds of distinct row come
+from ``_distinct_rows``. The tree grows
 CART-style on Gini gain with midpoint thresholds, level by level from one
 stable presort per column, every open node of a level scored at once; it
 does not recurse, so any depth trains (ties: lowest feature, then lowest
@@ -19,12 +20,13 @@ subgradient descent with step ``1/(c_reg * t)`` at epoch ``t``, all
 separators taking each step together. One stacked matrix-vector product
 gives every class's margins: it makes per class the gemv call ``np.dot``
 makes, where a gemm would sum each margin in its BLAS kernel's blocking
-order. One product with ``[X | 1]`` gives the weighted subgradient and bias
-sums, exact on integer-valued features, the only kind the program builds.
-So the weights are those of training on every row, one class at a time,
-wherever gemv sums a row alike in both matrices; it sums a matrix's last
-(rows mod 4) rows in another order. On other real X the subgradient may
-differ in the last bits. LDA and the SVM keep one linear form, per-class
+order. gemv sums a matrix's last (rows mod 4) rows in another order than
+the rows before them, so the SVM keeps X's last (rows mod 4) rows apart, in
+the same place. One product with ``[X | 1]`` gives the weighted subgradient
+and bias sums, exact on integer-valued features, the only kind the program
+builds. So the weights are those of training on every row, one class at a
+time, under every BLAS kernel; on other real X the subgradient may differ
+in the last bits. LDA and the SVM keep one linear form, per-class
 weights and bias, for scoring and storage; ``train`` refuses one whose
 training overflows or whose weights or biases are not finite. Models
 serialize to a versioned line-oriented text format with reals rendered to
@@ -214,16 +216,12 @@ def train(X, y, cfg: TrainConfig) -> TrainedModel:
         return KnnModel(dim=M.shape[1], k=cfg.k, points=M.copy(), labels=labels.copy())
     if cfg.algorithm == Algorithm.LDA:
         return _fit_linear(lambda: _train_lda(M, labels, cfg.shrinkage), f"shrinkage {cfg.shrinkage}")
-    # the tree and the SVM see each distinct (row, label) pair once, weighted
-    # by its count
-    _, first, inverse = _distinct_rows(np.column_stack([M, labels]))
-    counts = np.bincount(inverse)
     if cfg.algorithm == Algorithm.DecisionTree:
-        return _train_tree(M[first], labels[first], counts, cfg.max_depth, cfg.min_leaf)
+        # the tree sees each distinct (row, label) pair once, weighted by its count
+        _, first, inverse = _distinct_rows(np.column_stack([M, labels]))
+        return _train_tree(M[first], labels[first], np.bincount(inverse), cfg.max_depth, cfg.min_leaf)
     if cfg.algorithm == Algorithm.LinearSVM:
-        return _fit_linear(
-            lambda: _train_svm(M[first], labels[first], counts, cfg.c_reg, cfg.epochs), f"c_reg {cfg.c_reg}"
-        )
+        return _fit_linear(lambda: _train_svm(*_svm_rows(M, labels), cfg.c_reg, cfg.epochs), f"c_reg {cfg.c_reg}")
     raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
 
 
@@ -420,6 +418,25 @@ def _train_lda(M: np.ndarray, labels: np.ndarray, shrinkage: float) -> LdaModel:
 
 
 # --- linear SVM ----------------------------------------------------------
+
+
+def _svm_rows(M: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows, labels and counts the SVM trains on, laid out so that gemv
+    sums each row's margin as it sums that of the rows of ``M`` it stands for.
+
+    gemv sums a matrix's last (rows mod 4) rows in another order than the
+    rows before them, so only the rows before them are merged into distinct
+    (row, label) pairs. Zero rows of count 0 pad those pairs to a multiple
+    of 4, and ``M``'s last rows follow, each on its own, in their place.
+    """
+    body = len(M) - len(M) % 4
+    _, first, inverse = _distinct_rows(np.column_stack([M[:body], labels[:body]]))
+    pad = -len(first) % 4
+    rows = np.concatenate([M[first], np.zeros((pad, M.shape[1])), M[body:]])
+    # a padding row takes a label the classes already hold, and pulls nothing
+    row_labels = np.concatenate([labels[first], np.full(pad, labels[0]), labels[body:]])
+    counts = np.concatenate([np.bincount(inverse), np.zeros(pad, np.int64), np.ones(len(M) - body, np.int64)])
+    return rows, row_labels, counts
 
 
 def _train_svm(M: np.ndarray, labels: np.ndarray, counts: np.ndarray, c_reg: float, epochs: int) -> SvmModel:

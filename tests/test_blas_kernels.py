@@ -28,16 +28,6 @@ KERNEL_CASES = (
     "tests/test_golden.py::test_output_matches_pinned_digest[train svm bow]",
 )
 
-# Cases known to fail under a kernel, each named so the test fails once it
-# passes too. gemv sums the last (rows mod 4) rows of a matrix in another
-# order than the rows before them, on every kernel; the every-row oracle's
-# last 3 of 607 rows hold a row the trainer sums among its 36 distinct rows,
-# and under these two kernels the orders part in the last bit.
-KNOWN_FAILURES = {
-    kernel: {"tests/test_classifiers.py::TestSvmMatchesPerClassTrainer::test_cv_workload_bytes[context-fold7]"}
-    for kernel in ("Prescott", "Sandybridge")
-}
-
 # each OPENBLAS_CORETYPE and the /proc/cpuinfo flags its kernels need
 KERNELS = {
     "Prescott": {"pni"},
@@ -108,10 +98,7 @@ def test_svm_bytes_equal_under_every_kernel_the_cpu_runs():
     loaded = {}
     for kernel, proc in runs.items():
         output = f"under OPENBLAS_CORETYPE={kernel}:\n{proc.stdout[-4000:]}{proc.stderr[-2000:]}"
-        assert proc.returncode in (0, 1), output  # 1: some case failed; anything else: the run did not finish
-        lines = proc.stdout.splitlines()
-        failed = {line.removeprefix("FAILED ").split(" - ")[0] for line in lines if line.startswith("FAILED ")}
-        assert failed == KNOWN_FAILURES.get(kernel, set()), output
-        loaded[kernel] = lines[0]
+        assert proc.returncode == 0, output
+        loaded[kernel] = proc.stdout.splitlines()[0]
     # each forced kernel reports a core of its own, so none fell back to this process's
     assert len({here, *loaded.values()}) == len(loaded) + 1, f"{here} here; forced: {loaded}"

@@ -560,6 +560,13 @@ class TestSvmMatchesPerClassTrainer:
     def test_edge_shapes_bytes(self, X, labels):
         _assert_svm_matches_oracle(np.array(X), labels)
 
+    def test_margin_on_the_hinge_bytes(self):
+        # at epoch 2 the all-ones rows' class-0 margins are exactly 1, so a
+        # margin's last bit decides whether its row violates; the 28 rows have
+        # no gemv tail, but their 5 distinct (row, label) pairs would have one
+        X = np.array([[2.0, 4.0, 1.0, 1.0]] + [[1.0] * 4] * 27)
+        _assert_svm_matches_oracle(X, [0, 1, 2, 3] + [0] * 14 + [1] * 10, c_reg=0.5, epochs=2)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_integer_matrices_bytes(self, data):
