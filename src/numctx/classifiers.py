@@ -6,9 +6,8 @@ the training data verbatim and measures each distinct training point once
 per query, keeping the every-point order on ties (equal distances: lowest
 training index; k=3 votes: summed distance, then label value). The decision
 tree and the SVM train on each distinct (row, label) pair once, weighted by
-the number of training rows it stands for, as CART case weights do; the
-SVM keeps X's last (rows mod 4) rows apart. Both kinds of distinct row come
-from ``_distinct_rows``. The tree grows
+the number of training rows it stands for, as CART case weights do; both
+kinds of distinct row come from ``_distinct_rows``. The tree grows
 CART-style on Gini gain with midpoint thresholds, level by level from one
 stable presort per column, every open node of a level scored at once; it
 does not recurse, so any depth trains (ties: lowest feature, then lowest
@@ -17,15 +16,11 @@ numbers, so the tree is bit-identical to one grown on every row. LDA uses
 class means, a shrinkage-regularized pooled covariance, and class priors;
 the linear SVM trains one-vs-rest hinge-loss separators by full-batch
 subgradient descent with step ``1/(c_reg * t)`` at epoch ``t``, all
-separators taking each step together. One stacked matrix-vector product
-gives every class's margins: it makes per class the gemv call ``np.dot``
-makes, where a gemm would sum each margin in its BLAS kernel's blocking
-order. gemv sums a matrix's last (rows mod 4) rows in another order than
-the rows before them, so the SVM keeps X's last (rows mod 4) rows apart, in
-the same place. One product with ``[X | 1]`` gives the weighted subgradient
-and bias sums, exact on integer-valued features, the only kind the program
-builds. So the weights are those of training on every row, one class at a
-time, under every BLAS kernel; on other real X the subgradient may differ
+separators taking each step together, with one stacked gemv per epoch for
+every class's margins. On integer-valued features, the only kind the
+program builds, its weights are those of training on every row, one class
+at a time, under every BLAS kernel; ``_svm_rows`` and the README say how
+its rows are laid out for that. On other real X the subgradient may differ
 in the last bits. LDA and the SVM keep one linear form, per-class
 weights and bias, for scoring and storage; ``train`` refuses one whose
 training overflows or whose weights or biases are not finite. Models
@@ -182,11 +177,6 @@ def _distinct_rows(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return M[first], first, inverse
 
 
-def _check_dim(model: TrainedModel, width: int) -> None:
-    if width != model.dim:
-        raise ValueError(f"feature dimension {width} does not match model dimension {model.dim}")
-
-
 def _training_labels(y) -> np.ndarray:
     """``y`` as int64 labels; the first one outside the FormatLabel values
     raises ``_label``'s error. A 1-d integer array, as cross-validation
@@ -246,14 +236,14 @@ def predict(model: TrainedModel, x) -> FormatLabel:
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"x must be a 1-D vector, got ndim={v.ndim}")
-    _check_dim(model, v.shape[0])
     return FormatLabel(int(predict_batch(model, v.reshape(1, -1))[0]))
 
 
 def predict_batch(model: TrainedModel, X) -> np.ndarray:
     """Classify many vectors at once; returns an int64 array of label values."""
     M = _as_matrix(X)
-    _check_dim(model, M.shape[1])
+    if M.shape[1] != model.dim:
+        raise ValueError(f"feature dimension {M.shape[1]} does not match model dimension {model.dim}")
     if isinstance(model, KnnModel):
         return np.array([_knn_predict_one(model, row) for row in M], dtype=np.int64)
     if isinstance(model, TreeModel):
@@ -577,10 +567,11 @@ class LineReader:
 def _label(field, key: str) -> int:
     """``field`` as a label; one outside the FormatLabel values raises a
     ValueError naming ``key``, so ``train`` never fits a label that
-    ``read_model`` would refuse on the line that holds it."""
+    ``read_model`` would refuse on the line that holds it. A real that is
+    not a whole number is refused too, as ``int`` would truncate it."""
     label = int(field)
-    if not 0 <= label < len(FormatLabel):
-        raise ValueError(f"{key} label {label} is not a FormatLabel value")
+    if not 0 <= label < len(FormatLabel) or label != float(field):
+        raise ValueError(f"{key} label {field} is not a FormatLabel value")
     return label
 
 

@@ -141,6 +141,11 @@ def _train_config(args) -> TrainConfig:
         _usage_error(f"--{name.replace('_', '-')} {rest}")
 
 
+def _inputs(args) -> tuple[TrainConfig, Corpus, context_features.Lexicon]:
+    """The training config, corpus and lexicon the flags name; a usage error comes before any file is read."""
+    return _train_config(args), load_corpus(args.corpus), context_features.load_lexicon(args.lexicon)
+
+
 def _check_folds(folds: int) -> None:
     if folds < 2:
         _usage_error(f"--folds must be >= 2, got {folds}")
@@ -173,9 +178,7 @@ def cmd_validate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     _check_folds(args.folds)
-    cfg = _train_config(args)
-    corpus = load_corpus(args.corpus)
-    lexicon = context_features.load_lexicon(args.lexicon)
+    cfg, corpus, lexicon = _inputs(args)
     summary = evaluation.cross_validate(
         corpus, args.extractor, cfg, k=args.folds, seed=args.seed, lexicon=lexicon
     )
@@ -185,21 +188,18 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     _check_folds(args.folds)
-    cfg = _train_config(args)
-    corpus = load_corpus(args.corpus)
-    lexicon = context_features.load_lexicon(args.lexicon)
-    context_summary = evaluation.cross_validate(
-        corpus, "context", cfg, k=args.folds, seed=args.seed, lexicon=lexicon
+    cfg, corpus, lexicon = _inputs(args)
+    context_summary, bow_summary = (
+        evaluation.cross_validate(corpus, extractor, cfg, k=args.folds, seed=args.seed, lexicon=lexicon)
+        for extractor in ("context", "bow")
     )
-    bow_summary = evaluation.cross_validate(corpus, "bow", cfg, k=args.folds, seed=args.seed)
     _emit_report(evaluation.comparison_report(context_summary, bow_summary), args.format)
     return 0
 
 
 def cmd_train(args) -> int:
-    cfg = _train_config(args)
-    corpus = load_corpus(args.corpus)
-    Pipeline.fit(corpus, cfg, args.extractor, context_features.load_lexicon(args.lexicon)).save(args.output)
+    cfg, corpus, lexicon = _inputs(args)
+    Pipeline.fit(corpus, cfg, args.extractor, lexicon).save(args.output)
     print(f"trained {cfg.algorithm.value} on {len(corpus)} rows ({args.extractor} features) -> {args.output}")
     return 0
 
@@ -222,9 +222,8 @@ def cmd_classify(args) -> int:
         pipeline = load_pipeline(args.model)
     else:
         # no model file: train on the (bundled by default) corpus right here
-        cfg = _train_config(args)
-        corpus = load_corpus(args.corpus)
-        pipeline = Pipeline.fit(corpus, cfg, args.extractor, context_features.load_lexicon(args.lexicon))
+        cfg, corpus, lexicon = _inputs(args)
+        pipeline = Pipeline.fit(corpus, cfg, args.extractor, lexicon)
 
     for line in sys.stdin:
         text = line.rstrip("\n")

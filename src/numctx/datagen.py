@@ -213,22 +213,14 @@ def _percentage_templates():
     ]
 
 
-_TEMPLATES = {
-    FormatLabel.Date: _date_templates(),
-    FormatLabel.Time: _time_templates(),
-    FormatLabel.Phone: _phone_templates(),
-    FormatLabel.Currency: _currency_templates(),
-    FormatLabel.Measurement: _measurement_templates(),
-    FormatLabel.Percentage: _percentage_templates(),
-}
-
-CLASS_TARGETS = {
-    FormatLabel.Date: 58,
-    FormatLabel.Time: 56,
-    FormatLabel.Phone: 48,
-    FormatLabel.Currency: 58,
-    FormatLabel.Measurement: 58,
-    FormatLabel.Percentage: 58,
+# each class's templates, cycled in order, and the rows it contributes
+_CLASSES = {
+    FormatLabel.Date: (_date_templates(), 58),
+    FormatLabel.Time: (_time_templates(), 56),
+    FormatLabel.Phone: (_phone_templates(), 48),
+    FormatLabel.Currency: (_currency_templates(), 58),
+    FormatLabel.Measurement: (_measurement_templates(), 58),
+    FormatLabel.Percentage: (_percentage_templates(), 58),
 }
 
 
@@ -254,11 +246,9 @@ def generate_corpus(seed: int = DEFAULT_SEED) -> Corpus:
     rng = random.Random(seed)
     sentences: list[LabeledSentence] = []
     serial = 0
-    for label in CLASS_TARGETS:
-        produced = 0
-        templates = _TEMPLATES[label]
-        cursor = 0
-        while produced < CLASS_TARGETS[label]:
+    for templates, rows in _CLASSES.values():
+        produced, cursor = 0, 0
+        while produced < rows:
             template = templates[cursor % len(templates)]
             cursor += 1
             text, spans = _assemble(template(rng))

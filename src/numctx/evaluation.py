@@ -50,26 +50,24 @@ class ClassMetrics:
     f_measure: float
 
 
+def _share(cm: ConfusionMatrix, label: FormatLabel, line: np.ndarray) -> float:
+    """``label``'s true positives over the sum of ``line``, a row or column of ``cm``; 1.0 on a 0 sum."""
+    denom = int(line.sum())
+    return float(cm.counts[int(label), int(label)]) / denom if denom else 1.0
+
+
 def precision(cm: ConfusionMatrix, label: FormatLabel) -> float:
     """True positives over everything predicted as ``label``.
 
     When nothing was predicted as ``label`` there are no false positives,
     and the convention here is to return 1.0.
     """
-    column = cm.counts[:, int(label)]
-    denom = int(column.sum())
-    if denom == 0:
-        return 1.0
-    return float(cm.counts[int(label), int(label)]) / denom
+    return _share(cm, label, cm.counts[:, int(label)])
 
 
 def recall(cm: ConfusionMatrix, label: FormatLabel) -> float:
     """True positives over everything truly ``label``; 1.0 on an empty row."""
-    row = cm.counts[int(label), :]
-    denom = int(row.sum())
-    if denom == 0:
-        return 1.0
-    return float(cm.counts[int(label), int(label)]) / denom
+    return _share(cm, label, cm.counts[int(label), :])
 
 
 def f_measure(p: float, r: float) -> float:
@@ -169,6 +167,18 @@ def _pct(x: float) -> float:
     return round(100.0 * x, 2)
 
 
+_FIGURES = ("highest_pct", "mean_pct", "std_pct")
+
+
+def _figures(summary: RunSummary) -> dict:
+    """A run's highest, mean and std fold accuracy, in percent."""
+    return dict(zip(_FIGURES, map(_pct, (summary.highest, summary.mean, summary.std))))
+
+
+def _figures_tsv(figures: dict) -> str:
+    return "\t".join(f"{figures[name]:.2f}" for name in _FIGURES)
+
+
 def evaluation_report(summary: RunSummary) -> dict:
     """Report dict: run summary plus pooled per-class metrics."""
     metrics = class_metrics(summary.pooled)
@@ -179,11 +189,7 @@ def evaluation_report(summary: RunSummary) -> dict:
         "folds": summary.k,
         "seed": summary.seed,
         "aggregation": "confusion matrix pooled over all folds",
-        "summary": {
-            "highest_pct": _pct(summary.highest),
-            "mean_pct": _pct(summary.mean),
-            "std_pct": _pct(summary.std),
-        },
+        "summary": _figures(summary),
         "per_fold_accuracy_pct": [_pct(a) for a in summary.fold_accuracies],
         "confusion": {
             "labels": [label.name for label in LABELS],
@@ -210,15 +216,7 @@ def comparison_report(context_summary: RunSummary, bow_summary: RunSummary) -> d
         "classifier": context_summary.algorithm,
         "folds": context_summary.k,
         "seed": context_summary.seed,
-        "rows": [
-            {
-                "extractor": s.extractor,
-                "highest_pct": _pct(s.highest),
-                "mean_pct": _pct(s.mean),
-                "std_pct": _pct(s.std),
-            }
-            for s in (context_summary, bow_summary)
-        ],
+        "rows": [{"extractor": s.extractor, **_figures(s)} for s in (context_summary, bow_summary)],
         "delta_mean_pct": round(_pct(context_summary.mean) - _pct(bow_summary.mean), 2),
     }
 
@@ -233,9 +231,8 @@ def render_tsv(report: dict) -> str:
 
     if report["kind"] == "evaluation":
         lines.append("section\tsummary")
-        lines.append("highest_pct\tmean_pct\tstd_pct")
-        s = report["summary"]
-        lines.append(f"{s['highest_pct']:.2f}\t{s['mean_pct']:.2f}\t{s['std_pct']:.2f}")
+        lines.append("\t".join(_FIGURES))
+        lines.append(_figures_tsv(report["summary"]))
         lines.append("section\tfold_accuracies")
         lines.append("\t".join(f"{a:.2f}" for a in report["per_fold_accuracy_pct"]))
         lines.append("section\tconfusion")
@@ -252,12 +249,9 @@ def render_tsv(report: dict) -> str:
             )
     elif report["kind"] == "comparison":
         lines.append("section\tcomparison")
-        lines.append("extractor\thighest_pct\tmean_pct\tstd_pct")
+        lines.append("\t".join(["extractor", *_FIGURES]))
         for row in report["rows"]:
-            lines.append(
-                f"{row['extractor']}\t{row['highest_pct']:.2f}"
-                f"\t{row['mean_pct']:.2f}\t{row['std_pct']:.2f}"
-            )
+            lines.append(f"{row['extractor']}\t{_figures_tsv(row)}")
         lines.append(f"delta_mean_pct\t{report['delta_mean_pct']:.2f}")
     else:
         raise ValueError(f"unknown report kind {report.get('kind')!r}")

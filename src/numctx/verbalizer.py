@@ -8,7 +8,8 @@ live next to the number instead of inside it (a month name after a day, an
 ``verbalize`` accepts the optional context window those words come from, and
 the lexicon tells which of those words names a month, a currency or a unit.
 A month, a day period or a currency is the first window word that names one,
-searched post1, post2, pre1, pre2 (``_cue``); a unit is read from post1 only.
+searched post1, post2, pre1, pre2 (``_cue``); a unit, and the ``sen`` that
+makes a bare Currency amount count sen, are read from post1 only.
 Which shapes each label can be read from, and the reader that reads them,
 live in one table, ``_READINGS``; a label applied to any other shape raises
 ``VerbalizationError`` before a reader runs.
@@ -43,6 +44,9 @@ _UNIT_ABBREVS = {
 }
 # the period a window word names; "pm" (None) names the afternoon or evening of the hour
 _PERIODS = {"pagi": "pagi", "petang": "petang", "malam": "malam", "tengah": "tengah hari", "am": "pagi", "pm": None}
+
+# the window of a number read without one: every slot past the sentence edge
+_NO_WINDOW = ContextWindow(None, None, None, None)
 
 CARDINAL_LIMIT = 10**18
 
@@ -143,10 +147,8 @@ def _digits_spoken(digits: str) -> str:
     return " ".join(_ONES[int(d)] for d in digits)
 
 
-def _cue(context: ContextWindow | None, accepts: Callable[[str], bool]) -> str | None:
+def _cue(context: ContextWindow, accepts: Callable[[str], bool]) -> str | None:
     """The first window word that ``accepts`` takes, trying post1, post2, pre1, pre2."""
-    if context is None:
-        return None
     slots = (context.postposition1, context.postposition2, context.preposition1, context.preposition2)
     return next((word for word in slots if word is not None and accepts(word)), None)
 
@@ -164,6 +166,7 @@ def verbalize(
     currency or a unit, so a lexicon without ``Month`` rows names no month.
     ``shape`` is the token's ``shape_of``, for a caller that already has it."""
     lexicon = lexicon if lexicon is not None else default_lexicon()
+    context = context if context is not None else _NO_WINDOW
     shape = shape if shape is not None else shape_of(token)
     reader, kinds = _READINGS[label]
     if shape.kind not in kinds:
@@ -238,12 +241,15 @@ def _whole_and_fraction(token: NumberToken) -> tuple[int, str]:
 
 def _verbalize_currency(token, shape, style, context, lexicon) -> str:
     whole, fraction = _whole_and_fraction(token)
-    # a single fraction digit means tens of sen: 2.5 reads as 2.50
-    cents = int(fraction.ljust(2, "0")) if fraction else 0
+    if not fraction and shape.kind != ShapeKind.CurrencyPrefixed and context.postposition1 == "sen":
+        return f"{cardinal(whole)} sen"  # 50 sen is half a ringgit, not 50 of them
+    # one or two fraction digits are sen, a single digit tens of them (2.5 reads
+    # as 2.50); a longer fraction is no sen amount, so the amount reads as a decimal
+    cents = int(fraction.ljust(2, "0")) if len(fraction) <= 2 else 0
     symbolic = style.currency_mode == CurrencyMode.Symbolic
     parts = ["rm"] if symbolic else []
     if whole or not cents:
-        parts.append(cardinal(whole))
+        parts.append(cardinal(whole) if len(fraction) <= 2 else _decimal_words(token))
         if not symbolic:
             parts.append(_cue(context, lambda w: lexicon.lookup(w) == KeywordClass.CurrencyWord) or "ringgit")
     if cents:
@@ -259,12 +265,8 @@ def _decimal_words(token: NumberToken) -> str:
     return cardinal(whole)
 
 
-def _measurement_unit(context: ContextWindow | None, mode: UnitMode, lexicon: Lexicon) -> str | None:
-    if context is None:
-        return None
+def _measurement_unit(context: ContextWindow, mode: UnitMode, lexicon: Lexicon) -> str | None:
     word = context.postposition1
-    if word is None:
-        return None
     if word in _UNIT_ABBREVS:
         return _UNIT_ABBREVS[word] if mode == UnitMode.Full else word
     if lexicon.lookup(word) in (KeywordClass.MeasurementUnit, KeywordClass.CollectiveNoun):

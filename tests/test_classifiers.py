@@ -109,6 +109,17 @@ class TestTrainContract:
             with pytest.raises(ValueError, match=message):
                 train([[0.0], [1.0], [2.0]], np.array([D, label, 7], dtype=np.int64), TrainConfig(algorithm=algorithm))
 
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_label_not_a_whole_number_refused(self, algorithm):
+        # int() would truncate 3.7 to Currency
+        message = "^training label 3.7 is not a FormatLabel value$"
+        for labels in ([0, 3.7], np.array([0.0, 3.7])):
+            with pytest.raises(ValueError, match=message):
+                train([[0.0], [1.0]], labels, TrainConfig(algorithm=algorithm))
+        # a whole-number real is its label
+        model = train([[0.0], [1.0]], np.array([0.0, 3.0]), TrainConfig(algorithm=algorithm))
+        assert predict(model, [1.0]) == FormatLabel.Currency
+
     def test_predict_dimension_mismatch(self):
         model = train([[0.0, 1.0], [1.0, 0.0]], [D, T], dt_cfg())
         with pytest.raises(ValueError):

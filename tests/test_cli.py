@@ -205,6 +205,15 @@ class TestUsageErrors:
         if flags[0] == "--max-depth":  # the flag's own range: 0 means unlimited, None cannot be typed
             assert err == "numctx: error: --max-depth must be >= 0 (0 = unlimited), got -1\n"
 
+    @pytest.mark.parametrize("command", [["train", "--output", "m.txt"], ["evaluate"], ["compare"], ["classify"]])
+    @pytest.mark.parametrize("missing", [["--corpus", "/nonexistent.csv"], ["--lexicon", "/nonexistent.tsv"]])
+    def test_usage_error_comes_before_a_missing_input_file(self, command, missing, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run([*command, *missing, "--c-reg", "0"], "", monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("numctx: error: --c-reg must be ")
+        assert not (tmp_path / "m.txt").exists()
+
 
 class TestMain:
     def test_parser_built_once(self):

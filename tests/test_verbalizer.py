@@ -207,6 +207,24 @@ class TestVerbalizeFixtures:
         text = "dolar 500 ringgit sahaja"
         assert verbalize(tok(text), C, context=win(text)) == "lima ratus ringgit"
 
+    def test_bare_amount_before_sen_reads_sen(self):
+        text = "Harga 50 sen sahaja ."
+        assert verbalize(tok(text), C, context=win(text)) == "lima puluh sen"
+        symbolic = VerbalizationStyle(currency_mode=CurrencyMode.Symbolic)
+        assert verbalize(tok(text), C, symbolic, context=win(text)) == "lima puluh sen"
+        # with RM, or with a fraction, the amount is ringgit
+        assert verbalize(tok("RM 50 sen"), C, context=win("RM 50 sen")) == "lima puluh ringgit"
+        assert verbalize(tok("1.50 sen"), C, context=win("1.50 sen")) == "satu ringgit lima puluh sen"
+
+    def test_fraction_of_three_digits_reads_as_a_decimal_amount(self):
+        text = "kerugian dianggarkan RM 1.234 semalam"
+        assert verbalize(tok(text), C, context=win(text)) == "satu perpuluhan dua tiga empat ringgit"
+        symbolic = VerbalizationStyle(currency_mode=CurrencyMode.Symbolic)
+        assert verbalize(tok(text), C, symbolic, context=win(text)) == "rm satu perpuluhan dua tiga empat"
+        assert verbalize(tok("harga 1.234 dolar"), C, context=win("harga 1.234 dolar")) == (
+            "satu perpuluhan dua tiga empat dolar"
+        )
+
     def test_currency_plain_ringgit_default(self):
         assert verbalize(tok("250"), C) == "dua ratus lima puluh ringgit"
 
@@ -303,8 +321,10 @@ class TestStyleDefaults:
 # The six readers and verbalize as they stood while the verbalizer still kept
 # a second copy of several reading rules (its own month set, two money and
 # decimal splits, two date lines, two currency templates, an if/elif period
-# chain). verbalize must read every token, label, style and window exactly as
-# they do, errors included.
+# chain), with the currency reader's two later rules added: a bare amount
+# before the word sen counts sen, and a fraction of three or more digits is
+# read as a decimal amount. verbalize must read every token, label, style and
+# window exactly as they do, errors included.
 
 _ONES = ["kosong", "satu", "dua", "tiga", "empat", "lima", "enam", "tujuh", "lapan", "sembilan"]
 _MONTHS = [
@@ -447,6 +467,15 @@ def _currency_unit(context: ContextWindow | None, lexicon: Lexicon) -> str:
 
 
 def _verbalize_currency(token, shape, style, context, lexicon) -> str:
+    has_fraction = bool(token.separators) and token.separators[-1] == "."
+    # an amount without RM or a fraction, followed by the word sen, counts sen
+    if not has_fraction and token.prefix_symbol != "RM" and context is not None and context.postposition1 == "sen":
+        return f"{cardinal(int(''.join(token.digit_groups)))} sen"
+    # a fraction of three or more digits is no sen amount: the amount is a decimal
+    if has_fraction and len(token.digit_groups[-1]) > 2:
+        if style.currency_mode == CurrencyMode.Symbolic:
+            return f"rm {_decimal_words(token)}"
+        return f"{_decimal_words(token)} {_currency_unit(context, lexicon)}"
     whole, cents = _split_money(token)
     if style.currency_mode == CurrencyMode.Symbolic:
         parts = ["rm"]
@@ -586,6 +615,8 @@ class TestMatchesFrozenReaders:
     @example(("2.00", T), DEFAULT_STYLE, ContextWindow(None, None, "pm", "pagi"))
     @example(("8.30", T), DEFAULT_STYLE, ContextWindow("pagi", "pukul", "malam", None))  # Esok pagi pukul 8.30 malam
     @example(("500", C), DEFAULT_STYLE, ContextWindow(None, "dolar", "ringgit", None))  # post1 before pre1
+    @example(("50", C), STYLES[0], ContextWindow(None, "harga", "sen", "sahaja"))  # Harga 50 sen sahaja
+    @example(("RM 1.234", C), DEFAULT_STYLE, ContextWindow("kerugian", "dianggarkan", "semalam", None))
     def test_verbalize_reads_as_the_frozen_readers(self, case, style, window):
         text, label = case
         token = tok(text)
