@@ -9,6 +9,7 @@ bundled corpus and lexicon; no environment variable is read.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -26,17 +27,20 @@ from .corpus import (
 from .labels import LABELS
 from .locator import locate_numbers, shape_of
 from .pipeline import EXTRACTORS, Pipeline
-from .verbalizer import (
-    CurrencyMode,
-    UnitMode,
-    VerbalizationStyle,
-    YearMode,
-    verbalize,
-)
+from .verbalizer import VerbalizationStyle, verbalize
 
 _OUT_OF_SCOPE_CLASSIFIERS = ("svm-poly", "svm-rbf")
 # a module-level name, so perfbench can time pipeline loading from outside
 load_pipeline = Pipeline.load
+# one flag per field, named after it; the field's default gives the flag its type
+# (a style field's: the values of its enum) and its default
+_CLASSIFIER_FIELDS = [f for f in dataclasses.fields(TrainConfig) if f.name != "algorithm"]  # --classifier's
+_STYLE_FIELDS = dataclasses.fields(VerbalizationStyle)
+_FLAG_HELP = {"k": "neighbors for knn (1 or 3)", "max_depth": "dt depth limit, 0 = unlimited"}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 @functools.cache  # main may run many times in one process; building the tree takes about 2 ms
@@ -63,20 +67,15 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[a.value for a in Algorithm] + list(_OUT_OF_SCOPE_CLASSIFIERS),
         default="dt",
     )
-    classifier.add_argument("--k", type=int, default=1, help="neighbors for knn (1 or 3)")
-    classifier.add_argument("--max-depth", type=int, default=16, help="dt depth limit, 0 = unlimited")
-    classifier.add_argument("--min-leaf", type=int, default=1)
-    classifier.add_argument("--shrinkage", type=float, default=1e-4)
-    classifier.add_argument("--c-reg", type=float, default=1.0)
-    classifier.add_argument("--epochs", type=int, default=200)
+    for f in _CLASSIFIER_FIELDS:
+        classifier.add_argument(_flag(f.name), type=type(f.default), default=f.default, help=_FLAG_HELP.get(f.name))
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--folds", type=int, default=10)
     report.add_argument("--seed", type=int, default=42, help="seeds the fold assignment")
     report.add_argument("--format", choices=("tsv", "json"), default="tsv")
     style = argparse.ArgumentParser(add_help=False)
-    style.add_argument("--year-mode", choices=("full", "paired"), default="full")
-    style.add_argument("--currency-mode", choices=("spoken", "symbolic"), default="spoken")
-    style.add_argument("--unit-mode", choices=("full", "abbrev"), default="full")
+    for f in _STYLE_FIELDS:
+        style.add_argument(_flag(f.name), choices=[mode.value for mode in type(f.default)], default=f.default.value)
     # what a model file fixes, by name and default; with --model only the style flags apply
     model_file_flags = {
         name: default
@@ -122,23 +121,16 @@ def _train_config(args) -> TrainConfig:
     if args.classifier in _OUT_OF_SCOPE_CLASSIFIERS:
         _usage_error(
             f"classifier {args.classifier!r} is unsupported (out of scope); "
-            "supported classifiers are dt, knn, lda, svm - see README"
+            f"supported classifiers are {', '.join(sorted(a.value for a in Algorithm))} - see README"
         )
     if args.max_depth < 0:  # TrainConfig spells unlimited None, the flag 0
         _usage_error(f"--max-depth must be >= 0 (0 = unlimited), got {args.max_depth}")
     try:
-        return TrainConfig(
-            algorithm=Algorithm(args.classifier),
-            k=args.k,
-            max_depth=None if args.max_depth == 0 else args.max_depth,
-            min_leaf=args.min_leaf,
-            shrinkage=args.shrinkage,
-            c_reg=args.c_reg,
-            epochs=args.epochs,
-        )
+        settings = {f.name: getattr(args, f.name) for f in _CLASSIFIER_FIELDS}
+        return TrainConfig(Algorithm(args.classifier), **{**settings, "max_depth": args.max_depth or None})
     except ValueError as exc:  # each message starts with the field: the flag with underscores
         name, rest = str(exc).split(" ", 1)
-        _usage_error(f"--{name.replace('_', '-')} {rest}")
+        _usage_error(f"{_flag(name)} {rest}")
 
 
 def _inputs(args) -> tuple[TrainConfig, Corpus, context_features.Lexicon]:
@@ -191,7 +183,7 @@ def cmd_compare(args) -> int:
     cfg, corpus, lexicon = _inputs(args)
     context_summary, bow_summary = (
         evaluation.cross_validate(corpus, extractor, cfg, k=args.folds, seed=args.seed, lexicon=lexicon)
-        for extractor in ("context", "bow")
+        for extractor in EXTRACTORS
     )
     _emit_report(evaluation.comparison_report(context_summary, bow_summary), args.format)
     return 0
@@ -204,21 +196,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _style_from_args(args) -> VerbalizationStyle:
-    return VerbalizationStyle(
-        year_mode=YearMode(args.year_mode),
-        currency_mode=CurrencyMode(args.currency_mode),
-        unit_mode=UnitMode(args.unit_mode),
-    )
-
-
 def cmd_classify(args) -> int:
-    style = _style_from_args(args)
+    style = VerbalizationStyle(**{f.name: type(f.default)(getattr(args, f.name)) for f in _STYLE_FIELDS})
     if args.model is not None:
         ignored = [name for name, default in args.model_file_flags.items() if getattr(args, name) != default]
         if ignored:
-            flags = ", ".join("--" + name.replace("_", "-") for name in ignored)
-            _usage_error(f"{flags} cannot be combined with --model, which fixes them")
+            _usage_error(f"{', '.join(map(_flag, ignored))} cannot be combined with --model, which fixes them")
         pipeline = load_pipeline(args.model)
     else:
         # no model file: train on the (bundled by default) corpus right here

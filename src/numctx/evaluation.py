@@ -119,8 +119,8 @@ def cross_validate(
     corpus: Corpus,
     extractor: str,
     cfg: TrainConfig,
-    k: int = 10,
-    seed: int = 42,
+    k: int,
+    seed: int,
     *,
     lexicon: context_features.Lexicon | None = None,
 ) -> RunSummary:

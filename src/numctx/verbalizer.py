@@ -247,11 +247,16 @@ def _verbalize_currency(token, shape, style, context, lexicon) -> str:
     # as 2.50); a longer fraction is no sen amount, so the amount reads as a decimal
     cents = int(fraction.ljust(2, "0")) if len(fraction) <= 2 else 0
     symbolic = style.currency_mode == CurrencyMode.Symbolic
-    parts = ["rm"] if symbolic else []
-    if whole or not cents:
+    says_unit = whole or not cents  # the spoken style names the currency after a whole amount
+    unit = None
+    if says_unit or symbolic:
+        unit = _cue(context, lambda w: lexicon.lookup(w) == KeywordClass.CurrencyWord) or "ringgit"
+    rm = symbolic and unit == "ringgit"  # rm stands for ringgit alone; any other currency reads as spoken
+    parts = ["rm"] if rm else []
+    if says_unit:
         parts.append(cardinal(whole) if len(fraction) <= 2 else _decimal_words(token))
-        if not symbolic:
-            parts.append(_cue(context, lambda w: lexicon.lookup(w) == KeywordClass.CurrencyWord) or "ringgit")
+        if not rm:
+            parts.append(unit)
     if cents:
         parts.append(f"{cardinal(cents)} sen")
     return " ".join(parts)

@@ -4,12 +4,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from conftest import separable_corpus
-from numctx.classifiers import ModelFormatError, deserialize
+from numctx.classifiers import Algorithm, ModelFormatError, TrainConfig, deserialize
 import numctx
 from numctx import cli, context_features, locator, pipeline, verbalizer
 from numctx.cli import build_parser, main
@@ -234,6 +235,36 @@ class TestMain:
         in_one_process = [run(argv, stdin, monkeypatch, capsys) for argv, stdin in calls]
         assert in_one_process == [(p.returncode, p.stdout, p.stderr) for p in alone]
         assert in_one_process[1] == (0, "20-22\tDate\tdua puluh satu januari\n", "")
+
+
+class TestFlagsTakeTheLibraryDefaults:
+    def test_train_flags_give_the_default_config(self):
+        args = build_parser().parse_args(["train", "--output", "x"])
+        assert cli._train_config(args) == TrainConfig(Algorithm.DecisionTree)
+
+    @pytest.fixture
+    def style_of(self, toy_corpus_path, tmp_path, monkeypatch, capsys):
+        """Runs classify --model with the given flags; returns the style it verbalized in."""
+        model_path = tmp_path / "model.txt"
+        run(["train", "--corpus", toy_corpus_path, "--output", str(model_path)], capsys=capsys)
+        styles = []
+        monkeypatch.setattr(cli, "verbalize", lambda token, label, style, **kwargs: styles.append(style) or "")
+
+        def style_of(*flags):
+            argv = ["classify", "--model", str(model_path), *flags]
+            assert run(argv, COURT_SENTENCE + "\n", monkeypatch, capsys) == (0, "20-22\tDate\t\n", "")
+            return styles.pop()
+
+        return style_of
+
+    def test_no_style_flag_gives_the_default_style(self, style_of):
+        assert style_of() == verbalizer.DEFAULT_STYLE
+
+    @pytest.mark.parametrize("flag", ["--year-mode", "--currency-mode", "--unit-mode"])
+    def test_every_mode_is_accepted_by_its_flag(self, flag, style_of):
+        field = flag[2:].replace("-", "_")
+        for mode in type(getattr(verbalizer.DEFAULT_STYLE, field)):
+            assert style_of(flag, mode.value) == replace(verbalizer.DEFAULT_STYLE, **{field: mode})
 
 
 class TestEvaluate:

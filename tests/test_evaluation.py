@@ -167,7 +167,7 @@ class TestCrossValidate:
 
     def test_unknown_extractor(self):
         with pytest.raises(ValueError):
-            cross_validate(separable_corpus(), "tfidf", _dt())
+            cross_validate(separable_corpus(), "tfidf", _dt(), k=10, seed=42)
 
     def test_fold_count_respected(self):
         summary = cross_validate(separable_corpus(), "context", _dt(), k=5, seed=1)

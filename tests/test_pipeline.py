@@ -218,5 +218,7 @@ class TestEachRowLocatedOnce:
         calls.clear()
         for extractor in EXTRACTORS:
             Pipeline.fit(corpus, TrainConfig(algorithm=Algorithm.DecisionTree), extractor, LEXICON)
-            cross_validate(corpus, extractor, TrainConfig(algorithm=Algorithm.DecisionTree), k=2, lexicon=LEXICON)
+            cross_validate(
+                corpus, extractor, TrainConfig(algorithm=Algorithm.DecisionTree), k=2, seed=42, lexicon=LEXICON
+            )
         assert calls == []
