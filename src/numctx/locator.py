@@ -10,16 +10,25 @@ absorbed into a number only when flanked by digits on both sides, so a
 sentence-final full stop never joins the number before it. An immediately
 preceding ``+`` or ``RM`` (glued or space-separated) not after a letter or
 digit, and an immediately following ``%``, are absorbed as attached symbols.
+
+The number pattern opens with the lookahead ``(?=[+R0-9])``. Every match
+already starts with ``+``, the ``R`` of ``RM`` or a digit, so the lookahead
+is implied by the rest of the pattern and changes no match. It lets ``re``
+reject any other position after one character test, where it would
+otherwise enter the optional prefix group there first.
+
+``NumberToken`` and ``NumberShape`` are NamedTuples: immutable, and a record
+also equals the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 # [0-9], not \d: ASCII digits only. [^\W_] is exactly str.isalnum. + before RM.
-_NUMBER_RE = re.compile(r"(?:(?<![^\W_])(?:(\+)|(RM) ?))?([0-9]+(?:[.,:/-][0-9]+)*)(%)?")
+_NUMBER_RE = re.compile(r"(?=[+R0-9])(?:(?<![^\W_])(?:(\+)|(RM) ?))?([0-9]+(?:[.,:/-][0-9]+)*)(%)?")
 _SEPARATOR_RE = re.compile(r"([.,:/-])")
 # detached from both ends of a word, kept inside it
 SENTENCE_PUNCTUATION = ".,;!?()\"'"
@@ -27,12 +36,12 @@ _PUNCT = re.escape(SENTENCE_PUNCTUATION)
 _WORD_RE = re.compile(rf"[^\s{_PUNCT}]+(?:[{_PUNCT}]+[^\s{_PUNCT}]+)*")
 
 
-@dataclass(frozen=True)
-class NumberToken:
+class NumberToken(NamedTuple):
     """A located number with its attached symbols.
 
     ``digit_groups`` interleaved with ``separators`` reconstructs the raw
-    text minus the attached prefix/suffix symbols.
+    text minus the attached prefix/suffix symbols. A NamedTuple, so it also
+    equals the plain tuple of its fields.
     """
 
     raw: str
@@ -58,8 +67,7 @@ class ShapeKind(IntEnum):
 SHAPE_KINDS: tuple[ShapeKind, ...] = tuple(ShapeKind)
 
 
-@dataclass(frozen=True)
-class NumberShape:
+class NumberShape(NamedTuple):
     kind: ShapeKind
     digit_count: int
     group_lengths: tuple[int, ...]
@@ -88,16 +96,8 @@ def locate_numbers(text: str) -> list[NumberToken]:
     found: list[NumberToken] = []
     for m in _NUMBER_RE.finditer(text):
         parts = _SEPARATOR_RE.split(m[3])
-        found.append(
-            NumberToken(
-                raw=m[0],
-                span=m.span(),
-                digit_groups=tuple(parts[0::2]),
-                separators=tuple(parts[1::2]),
-                prefix_symbol=m[1] or m[2],
-                suffix_symbol=m[4],
-            )
-        )
+        # positional, in field order: a keyword call costs twice as much
+        found.append(NumberToken(m[0], m.span(), tuple(parts[0::2]), tuple(parts[1::2]), m[1] or m[2], m[4]))
     return found
 
 
@@ -111,7 +111,7 @@ def shape_of(token: NumberToken) -> NumberShape:
     """
     seps = token.separators
     groups = token.digit_groups
-    lengths = tuple(len(g) for g in groups)
+    lengths = tuple(map(len, groups))
     digit_count = sum(lengths)
 
     if len(groups) == 3 and seps == ("/", "/"):
@@ -134,4 +134,4 @@ def shape_of(token: NumberToken) -> NumberShape:
     else:
         kind = ShapeKind.PlainInt
 
-    return NumberShape(kind=kind, digit_count=digit_count, group_lengths=lengths)
+    return NumberShape(kind, digit_count, lengths)

@@ -16,6 +16,7 @@ from numctx.corpus import (
     stratified_folds,
 )
 from numctx.labels import LABELS, FormatLabel
+from numctx.locator import locate_numbers
 
 COURT_ROW = 's1,"Mahkamah menetapkan 21 Januari ini untuk sebutan semula kes",20,22,Date\n'
 HEADER = "id,text,start,end,label\n"
@@ -149,6 +150,13 @@ class TestRowCarriesItsNumber:
         assert sentence == make_sentence("s1", value="RM 2.50")
         assert hash(sentence) == hash(make_sentence("s1", value="RM 2.50"))
         assert "number" not in repr(sentence)
+
+    def test_equality_and_hash_ignore_number(self):
+        sentence, other = make_sentence("s1"), make_sentence("s1")
+        object.__setattr__(other, "number", locate_numbers("RM 9")[0])
+        assert other.number != sentence.number
+        assert other == sentence
+        assert hash(other) == hash(sentence)
 
 
 class TestStratifiedFolds:

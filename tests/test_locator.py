@@ -3,6 +3,7 @@ from conftest import _oracle_tokenize
 from hypothesis import given, settings, strategies as st
 
 from numctx.locator import (
+    NumberShape,
     NumberToken,
     ShapeKind,
     locate_numbers,
@@ -90,6 +91,41 @@ class TestLocateNumbers:
     def test_ordered_by_start(self):
         spans = [t.span for t in locate_numbers("1 dan 2 dan 33 dan 4")]
         assert spans == sorted(spans)
+
+
+class TestRecords:
+    def test_fields_cannot_be_assigned(self):
+        (token,) = locate_numbers("RM 2.50")
+        shape = shape_of(token)
+        with pytest.raises(AttributeError):
+            token.raw = "RM 3"
+        with pytest.raises(AttributeError):
+            shape.kind = ShapeKind.PlainInt
+
+    @pytest.mark.parametrize(
+        "text,token,shape",
+        [
+            (
+                "harga RM 2.50",
+                NumberToken(raw="RM 2.50", span=(6, 13), digit_groups=("2", "50"), separators=(".",), prefix_symbol="RM"),
+                NumberShape(kind=ShapeKind.CurrencyPrefixed, digit_count=3, group_lengths=(1, 2)),
+            ),
+            (
+                "naik 25%",
+                NumberToken(raw="25%", span=(5, 8), digit_groups=("25",), separators=(), suffix_symbol="%"),
+                NumberShape(kind=ShapeKind.PercentSuffixed, digit_count=2, group_lengths=(2,)),
+            ),
+            (
+                "21/01/2020",
+                NumberToken(raw="21/01/2020", span=(0, 10), digit_groups=("21", "01", "2020"), separators=("/", "/")),
+                NumberShape(kind=ShapeKind.SlashDate, digit_count=8, group_lengths=(2, 2, 4)),
+            ),
+        ],
+    )
+    def test_keyword_built_record_equals_located(self, text, token, shape):
+        (located,) = locate_numbers(text)
+        assert located == token
+        assert shape_of(located) == shape
 
 
 class TestShapeOf:
@@ -254,10 +290,10 @@ def _oracle_locate_numbers(text: str) -> list[NumberToken]:
     return found
 
 
-# "RM" is one symbol; "_", "é", "٣" (a non-ASCII digit) and "²" tell str.isalnum,
-# \w and \d apart
+# "RM" is one symbol, and a lone "R" and "M" test its halves; "_", "é", "٣" (a
+# non-ASCII digit) and "²" tell str.isalnum, \w and \d apart
 _ORACLE_ALPHABET = st.sampled_from(
-    list("0123456789.,:-/%+ \taxM_é٣²;!?()\"'") + ["RM"]
+    list("0123456789.,:-/%+ \taxRM_é٣²;!?()\"'") + ["RM"]
 )
 
 
@@ -274,6 +310,7 @@ class TestMatchesFrozenScanner:
             "x+5", "5+6", "5%+6", "+RM5", "xRM5", "1,RM 2", "٣5", "_RM 5",
             "_+5", "é+5", "²RM5", "RM  5", "RM 5.", "+60-12-345678.", "1.2.3,4:5/6-7%%",
             '(a.b) "c"!', "...", "\t'x'\t", "kata-kata, (RM 2.50).",
+            "R5", "xR5", "RRM5", "R M5", "+R5", "RM+5",
         ],
     )
     def test_edge_cases(self, text):
