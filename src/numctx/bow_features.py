@@ -4,14 +4,14 @@ Each character of the number token (attached symbols included) is mapped to
 its 0-255 code value; codes above 255 land in the overflow bucket 255. A
 token's 256 byte counts are one fixed encoding. The vocabulary is the bytes
 the training tokens hold, in order of first appearance, and it picks the
-encoding's columns in that order; other bytes drop.
+encoding's columns in that order; other bytes drop. ``bow_row`` gives a
+token's nonzero columns, which is all classifying reads; ``bow_encode``, the
+dense row, is the numpy reference they are checked against.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import numpy as np
+from collections.abc import Iterable, Mapping, Sequence
 
 _OVERFLOW = 255
 BYTES = _OVERFLOW + 1  # width of the fixed encoding
@@ -36,9 +36,22 @@ def build_vocab(training_tokens: Iterable[str]) -> list[int]:
     return list(dict.fromkeys(map(gram_byte, first_characters)))
 
 
-def bow_encode(token_raw: str, columns: np.ndarray | list[int]) -> np.ndarray:
-    """The token's counts of the byte values ``columns``, in that order; a
-    gram whose byte is not among them is dropped."""
+def bow_row(token_raw: str, column_of: Mapping[int, int]) -> dict[int, float]:
+    """The nonzero counts of ``bow_encode``'s row, keyed by column in
+    ascending order; ``column_of`` maps each kept byte value to its column."""
+    counts: dict[int, float] = {}
+    for gram in unigrams(token_raw):
+        column = column_of.get(gram_byte(gram))
+        if column is not None:
+            counts[column] = counts.get(column, 0.0) + 1.0
+    return dict(sorted(counts.items()))
+
+
+def bow_encode(token_raw: str, columns: Sequence[int]):
+    """The token's counts of the byte values ``columns``, in that order, as a
+    numpy vector; a gram whose byte is not among them is dropped."""
+    import numpy as np  # only this dense reference needs it
+
     counts = np.zeros(BYTES, dtype=np.float64)
     for gram in unigrams(token_raw):
         counts[gram_byte(gram)] += 1

@@ -1,9 +1,14 @@
-"""From-scratch classifiers behind one train/predict contract.
+"""From-scratch classifiers: numpy training and the batch predict.
 
-All four learners are deterministic functions of (X, y, config) and refuse
-an X that is empty, has no columns or holds a non-finite value. KNN stores
-the training data verbatim and measures each distinct training point once
-per query, keeping the every-point order on ties (equal distances: lowest
+The model records, their file format and the per-row ``predict`` live in
+``models``, which imports no numpy; the names callers take from here are
+re-exported.
+``predict_batch`` is the numpy path cross-validation takes, and ``predict``
+gives its label on the integer rows the program builds. All four learners
+are deterministic functions of (X, y, config) and refuse an X that is
+empty, has no columns or holds a non-finite value. KNN stores the training
+data verbatim and ``predict_batch`` measures each distinct training point
+once per query, keeping the every-point order on ties (equal distances: lowest
 training index; k=3 votes: summed distance, then label value). The decision
 tree and the SVM train on each distinct (row, label) pair once, weighted by
 the number of training rows it stands for, as CART case weights do; both
@@ -23,134 +28,21 @@ at a time, under every BLAS kernel; ``_svm_rows`` and the README say how
 its rows are laid out for that. On other real X the subgradient may differ
 in the last bits. LDA and the SVM keep one linear form, per-class
 weights and bias, for scoring and storage; ``train`` refuses one whose
-training overflows or whose weights or biases are not finite. Models
-serialize to a versioned line-oriented text format with reals rendered to
-17 significant digits, so a round-trip is prediction-exact; a stored real
-that is nan or infinite, or a ``dim`` below 1, is refused on load.
+training overflows or whose weights or biases are not finite.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from enum import Enum
-
 import numpy as np
 
 from .labels import FormatLabel
+from .models import (  # noqa: F401  re-exported, see above
+    Algorithm, KnnModel, LdaModel, LinearModel, ModelFormatError, SvmModel, TrainConfig, TrainedModel,
+    TreeModel, TreeNode, _label, deserialize, predict, serialize,
+)
 
-_MAGIC = "numctx-model v2"
 # splits with float-noise-level gain are treated as no gain at all
 _MIN_GAIN = 1e-12
-
-
-class Algorithm(str, Enum):
-    KNN = "knn"
-    DecisionTree = "dt"
-    LDA = "lda"
-    LinearSVM = "svm"
-
-
-class ModelFormatError(ValueError):
-    """Raised when a serialized model blob cannot be parsed."""
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    algorithm: Algorithm
-    k: int = 1
-    max_depth: int | None = 16
-    min_leaf: int = 1
-    shrinkage: float = 1e-4
-    c_reg: float = 1.0
-    epochs: int = 200
-
-    def __post_init__(self) -> None:
-        if self.algorithm == Algorithm.KNN and self.k not in (1, 3):
-            raise ValueError(f"k must be 1 or 3, got {self.k}")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1 or None, got {self.max_depth}")
-        if self.min_leaf < 1:
-            raise ValueError(f"min_leaf must be >= 1, got {self.min_leaf}")
-        # negated range tests, so nan fails them too. A finite value can still
-        # overflow training (c_reg 1e-320 makes the SVM's step infinite),
-        # which train refuses
-        if not 0 <= self.shrinkage < math.inf:
-            raise ValueError(f"shrinkage must be finite and >= 0, got {self.shrinkage}")
-        if not 0 < self.c_reg < math.inf:
-            raise ValueError(f"c_reg must be finite and > 0, got {self.c_reg}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-
-
-@dataclass
-class KnnModel:
-    """The training points verbatim, plus their distinct rows derived once.
-
-    ``distinct`` holds each distinct point in order of first appearance,
-    ``first`` the training index where each first appears, and ``inverse``
-    each training point's row in ``distinct``.
-    """
-
-    dim: int
-    k: int
-    points: np.ndarray
-    labels: np.ndarray
-    algorithm: Algorithm = field(default=Algorithm.KNN, init=False)
-    distinct: np.ndarray = field(init=False, repr=False)
-    first: np.ndarray = field(init=False, repr=False)
-    inverse: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.distinct, self.first, self.inverse = _distinct_rows(self.points)
-
-
-@dataclass(slots=True, eq=False, repr=False)  # a generated repr would recurse once per level
-class TreeNode:
-    """Internal split (feature, threshold, children) or leaf (label)."""
-
-    feature: int | None = None
-    threshold: float | None = None
-    left: TreeNode | None = None
-    right: TreeNode | None = None
-    label: int | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.label is not None
-
-
-@dataclass
-class TreeModel:
-    dim: int
-    root: TreeNode
-    algorithm: Algorithm = field(default=Algorithm.DecisionTree, init=False)
-
-
-@dataclass
-class LinearModel:
-    """Per-class linear scores; the highest score wins."""
-
-    dim: int
-    class_ids: np.ndarray  # ascending label values present in training
-    weights: np.ndarray  # (n_classes, dim)
-    biases: np.ndarray  # (n_classes,)
-
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.weights.T + self.biases
-
-
-@dataclass
-class LdaModel(LinearModel):
-    algorithm: Algorithm = field(default=Algorithm.LDA, init=False)
-
-
-@dataclass
-class SvmModel(LinearModel):
-    algorithm: Algorithm = field(default=Algorithm.LinearSVM, init=False)
-
-
-TrainedModel = KnnModel | TreeModel | LdaModel | SvmModel
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -231,50 +123,46 @@ def _fit_linear(fit, setting: str) -> LinearModel:
     return model
 
 
-def predict(model: TrainedModel, x) -> FormatLabel:
-    """Classify a single feature vector."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"x must be a 1-D vector, got ndim={v.ndim}")
-    return FormatLabel(int(predict_batch(model, v.reshape(1, -1))[0]))
-
-
 def predict_batch(model: TrainedModel, X) -> np.ndarray:
     """Classify many vectors at once; returns an int64 array of label values."""
     M = _as_matrix(X)
     if M.shape[1] != model.dim:
         raise ValueError(f"feature dimension {M.shape[1]} does not match model dimension {model.dim}")
     if isinstance(model, KnnModel):
-        return np.array([_knn_predict_one(model, row) for row in M], dtype=np.int64)
+        return _knn_predict_batch(model, M)
     if isinstance(model, TreeModel):
         return np.array([_tree_descend(model.root, row) for row in M], dtype=np.int64)
-    scores = model.scores(M)
+    scores = M @ np.asarray(model.weights).T + np.asarray(model.biases)
     # argmax takes the first maximum; class_ids ascend, so ties resolve to
     # the lowest label value
-    return model.class_ids[np.argmax(scores, axis=1)]
+    return np.asarray(model.class_ids, dtype=np.int64)[np.argmax(scores, axis=1)]
 
 
 # --- KNN ---------------------------------------------------------------
 
 
-def _knn_predict_one(model: KnnModel, x: np.ndarray) -> int:
-    # each distinct point is measured once, by the per-row expression a scan
-    # over every point uses, so each distance is bit-equal to that scan's
-    d_distinct = np.sqrt(((model.distinct - x) ** 2).sum(axis=1))
-    if model.k == 1:
-        # distinct points are in first-appearance order, so the first
-        # minimum is the lowest training index the stable sort would pick
-        return int(model.labels[model.first[np.argmin(d_distinct)]])
-    d = d_distinct[model.inverse]
-    k = min(model.k, len(d))
-    # stable sort: equal distances resolve to the lower training index
-    nearest = np.argsort(d, kind="stable")[:k]
-    labels = model.labels[nearest]
-    votes = np.bincount(labels, minlength=len(FormatLabel))
-    # a weighted bincount adds in neighbour order, as a running sum would
-    summed = np.bincount(labels, d[nearest], minlength=len(FormatLabel))
-    # most votes, then least summed distance; the stable sort leaves the lowest label first
-    return int(np.lexsort((summed, -votes))[0])
+def _knn_predict_batch(model: KnnModel, M: np.ndarray) -> np.ndarray:
+    distinct, first, inverse = _distinct_rows(_as_matrix(model.points))
+    labels = np.asarray(model.labels, dtype=np.int64)
+    predicted = np.empty(len(M), dtype=np.int64)
+    for i, x in enumerate(M):
+        # each distinct point is measured once, by the per-row expression a
+        # scan over every point uses, so each distance is bit-equal to that scan's
+        d_distinct = np.sqrt(((distinct - x) ** 2).sum(axis=1))
+        if model.k == 1:
+            # distinct points are in first-appearance order, so the first
+            # minimum is the lowest training index the stable sort would pick
+            predicted[i] = labels[first[np.argmin(d_distinct)]]
+            continue
+        d = d_distinct[inverse]
+        # stable sort: equal distances resolve to the lower training index
+        nearest = np.argsort(d, kind="stable")[: model.k]
+        votes = np.bincount(labels[nearest], minlength=len(FormatLabel))
+        # a weighted bincount adds in neighbour order, as a running sum would
+        summed = np.bincount(labels[nearest], d[nearest], minlength=len(FormatLabel))
+        # most votes, then least summed distance; the stable sort leaves the lowest label first
+        predicted[i] = np.lexsort((summed, -votes))[0]
+    return predicted
 
 
 # --- decision tree -------------------------------------------------------
@@ -471,194 +359,3 @@ def _train_svm(M: np.ndarray, labels: np.ndarray, counts: np.ndarray, c_reg: flo
         np.multiply(step, eta, out=step)
         np.subtract(wb, step, out=wb)
     return SvmModel(dim=dim, class_ids=class_ids.astype(np.int64), weights=wb[:, :dim].copy(), biases=wb[:, dim].copy())
-
-
-# --- serialization -------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _fmt_vec(v: np.ndarray) -> str:
-    return " ".join(_fmt(x) for x in v)
-
-
-def serialize(model: TrainedModel) -> str:
-    """Render a model as a versioned text blob. Its bytes are equal under the
-    same BLAS kernel; LDA weights, and SVM weights of some training sets,
-    can differ in their last digits across kernels."""
-    lines = [_MAGIC, f"algorithm {model.algorithm.value}", f"dim {model.dim}"]
-    if isinstance(model, KnnModel):
-        lines.append(f"k {model.k}")
-        lines.append(f"n {len(model.labels)}")
-        for lab, row in zip(model.labels, model.points):
-            lines.append(f"point {int(lab)} {_fmt_vec(row)}")
-    elif isinstance(model, TreeModel):
-        node_lines: list[str] = []
-        # preorder with an explicit stack, so a deep tree cannot exhaust
-        # Python's recursion limit
-        stack = [model.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                node_lines.append(f"leaf {node.label}")
-            else:
-                node_lines.append(f"split {node.feature} {_fmt(node.threshold)}")
-                stack += (node.right, node.left)
-        lines.append(f"nodes {len(node_lines)}")
-        lines.extend(node_lines)
-    elif isinstance(model, LinearModel):
-        lines.append(f"classes {' '.join(str(int(c)) for c in model.class_ids)}")
-        for c, w, b in zip(model.class_ids, model.weights, model.biases):
-            lines.append(f"weights {int(c)} {_fmt_vec(w)}")
-            lines.append(f"bias {int(c)} {_fmt(b)}")
-    else:
-        raise ValueError(f"cannot serialize {type(model).__name__}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"
-
-
-class LineReader:
-    """Cursor over text whose lines read ``key field ...``; every line's key
-    and, where fixed, field count is checked, so damage never reads quietly."""
-
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        """Key of the next line; None at the end."""
-        return self.lines[self.pos].split(" ", 1)[0] if self.pos < len(self.lines) else None
-
-    def take(self, key: str, count: int | None = None) -> list[str]:
-        """The fields after ``key`` on the next line, exactly ``count`` of them when given."""
-        if self.pos >= len(self.lines):
-            raise ModelFormatError(f"unexpected end of file, expected {key!r} line")
-        line = self.lines[self.pos]
-        self.pos += 1
-        found, *fields = line.split(" ")
-        if found != key:
-            raise ModelFormatError(f"expected {key!r} line, got {line!r}")
-        if count is not None and len(fields) != count:
-            raise ModelFormatError(f"{key!r} line holds {len(fields)} fields, expected {count}")
-        return fields
-
-    def magic(self, expected: str) -> None:
-        """Read the format line ``name version``; another version asks for a retrain."""
-        name, version = expected.split(" ")
-        (found,) = self.take(name, 1)
-        if found != version:
-            raise ModelFormatError(f"'{name} {found}' files are no longer read; retrain to write {expected!r}")
-
-    def parse(self, read, source: str = ""):
-        """``read(self)``, which must consume every line; any ValueError or
-        OverflowError (a number too large for int64) it raises becomes a
-        ModelFormatError naming ``source`` and the line."""
-        try:
-            result = read(self)
-            if self.pos < len(self.lines):
-                raise ModelFormatError(f"unexpected content after the end: {self.lines[self.pos]!r}")
-        except (ValueError, OverflowError) as exc:
-            raise ModelFormatError(f"{source}line {self.pos}: {exc}") from None
-        return result
-
-
-def _label(field, key: str) -> int:
-    """``field`` as a label; one outside the FormatLabel values raises a
-    ValueError naming ``key``, so ``train`` never fits a label that
-    ``read_model`` would refuse on the line that holds it. A real that is
-    not a whole number is refused too, as ``int`` would truncate it."""
-    label = int(field)
-    if not 0 <= label < len(FormatLabel) or label != float(field):
-        raise ValueError(f"{key} label {field} is not a FormatLabel value")
-    return label
-
-
-def _finite(key: str, fields: list[str]) -> list[float]:
-    """The reals on a ``key`` line; nan and inf are refused, as ``train`` never stores them."""
-    values = [float(x) for x in fields]
-    if not all(map(math.isfinite, values)):
-        raise ModelFormatError(f"{key} line holds a non-finite value")
-    return values
-
-
-def deserialize(blob: str) -> TrainedModel:
-    """Parse a serialized model; raises ModelFormatError on any damage."""
-    return LineReader(blob).parse(read_model)
-
-
-def read_model(reader: LineReader) -> TrainedModel:
-    """Read one model, magic line through ``end``; damage raises ValueError."""
-    reader.magic(_MAGIC)
-    (algo_name,) = reader.take("algorithm", 1)
-    algorithm = Algorithm(algo_name)
-    (dim_s,) = reader.take("dim", 1)
-    dim = int(dim_s)
-    if dim < 1:  # with no feature, every number would get the same label
-        raise ModelFormatError(f"dim must be at least 1, got {dim}")
-
-    if algorithm == Algorithm.KNN:
-        (k_s,) = reader.take("k", 1)
-        k = TrainConfig(algorithm, k=int(k_s)).k
-        (n_s,) = reader.take("n", 1)
-        n = int(n_s)
-        if n < 1:
-            raise ModelFormatError(f"a knn model needs at least 1 point, got n {n}")
-        # the arrays are built from the lines read, so a declared n or dim allocates nothing
-        point_labels, points = [], []
-        for _ in range(n):
-            label, *vector = reader.take("point", 1 + dim)
-            point_labels.append(_label(label, "point"))
-            points.append(_finite("point", vector))
-        labels = np.array(point_labels, dtype=np.int64)
-        model: TrainedModel = KnnModel(dim=dim, k=k, points=np.array(points), labels=labels)
-    elif algorithm == Algorithm.DecisionTree:
-        (count_s,) = reader.take("nodes", 1)
-        count, first = int(count_s), reader.pos
-        # preorder: each node is the next child of the deepest split still
-        # missing one; the explicit stack of those splits means a deep tree
-        # cannot exhaust Python's recursion limit
-        root: TreeNode | None = None
-        open_splits: list[TreeNode] = []
-        while root is None or open_splits:
-            if reader.peek() == "leaf":
-                (label,) = reader.take("leaf", 1)
-                node = TreeNode(label=_label(label, "leaf"))
-            else:
-                feature, threshold = reader.take("split", 2)
-                node = TreeNode(feature=int(feature), threshold=_finite("split", [threshold])[0])
-                if not 0 <= node.feature < dim:
-                    raise ModelFormatError(f"split feature {feature} outside 0..{dim - 1}")
-            if root is None:
-                root = node
-            elif open_splits[-1].left is None:
-                open_splits[-1].left = node
-            else:
-                open_splits.pop().right = node
-            if not node.is_leaf:
-                open_splits.append(node)
-        if reader.pos - first != count:
-            raise ModelFormatError(f"tree section declares {count} nodes but holds {reader.pos - first}")
-        model = TreeModel(dim=dim, root=root)
-    else:
-        class_ids = np.array([_label(c, "class") for c in reader.take("classes")], dtype=np.int64)
-        if class_ids.size == 0:
-            raise ModelFormatError("classes line names no class")
-        if np.any(np.diff(class_ids) <= 0):
-            raise ModelFormatError("classes line is not strictly ascending")
-        weights, biases = [], []
-        for c in class_ids:
-            weight_class, *vector = reader.take("weights", 1 + dim)
-            if int(weight_class) != c:
-                raise ModelFormatError(f"weights line for class {weight_class} out of order with the classes line")
-            weights.append(_finite("weights", vector))
-            bias_class, bias = reader.take("bias", 2)
-            if int(bias_class) != c:
-                raise ModelFormatError(f"bias line for class {bias_class} out of order with the classes line")
-            biases += _finite("bias", [bias])
-        linear = LdaModel if algorithm == Algorithm.LDA else SvmModel
-        model = linear(dim=dim, class_ids=class_ids, weights=np.array(weights), biases=np.array(biases))
-
-    reader.take("end", 0)
-    return model

@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 data/runtime error, 2 usage error. All randomness
 flows from ``--seed``, so two invocations with equal flags produce
 byte-identical reports. ``--corpus`` and ``--lexicon`` default to the
-bundled corpus and lexicon; no environment variable is read.
+bundled corpus and lexicon; no environment variable is read. Only the
+commands that train (``train``, ``evaluate``, ``compare`` and ``classify``
+without ``--model``) import numpy, so a one-shot ``classify --model`` does not.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import json
 import sys
 from pathlib import Path
 
-from . import context_features, evaluation
-from .classifiers import Algorithm, TrainConfig
+from . import context_features
+from .models import Algorithm, TrainConfig
 from .corpus import (
     Corpus,
     CorpusError,
@@ -144,6 +146,8 @@ def _check_folds(folds: int) -> None:
 
 
 def _emit_report(report: dict, fmt: str) -> None:
+    from . import evaluation
+
     if fmt == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -169,6 +173,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import evaluation  # numpy: only the commands that train import it
+
     _check_folds(args.folds)
     cfg, corpus, lexicon = _inputs(args)
     summary = evaluation.cross_validate(
@@ -179,6 +185,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import evaluation
+
     _check_folds(args.folds)
     cfg, corpus, lexicon = _inputs(args)
     context_summary, bow_summary = (

@@ -6,9 +6,9 @@ number of a line from one scan of the line's words (``scan_words``); two
 bisects over the word offsets give the first and last word a number
 covers. Window words are mapped to keyword classes through an editable
 lexicon, and the four positions, the shape kind, and a digit-count bucket
-are six integer codes (``codes``), one-hot encoded into a fixed
-56-dimension vector (``one_hot``) that does not depend on any corpus
-statistics.
+are six integer codes (``codes``). Their one-hot is a fixed 56-column row
+that does not depend on any corpus statistics; ``one_hot_row`` gives its
+six nonzero columns, and no dense vector is built to classify.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from enum import IntEnum
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
-
-import numpy as np
 
 from .locator import (
     SENTENCE_PUNCTUATION,
@@ -50,7 +48,7 @@ class KeywordClass(IntEnum):
 
 KEYWORD_CLASSES: tuple[KeywordClass, ...] = tuple(KeywordClass)
 
-# vector layout: 4 position blocks of 11, then 9 shape kinds, then 3 buckets
+# row layout: 4 position blocks of 11, then 9 shape kinds, then 3 buckets
 _N_CLASSES = len(KEYWORD_CLASSES)
 _N_SHAPES = len(SHAPE_KINDS)
 _N_BUCKETS = 3
@@ -205,12 +203,10 @@ def codes(window: ContextWindow, shape: NumberShape, lexicon: Lexicon) -> tuple[
     return (*classes, int(shape.kind), _bucket(shape.digit_count))
 
 
-def one_hot(codes: tuple[int, ...]) -> np.ndarray:
-    """The fixed 56-dim vector of six codes, one 1.0 in each block."""
-    vec = np.zeros(FEATURE_DIM, dtype=np.float64)
-    for offset, code in zip(_OFFSETS, codes):
-        vec[offset + code] = 1.0
-    return vec
+def one_hot_row(codes: tuple[int, ...]) -> dict[int, float]:
+    """The nonzero columns of the fixed 56-column encoding of six codes, in
+    ascending order: one 1.0 in each block."""
+    return {offset + code: 1.0 for offset, code in zip(_OFFSETS, codes)}
 
 
 def token_at(text: str, span: tuple[int, int]) -> NumberToken:

@@ -3,21 +3,24 @@
 Training, cross-validation and classification all encode through the
 extractors here, so this module alone chooses between context and
 bag-of-words features. An extractor maps a number to a hashable ``key``,
-everything its vector depends on (the six context codes, or the number's
-raw text for bag-of-words), and ``vector(key)`` is that number's feature
-row: the ``columns`` its fitted state keeps of one fixed encoding, all 56
-context columns or the vocabulary's bytes out of the 256 byte counts. An
-unfitted extractor keeps every column, so cross-validation encodes the
-corpus once and takes each fold's columns from it. A pipeline is not
-changed after it is built, so ``Pipeline.label`` remembers the label of
-each key it has seen (up to ``MEMO_SIZE`` keys, least recently used
-dropped first) and runs the model only for a new key.
+everything its feature row depends on (the six context codes, or the
+number's raw text for bag-of-words), and ``row(key)`` is that row's nonzero
+(column, value) pairs in column order. The columns are those its fitted
+state keeps of one fixed encoding: all 56 context columns, or the
+vocabulary's bytes out of the 256 byte counts. An unfitted extractor keeps
+every column, so cross-validation encodes the corpus once and takes each
+fold's columns from it. A pipeline is not changed after it is built, so
+``Pipeline.label`` remembers the label of each key it has seen (up to
+``MEMO_SIZE`` keys, least recently used dropped first) and runs the model's
+pure-Python ``predict`` on the pairs only for a new key: loading a pipeline
+and classifying with it imports no numpy. Only ``encode_rows``, which
+scatters the pairs into a training matrix, and ``Pipeline.fit`` do.
 An extractor's fitted state is its ``dump()`` lines and nothing else: the
 pipeline file stores them and cross-validation compares them. A pipeline
 file holds, line by line: the magic, the lexicon (``lexicon <count>`` then
 one ``lexentry <word> <Class>`` per entry; the verbalizer reads it too),
 ``extractor <name>`` and that extractor's state, then the model as
-``classifiers.serialize`` writes it, whose width must be the extractor's
+``models.serialize`` writes it, whose width must be the extractor's
 number of columns.
 """
 
@@ -28,10 +31,8 @@ from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from . import bow_features, classifiers, context_features
-from .classifiers import LineReader, ModelFormatError, TrainConfig
+from . import bow_features, context_features, models
+from .models import LineReader, ModelFormatError, TrainConfig
 from .context_features import ContextWindow, Lexicon
 from .corpus import Corpus
 from .labels import FormatLabel
@@ -49,7 +50,7 @@ class ContextFeatures:
 
     name = "context"
     windowed = True
-    columns = np.arange(context_features.FEATURE_DIM)
+    columns = range(context_features.FEATURE_DIM)
 
     def __init__(self, lexicon: Lexicon):
         self.lexicon = lexicon
@@ -60,8 +61,8 @@ class ContextFeatures:
     def key(self, window: ContextWindow, number: NumberToken, shape: NumberShape) -> tuple[int, ...]:
         return context_features.codes(window, shape, self.lexicon)
 
-    def vector(self, key: tuple[int, ...]) -> np.ndarray:
-        return context_features.one_hot(key)
+    def row(self, key: tuple[int, ...]) -> dict[int, float]:
+        return context_features.one_hot_row(key)
 
     def dump(self) -> list[str]:
         return []  # the pipeline stores the lexicon
@@ -78,16 +79,20 @@ class BowFeatures:
     windowed = False
 
     def __init__(self):
-        self.columns = np.arange(bow_features.BYTES)
+        self._keep(list(range(bow_features.BYTES)))
+
+    def _keep(self, columns: list[int]) -> None:
+        self.columns = columns
+        self.column_of = {byte: column for column, byte in enumerate(columns)}
 
     def fit(self, numbers: list[NumberToken]) -> None:
-        self.columns = np.array(bow_features.build_vocab([n.raw for n in numbers]), dtype=np.intp)
+        self._keep(bow_features.build_vocab([n.raw for n in numbers]))
 
     def key(self, window: ContextWindow | None, number: NumberToken, shape: NumberShape | None) -> str:
         return number.raw
 
-    def vector(self, key: str) -> np.ndarray:
-        return bow_features.bow_encode(key, self.columns)
+    def row(self, key: str) -> dict[int, float]:
+        return bow_features.bow_row(key, self.column_of)
 
     def dump(self) -> list[str]:
         return [" ".join(["vocab", *map(str, self.columns)])]
@@ -102,7 +107,7 @@ class BowFeatures:
             columns.append(b)
         if not columns:  # every number has at least one byte, so fit never writes this
             raise ModelFormatError("'vocab' line names no byte")
-        self.columns = np.array(columns, dtype=np.intp)
+        self._keep(columns)
 
 
 Features = ContextFeatures | BowFeatures
@@ -117,23 +122,29 @@ def make_features(extractor: str, lexicon: Lexicon) -> Features:
     raise ValueError(f"unknown extractor {extractor!r}, expected one of {EXTRACTORS}")
 
 
-def encode_rows(features: Features, corpus: Corpus) -> np.ndarray:
-    """Every corpus row's vector; windows and shapes are built only for extractors that read them."""
-    if not corpus:  # np.vstack refuses an empty list; train names the empty set
-        return np.zeros((0, len(features.columns)))
-    if not features.windowed:
-        return np.vstack([features.vector(features.key(None, s.number, None)) for s in corpus])
-    windows = [context_features.line_windows(s.text, [s.number])[0] for s in corpus]
-    return np.vstack(
-        [features.vector(features.key(w, s.number, shape_of(s.number))) for w, s in zip(windows, corpus)]
-    )
+def encode_rows(features: Features, corpus: Corpus):
+    """Every corpus row's pairs scattered into a numpy matrix, one row each;
+    windows and shapes are built only for extractors that read them."""
+    import numpy as np  # training and cross-validation only: classifying reads the pairs
+
+    if features.windowed:
+        windows = [context_features.line_windows(s.text, [s.number])[0] for s in corpus]
+        keys = [features.key(w, s.number, shape_of(s.number)) for w, s in zip(windows, corpus)]
+    else:
+        keys = [features.key(None, s.number, None) for s in corpus]
+    cells = [(i, column, value) for i, key in enumerate(keys) for column, value in features.row(key).items()]
+    X = np.zeros((len(corpus), len(features.columns)))
+    if cells:
+        rows, columns, values = zip(*cells)
+        X[rows, columns] = values
+    return X
 
 
 @dataclass
 class Pipeline:
     lexicon: Lexicon
     features: Features
-    model: classifiers.TrainedModel
+    model: models.TrainedModel
     memo: Callable[[Hashable], FormatLabel] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -142,7 +153,7 @@ class Pipeline:
         # closes over the parts, not self: with no reference cycle a dropped
         # pipeline is freed at once, not at the next garbage collection
         def predict(key: Hashable) -> FormatLabel:
-            return classifiers.predict(model, features.vector(key))
+            return models.predict(model, features.row(key))
 
         self.memo = functools.lru_cache(maxsize=MEMO_SIZE)(predict)
 
@@ -153,6 +164,8 @@ class Pipeline:
     @classmethod
     def fit(cls, corpus: Corpus, cfg: TrainConfig, extractor: str, lexicon: Lexicon) -> "Pipeline":
         """Fit the extractor on every corpus row, then train the model."""
+        from . import classifiers  # numpy: only training imports it
+
         features = make_features(extractor, lexicon)
         features.fit([s.number for s in corpus])
         X = encode_rows(features, corpus)
@@ -162,7 +175,7 @@ class Pipeline:
         entries = self.lexicon.entries
         lines = [_MAGIC, f"lexicon {len(entries)}"]
         lines += [f"lexentry {word} {entries[word].name}" for word in sorted(entries)]
-        lines += [f"extractor {self.features.name}", *self.features.dump(), classifiers.serialize(self.model)]
+        lines += [f"extractor {self.features.name}", *self.features.dump(), models.serialize(self.model)]
         Path(path).write_text("\n".join(lines), encoding="utf-8")
 
     @classmethod
@@ -180,7 +193,7 @@ class Pipeline:
         (extractor,) = reader.take("extractor", 1)
         features = make_features(extractor, lexicon)
         features.load(reader)
-        model = classifiers.read_model(reader)
+        model = models.read_model(reader)
         if model.dim != len(features.columns):
             raise ModelFormatError(f"model dim {model.dim} does not match the {extractor} width {len(features.columns)}")
         return cls(lexicon, features, model)

@@ -2,7 +2,9 @@ import re
 
 import pytest
 
+from numctx.context_features import _N_BUCKETS, _N_CLASSES, _N_SHAPES, KeywordClass
 from numctx.corpus import Corpus, LabeledSentence
+from numctx.datagen import generate_corpus
 from numctx.evaluation import ConfusionMatrix
 from numctx.labels import FormatLabel
 
@@ -48,6 +50,38 @@ def separable_corpus(per_class: int = 10) -> Corpus:
                 )
             )
     return Corpus(sentences=tuple(rows))
+
+
+# --- perfbench's generated inputs and the context key space -----------------
+
+
+def stream_lines():
+    """The lines perfbench's stream workload classifies at seed 29: the
+    distinct sentences of generated corpora 29000 to 29029, in order."""
+    return list(dict.fromkeys(s.text for seed in range(29000, 29030) for s in generate_corpus(seed)))
+
+
+def cv_workload_corpus():
+    """The corpus perfbench cross-validates in its cv workload at seed 29:
+    generated corpora 29000 and 29001 end to end, 674 rows."""
+    return Corpus(tuple(s for seed in (29000, 29001) for s in generate_corpus(seed)))
+
+
+def reachable_context_keys():
+    """Every six-code context key a window and shape can give: (pre2, pre1,
+    post1, post2, shape kind, digit bucket). A slot past the sentence edge
+    is Boundary, so a Boundary slot next to the number has a Boundary slot
+    beyond it; every other pair of classes, shape kind and bucket occurs."""
+    boundary = int(KeywordClass.Boundary)
+    classes = range(_N_CLASSES)
+    pairs = [(near, far) for near in classes for far in classes if near != boundary or far == boundary]
+    return [
+        (pre2, pre1, post1, post2, kind, bucket)
+        for pre1, pre2 in pairs
+        for post1, post2 in pairs
+        for kind in range(_N_SHAPES)
+        for bucket in range(_N_BUCKETS)
+    ]
 
 
 # --- the frozen word oracle --------------------------------------------------

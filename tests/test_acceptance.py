@@ -255,7 +255,7 @@ def test_7_knn_brute_force_equivalence():
                         query = [rng.uniform(-3, 3) for _ in range(dim)]
                     else:
                         query = list(points[rng.randrange(n)])  # exact-tie query
-                    assert int(predict(model, query)) == _oracle_knn(points, labels, query, k)
+                    assert int(predict(model, dict(enumerate(query)))) == _oracle_knn(points, labels, query, k)
 
 
 # --- criterion 8: decision-tree purity invariant -----------------------------

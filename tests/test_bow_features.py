@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from numctx.bow_features import BYTES, bow_encode, build_vocab, gram_byte, unigrams
+from numctx.bow_features import BYTES, bow_encode, bow_row, build_vocab, gram_byte, unigrams
 
 
 class TestUnigrams:
@@ -97,3 +97,22 @@ class TestBowEncode:
         vocab = build_vocab(["RM 2.50", "1500"])
         for token in ["1500", "RM 2.50", "999", "abc", "€5"]:
             assert np.array_equal(bow_encode(token, np.arange(BYTES))[vocab], bow_encode(token, vocab))
+
+
+class TestBowRow:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # characters above 255 count in the overflow bucket 255
+        st.text(alphabet=st.characters(max_codepoint=0x3FF), max_size=12),
+        st.lists(st.integers(0, BYTES - 1), unique=True, min_size=1, max_size=24),
+    )
+    def test_pairs_scatter_to_the_dense_row(self, text, columns):
+        row = bow_row(text, {byte: column for column, byte in enumerate(columns)})
+        assert list(row) == sorted(row) and 0.0 not in row.values()
+        dense = np.zeros(len(columns))
+        dense[list(row)] = list(row.values())
+        assert np.array_equal(dense, bow_encode(text, columns))
+
+    def test_overflow_and_dropped_bytes(self):
+        # '€' and 'ω' count as 255, 'é' is 233 and has no column, nor has 'x'
+        assert bow_row("€1é1ωx", {49: 0, 255: 1}) == {0: 2.0, 1: 2.0}

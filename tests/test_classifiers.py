@@ -5,6 +5,7 @@ import re
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from conftest import cv_workload_corpus
 from hypothesis import given, settings, strategies as st
 
 from numctx.classifiers import (
@@ -25,8 +26,7 @@ from numctx.classifiers import (
     train,
 )
 from numctx.context_features import default_lexicon
-from numctx.corpus import Corpus, bundled_corpus_path, load_corpus, stratified_folds
-from numctx.datagen import generate_corpus
+from numctx.corpus import bundled_corpus_path, load_corpus, stratified_folds
 from numctx.labels import FormatLabel
 from numctx.pipeline import EXTRACTORS, encode_rows, make_features
 
@@ -44,6 +44,11 @@ def knn_cfg(k=1):
 
 
 # --- independent exhaustive nearest-neighbor oracle (pure python) ---------
+
+
+def predict_one(model, x):
+    """The per-row ``predict`` on the nonzero pairs of the dense row ``x``."""
+    return predict(model, {column: value for column, value in enumerate(x) if value})
 
 
 def knn_oracle(points, labels, query, k):
@@ -118,12 +123,12 @@ class TestTrainContract:
                 train([[0.0], [1.0]], labels, TrainConfig(algorithm=algorithm))
         # a whole-number real is its label
         model = train([[0.0], [1.0]], np.array([0.0, 3.0]), TrainConfig(algorithm=algorithm))
-        assert predict(model, [1.0]) == FormatLabel.Currency
+        assert predict_one(model, [1.0]) == FormatLabel.Currency
 
     def test_predict_dimension_mismatch(self):
         model = train([[0.0, 1.0], [1.0, 0.0]], [D, T], dt_cfg())
         with pytest.raises(ValueError):
-            predict(model, [1.0, 2.0, 3.0])
+            predict_batch(model, [[1.0, 2.0, 3.0]])
 
     def test_lda_single_class_rejected(self):
         with pytest.raises(ValueError):
@@ -255,7 +260,7 @@ class TestKnn:
 
     def test_exact_match_returns_label(self):
         model = train([[0.0, 1.0], [5.0, 5.0]], [C, M], knn_cfg())
-        assert predict(model, [5.0, 5.0]) == M
+        assert predict_one(model, [5.0, 5.0]) == M
 
     def test_k1_training_set_consistency(self):
         # duplicate-free training data: k=1 re-predicts itself perfectly
@@ -275,29 +280,29 @@ class TestKnn:
             model = train(points, [FormatLabel(v) for v in labels], knn_cfg(k))
             for _ in range(5):
                 query = [rng.uniform(-2, 2) for _ in range(dim)]
-                assert int(predict(model, query)) == knn_oracle(points, labels, query, k)
+                assert int(predict_one(model, query)) == knn_oracle(points, labels, query, k)
 
     def test_majority_beats_distance(self):
         # two Time votes outvote one closer Date vote
         model = train([[0.5], [-1.0], [1.2]], [D, T, T], knn_cfg(3))
-        assert predict(model, [0.0]) == T
+        assert predict_one(model, [0.0]) == T
 
     def test_vote_tie_smaller_summed_distance(self):
         # three-way count tie; Date has the smallest summed distance
         model = train([[0.5], [1.0], [-2.0]], [D, T, P], knn_cfg(3))
-        assert predict(model, [0.0]) == D
+        assert predict_one(model, [0.0]) == D
 
     def test_vote_and_distance_tie_label_order(self):
         # count tie and equal summed distances: lowest label value wins
         model = train([[1.0], [-1.0], [5.0]], [P, D, T], knn_cfg(3))
-        assert predict(model, [0.0]) == D
+        assert predict_one(model, [0.0]) == D
 
     def test_duplicated_distances(self):
         # duplicate points at equal distance; must agree with the oracle
         points = [[1.0], [1.0], [-1.0], [-1.0]]
         labels = [int(D), int(P), int(T), int(T)]
         model = train(points, [FormatLabel(v) for v in labels], knn_cfg(3))
-        assert int(predict(model, [0.0])) == knn_oracle(points, labels, [0.0], 3)
+        assert int(predict_one(model, [0.0])) == knn_oracle(points, labels, [0.0], 3)
 
 
 class TestLda:
@@ -306,22 +311,22 @@ class TestLda:
         X = [[-1.5], [-0.5], [0.5], [1.5]]
         y = [D, D, T, T]
         model = train(X, y, TrainConfig(algorithm=Algorithm.LDA))
-        assert predict(model, [0.001]) == T
-        assert predict(model, [-0.001]) == D
+        assert predict_one(model, [0.001]) == T
+        assert predict_one(model, [-0.001]) == D
 
     def test_priors_shift_decision(self):
         # same means, unbalanced priors: the bigger class wins at the midpoint
         X = [[-1.0], [-1.0], [-1.0], [1.0]]
         y = [D, D, D, T]
         model = train(X, y, TrainConfig(algorithm=Algorithm.LDA))
-        assert predict(model, [0.0]) == D
+        assert predict_one(model, [0.0]) == D
 
     def test_degenerate_directions_survive_shrinkage(self):
         # second coordinate is constant: singular without regularization
         X = [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [3.0, 1.0]]
         y = [D, D, T, T]
         model = train(X, y, TrainConfig(algorithm=Algorithm.LDA, shrinkage=1e-4))
-        assert predict(model, [0.2, 1.0]) == D
+        assert predict_one(model, [0.2, 1.0]) == D
 
     def test_zero_shrinkage_singular_raises(self):
         X = [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [3.0, 1.0]]
@@ -342,7 +347,7 @@ class TestLinearSvm:
 
     def test_always_emits_a_label(self):
         model = train([[0.0], [1.0]], [D, T], TrainConfig(algorithm=Algorithm.LinearSVM, epochs=1))
-        assert predict(model, [100.0]) in list(FormatLabel)
+        assert predict_one(model, [100.0]) in list(FormatLabel)
 
     def test_multiclass_one_vs_rest(self):
         # class centers on a simplex: each class linearly separable from the rest
@@ -366,6 +371,29 @@ def _duplicate_heavy(data):
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n), label="picks")
     labels = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n), label="labels")
     return pool[picks], labels
+
+
+class TestPerRowPredictMatchesBatch:
+    """``predict`` on a row's nonzero pairs, of the trained model and of it
+    read back from its file, against the trained model's ``predict_batch``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_tie_heavy_training_sets(self, data):
+        X, labels = _duplicate_heavy(data)
+        if data.draw(st.booleans(), label="single class"):
+            labels = [labels[0]] * len(labels)
+        elements = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0])
+        queries = np.vstack([X, data.draw(hnp.arrays(np.float64, (4, X.shape[1]), elements=elements), label="queries")])
+        for cfg in [dt_cfg(), knn_cfg(1), knn_cfg(3), TrainConfig(Algorithm.LDA), TrainConfig(Algorithm.LinearSVM)]:
+            if cfg.algorithm == Algorithm.LDA and len(set(labels)) == 1:
+                with pytest.raises(ValueError, match="at least 2 classes"):
+                    train(X, labels, cfg)
+                continue
+            model = train(X, labels, cfg)
+            expected = predict_batch(model, queries).tolist()
+            for predictor in (model, deserialize(serialize(model))):
+                assert [int(predict_one(predictor, q)) for q in queries] == expected, cfg.algorithm
 
 
 class TestDistinctRows:
@@ -423,7 +451,6 @@ def _assert_knn_matches_oracle(X, labels, queries, k):
     model = train(X, labels, knn_cfg(k))
     expected = [_oracle_knn_predict_one(model, q) for q in queries]
     assert predict_batch(model, queries).tolist() == expected
-    assert [int(predict(model, q)) for q in queries] == expected
 
 
 # --- frozen per-class SVM trainer: the differential oracle ------------------
@@ -478,16 +505,10 @@ def _bundled_training_splits():
     return _split_params([("full", tuple(range(len(corpus))))] + _fold_splits(corpus))
 
 
-def _cv_workload_corpus():
-    """The corpus ``perfbench`` cross-validates in its cv workload at seed 29:
-    generated corpora 29000 and 29001 end to end, 674 rows."""
-    return Corpus(tuple(s for seed in (29000, 29001) for s in generate_corpus(seed)))
-
-
 def _cv_workload_training_splits():
     """(extractor, training rows) of every training split ``compare`` makes
     of the cv workload's corpus."""
-    return _split_params(_fold_splits(_cv_workload_corpus()))
+    return _split_params(_fold_splits(cv_workload_corpus()))
 
 
 def _encoder(corpus):
@@ -513,7 +534,7 @@ def bundled_encoding():
 
 @pytest.fixture(scope="module")
 def cv_workload_encoding():
-    return _encoder(_cv_workload_corpus())
+    return _encoder(cv_workload_corpus())
 
 
 class TestKnnMatchesEveryPointScan:

@@ -356,6 +356,63 @@ class TestCompare:
         assert not after
 
 
+# the README's classify examples, one line each. The knn models abort at the
+# first 5%, labelling it as a percent cannot be read, so output and exit code
+# are compared, not a count of lines
+README_LINES = (
+    "Mahkamah menetapkan 21 Januari ini pada jam 10:30 pagi\n"
+    "Harga naik 5% kepada RM 12 sahaja\n"
+    "Harga 50 sen sahaja .\n"
+    "kerugian dianggarkan RM 1.234 semalam\n"
+    "Barang itu bernilai 500 euro semalam\n"
+    "Menjelang tahun 1998 laporan baharu\n"
+    "harga 5% sahaja\n"
+)
+# runs numctx.cli as ``python -m`` does; at exit, after the program's own
+# output, stderr's last line says whether anything imported numpy
+RUN_AND_REPORT_NUMPY = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print('numpy' in sys.modules, file=sys.stderr))\n"
+    "runpy.run_module('numctx.cli', run_name='__main__', alter_sys=True)\n"
+)
+MODEL_FILES = [(c, e, ()) for c in ("dt", "knn", "lda", "svm") for e in ("context", "bow")]
+MODEL_FILES.append(("knn", "context", ("--k", "3")))
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory):
+    """A model file per classifier and extractor, trained on the bundled corpus, plus knn --k 3."""
+    directory = tmp_path_factory.mktemp("models")
+    paths = {}
+    for classifier, extractor, flags in MODEL_FILES:
+        path = directory / f"{classifier}{''.join(flags)}-{extractor}.txt"
+        argv = ["train", "--classifier", classifier, "--extractor", extractor, *flags, "--output", str(path)]
+        assert main(argv) == 0
+        paths[classifier, extractor, flags] = str(path)
+    return paths
+
+
+class TestClassifyWithModelImportsNoNumpy:
+    def test_importing_the_cli_leaves_numpy_out(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(numctx.__file__).parents[1])}
+        script = "import sys, numctx.cli; print('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+    @pytest.mark.parametrize("classifier, extractor, flags", MODEL_FILES)
+    def test_a_process_prints_what_the_in_process_run_prints(
+        self, model_files, classifier, extractor, flags, monkeypatch, capsys
+    ):
+        argv = ["classify", "--model", model_files[classifier, extractor, flags]]
+        env = {**os.environ, "PYTHONPATH": str(Path(numctx.__file__).parents[1])}
+        command = [sys.executable, "-c", RUN_AND_REPORT_NUMPY, *argv]
+        proc = subprocess.run(command, input=README_LINES, capture_output=True, text=True, env=env)
+        *program_err, numpy_imported = proc.stderr.splitlines()
+        assert numpy_imported == "False"
+        code, out, err = run(argv, README_LINES, monkeypatch, capsys)
+        assert (proc.returncode, proc.stdout, program_err) == (code, out, err.splitlines())
+
+
 class TestTrainAndClassify:
     def test_c_reg_that_overflows_training_exits_1_and_writes_no_file(self, tmp_path):
         # a process of its own, so a RuntimeWarning would reach its stderr

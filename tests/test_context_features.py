@@ -14,7 +14,7 @@ from numctx.context_features import (
     default_lexicon,
     line_windows,
     load_lexicon,
-    one_hot,
+    one_hot_row,
     token_at,
 )
 from numctx.locator import NumberShape, NumberToken, ShapeKind, locate_numbers, scan_words, shape_of
@@ -28,7 +28,19 @@ def encode_span(text, span, lexicon):
     tok = token_at(text, span)
     (window,) = line_windows(text, [tok])
     features = ContextFeatures(lexicon)
-    return features.vector(features.key(window, tok, shape_of(tok)))
+    return _dense(features.row(features.key(window, tok, shape_of(tok))))
+
+
+def _dense(row):
+    """The 56-dim vector a row's (column, value) pairs scatter to; columns ascend."""
+    assert list(row) == sorted(row)
+    vec = np.zeros(FEATURE_DIM)
+    vec[list(row)] = list(row.values())
+    return vec
+
+
+def _one_hot_dense(codes):
+    return _dense(one_hot_row(codes))
 
 
 class TestLineWindows:
@@ -145,7 +157,7 @@ def _shape(text):
 class TestEncode:
     def test_degenerate_window(self):
         window = ContextWindow(None, None, None, None)
-        vec = one_hot(codes(window, NumberShape(ShapeKind.PlainInt, 1, (1,)), default_lexicon()))
+        vec = _one_hot_dense(codes(window, NumberShape(ShapeKind.PlainInt, 1, (1,)), default_lexicon()))
         assert vec.shape == (FEATURE_DIM,)
         boundary = int(KeywordClass.Boundary)
         for pos in range(4):
@@ -158,7 +170,7 @@ class TestEncode:
 
     def test_court_window_classes(self):
         window = ContextWindow("mahkamah", "menetapkan", "januari", "ini")
-        vec = one_hot(codes(window, NumberShape(ShapeKind.PlainInt, 2, (2,)), default_lexicon()))
+        vec = _one_hot_dense(codes(window, NumberShape(ShapeKind.PlainInt, 2, (2,)), default_lexicon()))
         unknown, month = int(KeywordClass.Unknown), int(KeywordClass.Month)
         assert vec[0 * 11 + unknown] == 1.0
         assert vec[1 * 11 + unknown] == 1.0
@@ -169,7 +181,7 @@ class TestEncode:
         # four position blocks + shape block + bucket block, each one-hot
         for text in ["RM 2.50", "12:47", "5", "21/01/2020"]:
             window = ContextWindow("a", None, "peratus", "jam")
-            vec = one_hot(codes(window, _shape(text), default_lexicon()))
+            vec = _one_hot_dense(codes(window, _shape(text), default_lexicon()))
             assert vec.sum() == 6.0
 
     @pytest.mark.parametrize(
@@ -177,7 +189,7 @@ class TestEncode:
     )
     def test_digit_buckets(self, digits, bucket_offset):
         window = ContextWindow(None, None, None, None)
-        vec = one_hot(codes(window, NumberShape(ShapeKind.PlainInt, digits, (digits,)), default_lexicon()))
+        vec = _one_hot_dense(codes(window, NumberShape(ShapeKind.PlainInt, digits, (digits,)), default_lexicon()))
         assert vec[53 + bucket_offset] == 1.0
 
     def test_locality(self):

@@ -1,7 +1,8 @@
-"""Pipeline.label against the path it memoises: the model's predict on the
-encoded vector, with the context vector built by a frozen copy of the
-one-hot encoder that came before the six codes and the bag-of-words vector
-counted from the pipeline's stored vocabulary line."""
+"""Pipeline.label against the numpy batch predict on the encoded vector,
+with the context vector built by a frozen copy of the one-hot encoder that
+came before the six codes and the bag-of-words vector counted from the
+pipeline's stored vocabulary line; the pairs an extractor gives scatter to
+that vector."""
 
 import gc
 import weakref
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from numctx import context_features
-from numctx.classifiers import Algorithm, TrainConfig, predict
+from numctx.classifiers import Algorithm, TrainConfig, predict_batch
 from numctx.context_features import (
     KEYWORD_CLASSES,
     ContextWindow,
@@ -19,10 +20,11 @@ from numctx.context_features import (
     codes,
     default_lexicon,
     line_windows,
-    one_hot,
+    one_hot_row,
 )
 from numctx.corpus import bundled_corpus_path, load_corpus
 from numctx.evaluation import cross_validate
+from numctx.labels import FormatLabel
 from numctx.locator import SHAPE_KINDS, NumberShape, locate_numbers, shape_of
 from numctx.pipeline import EXTRACTORS, MEMO_SIZE, ContextFeatures, Pipeline
 
@@ -69,6 +71,19 @@ def _oracle_vector(pipeline, window, number):
     return vec
 
 
+def _reference(model, vector):
+    """The label the numpy batch path gives one dense vector."""
+    return FormatLabel(int(predict_batch(model, [vector])[0]))
+
+
+def _dense(row, width):
+    """The vector a row's (column, value) pairs scatter to; columns ascend."""
+    assert list(row) == sorted(row)
+    vec = np.zeros(width)
+    vec[list(row)] = list(row.values())
+    return vec
+
+
 LEXICON = default_lexicon()
 CORPUS = load_corpus(bundled_corpus_path())
 NUMBERS = [s.number for s in CORPUS]
@@ -104,15 +119,15 @@ class TestCodes:
         for window, number, shape in ROWS:
             expected = _oracle_encode(window, shape, LEXICON)
             key = codes(window, shape, LEXICON)
-            assert np.array_equal(one_hot(key), expected)
-            assert np.array_equal(features.vector(features.key(window, number, shape)), expected)
+            assert np.array_equal(_dense(one_hot_row(key), 56), expected)
+            assert np.array_equal(_dense(features.row(features.key(window, number, shape)), 56), expected)
 
     @settings(max_examples=300, deadline=None)
     @given(windows, shapes)
     def test_one_hot_of_codes_is_the_frozen_encoding(self, window, shape):
         key = codes(window, shape, LEXICON)
         assert all(type(code) is int for code in key)
-        assert np.array_equal(one_hot(key), _oracle_encode(window, shape, LEXICON))
+        assert np.array_equal(_dense(one_hot_row(key), 56), _oracle_encode(window, shape, LEXICON))
 
     def test_codes_name_classes_shape_and_bucket(self):
         window = ContextWindow("mahkamah", "menetapkan", "januari", None)
@@ -126,7 +141,7 @@ class TestLabelMatchesPredict:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_every_corpus_row_twice(self, bundled_pipelines, algorithm, extractor):
         pipeline = bundled_pipelines[(algorithm, extractor)]
-        expected = [predict(pipeline.model, _oracle_vector(pipeline, w, n)) for w, n in zip(WINDOWS, NUMBERS)]
+        expected = [_reference(pipeline.model, _oracle_vector(pipeline, w, n)) for w, n in zip(WINDOWS, NUMBERS)]
         pipeline.memo.cache_clear()
         first = [pipeline.label(*row) for row in ROWS]
         misses = pipeline.memo.cache_info().misses
@@ -141,7 +156,7 @@ class TestLabelMatchesPredict:
     def test_key_determines_the_vector_on_every_corpus_row(self, bundled_pipelines, extractor):
         pipeline = bundled_pipelines[("dt", extractor)]
         for window, number, shape in ROWS:
-            vector = pipeline.features.vector(pipeline.features.key(window, number, shape))
+            vector = _dense(pipeline.features.row(pipeline.features.key(window, number, shape)), pipeline.model.dim)
             assert np.array_equal(vector, _oracle_vector(pipeline, window, number))
 
     @settings(max_examples=200, deadline=None)
@@ -149,7 +164,7 @@ class TestLabelMatchesPredict:
     def test_bow_key_determines_the_vector(self, bundled_pipelines, text):
         pipeline = bundled_pipelines[("dt", "bow")]
         for number in locate_numbers(text):
-            vector = pipeline.features.vector(pipeline.features.key(None, number, None))
+            vector = _dense(pipeline.features.row(pipeline.features.key(None, number, None)), pipeline.model.dim)
             assert np.array_equal(vector, _oracle_vector(pipeline, None, number))
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -157,7 +172,7 @@ class TestLabelMatchesPredict:
     @given(window=windows, shape=shapes)
     def test_context_code_space(self, bundled_pipelines, algorithm, window, shape):
         pipeline = bundled_pipelines[(algorithm, "context")]
-        expected = predict(pipeline.model, _oracle_encode(window, shape, LEXICON))
+        expected = _reference(pipeline.model, _oracle_encode(window, shape, LEXICON))
         assert pipeline.memo(codes(window, shape, LEXICON)) == expected
 
 
@@ -172,7 +187,7 @@ class TestMemo:
         assert info.currsize == MEMO_SIZE
         assert info.misses == len(numbers)
         for number, label in zip(numbers[:: MEMO_SIZE // 8], labels[:: MEMO_SIZE // 8]):
-            assert label == predict(pipeline.model, _oracle_vector(pipeline, None, number))
+            assert label == _reference(pipeline.model, _oracle_vector(pipeline, None, number))
 
     def test_each_pipeline_has_its_own_memo(self):
         a = Pipeline.fit(CORPUS, TrainConfig(algorithm=Algorithm.KNN), "context", LEXICON)
