@@ -1,10 +1,10 @@
 """Context-window feature extraction.
 
 The feature of a number is its two neighboring words on each side plus the
-number's own surface shape. ``line_windows`` finds the window of every
-number of a line from one scan of the line's words (``scan_words``); two
-bisects over the word offsets give the first and last word a number
-covers. Window words are mapped to keyword classes through an editable
+number's own surface shape. ``line_windows`` finds the window of each
+number by searching outward from its span for the two words before and
+the two after (``words_before``, ``words_after``), and lowercases only
+those. Window words are mapped to keyword classes through an editable
 lexicon, and the four positions, the shape kind, and a digit-count bucket
 are six integer codes (``codes``). Their one-hot is a fixed 56-column row
 that does not depend on any corpus statistics; ``one_hot_row`` gives its
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import io
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from importlib import resources
@@ -27,8 +26,10 @@ from .locator import (
     SHAPE_KINDS,
     NumberShape,
     NumberToken,
+    is_word_character,
     locate_numbers,
-    scan_words,
+    words_after,
+    words_before,
 )
 
 
@@ -67,12 +68,12 @@ _ASSIGNABLE = {c.name: c for c in KEYWORD_CLASSES if c not in (KeywordClass.Unkn
 
 def add_entry(entries: dict[str, KeywordClass], word: str, class_name: str) -> None:
     """Check one lexicon entry and add it to ``entries``: the word must be one
-    lowercase word as ``scan_words`` finds it (without whitespace, neither
+    lowercase word as a window holds it (without whitespace, neither
     starting nor ending with sentence punctuation) and new to ``entries``,
     the class an assignable keyword class. A bad entry raises LexiconError."""
     if word.split() != [word] or word != word.lower() or word.strip(SENTENCE_PUNCTUATION) != word:
-        # scan_words splits on whitespace, detaches end punctuation and
-        # lowercases, so such a word could never match
+        # window words are split on whitespace, have their end punctuation
+        # detached and are lowercased, so such a word could never match
         raise LexiconError(
             f"lexicon word {word!r} must be one lowercase word without whitespace, "
             f"neither starting nor ending with any of {SENTENCE_PUNCTUATION}"
@@ -102,7 +103,7 @@ class Lexicon:
 
     def lookup(self, word: str | None) -> KeywordClass:
         """The class of a window slot: Boundary for None (past the sentence
-        edge), else of ``word`` as ``scan_words`` lowers it, or Unknown."""
+        edge), else of ``word`` as a window lowers it, or Unknown."""
         if word is None:
             return KeywordClass.Boundary
         return self.entries.get(word, KeywordClass.Unknown)
@@ -155,35 +156,28 @@ class ContextWindow(NamedTuple):
 
 
 def line_windows(text: str, numbers: list[NumberToken]) -> list[ContextWindow]:
-    """The window of each of ``numbers``, located in ``text``, from one scan
-    of the line's words: the two words before the first and the two after
-    the last word overlapping the number, a slot past either end of the line
-    being None.
+    """The window of each of ``numbers``, located in ``text``: the two words
+    before the first and the two after the last word overlapping the number,
+    a slot past either end of the line being None.
 
-    A number may cover several words (an absorbed ``RM`` keeps its own
-    word), and words are disjoint and in text order, so the covered words
-    run from the first that ends after the number starts to the last that
-    starts before it ends.
+    A number's first and last characters are word characters, so each lies
+    inside a word the number covers (an absorbed ``RM`` keeps its own word).
+    The words before the number are those of the chunks wholly before the
+    chunk holding its first character, and the words after it those of the
+    chunks wholly after the chunk holding its last. A span that does not
+    start and end on a word character raises ValueError.
     """
-    if not numbers:
-        return []
-    starts, ends, lowered = scan_words(text)
-    n = len(lowered)
     windows = []
     for number in numbers:
         start, end = number.span
-        first = bisect_right(ends, start)
-        last = bisect_left(starts, end) - 1
-        if first > last:
-            raise ValueError(f"number token {number.raw!r} at {number.span} overlaps no word token")
-        windows.append(
-            ContextWindow(
-                preposition2=lowered[first - 2] if first >= 2 else None,
-                preposition1=lowered[first - 1] if first >= 1 else None,
-                postposition1=lowered[last + 1] if last + 1 < n else None,
-                postposition2=lowered[last + 2] if last + 2 < n else None,
+        if not (start < end and is_word_character(text[start]) and is_word_character(text[end - 1])):
+            raise ValueError(
+                f"number token {number.raw!r} at {number.span} does not start and end on a word character:"
+                " it overlaps no word token there"
             )
-        )
+        before = words_before(text, start, 2) + [None, None]
+        after = words_after(text, end, 2) + [None, None]
+        windows.append(ContextWindow(before[1], before[0], after[0], after[1]))
     return windows
 
 

@@ -1,9 +1,10 @@
-"""Word scanning and number location.
+"""Words and number location.
 
-Words are runs of non-space text with leading and trailing sentence
-punctuation (``SENTENCE_PUNCTUATION``) detached. ``scan_words`` is the one
-pass over a line's words: each word's start, end and lowered text, with no
-object per word.
+A word is a whitespace-separated chunk with its leading and trailing
+sentence punctuation (``SENTENCE_PUNCTUATION``) detached; a chunk that is
+punctuation only is no word. ``words_before`` and ``words_after`` search
+outward from a position for the nearest few words, and strip and
+lowercase no chunk beyond them.
 
 Numbers are maximal ASCII digit runs. Punctuation out of ``. , : - /`` is
 absorbed into a number only when flanked by digits on both sides, so a
@@ -32,8 +33,6 @@ _NUMBER_RE = re.compile(r"(?=[+R0-9])(?:(?<![^\W_])(?:(\+)|(RM) ?))?([0-9]+(?:[.
 _SEPARATOR_RE = re.compile(r"([.,:/-])")
 # detached from both ends of a word, kept inside it
 SENTENCE_PUNCTUATION = ".,;!?()\"'"
-_PUNCT = re.escape(SENTENCE_PUNCTUATION)
-_WORD_RE = re.compile(rf"[^\s{_PUNCT}]+(?:[{_PUNCT}]+[^\s{_PUNCT}]+)*")
 
 
 class NumberToken(NamedTuple):
@@ -73,22 +72,49 @@ class NumberShape(NamedTuple):
     group_lengths: tuple[int, ...]
 
 
-def scan_words(text: str) -> tuple[list[int], list[int], list[str]]:
-    """The starts, ends and lowered texts of the words of ``text``, in text order.
+def is_word_character(ch: str) -> bool:
+    """Whether ``ch`` is neither whitespace nor sentence punctuation, so that
+    it lies inside the word of its chunk. A located number starts with
+    ``+``, ``R`` or a digit and ends with a digit or ``%``: both ends are
+    word characters."""
+    return not ch.isspace() and ch not in SENTENCE_PUNCTUATION
 
-    A word is a whitespace-separated chunk with its leading and trailing
-    sentence punctuation detached. Punctuation inside a chunk (e.g. the dot
-    of ``2.50`` or the hyphen of ``kata-kata``) is left in place. Chunks
-    that are punctuation only are dropped.
-    """
-    starts: list[int] = []
-    ends: list[int] = []
-    lowered: list[str] = []
-    for m in _WORD_RE.finditer(text):
-        starts.append(m.start())
-        ends.append(m.end())
-        lowered.append(m[0].lower())
-    return starts, ends, lowered
+
+def _cuts_chunk(text: str, pos: int) -> bool:
+    """Whether ``pos`` falls inside a chunk: neither character beside it is whitespace."""
+    return 0 < pos < len(text) and not text[pos - 1].isspace() and not text[pos].isspace()
+
+
+def _nearest_words(chunks, count: int) -> list[str]:
+    """The lowered words of ``chunks``, nearest first, at most ``count`` of them."""
+    words: list[str] = []
+    for chunk in chunks:
+        word = chunk.strip(SENTENCE_PUNCTUATION)
+        if word:
+            words.append(word.lower())
+            if len(words) == count:
+                break
+    return words
+
+
+def words_before(text: str, pos: int, count: int) -> list[str]:
+    """The lowered words of the chunks that end at or before ``pos``, the
+    nearest first, at most ``count`` of them. A chunk that ``pos`` cuts is
+    not among them."""
+    chunks = text[:pos].split()
+    if _cuts_chunk(text, pos):
+        del chunks[-1]
+    return _nearest_words(reversed(chunks), count)
+
+
+def words_after(text: str, pos: int, count: int) -> list[str]:
+    """The lowered words of the chunks that start at or after ``pos``, the
+    nearest first, at most ``count`` of them. A chunk that ``pos`` cuts is
+    not among them."""
+    chunks = text[pos:].split()
+    if _cuts_chunk(text, pos):
+        del chunks[0]
+    return _nearest_words(chunks, count)
 
 
 def locate_numbers(text: str) -> list[NumberToken]:

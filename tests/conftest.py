@@ -1,6 +1,7 @@
 import re
 
 import pytest
+from hypothesis import strategies as st
 
 from numctx.context_features import _N_BUCKETS, _N_CLASSES, _N_SHAPES, KeywordClass
 from numctx.corpus import Corpus, LabeledSentence
@@ -84,10 +85,21 @@ def reachable_context_keys():
     ]
 
 
+# --- random lines -----------------------------------------------------------
+# What the random lines of the window and key-space properties are made of:
+# glued and spaced RM, every character that ends or splits a word, tabs and
+# whitespace outside ASCII (an information separator, next line, no-break
+# space, line separator and ideographic space), and letters that lowercase
+# to another letter (ẞ), to two characters (İ) or by their place in the word (Σ)
+LINE_ALPHABET = st.sampled_from(
+    list("0123456789aK+%.,:/-;!?()\"' \tİẞΣ\x1c\x85\xa0\u2028\u3000") + ["RM", "RM "]
+)
+
+
 # --- the frozen word oracle --------------------------------------------------
 # A frozen copy of the character-walking tokenizer that the compiled word
 # pattern replaced: each word of ``text`` as (start, end, surface), in text
-# order. Locator and window tests compare the program's one word scan to it.
+# order. Locator and window tests compare the program's word searches to it.
 
 _ORACLE_STRIP = ".,;!?()\"'"
 

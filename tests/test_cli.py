@@ -497,14 +497,19 @@ class TestTrainAndClassify:
         assert f"\t{digits} {digits} satu" in first
         assert second == f"14-39\tCurrency\t{digits} {digits} satu dua ringgit"
 
-    def test_classify_scans_each_line_once_and_shapes_each_number_once(self, tmp_path, monkeypatch, capsys):
+    def test_classify_searches_only_around_each_number_and_shapes_it_once(self, tmp_path, monkeypatch, capsys):
+        # no whole-line word scan: a line's words are found only by one
+        # search each side of each number, for the two words the window holds
         model_path = tmp_path / "model.txt"
         assert run(["train", "--output", str(model_path)], capsys=capsys)[0] == 0
-        calls = {"scan_words": 0, "shape_of": 0}
+        calls = {"words_before": 0, "words_after": 0, "shape_of": 0}
+        searched_for = set()
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name != "shape_of":
+                    searched_for.add(args[2])  # how many words the search may give
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -527,7 +532,8 @@ class TestTrainAndClassify:
             "11-13\tPercentage\tlima peratus",
             "21-26\tCurrency\tdua belas ringgit",
         ]
-        assert calls == {"scan_words": 2, "shape_of": 4}
+        assert calls == {"words_before": 4, "words_after": 4, "shape_of": 4}
+        assert searched_for == {2}
 
     @pytest.mark.parametrize("extractor", ["context", "bow"])
     @pytest.mark.parametrize("command", ["train", "classify"])

@@ -1,6 +1,9 @@
+import re
+import sys
+
 import numpy as np
 import pytest
-from conftest import _oracle_tokenize
+from conftest import LINE_ALPHABET, _oracle_tokenize
 from hypothesis import example, given, settings, strategies as st
 
 from numctx.context_features import (
@@ -17,7 +20,7 @@ from numctx.context_features import (
     one_hot_row,
     token_at,
 )
-from numctx.locator import NumberShape, NumberToken, ShapeKind, locate_numbers, scan_words, shape_of
+from numctx.locator import NumberShape, NumberToken, ShapeKind, locate_numbers, shape_of, words_after
 from numctx.pipeline import ContextFeatures
 
 COURT_SENTENCE = "Mahkamah menetapkan 21 Januari ini untuk sebutan semula kes"
@@ -67,17 +70,18 @@ class TestLineWindows:
         # 'RM' belongs to the number, so the window starts before it
         assert window == ContextWindow("harga", "barang", "sahaja", None)
 
-    def test_number_over_no_word_refused(self):
+    @pytest.mark.parametrize("space", [" ", "\xa0", "\u3000"])
+    def test_number_over_no_word_refused(self, space):
         # a span over the space alone; located numbers always cover a word
-        space = NumberToken(raw=" ", span=(4, 5), digit_groups=("",), separators=())
+        token = NumberToken(raw=space, span=(4, 5), digit_groups=("",), separators=())
         with pytest.raises(ValueError, match="overlaps no word token"):
-            line_windows("satu dua", [space])
+            line_windows(f"satu{space}dua", [token])
 
 
 # --- differential oracle ----------------------------------------------------
-# A frozen copy of the window rule as it was before the covered words were
-# found by bisect: a scan of every word of the line for each number, over
-# the words of conftest's frozen tokenizer.
+# A frozen copy of the window rule as a scan of every word of the line for
+# each number, over the words of conftest's frozen tokenizer: the covered
+# words, then the two on either side of them.
 
 
 def _oracle_window(words, number):
@@ -98,15 +102,16 @@ def _oracle_window(words, number):
     )
 
 
-# glued and spaced RM, every character that ends or splits a word, tabs, and
-# letters that lowercase to another letter (ẞ), to two characters (İ) or by
-# their place in the word (Σ)
-_LINE_ALPHABET = st.sampled_from(list("0123456789aK+%.,:/-;!?()\"' \tİẞΣ") + ["RM", "RM "])
+def test_str_isspace_is_the_oracle_whitespace():
+    # the window search splits chunks with str.split() and tests str.isspace;
+    # the frozen tokenizer's chunks are re's \S+ runs: one word boundary
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(filter(str.isspace, every)) == "".join(re.findall(r"\s", every))
 
 
 class TestLineWindowsMatchTheTokenScan:
     @settings(max_examples=500, deadline=None)
-    @given(st.lists(_LINE_ALPHABET, max_size=40).map("".join))
+    @given(st.lists(LINE_ALPHABET, max_size=40).map("".join))
     def test_random_line(self, text):
         numbers = locate_numbers(text)
         words = _oracle_tokenize(text)
@@ -246,14 +251,14 @@ class TestLexiconFile:
     @example("rm.")
     @example("(jam")
     def test_entry_rule_is_the_word_scan(self, word):
-        # a word is accepted exactly when scan_words finds it whole and
+        # a word is accepted exactly when a window search finds it whole and
         # lowered, so every accepted word can match
         try:
             add_entry({}, word, "TimeWord")
             accepted = True
         except LexiconError:
             accepted = False
-        assert accepted == (scan_words(word)[2] == [word])
+        assert accepted == (words_after(word, 0, 2) == [word])
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "lex.tsv"

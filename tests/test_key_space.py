@@ -11,7 +11,8 @@ rows. The context key space is small enough to list whole
 
 import numpy as np
 import pytest
-from conftest import cv_workload_corpus, reachable_context_keys, stream_lines
+from conftest import LINE_ALPHABET, cv_workload_corpus, reachable_context_keys, stream_lines
+from hypothesis import given, settings, strategies as st
 
 from numctx.bow_features import bow_encode
 from numctx.classifiers import Algorithm, TrainConfig, deserialize, predict, predict_batch, serialize
@@ -31,6 +32,7 @@ from numctx.pipeline import Pipeline
 LEXICON = default_lexicon()
 CORPUS = load_corpus(bundled_corpus_path())
 KEYS = reachable_context_keys()
+KEY_SET = set(KEYS)
 # each code's block in the dense row, written out apart from the program's own offsets
 _BLOCKS = np.array([0, 1, 2, 3, 4, 4]) * _N_CLASSES + np.array([0, 0, 0, 0, 0, _N_SHAPES])
 _CHUNK = 20_000  # rows of the dense reference matrix at a time: 9 MB
@@ -84,7 +86,13 @@ class TestContextKeySpace:
     def test_every_key_the_program_builds_is_listed(self, program_keys):
         corpus_keys, stream_keys = program_keys
         assert corpus_keys and stream_keys
-        assert corpus_keys | stream_keys <= set(KEYS)
+        assert corpus_keys | stream_keys <= KEY_SET
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(LINE_ALPHABET, max_size=40).map("".join))
+    def test_every_key_of_a_random_line_is_listed(self, line):
+        # a slot past the sentence edge is Boundary, and so is every slot beyond it
+        assert _line_keys([line]) <= KEY_SET
 
     def test_dt_lda_svm_every_key(self):
         _assert_rows_agree([_fit(algorithm, "context") for algorithm in ("dt", "lda", "svm")], KEYS, _one_hot)

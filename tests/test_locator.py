@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from conftest import _oracle_tokenize
 from hypothesis import given, settings, strategies as st
@@ -7,40 +9,51 @@ from numctx.locator import (
     NumberToken,
     ShapeKind,
     locate_numbers,
-    scan_words,
     shape_of,
+    words_after,
+    words_before,
 )
 
 
-def surfaces(text: str) -> list[str]:
-    starts, ends, _ = scan_words(text)
-    return [text[start:end] for start, end in zip(starts, ends)]
+def every_word(text: str) -> list[str]:
+    # a line has no more words than characters
+    return words_after(text, 0, len(text))
 
 
-class TestScanWords:
+class TestWordsBeforeAndAfter:
     def test_court_sentence(self):
-        _, _, lowered = scan_words("Mahkamah menetapkan 21 Januari ini untuk sebutan semula kes")
-        assert lowered == [
+        assert every_word("Mahkamah menetapkan 21 Januari ini untuk sebutan semula kes") == [
             "mahkamah", "menetapkan", "21", "januari", "ini", "untuk", "sebutan", "semula", "kes",
         ]
 
     def test_empty_text(self):
-        assert scan_words("") == ([], [], [])
+        assert words_before("", 0, 2) == words_after("", 0, 2) == []
 
     def test_detaches_final_full_stop(self):
         # hand tokenization: trailing '.' leaves the word, number dot stays
-        assert surfaces("harga RM 2.50.") == ["harga", "RM", "2.50"]
+        assert every_word("harga RM 2.50.") == ["harga", "rm", "2.50"]
 
     def test_detaches_leading_and_trailing_punctuation(self):
-        assert surfaces('(dia berkata "ya!") ...') == ["dia", "berkata", "ya"]
+        assert every_word('(dia berkata "ya!") ...') == ["dia", "berkata", "ya"]
 
-    def test_spans_match_source(self):
-        text = "ayat, dengan 2.50 nombor."
-        for start, end, lowered in zip(*scan_words(text)):
-            assert text[start:end].lower() == lowered
+    def test_nearest_first_and_at_most_count(self):
+        text = "satu dua tiga empat lima"
+        assert words_before(text, len(text), 2) == ["lima", "empat"]
+        assert words_after(text, 0, 3) == ["satu", "dua", "tiga"]
+
+    def test_a_chunk_the_position_cuts_is_left_out(self):
+        # 10 is inside "tiga"; 5 and 8 cut "(RM5)" after its '(' and before its ')'
+        assert words_before("satu dua tiga empat", 10, 2) == ["dua", "satu"]
+        assert words_after("satu dua tiga empat", 10, 2) == ["empat"]
+        assert words_before("kos (RM5) naik", 5, 2) == ["kos"]
+        assert words_after("kos (RM5) naik", 8, 2) == ["naik"]
+
+    def test_a_chunk_of_punctuation_only_is_no_word(self):
+        assert words_before("satu ; dua ... 5", 15, 2) == ["dua", "satu"]
+        assert words_after("5 , dua ! tiga", 1, 2) == ["dua", "tiga"]
 
     def test_word_internal_hyphen_kept(self):
-        assert surfaces("kata-kata itu") == ["kata-kata", "itu"]
+        assert every_word("kata-kata itu") == ["kata-kata", "itu"]
 
 
 class TestLocateNumbers:
@@ -218,11 +231,25 @@ class TestProperties:
 # --- differential oracle ----------------------------------------------------
 # A frozen copy of the character-walking number scanner that the compiled
 # pattern replaced; the pattern must give exactly the same tokens on every
-# input, as scan_words must give the words of conftest's frozen tokenizer.
+# input, as the word searches must give the words of conftest's frozen
+# tokenizer.
 
 
-def _columns(words: list[tuple[int, int, str]]) -> tuple[list[int], list[int], list[str]]:
-    return [start for start, _, _ in words], [end for _, end, _ in words], [w.lower() for _, _, w in words]
+def _assert_words_match_the_oracle(text: str) -> None:
+    """At every position, ``words_before`` gives the lowered oracle words of
+    the chunks ending at or before it and ``words_after`` those of the chunks
+    starting at or after it, nearest first."""
+    chunks = [(m.start(), m.end()) for m in re.finditer(r"\S+", text)]
+    words = []
+    for start, end, word in _oracle_tokenize(text):
+        (chunk,) = [c for c in chunks if c[0] <= start and end <= c[1]]
+        words.append((chunk, word.lower()))
+    for pos in range(len(text) + 1):
+        before = [word for (_, chunk_end), word in reversed(words) if chunk_end <= pos]
+        after = [word for (chunk_start, _), word in words if chunk_start >= pos]
+        for count in (1, 2, len(text) + 1):
+            assert words_before(text, pos, count) == before[:count]
+            assert words_after(text, pos, count) == after[:count]
 
 
 def _oracle_is_digit(ch: str) -> bool:
@@ -291,9 +318,10 @@ def _oracle_locate_numbers(text: str) -> list[NumberToken]:
 
 
 # "RM" is one symbol, and a lone "R" and "M" test its halves; "_", "é", "٣" (a
-# non-ASCII digit) and "²" tell str.isalnum, \w and \d apart
+# non-ASCII digit) and "²" tell str.isalnum, \w and \d apart; a no-break
+# space and a line separator split words but are no "RM " space
 _ORACLE_ALPHABET = st.sampled_from(
-    list("0123456789.,:-/%+ \taxRM_é٣²;!?()\"'") + ["RM"]
+    list("0123456789.,:-/%+ \taxRM_é٣²;!?()\"'\xa0\u2028") + ["RM"]
 )
 
 
@@ -302,7 +330,7 @@ class TestMatchesFrozenScanner:
     @given(st.lists(_ORACLE_ALPHABET, max_size=30).map("".join))
     def test_random_text(self, text):
         assert locate_numbers(text) == _oracle_locate_numbers(text)
-        assert scan_words(text) == _columns(_oracle_tokenize(text))
+        _assert_words_match_the_oracle(text)
 
     @pytest.mark.parametrize(
         "text",
@@ -315,4 +343,4 @@ class TestMatchesFrozenScanner:
     )
     def test_edge_cases(self, text):
         assert locate_numbers(text) == _oracle_locate_numbers(text)
-        assert scan_words(text) == _columns(_oracle_tokenize(text))
+        _assert_words_match_the_oracle(text)
