@@ -1,15 +1,14 @@
 """From-scratch classifiers: numpy training and the batch predict.
 
-The model records, their file format and the per-row ``predict`` live in
-``models``, which imports no numpy; the names callers take from here are
-re-exported.
-``predict_batch`` is the numpy path cross-validation takes, and ``predict``
-gives its label on the integer rows the program builds. All four learners
-are deterministic functions of (X, y, config) and refuse an X that is
-empty, has no columns or holds a non-finite value. KNN stores the training
-data verbatim and ``predict_batch`` measures each distinct training point
-once per query, keeping the every-point order on ties (equal distances: lowest
-training index; k=3 votes: summed distance, then label value). The decision
+The model records, their file format, the per-row ``predict`` and each
+model's prediction rule live in ``models``, which imports no numpy.
+``predict_batch`` is the numpy path cross-validation takes: it calls those
+rules and does not restate them, so ``models.predict`` gives its label. All
+four learners are deterministic functions of (X, y, config) and refuse an X
+that is empty, has no columns or holds a non-finite value. KNN stores the
+training data verbatim and ``predict_batch`` measures each distinct training
+point once per query, keeping the every-point order on equal distances
+(lowest training index first). The decision
 tree and the SVM train on each distinct (row, label) pair once, weighted by
 the number of training rows it stands for, as CART case weights do; both
 kinds of distinct row come from ``_distinct_rows``. The tree grows
@@ -36,9 +35,9 @@ from __future__ import annotations
 import numpy as np
 
 from .labels import FormatLabel
-from .models import (  # noqa: F401  re-exported, see above
-    Algorithm, KnnModel, LdaModel, LinearModel, ModelFormatError, SvmModel, TrainConfig, TrainedModel,
-    TreeModel, TreeNode, _label, deserialize, predict, serialize,
+from .models import (
+    Algorithm, KnnModel, LdaModel, LinearModel, SvmModel, TrainConfig, TrainedModel, TreeModel, TreeNode,
+    _descend, _label, _linear_score, _vote,
 )
 
 # splits with float-noise-level gain are treated as no gain at all
@@ -131,8 +130,11 @@ def predict_batch(model: TrainedModel, X) -> np.ndarray:
     if isinstance(model, KnnModel):
         return _knn_predict_batch(model, M)
     if isinstance(model, TreeModel):
-        return np.array([_tree_descend(model.root, row) for row in M], dtype=np.int64)
-    scores = M @ np.asarray(model.weights).T + np.asarray(model.biases)
+        return np.array([_descend(model.root, row.__getitem__) for row in M.tolist()], dtype=np.int64)
+    # a column no row uses adds only zeros; with none, every row scores as the biases
+    used = np.flatnonzero(M.any(axis=0)).tolist()
+    scores = _linear_score(np.asarray(model.weights).T, np.asarray(model.biases), [(j, M[:, j, None]) for j in used])
+    scores = np.broadcast_to(scores, (len(M), len(model.class_ids)))
     # argmax takes the first maximum; class_ids ascend, so ties resolve to
     # the lowest label value
     return np.asarray(model.class_ids, dtype=np.int64)[np.argmax(scores, axis=1)]
@@ -157,11 +159,7 @@ def _knn_predict_batch(model: KnnModel, M: np.ndarray) -> np.ndarray:
         d = d_distinct[inverse]
         # stable sort: equal distances resolve to the lower training index
         nearest = np.argsort(d, kind="stable")[: model.k]
-        votes = np.bincount(labels[nearest], minlength=len(FormatLabel))
-        # a weighted bincount adds in neighbour order, as a running sum would
-        summed = np.bincount(labels[nearest], d[nearest], minlength=len(FormatLabel))
-        # most votes, then least summed distance; the stable sort leaves the lowest label first
-        predicted[i] = np.lexsort((summed, -votes))[0]
+        predicted[i] = _vote(zip(d[nearest].tolist(), labels[nearest].tolist()))
     return predicted
 
 
@@ -254,12 +252,6 @@ def _train_tree(
         order = order[:, np.count_nonzero(key[0] < 0) :]
         level, depth = next_level, depth + 1
     return TreeModel(dim=M.shape[1], root=root)
-
-
-def _tree_descend(node: TreeNode, x: np.ndarray) -> int:
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.label
 
 
 # --- LDA -----------------------------------------------------------------

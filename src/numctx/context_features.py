@@ -71,9 +71,7 @@ def add_entry(entries: dict[str, KeywordClass], word: str, class_name: str) -> N
     lowercase word as a window holds it (without whitespace, neither
     starting nor ending with sentence punctuation) and new to ``entries``,
     the class an assignable keyword class. A bad entry raises LexiconError."""
-    if word.split() != [word] or word != word.lower() or word.strip(SENTENCE_PUNCTUATION) != word:
-        # window words are split on whitespace, have their end punctuation
-        # detached and are lowercased, so such a word could never match
+    if words_after(word, 0, 2) != [word]:  # a word the window search changes could never match
         raise LexiconError(
             f"lexicon word {word!r} must be one lowercase word without whitespace, "
             f"neither starting nor ending with any of {SENTENCE_PUNCTUATION}"

@@ -2,12 +2,12 @@
 
 ``classifiers.train`` fills a model with numpy arrays and ``read_model``
 with plain lists and tuples, so loading a model file and classifying with
-it never imports numpy. ``predict`` labels one feature row from its nonzero
-(column, value) pairs and keeps the rule of ``classifiers.predict_batch``:
-the tree descends on the pairs; LDA and the SVM add the picked weights
-times their values in column order, then the bias; KNN sums squared
-differences over the union of nonzero columns, exact on the integer rows
-the program builds. Models serialize to a versioned line-oriented text
+it never imports numpy. Each model's prediction rule is written here once
+(``_descend``, ``_vote``, ``_linear_score``), and ``classifiers.predict_batch``
+calls the same functions on numpy rows, so ``predict`` on a row's nonzero
+(column, value) pairs gives the batch's label. KNN sums squared differences
+over the union of nonzero columns, exact on the integer rows the program
+builds. Models serialize to a versioned line-oriented text
 format with reals rendered to 17 significant digits, so a round-trip is
 prediction-exact; a stored real that is nan or infinite, or a ``dim`` below
 1, is refused on load.
@@ -144,45 +144,53 @@ def predict(model: TrainedModel, row: Mapping[int, float]) -> FormatLabel:
     """Classify one feature row, given as its nonzero columns and their
     values in ascending column order; an absent column reads 0.0."""
     if isinstance(model, TreeModel):
-        node = model.root
-        while node.label is None:
-            node = node.left if row.get(node.feature, 0.0) <= node.threshold else node.right
-        return LABELS[node.label]
-    if isinstance(model, KnnModel):
-        return LABELS[_knn_label(model, row)]
-    pairs = tuple(row.items())
-    best, best_score = None, 0.0
-    for label, weights, bias in zip(model.class_ids, model.weights, model.biases):
-        score = 0.0
-        for column, value in pairs:
-            score += weights[column] * value
-        score += bias
-        # the first maximum: class_ids ascend, so a tie goes to the lowest label
-        if best is None or score > best_score:
-            best, best_score = label, score
-    return LABELS[best]
-
-
-def _knn_label(model: KnnModel, row: Mapping[int, float]) -> int:
-    scored = []  # (distance, training index, label) of every point the search may take
+        return LABELS[_descend(model.root, lambda feature: row.get(feature, 0.0))]
     get, pairs = row.get, tuple(row.items())
-    for point, first in model.neighbours:
-        squared = 0.0
-        for column, value in point.items():
-            diff = value - get(column, 0.0)
-            squared += diff * diff
-        for column, value in pairs:
-            if column not in point:
-                squared += value * value
-        distance = math.sqrt(squared)
-        for index, label in first:
-            scored.append((distance, index, label))
+    if isinstance(model, KnnModel):
+        scored = []  # (distance, training index, label) of every point the search may take
+        for point, first in model.neighbours:
+            squared = 0.0
+            for column, value in point.items():
+                diff = value - get(column, 0.0)
+                squared += diff * diff
+            for column, value in pairs:
+                if column not in point:
+                    squared += value * value
+            distance = math.sqrt(squared)
+            for index, label in first:
+                scored.append((distance, index, label))
+        return LABELS[_vote((distance, label) for distance, _, label in heapq.nsmallest(model.k, scored))]
+    scores = [_linear_score(weights, bias, pairs) for weights, bias in zip(model.weights, model.biases)]
+    # the first maximum: class_ids ascend, so a tie goes to the lowest label
+    return LABELS[model.class_ids[scores.index(max(scores))]]
+
+
+def _descend(node: TreeNode, value) -> int:
+    """The label of the leaf a row reaches, going left where ``value(feature)``
+    is at most the split's threshold."""
+    while node.label is None:
+        node = node.left if value(node.feature) <= node.threshold else node.right
+    return node.label
+
+
+def _vote(nearest) -> int:
+    """The vote of (distance, label) pairs, nearest first: most votes, then the
+    least distance summed in neighbour order, then the lowest label."""
     votes: dict[int, int] = {}
-    summed: dict[int, float] = {}  # added in neighbour order
-    for distance, _, label in heapq.nsmallest(model.k, scored):
+    summed: dict[int, float] = {}
+    for distance, label in nearest:
         votes[label] = votes.get(label, 0) + 1
         summed[label] = summed.get(label, 0.0) + distance
     return min(votes, key=lambda label: (-votes[label], summed[label], label))
+
+
+def _linear_score(weights, bias, pairs):
+    """0.0 plus ``weights[column] * value`` for each pair in column order, then
+    plus ``bias``; a value may be a numpy column, one step for many rows."""
+    score = 0.0
+    for column, value in pairs:
+        score += weights[column] * value
+    return score + bias
 
 
 # --- serialization -------------------------------------------------------

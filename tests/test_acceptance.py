@@ -22,10 +22,7 @@ from numctx.bow_features import gram_byte, unigrams
 from numctx.classifiers import (
     Algorithm,
     TrainConfig,
-    deserialize,
-    predict,
     predict_batch,
-    serialize,
     train,
 )
 from numctx.cli import main
@@ -34,6 +31,7 @@ from numctx.corpus import Corpus, LabeledSentence, load_bundled_corpus, stratifi
 from numctx.evaluation import ConfusionMatrix, cross_validate, precision, recall
 from numctx.labels import LABELS, FormatLabel
 from numctx.locator import locate_numbers
+from numctx.models import deserialize, predict, serialize
 from numctx.verbalizer import VerbalizationStyle, YearMode, cardinal, verbalize, year_words
 
 COURT_SENTENCE = "Mahkamah menetapkan 21 Januari ini untuk sebutan semula kes"

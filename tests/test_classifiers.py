@@ -13,21 +13,18 @@ from numctx.classifiers import (
     Algorithm,
     KnnModel,
     LdaModel,
-    ModelFormatError,
     SvmModel,
     TrainConfig,
     TreeModel,
     TreeNode,
     _distinct_rows,
-    deserialize,
-    predict,
     predict_batch,
-    serialize,
     train,
 )
 from numctx.context_features import default_lexicon
 from numctx.corpus import bundled_corpus_path, load_corpus, stratified_folds
 from numctx.labels import FormatLabel
+from numctx.models import ModelFormatError, deserialize, predict, serialize
 from numctx.pipeline import EXTRACTORS, encode_rows, make_features
 
 D, T, P, C, M, PC = FormatLabel
@@ -360,6 +357,32 @@ class TestLinearSvm:
         assert accuracy >= 0.95
 
 
+class TestLinearScore:
+    """The linear rule that ``predict`` and ``predict_batch`` share, on
+    hand-built weights: comparing the two evaluators cannot catch a fault in
+    it."""
+
+    @staticmethod
+    def _labels(model, queries):
+        """The labels of ``predict_batch``, of ``predict`` and of ``predict`` on the model read back."""
+        per_row = [[int(predict_one(m, q)) for q in queries] for m in (model, deserialize(serialize(model)))]
+        return [predict_batch(model, queries).tolist(), *per_row]
+
+    def test_adds_in_column_order_then_the_bias(self):
+        # in column order 2**53 + 1 rounds back to 2**53, so D scores 0.0 on
+        # the first query and loses to T's 0.5; from the last column it would score 1.0
+        big = 2.0**53
+        model = LdaModel(dim=3, class_ids=[D, T], weights=[[big, 1.0, -big], [0.0, 0.0, 0.0]], biases=[0.0, 0.5])
+        queries = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+        assert self._labels(model, queries) == [[T, D]] * 3
+
+    def test_a_tie_goes_to_the_first_maximum(self):
+        # class_ids ascend, so the first maximum is the lowest tied label
+        model = SvmModel(dim=2, class_ids=[T, C, M], weights=[[0.0, 0.0], [1.0, 2.0], [1.0, 2.0]], biases=[0.5] * 3)
+        queries = np.array([[0.0, 0.0], [1.0, 3.0]])
+        assert self._labels(model, queries) == [[T, C]] * 3
+
+
 def _duplicate_heavy(data):
     """(X, labels): up to 40 rows drawn from at most 6 distinct ones over
     {0.0, -0.0, 1.0, 2.0}, so rows repeat, often with conflicting labels."""
@@ -390,6 +413,20 @@ class TestPerRowPredictMatchesBatch:
                 with pytest.raises(ValueError, match="at least 2 classes"):
                     train(X, labels, cfg)
                 continue
+            model = train(X, labels, cfg)
+            expected = predict_batch(model, queries).tolist()
+            for predictor in (model, deserialize(serialize(model))):
+                assert [int(predict_one(predictor, q)) for q in queries] == expected, cfg.algorithm
+
+    def test_lda_near_tie(self):
+        # LDA's scores for the query [2, 3, 3] nearly tie: summed in another
+        # order than the per-row one (as a BLAS product sums them), they once
+        # gave 5 in the batch and 2 per row
+        pool = np.array([[1.0, 1, 1], [0, 1, 0], [1, 1, 1], [0, 1, 2]])
+        X = pool[[0] * 10 + [3, 1] + [0] * 4 + [1, 1, 3, 3]]
+        labels = [0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 2, 1, 2, 4, 5, 5, 1, 4, 2, 5]
+        queries = np.vstack([X, [[2.0, 3, 3]] + [[3.0, 3, 3]] * 3])
+        for cfg in [dt_cfg(), knn_cfg(1), knn_cfg(3), TrainConfig(Algorithm.LDA), TrainConfig(Algorithm.LinearSVM)]:
             model = train(X, labels, cfg)
             expected = predict_batch(model, queries).tolist()
             for predictor in (model, deserialize(serialize(model))):

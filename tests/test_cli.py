@@ -10,12 +10,13 @@ from pathlib import Path
 import pytest
 
 from conftest import separable_corpus
-from numctx.classifiers import Algorithm, ModelFormatError, TrainConfig, deserialize
+from numctx.classifiers import Algorithm, TrainConfig
 import numctx
 from numctx import cli, context_features, locator, pipeline, verbalizer
 from numctx.cli import build_parser, main
-from numctx.context_features import default_lexicon_path
+from numctx.context_features import default_lexicon, default_lexicon_path
 from numctx.corpus import save_corpus
+from numctx.models import ModelFormatError, deserialize
 from numctx.pipeline import Pipeline
 
 COURT_SENTENCE = "Mahkamah menetapkan 21 Januari ini untuk sebutan semula kes"
@@ -499,14 +500,18 @@ class TestTrainAndClassify:
 
     def test_classify_searches_only_around_each_number_and_shapes_it_once(self, tmp_path, monkeypatch, capsys):
         # no whole-line word scan: a line's words are found only by one
-        # search each side of each number, for the two words the window holds
+        # search each side of each number, for the two words the window holds.
+        # Reading the model's lexicon searches each entry's own word (add_entry's check)
         model_path = tmp_path / "model.txt"
         assert run(["train", "--output", str(model_path)], capsys=capsys)[0] == 0
         calls = {"words_before": 0, "words_after": 0, "shape_of": 0}
-        searched_for = set()
+        searched_for, other_texts = set(), set()
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
+                if name != "shape_of" and args[0] not in (CLOCK_SENTENCE, SPACED_RM_SENTENCE):
+                    other_texts.add(args[0])
+                    return fn(*args, **kwargs)
                 calls[name] += 1
                 if name != "shape_of":
                     searched_for.add(args[2])  # how many words the search may give
@@ -534,6 +539,7 @@ class TestTrainAndClassify:
         ]
         assert calls == {"words_before": 4, "words_after": 4, "shape_of": 4}
         assert searched_for == {2}
+        assert other_texts == set(default_lexicon().entries)
 
     @pytest.mark.parametrize("extractor", ["context", "bow"])
     @pytest.mark.parametrize("command", ["train", "classify"])

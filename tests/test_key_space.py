@@ -15,7 +15,7 @@ from conftest import LINE_ALPHABET, cv_workload_corpus, reachable_context_keys, 
 from hypothesis import given, settings, strategies as st
 
 from numctx.bow_features import bow_encode
-from numctx.classifiers import Algorithm, TrainConfig, deserialize, predict, predict_batch, serialize
+from numctx.classifiers import Algorithm, TrainConfig, predict_batch
 from numctx.context_features import (
     _N_BUCKETS,
     _N_CLASSES,
@@ -27,6 +27,7 @@ from numctx.context_features import (
 )
 from numctx.corpus import bundled_corpus_path, load_corpus
 from numctx.locator import locate_numbers, shape_of
+from numctx.models import deserialize, predict, serialize
 from numctx.pipeline import Pipeline
 
 LEXICON = default_lexicon()
