@@ -19,7 +19,7 @@ threshold; a majority leaf takes the lowest label). Its counts are whole
 numbers, so the tree is bit-identical to one grown on every row. LDA uses
 class means, a shrinkage-regularized pooled covariance, and class priors;
 the linear SVM trains one-vs-rest hinge-loss separators by full-batch
-subgradient descent with step ``1/(c_reg * t)`` at epoch ``t``, all
+subgradient descent with step ``1/(c_reg * t)`` at epoch ``t`` of 200, all
 separators taking each step together, with one stacked gemv per epoch for
 every class's margins. On integer-valued features, the only kind the
 program builds, its weights are those of training on every row, one class
@@ -100,9 +100,9 @@ def train(X, y, cfg: TrainConfig) -> TrainedModel:
     if cfg.algorithm == Algorithm.DecisionTree:
         # the tree sees each distinct (row, label) pair once, weighted by its count
         _, first, inverse = _distinct_rows(np.column_stack([M, labels]))
-        return _train_tree(M[first], labels[first], np.bincount(inverse), cfg.max_depth, cfg.min_leaf)
+        return _train_tree(M[first], labels[first], np.bincount(inverse), cfg.max_depth)
     if cfg.algorithm == Algorithm.LinearSVM:
-        return _fit_linear(lambda: _train_svm(*_svm_rows(M, labels), cfg.c_reg, cfg.epochs), f"c_reg {cfg.c_reg}")
+        return _fit_linear(lambda: _train_svm(*_svm_rows(M, labels), cfg.c_reg), f"c_reg {cfg.c_reg}")
     raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
 
 
@@ -168,7 +168,7 @@ def _knn_predict_batch(model: KnnModel, M: np.ndarray) -> np.ndarray:
 
 def _best_cuts(
     M: np.ndarray, order: np.ndarray, nid: np.ndarray, hist: np.ndarray, is_open: np.ndarray, y: np.ndarray,
-    counts: np.ndarray, min_leaf: int
+    counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(node, feature, lower value, upper value) of the best cut of each open
     node whose gain is above ``_MIN_GAIN``.
@@ -176,10 +176,10 @@ def _best_cuts(
     ``order[f]`` holds column ``f``'s active rows grouped by node, each
     node's in value order; ``nid`` is the node at each position, ``hist``
     each node's class counts. A cut is a candidate where the next row is in
-    the same node and holds another value. Gini sums run over the training
-    set's classes in ascending order (an absent class adds an exact 0.0). A
-    node takes the first maximum gain in (feature, position) order: the
-    lowest feature, then the lowest threshold.
+    the same node and holds another value, so each side keeps a row. Gini
+    sums run over the training set's classes in ascending order (an absent
+    class adds an exact 0.0). A node takes the first maximum gain in
+    (feature, position) order: the lowest feature, then the lowest threshold.
     """
     n_classes = hist.shape[1]
     vals = M[order, np.arange(len(order))[:, None]]
@@ -199,7 +199,7 @@ def _best_cuts(
     gini_left = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
     gini_right = 1.0 - (((hist[node] - left) / n_right[:, None]) ** 2).sum(axis=1)
     child = (n_left * gini_left + n_right * gini_right) / n
-    gain = np.where((n_left >= min_leaf) & (n_right >= min_leaf), parent[node] - child, -np.inf)
+    gain = parent[node] - child
     ranked = np.lexsort((-gain, node))  # stable: by node, then falling gain, then (feature, position)
     ranked_node = node[ranked]
     best = ranked[np.searchsorted(ranked_node, ranked_node) == np.arange(len(ranked))]  # each node's first
@@ -207,14 +207,12 @@ def _best_cuts(
     return node[best], feat[best], vals[feat[best], pos[best]], vals[feat[best], pos[best] + 1]
 
 
-def _train_tree(
-    M: np.ndarray, labels: np.ndarray, counts: np.ndarray, max_depth: int | None, min_leaf: int
-) -> TreeModel:
+def _train_tree(M: np.ndarray, labels: np.ndarray, counts: np.ndarray, max_depth: int) -> TreeModel:
     """The tree grown breadth-first, row ``i`` standing for ``counts[i]``
     equal rows: each column is argsorted once, stably, and at each level its
     active rows are stably sorted by node, so ``_best_cuts`` scores every
-    node of the level at once. A node with one class, at ``max_depth`` or
-    without a cut is a leaf. Training does not recurse.
+    node of the level at once. A node with one class, at ``max_depth`` (0
+    sets no limit) or without a cut is a leaf. Training does not recurse.
     """
     classes, y = np.unique(labels, return_inverse=True)
     n_classes = len(classes)
@@ -226,8 +224,8 @@ def _train_tree(
         rows = order[0]
         nid = node_of[rows]  # the node at each position, ascending
         hist = np.bincount(nid * n_classes + y[rows], counts[rows], len(level) * n_classes).reshape(-1, n_classes)
-        is_open = (np.count_nonzero(hist, axis=1) > 1) & (max_depth is None or depth < max_depth)
-        split, feature, lower, upper = _best_cuts(M, order, nid, hist, is_open, y, counts, min_leaf)
+        is_open = (np.count_nonzero(hist, axis=1) > 1) & (max_depth == 0 or depth < max_depth)
+        split, feature, lower, upper = _best_cuts(M, order, nid, hist, is_open, y, counts)
 
         split_of = np.full(len(level), -1)  # each split node's left child in the next level
         feature_of, threshold_of = np.zeros(len(level), dtype=np.intp), np.zeros(len(level))
@@ -309,7 +307,7 @@ def _svm_rows(M: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return rows, row_labels, counts
 
 
-def _train_svm(M: np.ndarray, labels: np.ndarray, counts: np.ndarray, c_reg: float, epochs: int) -> SvmModel:
+def _train_svm(M: np.ndarray, labels: np.ndarray, counts: np.ndarray, c_reg: float, epochs: int = 200) -> SvmModel:
     """One-vs-rest separators, row ``i`` standing for ``counts[i]`` equal rows.
 
     Each class's weights and bias are one row of ``wb``. One stacked

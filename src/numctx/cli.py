@@ -125,11 +125,8 @@ def _train_config(args) -> TrainConfig:
             f"classifier {args.classifier!r} is unsupported (out of scope); "
             f"supported classifiers are {', '.join(sorted(a.value for a in Algorithm))} - see README"
         )
-    if args.max_depth < 0:  # TrainConfig spells unlimited None, the flag 0
-        _usage_error(f"--max-depth must be >= 0 (0 = unlimited), got {args.max_depth}")
     try:
-        settings = {f.name: getattr(args, f.name) for f in _CLASSIFIER_FIELDS}
-        return TrainConfig(Algorithm(args.classifier), **{**settings, "max_depth": args.max_depth or None})
+        return TrainConfig(Algorithm(args.classifier), **{f.name: getattr(args, f.name) for f in _CLASSIFIER_FIELDS})
     except ValueError as exc:  # each message starts with the field: the flag with underscores
         name, rest = str(exc).split(" ", 1)
         _usage_error(f"{_flag(name)} {rest}")

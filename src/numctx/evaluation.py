@@ -1,12 +1,12 @@
 """K-fold evaluation harness, confusion-matrix metrics, and reports.
 
-The confusion matrix is oriented with true labels along rows and predicted
-labels along columns, so recall reads along a row and precision down a
-column. Cross-validation pools the per-fold matrices by summation. It
-encodes each corpus row once; any feature state learned from data (the
-bag-of-words vocabulary) is rebuilt from each fold's training split and
-picks that fold's columns of the encoding, and each fold's state, the
-extractor's ``dump()`` lines, is kept so leakage is checkable.
+A confusion matrix is a (6, 6) int64 counts array with true labels along
+rows and predicted labels along columns, so recall reads along a row and
+precision down a column. Cross-validation pools the per-fold matrices by
+summation. It encodes each corpus row once; any feature state learned from
+data (the bag-of-words vocabulary) is rebuilt from each fold's training
+split and picks that fold's columns of the encoding, and each fold's state,
+the extractor's ``dump()`` lines, is kept so leakage is checkable.
 """
 
 from __future__ import annotations
@@ -23,51 +23,24 @@ from .labels import LABELS, FormatLabel
 from .pipeline import encode_rows, make_features
 
 
-@dataclass
-class ConfusionMatrix:
-    counts: np.ndarray  # (6, 6) int64, rows true / columns predicted
-
-    @classmethod
-    def from_counts(cls, rows) -> "ConfusionMatrix":
-        counts = np.asarray(rows, dtype=np.int64)
-        if counts.shape != (len(LABELS), len(LABELS)):
-            raise ValueError(f"expected a {len(LABELS)}x{len(LABELS)} matrix, got {counts.shape}")
-        if (counts < 0).any():
-            raise ValueError("confusion counts must be non-negative")
-        return cls(counts=counts)
-
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def trace(self) -> int:
-        return int(np.trace(self.counts))
-
-
-@dataclass(frozen=True)
-class ClassMetrics:
-    precision: float
-    recall: float
-    f_measure: float
-
-
-def _share(cm: ConfusionMatrix, label: FormatLabel, line: np.ndarray) -> float:
-    """``label``'s true positives over the sum of ``line``, a row or column of ``cm``; 1.0 on a 0 sum."""
+def _share(counts: np.ndarray, label: FormatLabel, line: np.ndarray) -> float:
+    """``label``'s true positives over the sum of ``line``, a row or column of ``counts``; 1.0 on a 0 sum."""
     denom = int(line.sum())
-    return float(cm.counts[int(label), int(label)]) / denom if denom else 1.0
+    return float(counts[int(label), int(label)]) / denom if denom else 1.0
 
 
-def precision(cm: ConfusionMatrix, label: FormatLabel) -> float:
+def precision(counts: np.ndarray, label: FormatLabel) -> float:
     """True positives over everything predicted as ``label``.
 
     When nothing was predicted as ``label`` there are no false positives,
     and the convention here is to return 1.0.
     """
-    return _share(cm, label, cm.counts[:, int(label)])
+    return _share(counts, label, counts[:, int(label)])
 
 
-def recall(cm: ConfusionMatrix, label: FormatLabel) -> float:
+def recall(counts: np.ndarray, label: FormatLabel) -> float:
     """True positives over everything truly ``label``; 1.0 on an empty row."""
-    return _share(cm, label, cm.counts[int(label), :])
+    return _share(counts, label, counts[int(label), :])
 
 
 def f_measure(p: float, r: float) -> float:
@@ -76,19 +49,11 @@ def f_measure(p: float, r: float) -> float:
     return 2.0 * p * r / (p + r)
 
 
-def accuracy(cm: ConfusionMatrix) -> float:
-    total = cm.total()
+def accuracy(counts: np.ndarray) -> float:
+    total = int(counts.sum())
     if total == 0:
         raise ValueError("cannot compute accuracy of an empty confusion matrix")
-    return cm.trace() / total
-
-
-def class_metrics(cm: ConfusionMatrix) -> dict[FormatLabel, ClassMetrics]:
-    out = {}
-    for label in LABELS:
-        p, r = precision(cm, label), recall(cm, label)
-        out[label] = ClassMetrics(precision=p, recall=r, f_measure=f_measure(p, r))
-    return out
+    return int(np.trace(counts)) / total
 
 
 def summarize(accuracies) -> tuple[float, float, float]:
@@ -111,7 +76,7 @@ class RunSummary:
     highest: float
     mean: float
     std: float
-    pooled: ConfusionMatrix
+    pooled: np.ndarray  # the confusion matrix summed over folds
     fold_states: tuple[tuple[str, ...], ...]
 
 
@@ -143,7 +108,7 @@ def cross_validate(
         model = train(X[~test], y[~test], cfg)
         predicted[test] = predict_batch(model, X[test])
         fold_accuracies.append(int((predicted[test] == y[test]).sum()) / len(fold))
-    pooled = np.bincount(y * len(LABELS) + predicted, minlength=len(LABELS) ** 2)
+    pooled = np.bincount(y * len(LABELS) + predicted, minlength=len(LABELS) ** 2).reshape(len(LABELS), len(LABELS))
 
     highest, mean, std = summarize(fold_accuracies)
     return RunSummary(
@@ -155,7 +120,7 @@ def cross_validate(
         highest=highest,
         mean=mean,
         std=std,
-        pooled=ConfusionMatrix(pooled.reshape(len(LABELS), len(LABELS))),
+        pooled=pooled,
         fold_states=tuple(states),
     )
 
@@ -181,7 +146,11 @@ def _figures_tsv(figures: dict) -> str:
 
 def evaluation_report(summary: RunSummary) -> dict:
     """Report dict: run summary plus pooled per-class metrics."""
-    metrics = class_metrics(summary.pooled)
+    per_class = []
+    for label in LABELS:
+        p, r = precision(summary.pooled, label), recall(summary.pooled, label)
+        figures = {"precision_pct": _pct(p), "recall_pct": _pct(r), "f_measure_pct": _pct(f_measure(p, r))}
+        per_class.append({"label": label.name, **figures})
     return {
         "kind": "evaluation",
         "extractor": summary.extractor,
@@ -193,17 +162,9 @@ def evaluation_report(summary: RunSummary) -> dict:
         "per_fold_accuracy_pct": [_pct(a) for a in summary.fold_accuracies],
         "confusion": {
             "labels": [label.name for label in LABELS],
-            "rows": summary.pooled.counts.tolist(),
+            "rows": summary.pooled.tolist(),
         },
-        "per_class": [
-            {
-                "label": label.name,
-                "precision_pct": _pct(metrics[label].precision),
-                "recall_pct": _pct(metrics[label].recall),
-                "f_measure_pct": _pct(metrics[label].f_measure),
-            }
-            for label in LABELS
-        ],
+        "per_class": per_class,
     }
 
 

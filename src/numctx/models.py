@@ -42,19 +42,15 @@ class ModelFormatError(ValueError):
 class TrainConfig:
     algorithm: Algorithm
     k: int = 1
-    max_depth: int | None = 16
-    min_leaf: int = 1
+    max_depth: int = 16  # 0 = unlimited
     shrinkage: float = 1e-4
     c_reg: float = 1.0
-    epochs: int = 200
 
     def __post_init__(self) -> None:
         if self.algorithm == Algorithm.KNN and self.k not in (1, 3):
             raise ValueError(f"k must be 1 or 3, got {self.k}")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1 or None, got {self.max_depth}")
-        if self.min_leaf < 1:
-            raise ValueError(f"min_leaf must be >= 1, got {self.min_leaf}")
+        if self.max_depth is None or self.max_depth < 0:
+            raise ValueError(f"max_depth must be >= 0 (0 = unlimited), got {self.max_depth}")
         # negated range tests, so nan fails them too. A finite value can still
         # overflow training (c_reg 1e-320 makes the SVM's step infinite),
         # which train refuses
@@ -62,8 +58,6 @@ class TrainConfig:
             raise ValueError(f"shrinkage must be finite and >= 0, got {self.shrinkage}")
         if not 0 < self.c_reg < math.inf:
             raise ValueError(f"c_reg must be finite and > 0, got {self.c_reg}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
 @dataclass

@@ -41,7 +41,9 @@ from .locator import NumberShape, NumberToken, shape_of
 _MAGIC = "numctx-pipeline v3"
 EXTRACTORS = ("context", "bow")
 # keys whose label a pipeline remembers: context keys are bounded by the
-# code space (11**4 * 9 * 3), bag-of-words keys are raw numbers and are not
+# reachable code space (111 * 111 * 9 * 3 = 332,667: a Boundary slot next to
+# the number has a Boundary slot beyond it), bag-of-words keys are raw numbers
+# and are not
 MEMO_SIZE = 4096
 
 

@@ -1,12 +1,12 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from numctx.context_features import _N_BUCKETS, _N_CLASSES, _N_SHAPES, KeywordClass
 from numctx.corpus import Corpus, LabeledSentence
 from numctx.datagen import generate_corpus
-from numctx.evaluation import ConfusionMatrix
 from numctx.labels import FormatLabel
 
 # reference 6x6 confusion-matrix fixture (rows true, columns predicted),
@@ -22,8 +22,8 @@ REFERENCE_CM_COUNTS = [
 
 
 @pytest.fixture
-def reference_cm() -> ConfusionMatrix:
-    return ConfusionMatrix.from_counts(REFERENCE_CM_COUNTS)
+def reference_cm() -> np.ndarray:
+    return np.array(REFERENCE_CM_COUNTS, dtype=np.int64)
 
 
 def separable_corpus(per_class: int = 10) -> Corpus:

@@ -18,6 +18,8 @@ from numctx.classifiers import (
     TreeModel,
     TreeNode,
     _distinct_rows,
+    _svm_rows,
+    _train_svm,
     predict_batch,
     train,
 )
@@ -69,10 +71,9 @@ class TestConfig:
 
     def test_bad_hyperparameters(self):
         for kw in [
-            dict(min_leaf=0),
-            dict(max_depth=0),
+            dict(max_depth=-1),
+            dict(max_depth=None),
             dict(c_reg=0.0),
-            dict(epochs=0),
             dict(shrinkage=-1.0),
             dict(shrinkage=math.nan),
             dict(shrinkage=math.inf),
@@ -83,7 +84,7 @@ class TestConfig:
                 TrainConfig(algorithm=Algorithm.DecisionTree, **kw)
 
     def test_unlimited_depth_allowed(self):
-        assert TrainConfig(algorithm=Algorithm.DecisionTree, max_depth=None).max_depth is None
+        assert TrainConfig(algorithm=Algorithm.DecisionTree, max_depth=0).max_depth == 0
 
 
 class TestTrainContract:
@@ -203,7 +204,7 @@ class TestDecisionTree:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(60, 4))
         y = [FormatLabel(int(v)) for v in rng.integers(0, 6, size=60)]
-        model = train(X, y, dt_cfg(max_depth=None, min_leaf=1))
+        model = train(X, y, dt_cfg(max_depth=0))
         assert predict_batch(model, X).tolist() == [int(v) for v in y]
 
     def test_max_depth_limits_tree(self):
@@ -217,22 +218,6 @@ class TestDecisionTree:
 
         assert depth(model.root) <= 1
 
-    def test_min_leaf_respected(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(30, 3))
-        y = [FormatLabel(int(v)) for v in rng.integers(0, 2, size=30)]
-        model = train(X, y, dt_cfg(min_leaf=5))
-
-        def leaf_support(node, indices):
-            if node.is_leaf:
-                return [len(indices)]
-            mask = X[indices, node.feature] <= node.threshold
-            left = [i for i, keep in zip(indices, mask) if keep]
-            right = [i for i, keep in zip(indices, mask) if not keep]
-            return leaf_support(node.left, left) + leaf_support(node.right, right)
-
-        assert min(leaf_support(model.root, list(range(len(X))))) >= 5
-
     def test_tie_break_lowest_feature(self):
         # both features separate equally well; feature 0 must win
         X = [[0.0, 0.0], [1.0, 1.0]]
@@ -243,7 +228,7 @@ class TestDecisionTree:
         # each Gini split peels one row off the end, so the tree is 1,500 levels deep
         X = np.arange(1500, dtype=np.float64)[:, None]
         y = [i % 2 for i in range(1500)]
-        model = train(X, y, dt_cfg(max_depth=None))
+        model = train(X, y, dt_cfg(max_depth=0))
         reloaded = deserialize(serialize(model))
         assert serialize(reloaded) == serialize(model)
         assert predict_batch(reloaded, X).tolist() == y
@@ -343,7 +328,7 @@ class TestLinearSvm:
         assert predict_batch(model, X).tolist() == [int(v) for v in y]
 
     def test_always_emits_a_label(self):
-        model = train([[0.0], [1.0]], [D, T], TrainConfig(algorithm=Algorithm.LinearSVM, epochs=1))
+        model = _train_svm(*_svm_rows(np.array([[0.0], [1.0]]), np.array([D, T])), 1.0, 1)
         assert predict_one(model, [100.0]) in list(FormatLabel)
 
     def test_multiclass_one_vs_rest(self):
@@ -518,9 +503,9 @@ def _oracle_train_svm(M, labels, c_reg, epochs):
 
 
 def _assert_svm_matches_oracle(X, labels, c_reg=1.0, epochs=200):
-    cfg = TrainConfig(algorithm=Algorithm.LinearSVM, c_reg=c_reg, epochs=epochs)
-    expected = _oracle_train_svm(X, np.asarray(labels), c_reg, epochs)
-    assert serialize(train(X, labels, cfg)) == serialize(expected)
+    X, labels = np.asarray(X, dtype=np.float64), np.asarray(labels, dtype=np.int64)
+    expected = _oracle_train_svm(X, labels, c_reg, epochs)
+    assert serialize(_train_svm(*_svm_rows(X, labels), c_reg, epochs)) == serialize(expected)
 
 
 def _fold_splits(corpus):
@@ -731,10 +716,12 @@ def _oracle_rank_split(M, labels, min_leaf):
     return feature, threshold, gain
 
 
-def _assert_tree_matches_oracle(X, labels, max_depth=16, min_leaf=1, best_split=_oracle_rank_split):
+def _assert_tree_matches_oracle(X, labels, max_depth=16, best_split=_oracle_rank_split):
+    """The tree ``train`` grows equals the oracle's; the oracle spells no
+    depth limit None and takes the least leaf size, always 1 here."""
     X, labels = np.asarray(X, dtype=np.float64), np.asarray(labels, dtype=np.int64)
-    expected = TreeModel(dim=X.shape[1], root=_oracle_grow_tree(X, labels, 0, max_depth, min_leaf, best_split))
-    assert serialize(train(X, labels, dt_cfg(max_depth=max_depth, min_leaf=min_leaf))) == serialize(expected)
+    expected = TreeModel(dim=X.shape[1], root=_oracle_grow_tree(X, labels, 0, max_depth or None, 1, best_split))
+    assert serialize(train(X, labels, dt_cfg(max_depth=max_depth))) == serialize(expected)
 
 
 class TestTreeMatchesUnweightedTree:
@@ -742,9 +729,8 @@ class TestTreeMatchesUnweightedTree:
     @given(st.data())
     def test_duplicate_heavy_matrices(self, data):
         X, labels = _duplicate_heavy(data)
-        max_depth = data.draw(st.sampled_from([None, 2, 16]), label="max_depth")
-        min_leaf = data.draw(st.integers(1, 3), label="min_leaf")
-        _assert_tree_matches_oracle(X, labels, max_depth, min_leaf)
+        max_depth = data.draw(st.sampled_from([0, 2, 16]), label="max_depth")
+        _assert_tree_matches_oracle(X, labels, max_depth)
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -754,9 +740,8 @@ class TestTreeMatchesUnweightedTree:
         dim = data.draw(st.integers(1, 20), label="dim")
         X = data.draw(hnp.arrays(np.float64, (n, dim), elements=st.integers(0, 4).map(float)), label="X")
         labels = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n), label="labels")
-        max_depth = data.draw(st.sampled_from([None, 16]), label="max_depth")
-        min_leaf = data.draw(st.integers(1, 3), label="min_leaf")
-        _assert_tree_matches_oracle(X, labels, max_depth, min_leaf)
+        max_depth = data.draw(st.sampled_from([0, 16]), label="max_depth")
+        _assert_tree_matches_oracle(X, labels, max_depth)
 
 
 # --- frozen per-feature split search: the differential oracle ---------------
@@ -812,14 +797,13 @@ def _oracle_best_split(M, labels, min_leaf):
 
 
 def _tree_matrices(data, elements):
-    """(X, labels, max_depth, min_leaf) drawn for the tree oracle."""
+    """(X, labels, max_depth) drawn for the tree oracle."""
     n = data.draw(st.integers(1, 40), label="rows")
     dim = data.draw(st.integers(1, 8), label="dim")
     X = data.draw(hnp.arrays(np.float64, (n, dim), elements=elements), label="X")
     labels = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n), label="labels")
-    max_depth = data.draw(st.sampled_from([None, 2, 16]), label="max_depth")
-    min_leaf = data.draw(st.integers(1, 3), label="min_leaf")
-    return X, labels, max_depth, min_leaf
+    max_depth = data.draw(st.sampled_from([0, 2, 16]), label="max_depth")
+    return X, labels, max_depth
 
 
 class TestTreeMatchesPerFeatureSearch:

@@ -185,15 +185,22 @@ class TestUsageErrors:
         code, out, err = run([], capsys=capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--min-leaf", "2"), ("--epochs", "10")])
+    def test_removed_training_flag_refused(self, flag, value, tmp_path, monkeypatch, capsys):
+        # the tree's least leaf size is 1 and the SVM trains for 200 epochs
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(["train", "--output", "m.txt", flag, value], capsys=capsys)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flag} {value}" in err
+        assert not (tmp_path / "m.txt").exists()
+
     @pytest.mark.parametrize(
         "flags",
         [
             ["--classifier", "knn", "--k", "2"],
             ["--max-depth", "-1"],
-            ["--min-leaf", "0"],
             ["--shrinkage", "-1"],
             ["--c-reg", "0"],
-            ["--epochs", "0"],
             ["--classifier", "lda", "--shrinkage", "nan"],
             ["--classifier", "lda", "--shrinkage", "inf"],
             ["--classifier", "svm", "--c-reg", "nan"],
@@ -204,7 +211,7 @@ class TestUsageErrors:
         code, out, err = run(["evaluate", *flags], capsys=capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"numctx: error: {flags[-2]} must be ")
-        if flags[0] == "--max-depth":  # the flag's own range: 0 means unlimited, None cannot be typed
+        if flags[0] == "--max-depth":  # 0 means unlimited
             assert err == "numctx: error: --max-depth must be >= 0 (0 = unlimited), got -1\n"
 
     @pytest.mark.parametrize("command", [["train", "--output", "m.txt"], ["evaluate"], ["compare"], ["classify"]])
@@ -687,10 +694,8 @@ class TestTrainAndClassify:
             ("--classifier", "svm"),
             ("--k", "3"),
             ("--max-depth", "5"),
-            ("--min-leaf", "2"),
             ("--shrinkage", "0.5"),
             ("--c-reg", "2"),
-            ("--epochs", "10"),
         ],
     )
     def test_each_flag_the_model_file_fixes_is_named(

@@ -13,10 +13,18 @@ streams end in an abort today; they are pinned as they are, so a change
 that alters any output byte fails here. A change that alters output on
 purpose prints the new table with ``PYTHONPATH=src python
 tests/test_golden.py`` and replaces ``DIGESTS``.
+
+``READINGS_DIGEST`` pins the verbalizer apart from any model: every number
+located in the bundled corpus's distinct sentences, read with its own
+window under each label its shape can be read as, in each of the 8 styles.
+The same command prints it; ``PYTHONPATH=src python tests/test_golden.py
+readings`` prints the readings themselves, one per line, so a change to a
+reading can be reviewed as a diff of that table.
 """
 
 import hashlib
 import io
+import itertools
 import json
 import sys
 import tempfile
@@ -26,7 +34,11 @@ from pathlib import Path
 import pytest
 
 from numctx.cli import main
+from numctx.context_features import line_windows
 from numctx.corpus import bundled_corpus_path, load_corpus
+from numctx.labels import LABELS
+from numctx.locator import locate_numbers, shape_of
+from numctx.verbalizer import _READINGS, CurrencyMode, UnitMode, VerbalizationStyle, YearMode, verbalize
 
 CLASSIFIERS = ("dt", "knn", "lda", "svm")
 EXTRACTORS = ("context", "bow")
@@ -90,6 +102,8 @@ DIGESTS = {
     "train knn bow --k 3": "d7eefe2fd794ffac6f924a7e27b3f9cd71a2e911e098c0864552f88b0bd6aabd",
 }
 
+READINGS_DIGEST = "3dfcb23abe81005930df6e659f5cbb7abf05bf0066aedf066ed6553a121a200a"
+
 
 def run(argv: list[str], stdin_text: str = "") -> tuple[int, str, str]:
     """``main(argv)`` in this process: exit code, stdout, stderr."""
@@ -129,13 +143,39 @@ def digest_of(case: str) -> str:
     return hashlib.sha256(pinned.encode("utf-8")).hexdigest()
 
 
+def readings_table() -> str:
+    """One line per reading: sentence index, span, number, label, style and words."""
+    styles = [VerbalizationStyle(*modes) for modes in itertools.product(YearMode, CurrencyMode, UnitMode)]
+    lines = []
+    for index, text in enumerate(dict.fromkeys(s.text for s in load_corpus(bundled_corpus_path()))):
+        numbers = locate_numbers(text)
+        for number, window in zip(numbers, line_windows(text, numbers)):
+            shape = shape_of(number)
+            for label, style in itertools.product(LABELS, styles):
+                if shape.kind not in _READINGS[label][1]:
+                    continue
+                words = verbalize(number, label, style, context=window, shape=shape)
+                modes = "/".join(mode.value for mode in vars(style).values())
+                start, end = number.span
+                lines.append(f"{index}\t{start}-{end}\t{number.raw}\t{label.name}\t{modes}\t{words}\n")
+    return "".join(lines)
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_output_matches_pinned_digest(case):
     assert digest_of(case) == DIGESTS[case]
 
 
+def test_readings_match_pinned_digest():
+    assert hashlib.sha256(readings_table().encode("utf-8")).hexdigest() == READINGS_DIGEST
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["readings"]:
+        sys.stdout.write(readings_table())
+        raise SystemExit
     print("DIGESTS = {")
     for case in CASES:
         print(f'    "{case}": "{digest_of(case)}",')
     print("}")
+    print(f'READINGS_DIGEST = "{hashlib.sha256(readings_table().encode("utf-8")).hexdigest()}"')

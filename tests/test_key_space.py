@@ -7,6 +7,13 @@ row's nonzero pairs, from a model file read into plain Python numbers;
 cross-validation labels with ``classifiers.predict_batch`` on dense numpy
 rows. The context key space is small enough to list whole
 (``conftest.reachable_context_keys``), so the two are compared on all of it.
+
+The same labels give, per context model, how many keys get a label that
+``verbalizer._READINGS`` does not let the key's shape code (``key[4]``) take;
+``classify`` exits 1 on such a number. These counts are pinned as found, so
+that a change to them shows, until constrained decoding makes them 0. lda's
+counts follow its weights, whose last bits depend on the BLAS kernel, as the
+``train lda`` golden digests do.
 """
 
 import numpy as np
@@ -26,9 +33,11 @@ from numctx.context_features import (
     line_windows,
 )
 from numctx.corpus import bundled_corpus_path, load_corpus
-from numctx.locator import locate_numbers, shape_of
+from numctx.labels import LABELS
+from numctx.locator import ShapeKind, locate_numbers, shape_of
 from numctx.models import deserialize, predict, serialize
 from numctx.pipeline import Pipeline
+from numctx.verbalizer import _READINGS
 
 LEXICON = default_lexicon()
 CORPUS = load_corpus(bundled_corpus_path())
@@ -63,14 +72,23 @@ def _assert_rows_agree(fitted, keys, dense):
     """For each (pipeline, loaded model) of ``fitted``, ``predict`` of the
     loaded model on each key's pairs equals ``predict_batch`` of the trained
     model on the dense rows ``dense(keys)``. The pipelines share an
-    extractor, so each key's pairs are built once."""
+    extractor, so each key's pairs are built once. Returns each pipeline's
+    labels of ``keys``."""
     features = fitted[0][0].features
+    labels = [[] for _ in fitted]
     for start in range(0, len(keys), _CHUNK):
         chunk = keys[start : start + _CHUNK]
         X, rows = dense(chunk), [features.row(key) for key in chunk]
-        for pipeline, loaded in fitted:
+        for (pipeline, loaded), found in zip(fitted, labels):
             expected = predict_batch(pipeline.model, X).tolist()
             assert [predict(loaded, row) for row in rows] == expected, pipeline.model.algorithm
+            found += expected
+    return labels
+
+
+def _shape_illegal(keys, labels):
+    """How many of the context ``keys`` get a label their shape cannot be read as."""
+    return sum(ShapeKind(key[4]) not in _READINGS[LABELS[label]][1] for key, label in zip(keys, labels))
 
 
 def _one_hot(keys):
@@ -96,11 +114,15 @@ class TestContextKeySpace:
         assert _line_keys([line]) <= KEY_SET
 
     def test_dt_lda_svm_every_key(self):
-        _assert_rows_agree([_fit(algorithm, "context") for algorithm in ("dt", "lda", "svm")], KEYS, _one_hot)
+        labels = _assert_rows_agree([_fit(algorithm, "context") for algorithm in ("dt", "lda", "svm")], KEYS, _one_hot)
+        assert [_shape_illegal(KEYS, found) for found in labels] == [174_731, 155_722, 166_784]
+        assert [_shape_illegal(KEYS[::16], found[::16]) for found in labels] == [10_893, 9_742, 10_411]
 
     def test_knn_every_16th_key_and_every_key_of_the_inputs(self, program_keys):
-        keys = KEYS[::16] + sorted(set().union(*program_keys))
-        _assert_rows_agree([_fit("knn", "context", k) for k in (1, 3)], keys, _one_hot)
+        sampled = KEYS[::16]
+        keys = sampled + sorted(set().union(*program_keys))
+        labels = _assert_rows_agree([_fit("knn", "context", k) for k in (1, 3)], keys, _one_hot)
+        assert [_shape_illegal(sampled, found[: len(sampled)]) for found in labels] == [9_566, 9_849]  # k = 1, 3
 
 
 class TestBowNumbers:
