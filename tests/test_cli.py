@@ -205,6 +205,8 @@ class TestUsageErrors:
             ["--classifier", "lda", "--shrinkage", "inf"],
             ["--classifier", "svm", "--c-reg", "nan"],
             ["--classifier", "svm", "--c-reg", "inf"],
+            ["--classifier", "knn", "--k", "0"],
+            ["--classifier", "svm", "--c-reg", "-1"],
         ],
     )
     def test_out_of_range_classifier_flag_names_the_flag(self, flags, capsys):
