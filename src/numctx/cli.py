@@ -32,7 +32,9 @@ from .pipeline import EXTRACTORS, Pipeline
 from .verbalizer import VerbalizationStyle, verbalize
 
 _OUT_OF_SCOPE_CLASSIFIERS = ("svm-poly", "svm-rbf")
-# a module-level name, so perfbench can time pipeline loading from outside
+# a module-level name, so perfbench can time pipeline loading from outside;
+# it reads the file on every call and parses the same bytes once per process,
+# so a classify run restarted after an abort reuses the pipeline
 load_pipeline = Pipeline.load
 # one flag per field, named after it; the field's default gives the flag its type
 # (a style field's: the values of its enum) and its default

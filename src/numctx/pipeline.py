@@ -21,7 +21,10 @@ file holds, line by line: the magic, the lexicon (``lexicon <count>`` then
 one ``lexentry <word> <Class>`` per entry; the verbalizer reads it too),
 ``extractor <name>`` and that extractor's state, then the model as
 ``models.serialize`` writes it, whose width must be the extractor's
-number of columns.
+number of columns. ``Pipeline.load`` reads the file on every call but parses
+each distinct text once per process (the last ``PARSED_FILES`` texts are
+kept): as a pipeline is not changed after it is built, every load of the
+same bytes from the same path returns one object, warm memo included.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ EXTRACTORS = ("context", "bow")
 # the number has a Boundary slot beyond it), bag-of-words keys are raw numbers
 # and are not
 MEMO_SIZE = 4096
+# distinct pipeline files whose parse ``Pipeline.load`` keeps; the stream
+# benchmark serves 4
+PARSED_FILES = 8
 
 
 class ContextFeatures:
@@ -180,10 +186,11 @@ class Pipeline:
         lines += [f"extractor {self.features.name}", *self.features.dump(), models.serialize(self.model)]
         Path(path).write_text("\n".join(lines), encoding="utf-8")
 
-    @classmethod
-    def load(cls, path: str | Path) -> "Pipeline":
-        """Read a pipeline file; any damage raises ModelFormatError naming ``path``."""
-        return LineReader(context_features.read_utf8(Path(path), ModelFormatError)).parse(cls._read, f"{path}: ")
+    @staticmethod
+    def load(path: str | Path) -> "Pipeline":
+        """Read a pipeline file; any damage raises ModelFormatError naming
+        ``path``. The file is read on every call and its text parsed once."""
+        return _parse(context_features.read_utf8(Path(path), ModelFormatError), f"{path}: ")
 
     @classmethod
     def _read(cls, reader: LineReader) -> "Pipeline":
@@ -199,3 +206,11 @@ class Pipeline:
         if model.dim != len(features.columns):
             raise ModelFormatError(f"model dim {model.dim} does not match the {extractor} width {len(features.columns)}")
         return cls(lexicon, features, model)
+
+
+# keyed by the file's whole text, never its path or mtime alone, so a
+# rewritten file is parsed again; a text that fails to parse is not kept
+# (lru_cache stores no exception) and raises again on the next load
+@functools.lru_cache(maxsize=PARSED_FILES)
+def _parse(text: str, source: str) -> Pipeline:
+    return LineReader(text).parse(Pipeline._read, source)

@@ -423,6 +423,26 @@ class TestClassifyWithModelImportsNoNumpy:
         assert (proc.returncode, proc.stdout, program_err) == (code, out, err.splitlines())
 
 
+class TestClassifyResumesAfterAnAbort:
+    def test_a_second_call_prints_what_a_fresh_process_prints(self, model_files, monkeypatch, capsys):
+        # a server restarts classify on the line after the one it aborted on;
+        # the restart reuses the pipeline parsed from the same bytes
+        argv = ["classify", "--model", model_files["svm", "context", ()]]
+        following = "\n".join([YEN_SENTENCE, CLOCK_SENTENCE, SPACED_RM_SENTENCE, ""])
+        code, out, err = run(argv, f"{COURT_SENTENCE}\nTarikh 12/05/2024 sahaja\n{following}", monkeypatch, capsys)
+        assert (code, out) == (1, "20-22\tDate\tdua puluh satu januari\n")
+        assert err == "numctx: error: token '12/05/2024' with shape SlashDate cannot be read as Phone\n"
+        hits = pipeline._parse.cache_info().hits
+        resumed = run(argv, capsys=capsys)  # the same stdin, past the aborted line
+        assert pipeline._parse.cache_info().hits == hits + 1
+        env = {**os.environ, "PYTHONPATH": str(Path(numctx.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "numctx.cli", *argv], input=following, capture_output=True, text=True, env=env
+        )
+        assert resumed == (proc.returncode, proc.stdout, proc.stderr)
+        assert resumed[0] == 0 and len(resumed[1].splitlines()) == 5
+
+
 class TestTrainAndClassify:
     def test_c_reg_that_overflows_training_exits_1_and_writes_no_file(self, tmp_path):
         # a process of its own, so a RuntimeWarning would reach its stderr

@@ -19,7 +19,11 @@ located in the bundled corpus's distinct sentences, read with its own
 window under each label its shape can be read as, in each of the 8 styles.
 The same command prints it; ``PYTHONPATH=src python tests/test_golden.py
 readings`` prints the readings themselves, one per line, so a change to a
-reading can be reviewed as a diff of that table.
+reading can be reviewed as a diff of that table. ``CUE_READINGS_DIGEST``
+pins the same table over ``CUE_SENTENCES``, a few hand-written lines with
+the readings the corpus does not reach (a number before ``sen``, cue words
+whose slot order decides the reading); ``... tests/test_golden.py
+cue-readings`` prints it.
 """
 
 import hashlib
@@ -104,6 +108,18 @@ DIGESTS = {
 
 READINGS_DIGEST = "3dfcb23abe81005930df6e659f5cbb7abf05bf0066aedf066ed6553a121a200a"
 
+# hand-written lines whose readings the bundled corpus never reaches: a
+# number before ``sen``, and cue words in more than one slot, where the
+# search order (post1, post2, pre1, pre2) picks the word that is read
+CUE_SENTENCES = (
+    "Harga 50 sen sahaja .",
+    "Esok pagi pukul 8.30 malam",
+    "Mac lalu 21 April ini",
+    "Yen naik 500 euro semalam",
+    "kerugian dianggarkan RM 1.234 semalam",
+)
+CUE_READINGS_DIGEST = "07f06f0d35b82d2ccffa267a47099a4fb982fde79f93eaa054c0997ad2344679"
+
 
 def run(argv: list[str], stdin_text: str = "") -> tuple[int, str, str]:
     """``main(argv)`` in this process: exit code, stdout, stderr."""
@@ -143,11 +159,15 @@ def digest_of(case: str) -> str:
     return hashlib.sha256(pinned.encode("utf-8")).hexdigest()
 
 
-def readings_table() -> str:
+def bundled_sentences() -> list[str]:
+    return list(dict.fromkeys(s.text for s in load_corpus(bundled_corpus_path())))
+
+
+def readings_table(sentences) -> str:
     """One line per reading: sentence index, span, number, label, style and words."""
     styles = [VerbalizationStyle(*modes) for modes in itertools.product(YearMode, CurrencyMode, UnitMode)]
     lines = []
-    for index, text in enumerate(dict.fromkeys(s.text for s in load_corpus(bundled_corpus_path()))):
+    for index, text in enumerate(sentences):
         numbers = locate_numbers(text)
         for number, window in zip(numbers, line_windows(text, numbers)):
             shape = shape_of(number)
@@ -166,16 +186,26 @@ def test_output_matches_pinned_digest(case):
     assert digest_of(case) == DIGESTS[case]
 
 
+def readings_digest(sentences) -> str:
+    return hashlib.sha256(readings_table(sentences).encode("utf-8")).hexdigest()
+
+
 def test_readings_match_pinned_digest():
-    assert hashlib.sha256(readings_table().encode("utf-8")).hexdigest() == READINGS_DIGEST
+    assert readings_digest(bundled_sentences()) == READINGS_DIGEST
+
+
+def test_cue_readings_match_pinned_digest():
+    assert readings_digest(CUE_SENTENCES) == CUE_READINGS_DIGEST
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["readings"]:
-        sys.stdout.write(readings_table())
+    tables = {"readings": bundled_sentences, "cue-readings": lambda: CUE_SENTENCES}
+    if sys.argv[1:] and sys.argv[1] in tables:
+        sys.stdout.write(readings_table(tables[sys.argv[1]]()))
         raise SystemExit
     print("DIGESTS = {")
     for case in CASES:
         print(f'    "{case}": "{digest_of(case)}",')
     print("}")
-    print(f'READINGS_DIGEST = "{hashlib.sha256(readings_table().encode("utf-8")).hexdigest()}"')
+    print(f'READINGS_DIGEST = "{readings_digest(bundled_sentences())}"')
+    print(f'CUE_READINGS_DIGEST = "{readings_digest(CUE_SENTENCES)}"')

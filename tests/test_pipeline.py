@@ -5,6 +5,8 @@ pipeline's stored vocabulary line; the pairs an extractor gives scatter to
 that vector."""
 
 import gc
+import os
+import re
 import weakref
 
 import numpy as np
@@ -26,7 +28,8 @@ from numctx.corpus import bundled_corpus_path, load_corpus
 from numctx.evaluation import cross_validate
 from numctx.labels import FormatLabel
 from numctx.locator import SHAPE_KINDS, NumberShape, locate_numbers, shape_of
-from numctx.pipeline import EXTRACTORS, MEMO_SIZE, ContextFeatures, Pipeline
+from numctx.models import ModelFormatError
+from numctx.pipeline import EXTRACTORS, MEMO_SIZE, PARSED_FILES, ContextFeatures, Pipeline
 
 # --- frozen one-hot encoder: the differential oracle -------------------------
 
@@ -221,6 +224,60 @@ class TestSavedFileRoundTrip:
         pipeline.save(first)
         Pipeline.load(first).save(second)
         assert second.read_bytes() == first.read_bytes()
+
+
+class TestLoadParsesEachTextOnce:
+    @pytest.fixture(scope="class")
+    def dt_pipeline(self):
+        return Pipeline.fit(CORPUS, TrainConfig(algorithm=Algorithm.DecisionTree), "context", LEXICON)
+
+    def test_the_same_bytes_give_the_same_pipeline(self, dt_pipeline, tmp_path):
+        path = tmp_path / "dt.txt"
+        dt_pipeline.save(path)
+        assert Pipeline.load(path) is Pipeline.load(path)
+
+    def test_a_rewrite_of_the_same_size_and_mtime_is_parsed_again(self, dt_pipeline, tmp_path):
+        # every leaf label L becomes 5 - L: new bytes, same size; the key is
+        # the text, so neither the path nor the restored stat can hide them
+        path = tmp_path / "dt.txt"
+        dt_pipeline.save(path)
+        old = Pipeline.load(path)
+        before = [old.label(*row) for row in ROWS]
+        stat = path.stat()
+        text = path.read_text(encoding="utf-8")
+        rewritten = re.sub(r"^leaf (\d)$", lambda m: f"leaf {5 - int(m[1])}", text, flags=re.M)
+        assert rewritten != text and len(rewritten) == len(text)
+        path.write_text(rewritten, encoding="utf-8")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+        new = Pipeline.load(path)
+        assert new is not old
+        assert [new.label(*row) for row in ROWS] == [FormatLabel(5 - label) for label in before]
+
+    def test_a_damaged_file_raises_on_every_load(self, dt_pipeline, tmp_path):
+        # lru_cache keeps no exception, so the second load parses and refuses again
+        path = tmp_path / "damaged.txt"
+        dt_pipeline.save(path)
+        path.write_text(path.read_text(encoding="utf-8").replace("nodes ", "nodez "), encoding="utf-8")
+        for _ in range(2):
+            with pytest.raises(ModelFormatError, match=re.escape(f"{path}: ")):
+                Pipeline.load(path)
+
+    def test_a_pipeline_past_the_bound_is_freed_without_the_collector(self, dt_pipeline, tmp_path):
+        paths = [tmp_path / f"dt{i}.txt" for i in range(PARSED_FILES + 1)]
+        for path in paths:
+            dt_pipeline.save(path)
+        gc.disable()
+        try:
+            first = Pipeline.load(paths[0])
+            gone = weakref.ref(first)
+            del first
+            assert gone() is not None  # kept for the next load of its text
+            for path in paths[1:]:
+                Pipeline.load(path)
+            assert gone() is None
+        finally:
+            gc.enable()
 
 
 class TestEachRowLocatedOnce:
