@@ -1,7 +1,9 @@
 """Malay verbalization of classified number tokens.
 
-Every output is normalized to lowercase letters and single spaces. Where a
-format admits several spoken variants, the choice is made explicit through
+Every output is lowercase words separated by single spaces, where a cue
+word the lexicon names is spoken as written; each reader builds that form
+itself, so ``verbalize`` returns what the reader returns. Where a format
+admits several spoken variants, the choice is made explicit through
 ``VerbalizationStyle`` rather than guessed. Some templates need words that
 live next to the number instead of inside it (a month name after a day, an
 ``am``/``pm`` marker after a clock time, the unit after a measurement), so
@@ -20,6 +22,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 from .context_features import ContextWindow, KeywordClass, Lexicon, default_lexicon
 from .labels import FormatLabel
@@ -85,30 +88,26 @@ def cardinal(n: int) -> str:
     largest magnitude word, the digits are read one by one."""
     if n < 0:
         raise ValueError(f"cardinal is defined for non-negative integers, got {n}")
+    if n < 1000:
+        return _group_words(n) if n else _ONES[0]
     if n >= CARDINAL_LIMIT:
         return _digits_spoken(str(n))
-    if n == 0:
-        return _ONES[0]
 
-    groups: list[int] = []  # least significant first
-    while n > 0:
-        groups.append(n % 1000)
-        n //= 1000
-    parts: list[str] = []
-    for power in range(len(groups) - 1, -1, -1):
-        group = groups[power]
-        if group == 0:
-            continue
-        if power == 1 and group == 1:
+    parts: list[str] = []  # most significant group last
+    for magnitude in _MAGNITUDES:
+        n, group = divmod(n, 1000)
+        if magnitude == "ribu" and group == 1:
             parts.append("seribu")
-            continue
-        words = _group_words(group)
-        if power > 0:
-            words = f"{words} {_MAGNITUDES[power]}"
-        parts.append(words)
-    return " ".join(parts)
+        elif group:
+            parts.append(f"{_group_words(group)} {magnitude}" if magnitude else _group_words(group))
+        if not n:
+            break
+    return " ".join(reversed(parts))
 
 
+# a cache, not a table built at import: a one-shot process reads few groups,
+# and the arguments are 1..999, so it holds at most 999 entries
+@cache
 def _group_words(value: int) -> str:
     """Words for 1..999."""
     hundreds, rest = divmod(value, 100)
@@ -171,8 +170,7 @@ def verbalize(
     reader, kinds = _READINGS[label]
     if shape.kind not in kinds:
         raise VerbalizationError(f"token {token.raw!r} with shape {shape.kind.name} cannot be read as {label.name}")
-    words = reader(token, shape, style, context, lexicon)
-    return " ".join(words.lower().split())
+    return reader(token, shape, style, context, lexicon)
 
 
 def _month_name(month: int) -> str:

@@ -1,10 +1,16 @@
 import itertools
+import os
 import string
+import subprocess
+import sys
 from collections.abc import Callable
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import numctx
+from numctx import verbalizer
 from numctx.context_features import ContextWindow, KeywordClass, Lexicon, default_lexicon, line_windows
 from numctx.labels import FormatLabel
 from numctx.locator import NumberToken, ShapeKind, locate_numbers, shape_of
@@ -89,6 +95,95 @@ class TestCardinal:
         allowed = set(string.ascii_lowercase + " ")
         for n in range(0, 5000, 37):
             assert set(cardinal(n)) <= allowed
+
+
+# frozen copy of cardinal and its group reader as they stood before the group
+# words were cached and numbers under 1000 returned their group directly
+_MAGNITUDES = ["", "ribu", "juta", "bilion", "trilion", "kuadrilion"]
+_CARDINAL_LIMIT = 10**18
+
+
+def _oracle_cardinal(n: int) -> str:
+    if n < 0:
+        raise ValueError(f"cardinal is defined for non-negative integers, got {n}")
+    if n >= _CARDINAL_LIMIT:
+        return _digits_spoken(str(n))
+    if n == 0:
+        return _ONES[0]
+
+    groups: list[int] = []  # least significant first
+    while n > 0:
+        groups.append(n % 1000)
+        n //= 1000
+    parts: list[str] = []
+    for power in range(len(groups) - 1, -1, -1):
+        group = groups[power]
+        if group == 0:
+            continue
+        if power == 1 and group == 1:
+            parts.append("seribu")
+            continue
+        words = _oracle_group_words(group)
+        if power > 0:
+            words = f"{words} {_MAGNITUDES[power]}"
+        parts.append(words)
+    return " ".join(parts)
+
+
+def _oracle_group_words(value: int) -> str:
+    hundreds, rest = divmod(value, 100)
+    parts: list[str] = []
+    if hundreds == 1:
+        parts.append("seratus")
+    elif hundreds > 1:
+        parts.append(f"{_ONES[hundreds]} ratus")
+    if rest == 0:
+        pass
+    elif rest < 10:
+        parts.append(_ONES[rest])
+    elif rest == 10:
+        parts.append("sepuluh")
+    elif rest == 11:
+        parts.append("sebelas")
+    elif rest < 20:
+        parts.append(f"{_ONES[rest - 10]} belas")
+    else:
+        tens, ones = divmod(rest, 10)
+        parts.append(f"{_ONES[tens]} puluh")
+        if ones:
+            parts.append(_ONES[ones])
+    return " ".join(parts)
+
+
+class TestCardinalMatchesFrozenCardinal:
+    def test_every_integer_below_100000(self):
+        for n in range(100_000):
+            assert cardinal(n) == _oracle_cardinal(n), n
+
+    @given(st.integers(0, 10**21))
+    @example(999)
+    @example(1000)
+    @example(1001)
+    @example(999_999)
+    @example(10**6)
+    @example(10**18 - 1)
+    @example(10**18)
+    def test_any_integer(self, n):
+        assert cardinal(n) == _oracle_cardinal(n)
+
+
+class TestGroupMemo:
+    def test_holds_at_most_one_entry_per_group(self):
+        for n in range(10**6 + 1):
+            cardinal(n)
+        assert verbalizer._group_words.cache_info().currsize <= 999
+
+    def test_importing_the_cli_reads_no_group(self):
+        # a one-shot classify process pays for the groups it reads, not for a table
+        env = {**os.environ, "PYTHONPATH": str(Path(numctx.__file__).parents[1])}
+        script = "import numctx.cli, numctx.verbalizer as v; print(v._group_words.cache_info())"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (0, "CacheInfo(hits=0, misses=0, maxsize=None, currsize=0)\n")
 
 
 class TestYearWords:
@@ -658,3 +753,33 @@ class TestMatchesFrozenReaders:
     def test_currency_reads_as_the_frozen_reader(self, text, style, window):
         token = tok(text)
         assert _outcome(verbalize, token, C, style, window) == _outcome(oracle_verbalize, token, C, style, window)
+
+
+# a unit word and a currency word that are not plain ASCII, added to the bundled lexicon
+_CUE_LEXICON = Lexicon(
+    entries={**default_lexicon().entries, "m²": KeywordClass.MeasurementUnit, "usd$": KeywordClass.CurrencyWord}
+)
+_CUE_WORDS = st.one_of(_WINDOW_WORDS, st.sampled_from(["m²", "usd$"]))
+
+
+class TestReadersBuildTheFinalForm:
+    # verbalize returns the reader's string as it is, so each reader must
+    # itself give lowercase words separated by single spaces
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        _CASES,
+        st.sampled_from(STYLES),
+        st.one_of(_WINDOWS, st.builds(ContextWindow, _CUE_WORDS, _CUE_WORDS, _CUE_WORDS, _CUE_WORDS)),
+        st.sampled_from([default_lexicon(), _CUE_LEXICON]),
+    )
+    @example(("120", M), DEFAULT_STYLE, ContextWindow("luas", "rumah", "m²", "sahaja"), _CUE_LEXICON)
+    @example(("RM 2.50", C), STYLES[0], ContextWindow(None, "harga", "usd$", None), _CUE_LEXICON)
+    def test_reader_output_is_lowercase_single_spaced(self, case, style, window, lexicon):
+        text, label = case
+        token = tok(text)
+        shape = shape_of(token)
+        reader, kinds = verbalizer._READINGS[label]
+        if shape.kind not in kinds:
+            return
+        words = reader(token, shape, style, window or ContextWindow(None, None, None, None), lexicon)
+        assert words == " ".join(words.lower().split())
