@@ -16,7 +16,19 @@ CART-style on Gini gain with midpoint thresholds, level by level from one
 stable presort per column, every open node of a level scored at once; it
 does not recurse, so any depth trains (ties: lowest feature, then lowest
 threshold; a majority leaf takes the lowest label). Its counts are whole
-numbers, so the tree is bit-identical to one grown on every row. LDA uses
+numbers, so the tree is bit-identical to one grown on every row.
+``train_folds`` trains one model per (training-row mask, columns) split,
+and ``train`` is it with one split. For trees it finds the distinct
+(row, label) pairs once, on the columns some row uses, and grows the splits'
+trees together in one level loop, one root each, in groups whose distinct
+rows, summed, stay at or below the rows of X. Each split keeps its own
+column order, padded with zero columns to the group's width. A tree's bytes
+do not depend on its group: counts are whole numbers, so every sum is exact
+whatever the level holds and in any row order; a split's rows of count 0
+are dropped, as they would leave a cut side empty; a padded column is
+constant and offers no cut; a class only other splits hold adds an exact
+0.0 to every Gini sum; and a stable sort's permutation is unique, so the
+per-level re-sort by node may take numpy's radix sort on an int16 key. LDA uses
 class means, a shrinkage-regularized pooled covariance, and class priors;
 the linear SVM trains one-vs-rest hinge-loss separators by full-batch
 subgradient descent with step ``1/(c_reg * t)`` at epoch ``t`` of 200, all
@@ -31,6 +43,8 @@ training overflows or whose weights or biases are not finite.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -83,24 +97,43 @@ def _training_labels(y) -> np.ndarray:
 def train(X, y, cfg: TrainConfig) -> TrainedModel:
     """Fit the configured algorithm on (X, y); deterministic given cfg."""
     M = _as_matrix(X)
+    return next(train_folds(M, y, [(np.ones(len(M), dtype=bool), np.arange(M.shape[1]))], cfg))
+
+
+def train_folds(X, y, splits, cfg: TrainConfig) -> Iterator[TrainedModel]:
+    """One model per split, in split order: for a split's (training-row mask,
+    columns), the model ``train`` fits on ``X[mask][:, columns]`` and
+    ``y[mask]``. Models are trained as they are asked for, a group of
+    decision trees at once and every other model on its own, so a caller
+    that uses each model before asking for the next holds at most one
+    group's. X as a whole must be finite.
+    """
+    M = _as_matrix(X)
     labels = _training_labels(y)
-    if len(M) == 0:
-        raise ValueError("training set is empty")
-    if M.shape[1] == 0:
-        raise ValueError("X has no feature columns")
+    splits = [(np.asarray(mask, dtype=bool), np.asarray(columns, dtype=np.intp)) for mask, columns in splits]
+    for mask, columns in splits:
+        if not mask.any():
+            raise ValueError("training set is empty")
+        if len(columns) == 0:
+            raise ValueError("X has no feature columns")
     if len(M) != len(labels):
         raise ValueError(f"got {len(M)} vectors but {len(labels)} labels")
     if not np.isfinite(M).all():
         raise ValueError("X holds a non-finite value")
 
+    if cfg.algorithm == Algorithm.DecisionTree:
+        yield from _tree_folds(M, labels, splits, cfg.max_depth)
+        return
+    for mask, columns in splits:
+        yield _train_split(M[np.ix_(mask, columns)], labels[mask], cfg)
+
+
+def _train_split(M: np.ndarray, labels: np.ndarray, cfg: TrainConfig) -> TrainedModel:
+    """The KNN, LDA or SVM model of one split's own matrix and labels."""
     if cfg.algorithm == Algorithm.KNN:
-        return KnnModel(dim=M.shape[1], k=cfg.k, points=M.copy(), labels=labels.copy())
+        return KnnModel(dim=M.shape[1], k=cfg.k, points=M, labels=labels)
     if cfg.algorithm == Algorithm.LDA:
         return _fit_linear(lambda: _train_lda(M, labels, cfg.shrinkage), f"shrinkage {cfg.shrinkage}")
-    if cfg.algorithm == Algorithm.DecisionTree:
-        # the tree sees each distinct (row, label) pair once, weighted by its count
-        _, first, inverse = _distinct_rows(np.column_stack([M, labels]))
-        return _train_tree(M[first], labels[first], np.bincount(inverse), cfg.max_depth)
     if cfg.algorithm == Algorithm.LinearSVM:
         return _fit_linear(lambda: _train_svm(*_svm_rows(M, labels), cfg.c_reg), f"c_reg {cfg.c_reg}")
     raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
@@ -177,8 +210,8 @@ def _best_cuts(
     node's in value order; ``nid`` is the node at each position, ``hist``
     each node's class counts. A cut is a candidate where the next row is in
     the same node and holds another value, so each side keeps a row. Gini
-    sums run over the training set's classes in ascending order (an absent
-    class adds an exact 0.0). A node takes the first maximum gain in
+    sums run over the classes of every tree the level grows, in ascending
+    order (a class absent from a node adds an exact 0.0). A node takes the first maximum gain in
     (feature, position) order: the lowest feature, then the lowest threshold.
     """
     n_classes = hist.shape[1]
@@ -207,19 +240,86 @@ def _best_cuts(
     return node[best], feat[best], vals[feat[best], pos[best]], vals[feat[best], pos[best] + 1]
 
 
-def _train_tree(M: np.ndarray, labels: np.ndarray, counts: np.ndarray, max_depth: int) -> TreeModel:
-    """The tree grown breadth-first, row ``i`` standing for ``counts[i]``
-    equal rows: each column is argsorted once, stably, and at each level its
-    active rows are stably sorted by node, so ``_best_cuts`` scores every
-    node of the level at once. A node with one class, at ``max_depth`` (0
-    sets no limit) or without a cut is a leaf. Training does not recurse.
+def _tree_folds(M: np.ndarray, labels: np.ndarray, splits: list, max_depth: int) -> Iterator[TreeModel]:
+    """Each split's tree, grown in groups of splits that share one level loop.
+
+    The distinct (row, label) pairs are found once, on the columns some row
+    uses; a split weights each by the number of its training rows it stands
+    for. A group takes splits in order while its distinct rows, summed,
+    stay at or below ``len(M)``, so a group is never larger than the data.
+    """
+    used = np.flatnonzero(M.any(axis=0))
+    _, first, inverse = _distinct_rows(np.column_stack([M[:, used], labels]))
+    # a column no row uses reads the zero column appended after the used ones
+    distinct = np.column_stack([M[np.ix_(first, used)], np.zeros(len(first))])
+    column_at = np.full(M.shape[1], len(used))
+    column_at[used] = np.arange(len(used))
+    distinct_labels = labels[first]
+    group: list[tuple[np.ndarray, np.ndarray]] = []
+    rows = 0
+    for mask, columns in splits:
+        counts = np.bincount(inverse[mask], minlength=len(first))
+        n = np.count_nonzero(counts)  # at most the split's rows, so a split alone always fits
+        if rows + n > len(M):
+            yield from _grow_group(distinct, distinct_labels, group, max_depth)
+            group, rows = [], 0
+        group.append((counts, column_at[columns]))
+        rows += n
+    if group:
+        yield from _grow_group(distinct, distinct_labels, group, max_depth)
+
+
+def _grow_group(distinct: np.ndarray, labels: np.ndarray, group: list, max_depth: int) -> list[TreeModel]:
+    """The trees of a group of (counts, columns) splits of the rows of
+    ``distinct``, stacked into one matrix: each split's rows of nonzero count
+    (a row of count 0 would leave a cut side empty and its gain nan), in its
+    own column order, padded with zero columns to the widest split's width.
+    """
+    kept = [np.flatnonzero(counts) for counts, _ in group]
+    stacked = np.zeros((sum(map(len, kept)), max(len(columns) for _, columns in group)))
+    start = 0
+    for rows, (_, columns) in zip(kept, group):
+        stacked[start : start + len(rows), : len(columns)] = distinct[np.ix_(rows, columns)]
+        start += len(rows)
+    return _train_trees(
+        stacked,
+        labels[np.concatenate(kept)],
+        np.concatenate([counts[rows] for rows, (counts, _) in zip(kept, group)]),
+        np.repeat(np.arange(len(group)), list(map(len, kept))),
+        [len(columns) for _, columns in group],
+        max_depth,
+    )
+
+
+def _by_node(order: np.ndarray, node_of: np.ndarray, n_nodes: int) -> np.ndarray:
+    """``order`` stably sorted by each row's node, the rows in leaves (-1)
+    dropped. A stable sort's permutation is the same whatever the algorithm,
+    so the key is narrowed to int16 where the nodes fit: a quarter of the
+    bytes to gather, sorted by numpy's radix sort."""
+    key = node_of.astype(np.int16 if n_nodes <= np.iinfo(np.int16).max else np.intp)[order]
+    order = order[np.arange(len(order))[:, None], np.argsort(key, axis=1, kind="stable")]
+    return order[:, np.count_nonzero(key[0] < 0) :]
+
+
+def _train_trees(
+    M: np.ndarray, labels: np.ndarray, counts: np.ndarray, root_of: np.ndarray, dims: list[int], max_depth: int
+) -> list[TreeModel]:
+    """One tree per root, grown breadth-first in one level loop: row ``i``
+    stands for ``counts[i]`` equal rows of root ``root_of[i]``'s tree, whose
+    features are the first ``dims[root]`` columns of ``M``. Each column is
+    argsorted once, stably, and at each level its active rows are stably
+    sorted by node, so ``_best_cuts`` scores every node of the level at
+    once. A node with one class, at ``max_depth`` (0 sets no limit) or
+    without a cut is a leaf. Training does not recurse.
     """
     classes, y = np.unique(labels, return_inverse=True)
     n_classes = len(classes)
+    roots = [TreeNode() for _ in dims]
+    node_of = root_of.astype(np.intp)  # each row's node in the level, -1 once in a leaf
     order = np.argsort(M, axis=0, kind="stable").T  # (d, active rows), grouped by node
-    node_of = np.zeros(len(M), dtype=np.intp)  # each row's node in the level, -1 once in a leaf
-    root = TreeNode()
-    level, depth = [root], 0
+    if len(roots) > 1:
+        order = _by_node(order, node_of, len(roots))
+    level, depth = roots, 0
     while level:
         rows = order[0]
         nid = node_of[rows]  # the node at each position, ascending
@@ -244,12 +344,9 @@ def _train_tree(M: np.ndarray, labels: np.ndarray, counts: np.ndarray, max_depth
 
         goes_right = M[rows, feature_of[nid]] > threshold_of[nid]
         node_of[rows] = np.where(split_of[nid] < 0, -1, split_of[nid] + goes_right)
-        key = node_of[order]
-        # a stable sort puts the rows now in leaves (-1) first; drop them
-        order = order[np.arange(len(order))[:, None], np.argsort(key, axis=1, kind="stable")]
-        order = order[:, np.count_nonzero(key[0] < 0) :]
+        order = _by_node(order, node_of, len(next_level))
         level, depth = next_level, depth + 1
-    return TreeModel(dim=M.shape[1], root=root)
+    return [TreeModel(dim=dim, root=root) for dim, root in zip(dims, roots)]
 
 
 # --- LDA -----------------------------------------------------------------

@@ -6,7 +6,10 @@ precision down a column. Cross-validation pools the per-fold matrices by
 summation. It encodes each corpus row once; any feature state learned from
 data (the bag-of-words vocabulary) is rebuilt from each fold's training
 split and picks that fold's columns of the encoding, and each fold's state,
-the extractor's ``dump()`` lines, is kept so leakage is checkable.
+the extractor's ``dump()`` lines, is kept so leakage is checkable. Every
+fold's model comes from one ``classifiers.train_folds`` call, which grows
+decision trees in groups of folds no larger than the corpus; each fold is
+predicted as its model arrives, so at most one group's models are alive.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import context_features
-from .classifiers import TrainConfig, predict_batch, train
+from .classifiers import TrainConfig, predict_batch, train_folds
 from .corpus import Corpus, stratified_folds
 from .labels import LABELS, FormatLabel
 from .pipeline import encode_rows, make_features
@@ -96,17 +99,21 @@ def cross_validate(
     y = np.array([int(s.label) for s in corpus], dtype=np.int64)
     every_column = encode_rows(features, corpus)  # unfitted, it keeps every column
 
-    fold_accuracies: list[float] = []
+    splits: list[tuple[np.ndarray, list[int]]] = []  # each fold's (training rows, columns)
     states: list[tuple[str, ...]] = []
-    predicted = np.empty_like(y)  # each row's label from the one fold that tests it
     for fold in folds:
-        test = np.zeros(len(corpus), dtype=bool)
-        test[list(fold)] = True
-        features.fit([s.number for s, held_out in zip(corpus, test) if not held_out])
+        trains = np.ones(len(corpus), dtype=bool)
+        trains[list(fold)] = False
+        features.fit([s.number for s, in_training in zip(corpus, trains) if in_training])
         states.append(tuple(features.dump()))
-        X = every_column[:, features.columns]
-        model = train(X[~test], y[~test], cfg)
-        predicted[test] = predict_batch(model, X[test])
+        splits.append((trains, list(features.columns)))
+
+    fold_accuracies: list[float] = []
+    predicted = np.empty_like(y)  # each row's label from the one fold that tests it
+    # each fold is predicted as its model arrives, before the next group of trees grows
+    for fold, (trains, columns), model in zip(folds, splits, train_folds(every_column, y, splits, cfg)):
+        test = ~trains
+        predicted[test] = predict_batch(model, every_column[np.ix_(test, columns)])
         fold_accuracies.append(int((predicted[test] == y[test]).sum()) / len(fold))
     pooled = np.bincount(y * len(LABELS) + predicted, minlength=len(LABELS) ** 2).reshape(len(LABELS), len(LABELS))
 

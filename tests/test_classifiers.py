@@ -18,10 +18,12 @@ from numctx.classifiers import (
     TreeModel,
     TreeNode,
     _distinct_rows,
+    _grow_group,
     _svm_rows,
     _train_svm,
     predict_batch,
     train,
+    train_folds,
 )
 from numctx.context_features import default_lexicon
 from numctx.corpus import bundled_corpus_path, load_corpus, stratified_folds
@@ -822,6 +824,100 @@ class TestTreeMatchesPerFeatureSearch:
     def test_real_matrices_bytes(self, data):
         reals = st.floats(-10, 10, allow_nan=False).map(lambda v: round(v, 2))
         _assert_tree_matches_oracle(*_tree_matrices(data, reals), best_split=_oracle_best_split)
+
+
+# --- folds grown in one stack: the invariants stacking relies on -------------
+
+
+def _stack_rows(data):
+    """(distinct, labels): up to 12 rows over {0.0, -0.0, 1.0, 2.0} in up to
+    5 columns, so equal rows recur, with or without equal labels."""
+    n = data.draw(st.integers(1, 12), label="rows")
+    width = data.draw(st.integers(1, 5), label="width")
+    elements = st.sampled_from([0.0, -0.0, 1.0, 2.0])
+    distinct = data.draw(hnp.arrays(np.float64, (n, width), elements=elements), label="distinct")
+    labels = np.array(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n), label="labels"))
+    return distinct, labels
+
+
+def _stack_split(data, labels, width, name, lacking=None):
+    """(counts, columns) of a split: counts 0-5, at least one nonzero and
+    none for the rows labelled ``lacking`` while another row can be kept;
+    columns distinct, in drawn order, as many as drawn."""
+    n = len(labels)
+    counts = np.array(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n), label=f"{name} counts"))
+    if lacking is not None:
+        counts[labels == lacking] = 0
+    if not counts.any():
+        counts[(np.flatnonzero(labels != lacking).tolist() or [0])[0]] = 1
+    columns = data.draw(st.lists(st.integers(0, width - 1), min_size=1, unique=True), label=f"{name} columns")
+    return counts, np.array(columns)
+
+
+def _grown_alone(distinct, labels, split, max_depth):
+    return serialize(_grow_group(distinct, labels, [split], max_depth)[0])
+
+
+class TestStackedFolds:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_split_grown_in_a_stack_equals_it_grown_alone(self, data):
+        distinct, labels = _stack_rows(data)
+        width = distinct.shape[1]
+        target = _stack_split(data, labels, width, "target")
+        others = [
+            _stack_split(data, labels, width, f"other {i}", lacking=data.draw(st.sampled_from(labels.tolist())))
+            for i in range(data.draw(st.integers(1, 3), label="others"))
+        ]
+        at = data.draw(st.integers(0, len(others)), label="target's place")
+        max_depth = data.draw(st.sampled_from([0, 1, 2, 16]), label="max_depth")
+        stacked = _grow_group(distinct, labels, others[:at] + [target] + others[at:], max_depth)[at]
+        alone = _grown_alone(distinct, labels, target, max_depth)
+        assert serialize(stacked) == alone
+        # grown alone, the split is the tree of its every training row
+        counts, columns = target
+        X, y = np.repeat(distinct[:, columns], counts, axis=0), np.repeat(labels, counts)
+        expected = TreeModel(dim=len(columns), root=_oracle_grow_tree(X, y, 0, max_depth or None, 1, _oracle_rank_split))
+        assert alone == serialize(expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rows_permuted_or_a_count_divided(self, data):
+        distinct, labels = _stack_rows(data)
+        counts, columns = split = _stack_split(data, labels, distinct.shape[1], "split")
+        max_depth = data.draw(st.sampled_from([0, 1, 2, 16]), label="max_depth")
+        tree = _grown_alone(distinct, labels, split, max_depth)
+
+        permuted = np.array(data.draw(st.permutations(range(len(labels))), label="permutation"))
+        assert _grown_alone(distinct[permuted], labels[permuted], (counts[permuted], columns), max_depth) == tree
+
+        # row i's count c becomes a + b = c, the a on a copy of the row placed anywhere
+        i = data.draw(st.sampled_from(np.flatnonzero(counts).tolist()), label="divided row")
+        a = data.draw(st.integers(0, int(counts[i])), label="copy's count")
+        where = data.draw(st.integers(0, len(labels)), label="copy's place")
+        divided = np.insert(counts, where, a)
+        divided[i + (where <= i)] -= a
+        copied = np.insert(distinct, where, distinct[i], axis=0), np.insert(labels, where, labels[i])
+        assert _grown_alone(*copied, (divided, columns), max_depth) == tree
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_train_folds_equals_train_on_each_split(self, data):
+        # unused (all-zero) columns included: they read the appended zero column
+        X, labels = _duplicate_heavy(data)
+        X = np.column_stack([X, np.zeros(len(X))])
+        labels = np.array(labels)
+        splits = []
+        for i in range(data.draw(st.integers(1, 4), label="splits")):
+            mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(X), max_size=len(X)), label=f"mask {i}"))
+            mask[data.draw(st.integers(0, len(X) - 1), label=f"kept row {i}")] = True
+            columns = data.draw(st.lists(st.integers(0, X.shape[1] - 1), min_size=1, unique=True), label=f"columns {i}")
+            splits.append((mask, columns))
+        cfg = dt_cfg(max_depth=data.draw(st.sampled_from([0, 1, 16]), label="max_depth"))
+        models = list(train_folds(X, labels, splits, cfg))
+        assert len(models) == len(splits)
+        for (mask, columns), model in zip(splits, models):
+            assert serialize(model) == serialize(train(X[np.ix_(mask, columns)], labels[mask], cfg))
 
 
 class TestSerialization:

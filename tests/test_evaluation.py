@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import separable_corpus
-from numctx import evaluation
+from conftest import cv_workload_corpus, separable_corpus
+from numctx import classifiers, evaluation
 from numctx.classifiers import Algorithm, TrainConfig, predict_batch, train
 from numctx.context_features import default_lexicon
 from numctx.corpus import load_bundled_corpus, stratified_folds
@@ -20,6 +20,7 @@ from numctx.evaluation import (
     summarize,
 )
 from numctx.labels import LABELS, FormatLabel
+from numctx.models import serialize
 from numctx.pipeline import EXTRACTORS, encode_rows, make_features
 
 D, T, P, C, M, PC = FormatLabel
@@ -236,6 +237,101 @@ class TestMatchesPerStateEncoding:
         monkeypatch.setattr(evaluation, "encode_rows", counted)
         cross_validate(bundled, extractor, _dt(), k=10, seed=42)
         assert calls == [extractor]
+
+
+# --- the models train_folds yields: each equal to train on its fold ------------
+
+
+def _record_train_folds(monkeypatch):
+    """Each call cross_validate makes to train_folds, as [(X, y, splits,
+    cfg), models yielded], the models appended as they are yielded."""
+    calls = []
+
+    def recorded(X, y, splits, cfg):
+        models = []
+        calls.append(((X, y, splits, cfg), models))
+        for model in classifiers.train_folds(X, y, splits, cfg):
+            models.append(model)
+            yield model
+
+    monkeypatch.setattr(evaluation, "train_folds", recorded)
+    return calls
+
+
+_FOLD_CONFIGS = [
+    pytest.param(TrainConfig(algorithm=Algorithm.DecisionTree), id="dt"),
+    pytest.param(TrainConfig(algorithm=Algorithm.DecisionTree, max_depth=0), id="dt-unlimited"),
+    pytest.param(TrainConfig(algorithm=Algorithm.DecisionTree, max_depth=1), id="dt-stump"),
+    pytest.param(TrainConfig(algorithm=Algorithm.KNN), id="knn"),
+    pytest.param(TrainConfig(algorithm=Algorithm.LDA), id="lda"),
+    pytest.param(TrainConfig(algorithm=Algorithm.LinearSVM), id="svm"),
+]
+
+
+@pytest.fixture(scope="module")
+def fold_corpora(bundled):
+    # the cv workload's corpus: two generated corpora end to end, 674 rows
+    return {"bundled": bundled, "generated": cv_workload_corpus()}
+
+
+class TestTrainFolds:
+    @pytest.mark.parametrize("cfg", _FOLD_CONFIGS)
+    @pytest.mark.parametrize("seed", [42, 29])
+    @pytest.mark.parametrize("extractor", EXTRACTORS)
+    @pytest.mark.parametrize("corpus_name", ["bundled", "generated"])
+    def test_each_fold_model_equals_train(self, fold_corpora, corpus_name, extractor, seed, cfg, monkeypatch):
+        calls = _record_train_folds(monkeypatch)
+        cross_validate(fold_corpora[corpus_name], extractor, cfg, k=10, seed=seed)
+        [((X, y, splits, _), models)] = calls
+        assert len(models) == len(splits) == 10
+        for (mask, columns), model in zip(splits, models):
+            assert serialize(model) == serialize(train(X[np.ix_(mask, columns)], y[mask], cfg))
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    @pytest.mark.parametrize("extractor", EXTRACTORS)
+    def test_trained_once_per_run_and_each_fold_predicted_first(self, fold_corpora, extractor, algorithm, monkeypatch):
+        corpus = fold_corpora["generated"]
+        calls = _record_train_folds(monkeypatch)
+        # ("train", rows, models yielded by then) for each group or split
+        # trained; ("predict", models yielded by then) for each fold
+        events = []
+
+        def traced(name):
+            real = getattr(classifiers, name)
+
+            def trained(M, *args):
+                events.append(("train", len(M), len(calls[0][1])))
+                return real(M, *args)
+
+            monkeypatch.setattr(classifiers, name, trained)
+
+        traced("_train_trees")
+        traced("_train_split")
+
+        def predicted(model, X):
+            events.append(("predict", len(calls[0][1])))
+            return predict_batch(model, X)
+
+        monkeypatch.setattr(evaluation, "predict_batch", predicted)
+        cross_validate(corpus, extractor, TrainConfig(algorithm=algorithm), k=10, seed=29)
+        assert len(calls) == 1
+        done, before = 0, -1  # folds predicted so far; models yielded when the last group trained
+        for kind, *seen in events:
+            if kind == "predict":
+                done += 1
+                assert seen == [done]  # fold i is predicted as soon as its model is yielded
+            else:
+                rows, yielded = seen
+                assert rows <= len(corpus)  # a group's distinct rows never outnumber the corpus
+                # the last group's models are yielded and predicted before the next trains
+                assert yielded == done > before
+                before = yielded
+        assert done == 10
+        trainings = sum(kind == "train" for kind, *_ in events)
+        if algorithm == Algorithm.DecisionTree and extractor == "context":
+            assert trainings == 1  # every context fold grows in one group
+        elif algorithm != Algorithm.DecisionTree:
+            assert trainings == 10
 
 
 class TestReports:

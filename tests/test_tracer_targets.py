@@ -29,6 +29,7 @@ UNMEASURED = {
     ("numctx.context_features", "shape_of"),
     ("numctx.context_features", "tokenize"),
     ("numctx.context_features", "window_for_token"),
+    ("numctx.evaluation", "train"),
 }
 
 
