@@ -31,20 +31,25 @@ constant and offers no cut; a class only other splits hold adds an exact
 per-level re-sort by node may take numpy's radix sort on an int16 key. LDA uses
 class means, a shrinkage-regularized pooled covariance, and class priors;
 the linear SVM trains one-vs-rest hinge-loss separators by full-batch
-subgradient descent with step ``1/(c_reg * t)`` at epoch ``t`` of 200, all
-separators taking each step together, with one stacked gemv per epoch for
-every class's margins. On integer-valued features, the only kind the
-program builds, its weights are those of training on every row, one class
-at a time, under every BLAS kernel; ``_svm_rows`` and the README say how
-its rows are laid out for that. On other real X the subgradient may differ
-in the last bits. LDA and the SVM keep one linear form, per-class
-weights and bias, for scoring and storage; ``train`` refuses one whose
-training overflows or whose weights or biases are not finite.
+subgradient descent with step ``1/(c_reg * t)`` at epoch ``t`` of 200.
+``train_folds`` stacks consecutive splits that share a column count and a
+training-row count mod 4, and every separator of the stack takes each step
+together, with one gemv per (split, class) for the margins; a class a split
+lacks trains in the stack and is dropped from that split's model. On
+integer-valued features, the only kind the program builds, each split's
+weights are those of training on its every row, one class at a time, under
+every BLAS kernel; ``_svm_rows`` and the README say how the stack's rows
+are laid out for that. On other real X the subgradient may differ in the
+last bits. LDA and the SVM keep one linear form, per-class weights and
+bias, for scoring and storage; ``train_folds`` refuses one whose training
+overflows or whose weights or biases are not finite, and with it the rest
+of its stack.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import groupby
 
 import numpy as np
 
@@ -104,9 +109,9 @@ def train_folds(X, y, splits, cfg: TrainConfig) -> Iterator[TrainedModel]:
     """One model per split, in split order: for a split's (training-row mask,
     columns), the model ``train`` fits on ``X[mask][:, columns]`` and
     ``y[mask]``. Models are trained as they are asked for, a group of
-    decision trees at once and every other model on its own, so a caller
-    that uses each model before asking for the next holds at most one
-    group's. X as a whole must be finite.
+    decision trees or a stack of SVMs at once and every other model on its
+    own, so a caller that uses each model before asking for the next holds
+    at most one group's. X as a whole must be finite.
     """
     M = _as_matrix(X)
     labels = _training_labels(y)
@@ -124,35 +129,37 @@ def train_folds(X, y, splits, cfg: TrainConfig) -> Iterator[TrainedModel]:
     if cfg.algorithm == Algorithm.DecisionTree:
         yield from _tree_folds(M, labels, splits, cfg.max_depth)
         return
+    if cfg.algorithm == Algorithm.LinearSVM:
+        yield from _svm_folds(M, labels, splits, cfg.c_reg)
+        return
     for mask, columns in splits:
         yield _train_split(M[np.ix_(mask, columns)], labels[mask], cfg)
 
 
 def _train_split(M: np.ndarray, labels: np.ndarray, cfg: TrainConfig) -> TrainedModel:
-    """The KNN, LDA or SVM model of one split's own matrix and labels."""
+    """The KNN or LDA model of one split's own matrix and labels."""
     if cfg.algorithm == Algorithm.KNN:
         return KnnModel(dim=M.shape[1], k=cfg.k, points=M, labels=labels)
     if cfg.algorithm == Algorithm.LDA:
-        return _fit_linear(lambda: _train_lda(M, labels, cfg.shrinkage), f"shrinkage {cfg.shrinkage}")
-    if cfg.algorithm == Algorithm.LinearSVM:
-        return _fit_linear(lambda: _train_svm(*_svm_rows(M, labels), cfg.c_reg), f"c_reg {cfg.c_reg}")
+        [model] = _fit_linear(lambda: [_train_lda(M, labels, cfg.shrinkage)], f"shrinkage {cfg.shrinkage}")
+        return model
     raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
 
 
-def _fit_linear(fit, setting: str) -> LinearModel:
-    """The model ``fit()`` trains, refused with a ValueError naming
+def _fit_linear(fit, setting: str) -> list[LinearModel]:
+    """The models ``fit()`` trains, refused together with a ValueError naming
     ``setting`` when training overflows or leaves a weight or bias that is
     not finite, since no model file holds one. No bound on a setting alone
     prevents that: ``c_reg`` 1e-320 makes the SVM's first step 1/c_reg
     infinite."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            model = fit()
+            models = fit()
     except FloatingPointError:
-        model = None
-    if model is None or not (np.isfinite(model.weights).all() and np.isfinite(model.biases).all()):
+        models = None
+    if models is None or not all(np.isfinite(m.weights).all() and np.isfinite(m.biases).all() for m in models):
         raise ValueError(f"{setting} overflows training, and no model file holds a non-finite weight")
-    return model
+    return models
 
 
 def predict_batch(model: TrainedModel, X) -> np.ndarray:
@@ -385,64 +392,105 @@ def _train_lda(M: np.ndarray, labels: np.ndarray, shrinkage: float) -> LdaModel:
 # --- linear SVM ----------------------------------------------------------
 
 
-def _svm_rows(M: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows, labels and counts the SVM trains on, laid out so that gemv
-    sums each row's margin as it sums that of the rows of ``M`` it stands for.
+def _svm_folds(M: np.ndarray, labels: np.ndarray, splits: list, c_reg: float, epochs: int = 200) -> Iterator[SvmModel]:
+    """Each split's SVM, trained in stacks of consecutive splits that share
+    a column count, a training-row count mod 4 and whether that count is 1
+    (numpy takes a one-row product as a dot, which sums in another order
+    than gemv). A stack's models are refused together when training overflows.
+    """
+
+    def stack_key(split):
+        mask, columns = split
+        rows = np.count_nonzero(mask)
+        return len(columns), rows % 4, rows == 1
+
+    for _, stack in groupby(splits, stack_key):
+        group = [(np.flatnonzero(mask), columns) for mask, columns in stack]
+        yield from _fit_linear(lambda: _train_svms(M, labels, group, c_reg, epochs), f"c_reg {c_reg}")
+
+
+def _svm_rows(
+    M: np.ndarray, labels: np.ndarray, rows: np.ndarray, columns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``M`` a split's part of the stack holds, in order, and the
+    number of the split's training rows each stands for, laid out so that
+    gemv sums each row's margin as it sums those of the rows it stands for.
 
     gemv sums a matrix's last (rows mod 4) rows in another order than the
-    rows before them, so only the rows before them are merged into distinct
-    (row, label) pairs. Zero rows of count 0 pad those pairs to a multiple
-    of 4, and ``M``'s last rows follow, each on its own, in their place.
+    rows before them, and each row before them in the same order wherever
+    it sits. So only the training rows before the last (rows mod 4) are
+    merged into distinct (row, label) pairs; the last rows follow, each on
+    its own. In the stack, zero rows of count 0 pad every split's distinct
+    pairs to the widest split's, rounded up to a multiple of 4, and each
+    split's last rows come last, so every row keeps its gemv place.
     """
-    body = len(M) - len(M) % 4
-    _, first, inverse = _distinct_rows(np.column_stack([M[:body], labels[:body]]))
-    pad = -len(first) % 4
-    rows = np.concatenate([M[first], np.zeros((pad, M.shape[1])), M[body:]])
-    # a padding row takes a label the classes already hold, and pulls nothing
-    row_labels = np.concatenate([labels[first], np.full(pad, labels[0]), labels[body:]])
-    counts = np.concatenate([np.bincount(inverse), np.zeros(pad, np.int64), np.ones(len(M) - body, np.int64)])
-    return rows, row_labels, counts
+    body = rows[: len(rows) - len(rows) % 4]
+    _, first, inverse = _distinct_rows(np.column_stack([M[np.ix_(body, columns)], labels[body]]))
+    counts = np.append(np.bincount(inverse), np.ones(len(rows) - len(body), np.int64))
+    return np.append(body[first], rows[len(body) :]), counts
 
 
-def _train_svm(M: np.ndarray, labels: np.ndarray, counts: np.ndarray, c_reg: float, epochs: int = 200) -> SvmModel:
-    """One-vs-rest separators, row ``i`` standing for ``counts[i]`` equal rows.
+def _train_svms(M: np.ndarray, labels: np.ndarray, group: list, c_reg: float, epochs: int) -> list[SvmModel]:
+    """One-vs-rest separators for each (training rows, columns) split of a
+    group, every split taking each step together in one stack.
 
-    Each class's weights and bias are one row of ``wb``. One stacked
-    matrix-vector product gives every class's margins: numpy's matmul makes,
-    per class, the gemv call ``np.dot(M, w)`` makes, so each margin keeps
-    that call's bits, where a gemm would sum it in its kernel's blocking
-    order. One product with ``[M | 1]`` gives the subgradient and the bias
-    sum, exact on integer-valued features. Each element takes the per-class
-    update's operations in their order, ``wb - eta * (decay * wb - grad / n)``:
-    the decay row's 0 leaves the bias unregularized, and as a bias is never
-    -0.0, its ``0 * b - s / n`` is the per-class ``-s / n``.
+    Each split's classes' weights and bias are rows of ``wb[split]``, over
+    the union of the group's classes: a one-vs-rest row updates on its own,
+    so a class a split lacks trains beside the others and is dropped from
+    its model. One stacked matrix-vector product gives every margin: numpy's
+    matmul makes, per (split, class), the gemv call ``np.dot(M, w)`` makes,
+    so each margin keeps that call's bits, where a gemm would sum it in its
+    kernel's blocking order. One product with ``[M | 1]`` gives the
+    subgradient and the bias sum, exact on integer-valued features. Each
+    element takes the per-class update's operations in their order,
+    ``wb - eta * (decay * wb - grad / n)``: the decay row's 0 leaves the
+    bias unregularized, and as a bias is never -0.0, its ``0 * b - s / n``
+    is the per-class ``-s / n``.
     """
-    class_ids = np.unique(labels, return_inverse=True)[0]  # the flag: see _train_lda
-    rows, dim = M.shape
-    k, n = len(class_ids), int(counts.sum())
-    targets = np.where(labels == class_ids[:, None], 1.0, -1.0)  # (k, rows)
+    layouts = [_svm_rows(M, labels, rows, columns) for rows, columns in group]
+    dim, tail = len(group[0][1]), len(group[0][0]) % 4
+    width = max(len(picked) for picked, _ in layouts) - tail
+    width += -width % 4
+    height = width + tail
+    # the stack's one copy of the rows, filled one split at a time; a padding
+    # row takes no class, and with its count of 0 pulls nothing
+    with_ones = np.zeros((len(group), height, dim + 1))
+    with_ones[..., dim] = 1.0
+    row_labels, counts = np.full((len(group), height), -1), np.zeros((len(group), height), np.int64)
+    for split, ((picked, picked_counts), (_, columns)) in enumerate(zip(layouts, group)):
+        at = np.r_[: len(picked) - tail, width:height]
+        with_ones[split, at, :dim] = M[np.ix_(picked, columns)]
+        row_labels[split, at], counts[split, at] = labels[picked], picked_counts
+    split_classes = [np.unique(labels[rows], return_inverse=True)[0] for rows, _ in group]  # the flag: see _train_lda
+    class_ids = np.unique(np.concatenate(split_classes), return_inverse=True)[0]
+    targets = np.where(row_labels[:, None] == class_ids[:, None], 1.0, -1.0)  # (splits, classes, height)
     # a violating row pulls its class's separator toward its own side, once
     # for each training row it stands for
-    pulls = targets * counts
-    with_ones = np.column_stack([M, np.ones(rows)])
+    pulls = targets * counts[:, None]
+    n = np.array([len(rows) for rows, _ in group])[:, None, None]
     decay = np.append(np.full(dim, c_reg), 0.0)
-    wb = np.zeros((k, dim + 1))
-    weights, biases = wb[:, :dim, None], wb[:, dim:]  # views, updated with wb
-    outputs = np.empty((k, rows, 1))
-    margins, violating = outputs[:, :, 0], np.empty((k, rows), dtype=bool)
-    pull, step, grad = np.empty((k, rows)), np.empty((k, dim + 1)), np.empty((k, dim + 1))
+    wb = np.zeros((len(group), len(class_ids), dim + 1))
+    stacked, weights, biases = with_ones[:, None, :, :dim], wb[..., :dim, None], wb[..., dim:]  # views
+    outputs = np.empty((*targets.shape, 1))
+    margins, violating = outputs[..., 0], np.empty(targets.shape, dtype=bool)
+    step, grad = np.empty_like(wb), np.empty_like(wb)
     for t in range(1, epochs + 1):
         eta = 1.0 / (c_reg * t)
-        np.matmul(M, weights, out=outputs)
+        np.matmul(stacked, weights, out=outputs)
         np.add(margins, biases, out=margins)
         np.multiply(targets, margins, out=margins)
         np.less(margins, 1.0, out=violating)
-        # a row that does not violate pulls by a signed zero; a zero's sign never reaches wb
-        np.multiply(pulls, violating, out=pull)
-        np.matmul(pull, with_ones, out=grad)
+        # each row's pull, in the margins' place; a row that does not violate
+        # pulls by a signed zero, and a zero's sign never reaches wb
+        np.multiply(pulls, violating, out=margins)
+        np.matmul(margins, with_ones, out=grad)
         np.divide(grad, n, out=grad)
         np.multiply(decay, wb, out=step)
         np.subtract(step, grad, out=step)
         np.multiply(step, eta, out=step)
         np.subtract(wb, step, out=wb)
-    return SvmModel(dim=dim, class_ids=class_ids.astype(np.int64), weights=wb[:, :dim].copy(), biases=wb[:, dim].copy())
+    models = []
+    for split_wb, ids in zip(wb, split_classes):
+        kept = split_wb[np.searchsorted(class_ids, ids)]  # a copy, without the classes the split lacks
+        models.append(SvmModel(dim=dim, class_ids=ids.astype(np.int64), weights=kept[:, :dim], biases=kept[:, dim]))
+    return models

@@ -20,10 +20,19 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 
 # The pytest node ids whose bytes must not depend on the kernel: the SVM
-# oracle, whose margins are gemv calls, and the SVM model files. LDA's cases
+# oracle, whose margins are gemv calls; the SVM folds trained in one stack,
+# each equal to its split trained alone only if gemv sums a row the same way
+# at the row's place in either matrix; and the SVM model files. LDA's cases
 # join once its weights stop depending on the kernel's summation order.
 KERNEL_CASES = (
     "tests/test_classifiers.py::TestSvmMatchesPerClassTrainer",
+    "tests/test_classifiers.py::TestStackedSvmFolds",
+    *(
+        f"tests/test_evaluation.py::TestTrainFolds::test_each_fold_model_equals_train[{corpus}-{extractor}-{seed}-svm]"
+        for corpus in ("bundled", "generated")
+        for extractor in ("context", "bow")
+        for seed in (42, 29)
+    ),
     "tests/test_golden.py::test_output_matches_pinned_digest[train svm context]",
     "tests/test_golden.py::test_output_matches_pinned_digest[train svm bow]",
 )

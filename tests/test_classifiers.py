@@ -19,8 +19,7 @@ from numctx.classifiers import (
     TreeNode,
     _distinct_rows,
     _grow_group,
-    _svm_rows,
-    _train_svm,
+    _svm_folds,
     predict_batch,
     train,
     train_folds,
@@ -155,6 +154,17 @@ class TestTrainContract:
         # the same c_reg on unit-sized features trains
         model = train([[0.0, 1.0], [1.0, 0.0]], [D, T], TrainConfig(algorithm=Algorithm.LinearSVM, c_reg=1e-300))
         assert np.isfinite(model.weights).all()
+
+    def test_svm_overflow_refuses_every_split(self):
+        # two splits that train in one stack, then one of another row count
+        X, y = np.eye(9), [D, T, P] * 3
+        splits = [(np.arange(9) != i, np.arange(9)) for i in (0, 1)] + [(np.arange(9) < 7, np.arange(9))]
+        cfg = TrainConfig(algorithm=Algorithm.LinearSVM, c_reg=1e-320)
+        yielded = []
+        with pytest.raises(ValueError, match=rf"^c_reg 1e-320 {OVERFLOW}$"):
+            for model in train_folds(X, y, splits, cfg):
+                yielded.append(model)
+        assert yielded == []
 
     @pytest.mark.parametrize("scale", [1e200, 1e300])  # nan weights; finite weights from an overflowed scatter
     def test_lda_training_that_overflows_refused(self, scale):
@@ -330,7 +340,7 @@ class TestLinearSvm:
         assert predict_batch(model, X).tolist() == [int(v) for v in y]
 
     def test_always_emits_a_label(self):
-        model = _train_svm(*_svm_rows(np.array([[0.0], [1.0]]), np.array([D, T])), 1.0, 1)
+        model = _svm_alone(np.array([[0.0], [1.0]]), np.array([D, T]), 1.0, 1)
         assert predict_one(model, [100.0]) in list(FormatLabel)
 
     def test_multiclass_one_vs_rest(self):
@@ -504,10 +514,16 @@ def _oracle_train_svm(M, labels, c_reg, epochs):
     return SvmModel(dim=dim, class_ids=class_ids.astype(np.int64), weights=weights, biases=biases)
 
 
+def _svm_alone(X, labels, c_reg, epochs):
+    """The SVM of one split holding every row and column, after ``epochs`` epochs."""
+    [model] = _svm_folds(X, labels, [(np.ones(len(X), dtype=bool), np.arange(X.shape[1]))], c_reg, epochs)
+    return model
+
+
 def _assert_svm_matches_oracle(X, labels, c_reg=1.0, epochs=200):
     X, labels = np.asarray(X, dtype=np.float64), np.asarray(labels, dtype=np.int64)
     expected = _oracle_train_svm(X, labels, c_reg, epochs)
-    assert serialize(_train_svm(*_svm_rows(X, labels), c_reg, epochs)) == serialize(expected)
+    assert serialize(_svm_alone(X, labels, c_reg, epochs)) == serialize(expected)
 
 
 def _fold_splits(corpus):
@@ -644,6 +660,87 @@ class TestSvmMatchesPerClassTrainer:
         epochs = data.draw(st.integers(1, 20), label="epochs")
         c_reg = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="c_reg")
         _assert_svm_matches_oracle(X, labels, c_reg, epochs)
+
+
+def _svm_stack_splits(data, labels, width):
+    """(training-row mask, columns) splits in 1-3 runs of 1-3 splits. A
+    run's splits share a column count and a training-row count mod 4, so
+    they train in one stack; runs differ in either when drawn so. A split
+    may lack a drawn label, and may hold a single row."""
+    every_row = range(len(labels))
+    splits = []
+    for run in range(data.draw(st.integers(1, 3), label="runs")):
+        n_columns = data.draw(st.integers(1, width), label=f"run {run} columns")
+        remainder = data.draw(st.integers(0, 3), label=f"run {run} rows mod 4")
+        for i in range(data.draw(st.integers(1, 3), label=f"run {run} splits")):
+            lacking = data.draw(st.none() | st.sampled_from(labels.tolist()), label=f"split {run}.{i} lacks")
+            eligible = [r for r in every_row if labels[r] != lacking] or list(every_row)
+            sizes = [n for n in range(1, len(eligible) + 1) if n % 4 == remainder] or [len(eligible)]
+            size = data.draw(st.sampled_from(sizes), label=f"split {run}.{i} rows")
+            mask = np.zeros(len(labels), dtype=bool)
+            mask[data.draw(st.permutations(eligible), label=f"split {run}.{i} order")[:size]] = True
+            columns = data.draw(st.permutations(range(width)), label=f"split {run}.{i} columns")[:n_columns]
+            splits.append((mask, columns))
+    return splits
+
+
+def _whole_number_rows(data):
+    """(X, labels): up to 40 rows drawn from at most 6 distinct ones of up to
+    12 columns over {0.0, 1.0, 2.0}. Some kernels sum a narrow matrix's last
+    (rows mod 4) rows as they sum the rows before them, so narrow rows alone
+    would not test the stack's layout."""
+    width = data.draw(st.integers(1, 12), label="width")
+    size = data.draw(st.integers(1, 6), label="pool size")
+    pool = data.draw(hnp.arrays(np.float64, (size, width), elements=st.sampled_from([0.0, 1.0, 2.0])), label="pool")
+    n = data.draw(st.integers(1, 40), label="rows")
+    picks = data.draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n), label="picks")
+    labels = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n), label="labels")
+    return pool[picks], np.array(labels)
+
+
+class TestStackedSvmFolds:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_train_folds_equals_train_on_each_split(self, data):
+        X, labels = _whole_number_rows(data)
+        splits = _svm_stack_splits(data, labels, X.shape[1])
+        cfg = TrainConfig(algorithm=Algorithm.LinearSVM, c_reg=data.draw(st.sampled_from([1.0, 0.1]), label="c_reg"))
+        models = list(train_folds(X, labels, splits, cfg))
+        assert len(models) == len(splits)
+        for (mask, columns), model in zip(splits, models):
+            assert serialize(model) == serialize(train(X[np.ix_(mask, columns)], labels[mask], cfg))
+        at = data.draw(st.integers(0, len(splits) - 1), label="split against the oracle")
+        mask, columns = splits[at]
+        expected = _oracle_train_svm(X[np.ix_(mask, columns)], labels[mask], cfg.c_reg, 200)
+        assert serialize(models[at]) == serialize(expected)
+
+    def test_tail_rows_keep_their_place_on_the_hinge(self):
+        # the second split's 2 rows are all tail: in the stack they follow 4
+        # rows that pad to the first split's body. Found by a random search
+        # under the SkylakeX kernel: were they summed as body rows, or the
+        # body not padded to a multiple of 4, a margin would cross the hinge
+        pool = np.array(
+            [[1, 0, 1, 0, 0, 1, 1, 1, 1, 0], [0, 1, 0, 1, 0, 0, 1, 1, 1, 1],
+             [0, 0, 1, 0, 1, 1, 1, 1, 0, 0], [0, 1, 1, 1, 0, 1, 0, 1, 1, 1]],
+            dtype=np.float64,
+        )
+        X, labels = pool[[0, 3, 2, 2, 3, 2]], np.array([1, 0, 1, 1, 0, 0])
+        splits = [(np.ones(6, dtype=bool), np.arange(10)), (np.arange(6) < 2, np.arange(10))]
+        models = list(_svm_folds(X, labels, splits, 1.0, 9))
+        for (mask, _), model in zip(splits, models):
+            assert serialize(model) == serialize(_oracle_train_svm(X[mask], labels[mask], 1.0, 9))
+
+    def test_one_row_split_keeps_its_dot(self):
+        # numpy takes a one-row margin product as a dot, which sums in another
+        # order than the gemv of a taller stack; found by a random search under
+        # the SkylakeX kernel: stacked with the 5-row split, the one row's
+        # margin would cross the hinge
+        X = np.vstack([[3.0, 1.0, 1.0, 1.0, 1.0, 0.0], np.eye(6)[:4]])
+        labels = np.array([0, 1, 0, 1, 1])
+        splits = [(np.arange(5) == 0, np.arange(6)), (np.ones(5, dtype=bool), np.arange(6))]
+        models = list(_svm_folds(X, labels, splits, 2.0, 20))
+        for (mask, _), model in zip(splits, models):
+            assert serialize(model) == serialize(_oracle_train_svm(X[mask], labels[mask], 2.0, 20))
 
 
 # --- frozen unweighted tree: the differential oracle ------------------------

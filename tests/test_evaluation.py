@@ -292,8 +292,10 @@ class TestTrainFolds:
     def test_trained_once_per_run_and_each_fold_predicted_first(self, fold_corpora, extractor, algorithm, monkeypatch):
         corpus = fold_corpora["generated"]
         calls = _record_train_folds(monkeypatch)
-        # ("train", rows, models yielded by then) for each group or split
-        # trained; ("predict", models yielded by then) for each fold
+        # ("train", rows, models yielded by then) for each tree group, split or
+        # SVM stack trained (rows: the group's distinct rows, the split's rows,
+        # or all of X, which a stack gathers from); ("predict", models yielded
+        # by then) for each fold
         events = []
 
         def traced(name):
@@ -307,6 +309,7 @@ class TestTrainFolds:
 
         traced("_train_trees")
         traced("_train_split")
+        traced("_train_svms")
 
         def predicted(model, X):
             events.append(("predict", len(calls[0][1])))
@@ -322,16 +325,18 @@ class TestTrainFolds:
                 assert seen == [done]  # fold i is predicted as soon as its model is yielded
             else:
                 rows, yielded = seen
-                assert rows <= len(corpus)  # a group's distinct rows never outnumber the corpus
+                assert rows <= len(corpus)  # a tree group's distinct rows never outnumber the corpus
                 # the last group's models are yielded and predicted before the next trains
                 assert yielded == done > before
                 before = yielded
         assert done == 10
         trainings = sum(kind == "train" for kind, *_ in events)
-        if algorithm == Algorithm.DecisionTree and extractor == "context":
-            assert trainings == 1  # every context fold grows in one group
-        elif algorithm != Algorithm.DecisionTree:
-            assert trainings == 10
+        [((_, _, splits, _), _)] = calls
+        assert [int(mask.sum()) for mask, _ in splits] == [606] * 4 + [607] * 6
+        # dt: every context fold grows in one group, each BoW fold alone; svm:
+        # the two runs of training sizes (rows mod 4: 2, then 3) train as two stacks
+        expected = {Algorithm.DecisionTree: 1 if extractor == "context" else 10, Algorithm.LinearSVM: 2}
+        assert trainings == expected.get(algorithm, 10)
 
 
 class TestReports:
