@@ -6,12 +6,14 @@ model's prediction rule live in ``models``, which imports no numpy.
 rules and does not restate them, so ``models.predict`` gives its label. All
 four learners are deterministic functions of (X, y, config) and refuse an X
 that is empty, has no columns or holds a non-finite value. KNN stores the
-training data verbatim and ``predict_batch`` measures each distinct training
-point once per query, keeping the every-point order on equal distances
-(lowest training index first). The decision
-tree and the SVM train on each distinct (row, label) pair once, weighted by
-the number of training rows it stands for, as CART case weights do; both
-kinds of distinct row come from ``_distinct_rows``. The tree grows
+training data verbatim. ``predict_batch`` measures each distinct query
+against each distinct training point once, in one distance table per block
+of queries (at most ``_KNN_CELLS`` cells; a cross-validation fold takes one
+or two) built a column at a time by ``models._squared_distance``, and keeps
+the every-point order on equal distances (lowest training index first). The
+decision tree and the SVM train on each distinct (row, label) pair once,
+weighted by the number of training rows it stands for, as CART case weights
+do; all these kinds of distinct row come from ``_distinct_rows``. The tree grows
 CART-style on Gini gain with midpoint thresholds, level by level from one
 stable presort per column, every open node of a level scored at once; it
 does not recurse, so any depth trains (ties: lowest feature, then lowest
@@ -56,11 +58,17 @@ import numpy as np
 from .labels import FormatLabel
 from .models import (
     Algorithm, KnnModel, LdaModel, LinearModel, SvmModel, TrainConfig, TrainedModel, TreeModel, TreeNode,
-    _descend, _label, _linear_score, _vote,
+    _descend, _label, _linear_score, _squared_distance, _vote,
 )
 
 # splits with float-noise-level gain are treated as no gain at all
 _MIN_GAIN = 1e-12
+# float64 cells of one KNN distance table, which bound the queries a block
+# holds: 120 KiB, under glibc's default 128 KiB mmap threshold, so a table
+# comes from the heap. Above it, a process that keeps that threshold maps
+# and faults in every table afresh: with 512 KiB tables, cv knn then ran 25%
+# slower than the per-query loop it replaces
+_KNN_CELLS = 15 * 2**10
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -184,23 +192,33 @@ def predict_batch(model: TrainedModel, X) -> np.ndarray:
 
 
 def _knn_predict_batch(model: KnnModel, M: np.ndarray) -> np.ndarray:
+    """Each distinct query's label, from one (queries × distinct points)
+    distance table per block of queries, built one column at a time by
+    ``_squared_distance``, so each distance is bit-equal to ``predict``'s."""
     distinct, first, inverse = _distinct_rows(_as_matrix(model.points))
     labels = np.asarray(model.labels, dtype=np.int64)
-    predicted = np.empty(len(M), dtype=np.int64)
-    for i, x in enumerate(M):
-        # each distinct point is measured once, by the per-row expression a
-        # scan over every point uses, so each distance is bit-equal to that scan's
-        d_distinct = np.sqrt(((distinct - x) ** 2).sum(axis=1))
+    queries, _, query_of = _distinct_rows(M)
+    # a column that no point and no query holds adds only +0.0
+    used = np.flatnonzero(distinct.any(axis=0) | queries.any(axis=0)).tolist()
+    # k=3 sorts the table expanded to every training row
+    step = max(1, _KNN_CELLS // (len(distinct) if model.k == 1 else len(labels)))
+    predicted = np.empty(len(queries), dtype=np.int64)
+    for start in range(0, len(queries), step):
+        block = queries[start : start + step]
+        squared = _squared_distance(distinct[:, j] - block[:, j, None] for j in used)
+        d = np.sqrt(np.broadcast_to(squared, (len(block), len(distinct))))
         if model.k == 1:
             # distinct points are in first-appearance order, so the first
-            # minimum is the lowest training index the stable sort would pick
-            predicted[i] = labels[first[np.argmin(d_distinct)]]
+            # minimum is the lowest training index a stable sort would pick
+            predicted[start : start + step] = labels[first[np.argmin(d, axis=1)]]
             continue
-        d = d_distinct[inverse]
+        d = d[:, inverse]
         # stable sort: equal distances resolve to the lower training index
-        nearest = np.argsort(d, kind="stable")[: model.k]
-        predicted[i] = _vote(zip(d[nearest].tolist(), labels[nearest].tolist()))
-    return predicted
+        nearest = np.argsort(d, axis=1, kind="stable")[:, : model.k]
+        near = zip(np.take_along_axis(d, nearest, axis=1).tolist(), labels[nearest].tolist())
+        for i, (distances, near_labels) in enumerate(near):
+            predicted[start + i] = _vote(zip(distances, near_labels))
+    return predicted[query_of]
 
 
 # --- decision tree -------------------------------------------------------

@@ -3,14 +3,16 @@
 ``classifiers.train`` fills a model with numpy arrays and ``read_model``
 with plain lists and tuples, so loading a model file and classifying with
 it never imports numpy. Each model's prediction rule is written here once
-(``_descend``, ``_vote``, ``_linear_score``), and ``classifiers.predict_batch``
-calls the same functions on numpy rows, so ``predict`` on a row's nonzero
-(column, value) pairs gives the batch's label. KNN sums squared differences
-over the union of nonzero columns, exact on the integer rows the program
-builds. Models serialize to a versioned line-oriented text
-format with reals rendered to 17 significant digits, so a round-trip is
-prediction-exact; a stored real that is nan or infinite, or a ``dim`` below
-1, is refused on load.
+(``_descend``, ``_vote``, ``_linear_score``, ``_squared_distance``), and
+``classifiers.predict_batch`` calls the same functions on numpy rows, so
+``predict`` on a row's nonzero (column, value) pairs gives the batch's label.
+KNN adds squared differences in ascending column order over the union of
+the two rows' nonzero columns; a column both hold as 0 would add +0.0, so
+the batch, which adds every column some point or query holds, gets the same
+distance bit for bit on any real X. Models serialize to a versioned
+line-oriented text format with reals rendered to 17 significant digits, so
+a round-trip is prediction-exact; a stored real that is nan or infinite, or
+a ``dim`` below 1, is refused on load.
 """
 
 from __future__ import annotations
@@ -139,21 +141,16 @@ def predict(model: TrainedModel, row: Mapping[int, float]) -> FormatLabel:
     values in ascending column order; an absent column reads 0.0."""
     if isinstance(model, TreeModel):
         return LABELS[_descend(model.root, lambda feature: row.get(feature, 0.0))]
-    get, pairs = row.get, tuple(row.items())
     if isinstance(model, KnnModel):
         scored = []  # (distance, training index, label) of every point the search may take
         for point, first in model.neighbours:
-            squared = 0.0
-            for column, value in point.items():
-                diff = value - get(column, 0.0)
-                squared += diff * diff
-            for column, value in pairs:
-                if column not in point:
-                    squared += value * value
-            distance = math.sqrt(squared)
+            # the ascending union of the two rows' nonzero columns
+            columns = sorted(point.keys() | row.keys())
+            distance = math.sqrt(_squared_distance(point.get(c, 0.0) - row.get(c, 0.0) for c in columns))
             for index, label in first:
                 scored.append((distance, index, label))
         return LABELS[_vote((distance, label) for distance, _, label in heapq.nsmallest(model.k, scored))]
+    pairs = tuple(row.items())
     scores = [_linear_score(weights, bias, pairs) for weights, bias in zip(model.weights, model.biases)]
     # the first maximum: class_ids ascend, so a tie goes to the lowest label
     return LABELS[model.class_ids[scores.index(max(scores))]]
@@ -176,6 +173,17 @@ def _vote(nearest) -> int:
         votes[label] = votes.get(label, 0) + 1
         summed[label] = summed.get(label, 0.0) + distance
     return min(votes, key=lambda label: (-votes[label], summed[label], label))
+
+
+def _squared_distance(differences):
+    """0.0 plus ``d * d`` for each column's difference ``d``, point minus
+    query, in ascending column order; a difference may be a numpy array, one
+    step for many (query, point) pairs. A column both rows hold as 0 adds
+    +0.0, which leaves the sum unchanged, so it may be left out."""
+    squared = 0.0
+    for d in differences:
+        squared += d * d
+    return squared
 
 
 def _linear_score(weights, bias, pairs):

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from conftest import cv_workload_corpus
 from hypothesis import given, settings, strategies as st
 
+from numctx import classifiers
 from numctx.classifiers import (
     _MIN_GAIN,
     Algorithm,
@@ -415,6 +417,32 @@ class TestPerRowPredictMatchesBatch:
             for predictor in (model, deserialize(serialize(model))):
                 assert [int(predict_one(predictor, q)) for q in queries] == expected, cfg.algorithm
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_knn_on_real_valued_rows(self, data):
+        # fractional squares round, so distances that tie in exact arithmetic
+        # come out a bit apart, and which way depends on the order of the sum:
+        # a point and its columns permuted are equally far from a constant
+        # query, whose columns interleave with the point's nonzero ones
+        dim = data.draw(st.integers(1, 64), label="dim")
+        fractions = st.sampled_from([0.0, -0.0, 0.1, -0.1, 0.2, 0.3, 1 / 3, -2 / 3, 0.7, 1.1])
+        elements = st.one_of(fractions, st.floats(-3, 3, allow_subnormal=False))
+        size = data.draw(st.integers(1, 6), label="pool size")
+        pool = data.draw(hnp.arrays(np.float64, (size, dim), elements=elements), label="pool")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="shuffle seed"))
+        # each pool row, its columns permuted, and its values negated
+        variants = np.vstack([pool, rng.permuted(pool, axis=1), -pool])
+        n = data.draw(st.integers(1, 30), label="rows")
+        X = variants[data.draw(st.lists(st.integers(0, len(variants) - 1), min_size=n, max_size=n), label="picks")]
+        labels = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n), label="labels")
+        constant = np.outer([0.0, 0.1, 1 / 3, -0.7], np.ones(dim))
+        queries = np.vstack([constant, variants, rng.permuted(variants, axis=1)])
+        k = data.draw(st.sampled_from([1, 3]), label="k")
+        model = train(X, labels, knn_cfg(k))
+        expected = predict_batch(model, queries).tolist()
+        for predictor in (model, deserialize(serialize(model))):
+            assert [int(predict_one(predictor, q)) for q in queries] == expected
+
     def test_lda_near_tie(self):
         # LDA's scores for the query [2, 3, 3] nearly tie: summed in another
         # order than the per-row one (as a BLAS product sums them), they once
@@ -583,6 +611,45 @@ class TestKnnMatchesEveryPointScan:
     def test_bundled_corpus_predictions(self, bundled_encoding, extractor, rows, k):
         X, labels, every_row = bundled_encoding(extractor, rows)
         _assert_knn_matches_oracle(X, labels, every_row, k)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("extractor, rows", _cv_workload_training_splits())
+    def test_cv_workload_predictions(self, cv_workload_encoding, extractor, rows, k):
+        # the shapes the benchmark predicts: 34 or 35 distinct context points
+        # of 56 columns, about 410 distinct BoW points of 19
+        X, labels, every_row = cv_workload_encoding(extractor, rows)
+        _assert_knn_matches_oracle(X, labels, every_row, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_whole_number_matrices_of_8_to_64_columns(self, data):
+        # from 8 columns on, numpy's pairwise sum no longer adds in column
+        # order; on whole numbers every partial sum is exact in either order.
+        # A small cell bound splits the queries into blocks of a few rows
+        dim = data.draw(st.integers(8, 64), label="dim")
+        elements = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0])
+        size = data.draw(st.integers(1, 8), label="pool size")
+        pool = data.draw(hnp.arrays(np.float64, (size, dim), elements=elements), label="pool")
+        n = data.draw(st.integers(1, 30), label="rows")
+        X = pool[data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n), label="picks")]
+        labels = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n), label="labels")
+        fresh = data.draw(hnp.arrays(np.float64, (6, dim), elements=elements), label="queries")
+        queries = np.vstack([fresh, pool, fresh[:2]])
+        k = data.draw(st.sampled_from([1, 3]), label="k")
+        cells = data.draw(st.sampled_from([1, 50, classifiers._KNN_CELLS]), label="cells")
+        with mock.patch.object(classifiers, "_KNN_CELLS", cells):
+            _assert_knn_matches_oracle(X, labels, queries, k)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_queries_beyond_one_block(self, k):
+        # 600 distinct training points: a block holds 25 queries, and 300
+        # distinct queries take 12 blocks
+        rng = np.random.default_rng(34)
+        X = rng.integers(0, 4, size=(600, 12)).astype(np.float64)
+        labels = rng.integers(0, 6, size=600).tolist()
+        queries = rng.integers(0, 4, size=(300, 12)).astype(np.float64)
+        assert len(_distinct_rows(X)[0]) == 600 and len(_distinct_rows(queries)[0]) == 300
+        _assert_knn_matches_oracle(X, labels, queries, k)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
