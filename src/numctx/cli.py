@@ -217,8 +217,6 @@ def cmd_classify(args) -> int:
 
     for line in sys.stdin:
         text = line.rstrip("\n")
-        if not text:
-            continue
         numbers = locate_numbers(text)
         for number, window in zip(numbers, context_features.line_windows(text, numbers)):
             shape = shape_of(number)

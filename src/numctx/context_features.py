@@ -108,11 +108,14 @@ class Lexicon:
 
 
 def read_utf8(path: Path, error: type[ValueError]) -> str:
-    """The text of ``path``; bytes that are not UTF-8 raise ``error`` naming the file and offset."""
+    """The text of ``path`` less one leading byte-order mark; bytes that are
+    not UTF-8 raise ``error`` naming the file and their offset from its first
+    byte, which utf-8-sig would count from after the mark."""
     try:
-        return path.read_bytes().decode("utf-8")
+        text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: byte {exc.start} (0x{exc.object[exc.start]:02x}) is not UTF-8: {exc.reason}") from None
+    return text.removeprefix("\ufeff")
 
 
 def load_lexicon(path: str | Path) -> Lexicon:

@@ -7,11 +7,9 @@ summation. It encodes each corpus row once; any feature state learned from
 data (the bag-of-words vocabulary) is rebuilt from each fold's training
 split and picks that fold's columns of the encoding, and each fold's state,
 the extractor's ``dump()`` lines, is kept so leakage is checkable. Every
-fold's model comes from one ``classifiers.train_folds`` call, which grows
-decision trees in groups of folds no larger than the corpus and trains
-SVMs in stacks of consecutive folds of one width and one training-row
-count mod 4; each fold is predicted as its model arrives, so at most one
-group's models are alive.
+fold's model comes from one ``classifiers.train_folds`` call, which says
+how it groups folds to train them together; each fold is predicted as its
+model arrives, so at most one group's models are alive.
 """
 
 from __future__ import annotations

@@ -1067,7 +1067,7 @@ class TestStackedFolds:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_train_folds_equals_train_on_each_split(self, data):
-        # unused (all-zero) columns included: they read the appended zero column
+        # unused (all-zero) columns included: a split reads them from X like any other
         X, labels = _duplicate_heavy(data)
         X = np.column_stack([X, np.zeros(len(X))])
         labels = np.array(labels)
@@ -1082,6 +1082,27 @@ class TestStackedFolds:
         assert len(models) == len(splits)
         for (mask, columns), model in zip(splits, models):
             assert serialize(model) == serialize(train(X[np.ix_(mask, columns)], labels[mask], cfg))
+
+    def test_train_folds_groups_splits_and_reads_the_columns_of_x(self):
+        # column 2 is all zeros; rows 0 and 5 are one (row, label) pair but
+        # for the sign of that zero, so a split holding row 5 but not row 0
+        # counts it on row 0
+        X = np.array(
+            [[0, 1, -0.0, 3], [1, 0, 0, 2], [2, 2, 0, 0], [0, 3, 0, 1], [3, 1, 0, 3], [0, 1, 0, 3], [1, 2, 0, 0],
+             [2, 0, 0, 1]]
+        )
+        labels = np.array([0, 1, 2, 0, 1, 0, 2, 1])
+        layout = [(range(8), [3, 2, 1, 0]), ((1, 3, 5, 6), [0, 1]), ((0, 2, 5, 7), [1, 3])]
+        splits = [(np.isin(np.arange(len(X)), rows), columns) for rows, columns in layout]
+        with mock.patch.object(classifiers, "_grow_group", wraps=classifiers._grow_group) as grow_group:
+            models = list(train_folds(X, labels, splits, dt_cfg()))
+        # each group's kept rows per split
+        groups = [[np.count_nonzero(counts) for counts, _ in call.args[2]] for call in grow_group.call_args_list]
+        assert len(groups) >= 2 and max(map(len, groups)) >= 2
+        assert sum(map(sum, groups)) > len(X)
+        assert models[0].root.feature is not None  # the descending split's tree cuts
+        for (mask, columns), model in zip(splits, models):
+            assert serialize(model) == serialize(train(X[np.ix_(mask, columns)], labels[mask], dt_cfg()))
 
 
 class TestSerialization:

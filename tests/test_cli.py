@@ -1,3 +1,4 @@
+import codecs
 import io
 import json
 import os
@@ -15,7 +16,7 @@ import numctx
 from numctx import cli, context_features, locator, pipeline, verbalizer
 from numctx.cli import build_parser, main
 from numctx.context_features import default_lexicon, default_lexicon_path
-from numctx.corpus import save_corpus
+from numctx.corpus import bundled_corpus_path, save_corpus
 from numctx.models import ModelFormatError, deserialize
 from numctx.pipeline import Pipeline
 
@@ -161,6 +162,38 @@ class TestNotUtf8:
         code, out, err = run(["classify", "--model", str(path)], "ayat 5\n", monkeypatch, capsys)
         assert (code, out) == (1, "")
         assert err == f"numctx: error: {path}: byte {offset} (0xe9) is not UTF-8: invalid continuation byte\n"
+
+
+class TestByteOrderMark:
+    """One leading UTF-8 byte-order mark is dropped from a file before it is read."""
+
+    def test_lexicon_keeps_its_first_entry(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "bom.tsv"
+        path.write_text("\ufeffjan\tMonth\n" + default_lexicon_path().read_text(encoding="utf-8"), encoding="utf-8")
+        assert context_features.load_lexicon(path).entries["jan"] == context_features.KeywordClass.Month
+        model_path = tmp_path / "model.txt"
+        argv = ["train", "--classifier", "dt", "--lexicon", str(path), "--output", str(model_path)]
+        assert run(argv, capsys=capsys)[0] == 0
+        code, out, _ = run(["classify", "--model", str(model_path)], "Mesyuarat pada 21 jan ini\n", monkeypatch, capsys)
+        assert (code, out) == (0, "15-17\tDate\tdua puluh satu jan\n")
+
+    def test_bundled_corpus_validates_with_the_plain_counts(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(codecs.BOM_UTF8 + bundled_corpus_path().read_bytes())
+        plain = run(["validate"], capsys=capsys)
+        marked = run(["validate", "--corpus", str(path)], capsys=capsys)
+        assert marked[0] == plain[0] == 0
+        assert marked[2] == plain[2] == ""
+        assert marked[1].splitlines()[1:] == plain[1].splitlines()[1:]
+        assert marked[1].splitlines()[0] == f"corpus\t{path}"
+
+    def test_offset_of_a_bad_byte_counts_the_mark(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(codecs.BOM_UTF8 + (HEADER + 's1,"Caf\xe9 21 Januari",5,7,Date\n').encode("latin-1"))
+        code, out, err = run(["validate", "--corpus", str(path)], capsys=capsys)
+        assert code == 1
+        offset = len(codecs.BOM_UTF8) + len(HEADER) + len('s1,"Caf')
+        assert err.splitlines() == [f"error: {path}: byte {offset} (0xe9) is not UTF-8: invalid continuation byte"]
 
 
 class TestUsageErrors:
@@ -548,14 +581,15 @@ class TestTrainAndClassify:
 
             return wrapper
 
-        # every module's own reference, so a call through any of them counts
+        # every module's own reference, so a call through any of them counts;
+        # the blank line between the two sentences prints nothing and searches nothing
         for module in (locator, context_features, pipeline, verbalizer, cli):
             for name in calls:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         code, out, err = run(
             ["classify", "--model", str(model_path)],
-            stdin_text=CLOCK_SENTENCE + "\n" + SPACED_RM_SENTENCE + "\n",
+            stdin_text=CLOCK_SENTENCE + "\n\n" + SPACED_RM_SENTENCE + "\n",
             monkeypatch=monkeypatch,
             capsys=capsys,
         )
