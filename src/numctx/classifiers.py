@@ -13,12 +13,13 @@ or two) built a column at a time by ``models._squared_distance``, and keeps
 the every-point order on equal distances (lowest training index first). The
 decision tree and the SVM train on each distinct (row, label) pair once,
 weighted by the number of training rows it stands for, as CART case weights
-do; all these kinds of distinct row come from ``_distinct_rows``. The tree grows
-CART-style on Gini gain with midpoint thresholds, level by level from one
-stable presort per column, every open node of a level scored at once; it
-does not recurse, so any depth trains (ties: lowest feature, then lowest
-threshold; a majority leaf takes the lowest label). Its counts are whole
-numbers, so the tree is bit-identical to one grown on every row.
+do; all these kinds of distinct row come from ``_distinct_rows``. The tree
+grows CART-style on Gini gain with midpoint thresholds, level by level,
+every open node of a level scored at once from per-level class histograms
+over each column's exact values; it does not recurse, so any depth trains
+(ties: lowest feature, then lowest threshold; a majority leaf takes the
+lowest label). Its counts are whole numbers, so the tree is bit-identical
+to one grown on every row.
 ``train_folds`` trains one model per (training-row mask, columns) split,
 and ``train`` is it with one split. For trees it finds the distinct
 (row, label) pairs once, on the columns some row uses, and a split weights
@@ -29,12 +30,11 @@ columns' order, padded with zero columns to the group's width. A tree's bytes
 do not depend on its group: counts are whole numbers, so every sum is exact
 whatever the level holds and in any row order; a split's rows of count 0
 are dropped, as they would leave a cut side empty; a padded column is
-constant and offers no cut; a class only other splits hold adds an exact
-0.0 to every Gini sum; and a stable sort's permutation is unique, so the
-per-level re-sort by node may take numpy's radix sort on an int16 key. LDA uses
-class means, a shrinkage-regularized pooled covariance, and class priors;
-the linear SVM trains one-vs-rest hinge-loss separators by full-batch
-subgradient descent with step ``1/(c_reg * t)`` at epoch ``t`` of 200.
+constant and offers no cut; and a class only other splits hold adds an
+exact 0.0 to every Gini sum. LDA uses class means, a shrinkage-regularized
+pooled covariance, and class priors; the linear SVM trains one-vs-rest
+hinge-loss separators by full-batch subgradient descent with step
+``1/(c_reg * t)`` at epoch ``t`` of 200.
 ``train_folds`` stacks consecutive splits that share a column count and a
 training-row count mod 4, and every separator of the stack takes each step
 together, with one gemv per (split, class) for the margins; a class a split
@@ -226,31 +226,23 @@ def _knn_predict_batch(model: KnnModel, M: np.ndarray) -> np.ndarray:
 
 
 def _best_cuts(
-    M: np.ndarray, order: np.ndarray, nid: np.ndarray, hist: np.ndarray, is_open: np.ndarray, y: np.ndarray,
-    counts: np.ndarray
+    H: np.ndarray, hist: np.ndarray, is_open: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(node, feature, lower value, upper value) of the best cut of each open
     node whose gain is above ``_MIN_GAIN``.
 
-    ``order[f]`` holds column ``f``'s active rows grouped by node, each
-    node's in value order; ``nid`` is the node at each position, ``hist``
-    each node's class counts. A cut is a candidate where the next row is in
-    the same node and holds another value, so each side keeps a row. Gini
-    sums run over the classes of every tree the level grows, in ascending
-    order (a class absent from a node adds an exact 0.0). A node takes the first maximum gain in
-    (feature, position) order: the lowest feature, then the lowest threshold.
+    ``H[node, f, b]`` holds the node's class counts of the rows whose column
+    ``f`` holds ``values[b]``, ``hist`` each node's class counts. A cut is a
+    candidate after each bin of a node's column that holds a row when a later
+    bin holds another, so each side keeps a row. Gini sums run over the
+    classes of every tree the level grows, in ascending order (a class absent
+    from a node adds an exact 0.0). A node takes the first maximum gain in
+    (feature, value) order: the lowest feature, then the lowest threshold.
     """
-    n_classes = hist.shape[1]
-    vals = M[order, np.arange(len(order))[:, None]]
-    changes, same_node = vals[:, 1:] != vals[:, :-1], nid[1:] == nid[:-1]
-    feat, pos = np.nonzero(changes & same_node & is_open[nid[1:]])
-    node = nid[pos]
-    # a run: one column's rows of one value in one node, numbered from 1; row r of cum sums runs 1..r
-    run = np.cumsum(np.concatenate([np.ones((len(vals), 1), dtype=bool), changes | ~same_node], axis=1))
-    cells = run * n_classes + y[order].ravel()
-    cum = np.cumsum(np.bincount(cells, counts[order].ravel(), (run[-1] + 1) * n_classes).reshape(-1, n_classes), 0)
-    at = feat * len(nid)
-    left = cum[run[at + pos]] - cum[run[at + np.searchsorted(nid, node)] - 1]  # (candidates, n_classes)
+    node, feat, held = np.nonzero(H.any(axis=3))  # each node's columns' held bins, in value order
+    cut = np.flatnonzero((node[1:] == node[:-1]) & (feat[1:] == feat[:-1]) & is_open[node[:-1]])
+    node, feat, lower, upper = node[cut], feat[cut], held[cut], held[cut + 1]
+    left = np.cumsum(H, axis=2)[node, feat, lower]  # (candidates, n_classes)
     total = hist.sum(axis=1)
     n, n_left = total[node], left.sum(axis=1)
     n_right = n - n_left
@@ -259,11 +251,11 @@ def _best_cuts(
     gini_right = 1.0 - (((hist[node] - left) / n_right[:, None]) ** 2).sum(axis=1)
     child = (n_left * gini_left + n_right * gini_right) / n
     gain = parent[node] - child
-    ranked = np.lexsort((-gain, node))  # stable: by node, then falling gain, then (feature, position)
+    ranked = np.lexsort((-gain, node))  # stable: by node, then falling gain, then (feature, value)
     ranked_node = node[ranked]
     best = ranked[np.searchsorted(ranked_node, ranked_node) == np.arange(len(ranked))]  # each node's first
     best = best[gain[best] > _MIN_GAIN]
-    return node[best], feat[best], vals[feat[best], pos[best]], vals[feat[best], pos[best] + 1]
+    return node[best], feat[best], values[lower[best]], values[upper[best]]
 
 
 def _tree_folds(M: np.ndarray, labels: np.ndarray, splits: list, max_depth: int) -> Iterator[TreeModel]:
@@ -272,9 +264,11 @@ def _tree_folds(M: np.ndarray, labels: np.ndarray, splits: list, max_depth: int)
     The distinct (row, label) pairs are found once, on the columns some row
     uses; a split weights each pair's first row of ``M`` by its training rows
     the pair stands for, every other row by 0. A group takes splits in order
-    while its rows of nonzero weight, summed, stay at or below ``len(M)``.
-    Three dt compares of perfbench's seed-29 cv corpus peak at 37.7 MB RSS,
-    at 40.6 MB keyed on every column and at 39.3 MB with no group budget.
+    while its rows of nonzero weight, summed, stay at or below ``len(M)``,
+    which also bounds the nodes, and so the histogram, of a level. Three dt
+    compares of perfbench's seed-29 cv corpus, in one process, peak at 34.8
+    MB RSS, at 39.2 MB keyed on every column and at 41.3 MB with no group
+    budget (which runs about 10% faster).
     """
     used = np.flatnonzero(M.any(axis=0))
     _, first, inverse = _distinct_rows(np.column_stack([M[:, used], labels]))
@@ -315,41 +309,35 @@ def _grow_group(M: np.ndarray, labels: np.ndarray, group: list, max_depth: int) 
     )
 
 
-def _by_node(order: np.ndarray, node_of: np.ndarray, n_nodes: int) -> np.ndarray:
-    """``order`` stably sorted by each row's node, the rows in leaves (-1)
-    dropped. A stable sort's permutation is the same whatever the algorithm,
-    so the key is narrowed to int16 where the nodes fit and radix-sorted: 9.3 ms
-    to gather and sort for a cv compare's BoW folds on a 2-vCPU Xeon, 13.4 as intp."""
-    key = node_of.astype(np.int16 if n_nodes <= np.iinfo(np.int16).max else np.intp)[order]
-    order = order[np.arange(len(order))[:, None], np.argsort(key, axis=1, kind="stable")]
-    return order[:, np.count_nonzero(key[0] < 0) :]
-
-
 def _train_trees(
     M: np.ndarray, labels: np.ndarray, counts: np.ndarray, root_of: np.ndarray, dims: list[int], max_depth: int
 ) -> list[TreeModel]:
     """One tree per root, grown breadth-first in one level loop: row ``i``
     stands for ``counts[i]`` equal rows of root ``root_of[i]``'s tree, whose
-    features are the first ``dims[root]`` columns of ``M``. Each column is
-    argsorted once, stably, and at each level its active rows are stably
-    sorted by node, so ``_best_cuts`` scores every node of the level at
-    once. A node with one class, at ``max_depth`` (0 sets no limit) or
-    without a cut is a leaf. Training does not recurse.
+    features are the first ``dims[root]`` columns of ``M``. Splits come from
+    per-level class histograms over each column's exact values: ``M`` is
+    binned once by value, and at each level one weighted count per (node,
+    column, bin, class) lets ``_best_cuts`` score every node of the level at
+    once. A level's histogram holds (nodes × columns × distinct values of
+    ``M`` × classes) cells: few on the whole-numbered matrices the program
+    builds, but on real-valued X the distinct values grow with the rows. A
+    node with one class, at ``max_depth`` (0 sets no limit) or without a cut
+    is a leaf. Training does not recurse.
     """
     classes, y = np.unique(labels, return_inverse=True)
-    n_classes = len(classes)
+    values, bins = np.unique(M, return_inverse=True)  # -0.0 and 0.0 share a bin, as they compare equal
+    bins, d = bins.reshape(M.shape), M.shape[1]
     roots = [TreeNode() for _ in dims]
-    node_of = root_of.astype(np.intp)  # each row's node in the level, -1 once in a leaf
-    order = np.argsort(M, axis=0, kind="stable").T  # (d, active rows), grouped by node
-    if len(roots) > 1:  # one root needs no re-sort: 56 µs a 479 × 19 BoW fold (2-vCPU Xeon), ten a cv compare
-        order = _by_node(order, node_of, len(roots))
+    rows, nid = np.arange(len(M)), root_of.astype(np.intp)  # the rows not in a leaf, and each one's node
     level, depth = roots, 0
     while level:
-        rows = order[0]
-        nid = node_of[rows]  # the node at each position, ascending
-        hist = np.bincount(nid * n_classes + y[rows], counts[rows], len(level) * n_classes).reshape(-1, n_classes)
+        # each row counts once in each column, in its (node, column, bin, class) cell
+        cells = ((nid[:, None] * d + np.arange(d)) * len(values) + bins[rows]) * len(classes) + y[rows, None]
+        H = np.bincount(cells.ravel(), np.repeat(counts[rows], d), len(level) * d * len(values) * len(classes))
+        H = H.reshape(len(level), d, len(values), len(classes))
+        hist = H[:, 0].sum(axis=1)  # each node's class counts: a row holds one bin of column 0
         is_open = (np.count_nonzero(hist, axis=1) > 1) & (max_depth == 0 or depth < max_depth)
-        split, feature, lower, upper = _best_cuts(M, order, nid, hist, is_open, y, counts)
+        split, feature, lower, upper = _best_cuts(H, hist, is_open, values)
 
         split_of = np.full(len(level), -1)  # each split node's left child in the next level
         feature_of, threshold_of = np.zeros(len(level), dtype=np.intp), np.zeros(len(level))
@@ -367,8 +355,8 @@ def _train_trees(
                 tree_node.label = label
 
         goes_right = M[rows, feature_of[nid]] > threshold_of[nid]
-        node_of[rows] = np.where(split_of[nid] < 0, -1, split_of[nid] + goes_right)
-        order = _by_node(order, node_of, len(next_level))
+        nid = np.where(split_of[nid] < 0, -1, split_of[nid] + goes_right)
+        rows, nid = rows[nid >= 0], nid[nid >= 0]
         level, depth = next_level, depth + 1
     return [TreeModel(dim=dim, root=root) for dim, root in zip(dims, roots)]
 

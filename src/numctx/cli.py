@@ -215,8 +215,10 @@ def cmd_classify(args) -> int:
         cfg, corpus, lexicon = _inputs(args)
         pipeline = Pipeline.fit(corpus, cfg, args.extractor, lexicon)
 
-    for line in sys.stdin:
+    for lineno, line in enumerate(sys.stdin):
         text = line.rstrip("\n")
+        if lineno == 0:  # one byte-order mark at the start of the stream, as read_utf8 drops from a file
+            text = text.removeprefix("\ufeff")
         numbers = locate_numbers(text)
         for number, window in zip(numbers, context_features.line_windows(text, numbers)):
             shape = shape_of(number)

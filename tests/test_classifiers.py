@@ -201,11 +201,11 @@ class TestDecisionTree:
 
     @pytest.mark.parametrize(
         "values",
-        [[1.6e308, 1.7e308], [-1.7e308, -1.6e308], [1 + 2**-52, 1 + 2**-51]],
-        ids=["overflow", "negative-overflow", "adjacent"],
+        [[1.6e308, 1.7e308], [-1.7e308, -1.6e308], [1 + 2**-52, 1 + 2**-51], [-5e-324, -0.0], [-5e-324, 0.0]],
+        ids=["overflow", "negative-overflow", "adjacent", "adjacent-below-negative-zero", "adjacent-below-zero"],
     )
     def test_threshold_is_lower_value_when_midpoint_is_not_below_upper(self, values):
-        # the midpoint overflows to +-inf, or rounds up to the upper value
+        # the midpoint overflows to +-inf, or rounds up to the upper value (here -0.0, which is not below a zero)
         X = [[v] for v in values]
         model = train(X, [D, T], dt_cfg())
         assert model.root.threshold == values[0]

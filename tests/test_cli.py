@@ -165,7 +165,7 @@ class TestNotUtf8:
 
 
 class TestByteOrderMark:
-    """One leading UTF-8 byte-order mark is dropped from a file before it is read."""
+    """One leading UTF-8 byte-order mark is dropped from a file, or from stdin, before it is read."""
 
     def test_lexicon_keeps_its_first_entry(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "bom.tsv"
@@ -194,6 +194,16 @@ class TestByteOrderMark:
         assert code == 1
         offset = len(codecs.BOM_UTF8) + len(HEADER) + len('s1,"Caf')
         assert err.splitlines() == [f"error: {path}: byte {offset} (0xe9) is not UTF-8: invalid continuation byte"]
+
+    @pytest.mark.parametrize(
+        "lines,first", [("21 Januari ini\n", "0-2\t"), ("jam 10 malam\nHarga 5% sahaja\n", "4-6\tTime\tsepuluh malam\n")]
+    )
+    def test_classify_drops_the_mark_from_stdin(self, lines, first, model_files, monkeypatch, capsys):
+        # the mark would shift every span of the first line and stick to its first word
+        argv = ["classify", "--model", model_files["dt", "context", ()]]
+        plain = run(argv, lines, monkeypatch, capsys)
+        assert run(argv, "\ufeff" + lines, monkeypatch, capsys) == plain
+        assert plain[1].startswith(first)
 
 
 class TestUsageErrors:

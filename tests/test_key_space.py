@@ -52,7 +52,8 @@ def _line_keys(lines):
     return {
         codes(window, shape_of(number), LEXICON)
         for line in lines
-        for number, window in zip(locate_numbers(line), line_windows(line, locate_numbers(line)))
+        for numbers in [locate_numbers(line)]
+        for number, window in zip(numbers, line_windows(line, numbers))
     }
 
 
