@@ -3,43 +3,52 @@
 Exit codes: 0 success, 1 data/runtime error, 2 usage error. All randomness
 flows from ``--seed``, so two invocations with equal flags produce
 byte-identical reports. ``--corpus`` and ``--lexicon`` default to the
-bundled corpus and lexicon; no environment variable is read. Only the
-commands that train (``train``, ``evaluate``, ``compare`` and ``classify``
-without ``--model``) import numpy, so a one-shot ``classify --model`` does not.
+bundled corpus and lexicon; no environment variable is read. Only the commands
+that read a corpus import ``corpus``, only those that train import numpy, and
+only ``--format json`` imports ``json``; a one-shot ``classify --model``
+imports none of them.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
-import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import context_features
 from .models import Algorithm, TrainConfig
-from .corpus import (
-    Corpus,
-    CorpusError,
-    bundled_corpus_path,
-    load_corpus,
-    scan_corpus,
-)
 from .labels import LABELS
 from .locator import locate_numbers, shape_of
 from .pipeline import EXTRACTORS, Pipeline
 from .verbalizer import VerbalizationStyle, verbalize
+
+if TYPE_CHECKING:
+    from .corpus import Corpus
 
 _OUT_OF_SCOPE_CLASSIFIERS = ("svm-poly", "svm-rbf")
 # a module-level name, so perfbench can time pipeline loading from outside;
 # it reads the file on every call and parses the same bytes once per process,
 # so a classify run restarted after an abort reuses the pipeline
 load_pipeline = Pipeline.load
-# one flag per field, named after it; the field's default gives the flag its type
-# (a style field's: the values of its enum) and its default
-_CLASSIFIER_FIELDS = [f for f in dataclasses.fields(TrainConfig) if f.name != "algorithm"]  # --classifier's
-_STYLE_FIELDS = dataclasses.fields(VerbalizationStyle)
+
+
+# module-level names for the same reason, which import corpus only when called
+def load_corpus(path: Path) -> Corpus:
+    from . import corpus
+    return corpus.load_corpus(path)
+
+
+def scan_corpus(path: Path):
+    from . import corpus
+    return corpus.scan_corpus(path)
+
+
+# one flag per field with a default (TrainConfig's algorithm is --classifier's), named
+# after it; the default gives the flag its default and type (a style field's: its enum)
+_CLASSIFIER_DEFAULTS = TrainConfig._field_defaults
+_STYLE_DEFAULTS = VerbalizationStyle._field_defaults
 _FLAG_HELP = {"k": "neighbors for knn (1 or 3)", "max_depth": "dt depth limit, 0 = unlimited"}
 
 
@@ -53,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     corpus.add_argument(
         "--corpus",
         type=Path,
-        default=bundled_corpus_path(),
+        default=context_features.default_lexicon_path().with_name("corpus.csv"),  # the bundled corpus
         help="corpus CSV (id,text,start,end,label); defaults to the bundled corpus",
     )
     lexicon = argparse.ArgumentParser(add_help=False)
@@ -71,15 +80,15 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[a.value for a in Algorithm] + list(_OUT_OF_SCOPE_CLASSIFIERS),
         default="dt",
     )
-    for f in _CLASSIFIER_FIELDS:
-        classifier.add_argument(_flag(f.name), type=type(f.default), default=f.default, help=_FLAG_HELP.get(f.name))
+    for name, default in _CLASSIFIER_DEFAULTS.items():
+        classifier.add_argument(_flag(name), type=type(default), default=default, help=_FLAG_HELP.get(name))
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--folds", type=int, default=10)
     report.add_argument("--seed", type=int, default=42, help="seeds the fold assignment")
     report.add_argument("--format", choices=("tsv", "json"), default="tsv")
     style = argparse.ArgumentParser(add_help=False)
-    for f in _STYLE_FIELDS:
-        style.add_argument(_flag(f.name), choices=[mode.value for mode in type(f.default)], default=f.default.value)
+    for name, default in _STYLE_DEFAULTS.items():
+        style.add_argument(_flag(name), choices=[mode.value for mode in type(default)], default=default.value)
     # what a model file fixes, by name and default; with --model only the style flags apply
     model_file_flags = {
         name: default
@@ -128,7 +137,7 @@ def _train_config(args) -> TrainConfig:
             f"supported classifiers are {', '.join(sorted(a.value for a in Algorithm))} - see README"
         )
     try:
-        return TrainConfig(Algorithm(args.classifier), **{f.name: getattr(args, f.name) for f in _CLASSIFIER_FIELDS})
+        return TrainConfig(Algorithm(args.classifier), **{name: getattr(args, name) for name in _CLASSIFIER_DEFAULTS})
     except ValueError as exc:  # each message starts with the field: the flag with underscores
         name, rest = str(exc).split(" ", 1)
         _usage_error(f"{_flag(name)} {rest}")
@@ -148,6 +157,7 @@ def _emit_report(report: dict, fmt: str) -> None:
     from . import evaluation
 
     if fmt == "json":
+        import json
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         sys.stdout.write(evaluation.render_tsv(report))
@@ -157,6 +167,7 @@ def _emit_report(report: dict, fmt: str) -> None:
 
 
 def cmd_validate(args) -> int:
+    from .corpus import Corpus
     sentences, errors = scan_corpus(args.corpus)
     counts = Corpus(tuple(sentences)).class_counts()
     print(f"corpus\t{args.corpus}")
@@ -204,7 +215,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    style = VerbalizationStyle(**{f.name: type(f.default)(getattr(args, f.name)) for f in _STYLE_FIELDS})
+    style = VerbalizationStyle(**{name: type(default)(getattr(args, name)) for name, default in _STYLE_DEFAULTS.items()})
     if args.model is not None:
         ignored = [name for name, default in args.model_file_flags.items() if getattr(args, name) != default]
         if ignored:
@@ -234,7 +245,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CorpusError, ValueError, OSError) as exc:  # lexicon, model and verbalization errors are ValueErrors
+    except (ValueError, OSError) as exc:  # corpus, lexicon, model and verbalization errors are ValueErrors
         print(f"numctx: error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import io
-from dataclasses import dataclass
 from enum import IntEnum
 from importlib import resources
 from pathlib import Path
@@ -86,18 +85,17 @@ def add_entry(entries: dict[str, KeywordClass], word: str, class_name: str) -> N
     entries[word] = cls
 
 
-@dataclass(frozen=True)
 class Lexicon:
-    """Word -> keyword-class map; every entry passes ``add_entry``. Only the
-    field is frozen: ``load_lexicon`` and ``Pipeline._read`` fill the dict
-    in place, and the program changes it no more once they return."""
+    """Word -> keyword-class map; every entry passes ``add_entry``.
+    ``load_lexicon`` and ``Pipeline._read`` fill the dict in place, and the
+    program changes it no more once they return."""
 
-    entries: dict[str, KeywordClass]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        checked: dict[str, KeywordClass] = {}
-        for word, cls in self.entries.items():
-            add_entry(checked, word, cls.name)
+    def __init__(self, entries: dict[str, KeywordClass]):
+        self.entries: dict[str, KeywordClass] = {}
+        for word, cls in entries.items():
+            add_entry(self.entries, word, cls.name)
 
     def lookup(self, word: str | None) -> KeywordClass:
         """The class of a window slot: Boundary for None (past the sentence

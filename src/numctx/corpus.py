@@ -23,7 +23,7 @@ from .locator import NumberToken
 _HEADER = ["id", "text", "start", "end", "label"]
 
 
-class CorpusError(Exception):
+class CorpusError(ValueError):
     """Base class for corpus-file problems."""
 
 

@@ -21,8 +21,8 @@ import functools
 import heapq
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .labels import LABELS, FormatLabel
 
@@ -40,15 +40,23 @@ class ModelFormatError(ValueError):
     """Raised when a serialized model blob cannot be parsed."""
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+class _TrainFields(NamedTuple):
     algorithm: Algorithm
     k: int = 1
     max_depth: int = 16  # 0 = unlimited
     shrinkage: float = 1e-4
     c_reg: float = 1.0
 
-    def __post_init__(self) -> None:
+
+class TrainConfig(_TrainFields):
+    """The settings that select a model, checked however a config is built:
+    namedtuple's ``_make``, which ``_replace`` calls, would skip ``__new__``."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.algorithm == Algorithm.KNN and self.k not in (1, 3):
             raise ValueError(f"k must be 1 or 3, got {self.k}")
         if self.max_depth is None or self.max_depth < 0:
@@ -60,19 +68,18 @@ class TrainConfig:
             raise ValueError(f"shrinkage must be finite and >= 0, got {self.shrinkage}")
         if not 0 < self.c_reg < math.inf:
             raise ValueError(f"c_reg must be finite and > 0, got {self.c_reg}")
+        return self
 
 
-@dataclass
 class KnnModel:
     """The training points and their labels, verbatim and in training order.
     ``read_model`` gives equal points one shared tuple, so a loaded model
     holds each distinct point once."""
 
-    dim: int
-    k: int
-    points: Sequence[Sequence[float]]
-    labels: Sequence[int]
-    algorithm: Algorithm = field(default=Algorithm.KNN, init=False)
+    algorithm = Algorithm.KNN
+
+    def __init__(self, dim: int, k: int, points: Sequence[Sequence[float]], labels: Sequence[int]):
+        self.dim, self.k, self.points, self.labels = dim, k, points, labels
 
     @functools.cached_property
     def neighbours(self) -> list[tuple[dict[int, float], list[tuple[int, int]]]]:
@@ -91,46 +98,41 @@ class KnnModel:
         return list(found.values())
 
 
-@dataclass(slots=True, eq=False, repr=False)  # a generated repr would recurse once per level
 class TreeNode:
     """Internal split (feature, threshold, children) or leaf (label)."""
 
-    feature: int | None = None
-    threshold: float | None = None
-    left: TreeNode | None = None
-    right: TreeNode | None = None
-    label: int | None = None
+    __slots__ = ("feature", "threshold", "left", "right", "label")
+
+    def __init__(self, feature: int | None = None, threshold: float | None = None,
+                 left: TreeNode | None = None, right: TreeNode | None = None, label: int | None = None):
+        self.feature, self.threshold, self.left, self.right, self.label = feature, threshold, left, right, label
 
     @property
     def is_leaf(self) -> bool:
         return self.label is not None
 
 
-@dataclass
 class TreeModel:
-    dim: int
-    root: TreeNode
-    algorithm: Algorithm = field(default=Algorithm.DecisionTree, init=False)
+    algorithm = Algorithm.DecisionTree
+
+    def __init__(self, dim: int, root: TreeNode):
+        self.dim, self.root = dim, root
 
 
-@dataclass
 class LinearModel:
-    """Per-class linear scores; the highest score wins."""
+    """Per-class linear scores; the highest score wins. ``class_ids`` ascend,
+    ``weights`` is (n_classes, dim) and ``biases`` (n_classes,)."""
 
-    dim: int
-    class_ids: Sequence[int]  # ascending label values present in training
-    weights: Sequence[Sequence[float]]  # (n_classes, dim)
-    biases: Sequence[float]  # (n_classes,)
+    def __init__(self, dim: int, class_ids: Sequence[int], weights: Sequence[Sequence[float]], biases: Sequence[float]):
+        self.dim, self.class_ids, self.weights, self.biases = dim, class_ids, weights, biases
 
 
-@dataclass
 class LdaModel(LinearModel):
-    algorithm: Algorithm = field(default=Algorithm.LDA, init=False)
+    algorithm = Algorithm.LDA
 
 
-@dataclass
 class SvmModel(LinearModel):
-    algorithm: Algorithm = field(default=Algorithm.LinearSVM, init=False)
+    algorithm = Algorithm.LinearSVM
 
 
 TrainedModel = KnnModel | TreeModel | LdaModel | SvmModel

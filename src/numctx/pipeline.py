@@ -30,16 +30,18 @@ same bytes from the same path returns one object, warm memo included.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Hashable
-from dataclasses import dataclass, field
+from collections.abc import Hashable
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import bow_features, context_features, models
 from .models import LineReader, ModelFormatError, TrainConfig
 from .context_features import ContextWindow, Lexicon
-from .corpus import Corpus
 from .labels import FormatLabel
 from .locator import NumberShape, NumberToken, shape_of
+
+if TYPE_CHECKING:  # an annotation only: classifying reads no corpus
+    from .corpus import Corpus
 
 _MAGIC = "numctx-pipeline v3"
 EXTRACTORS = ("context", "bow")
@@ -148,15 +150,9 @@ def encode_rows(features: Features, corpus: Corpus):
     return X
 
 
-@dataclass
 class Pipeline:
-    lexicon: Lexicon
-    features: Features
-    model: models.TrainedModel
-    memo: Callable[[Hashable], FormatLabel] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        model, features = self.model, self.features
+    def __init__(self, lexicon: Lexicon, features: Features, model: models.TrainedModel):
+        self.lexicon, self.features, self.model = lexicon, features, model
 
         # closes over the parts, not self: with no reference cycle a dropped
         # pipeline is freed at once, not at the next garbage collection

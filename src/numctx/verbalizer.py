@@ -20,9 +20,9 @@ live in one table, ``_READINGS``; a label applied to any other shape raises
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from typing import NamedTuple
 
 from .context_features import ContextWindow, KeywordClass, Lexicon, default_lexicon
 from .labels import FormatLabel
@@ -69,8 +69,7 @@ class UnitMode(Enum):
     Full = "full"
 
 
-@dataclass(frozen=True)
-class VerbalizationStyle:
+class VerbalizationStyle(NamedTuple):
     year_mode: YearMode = YearMode.Full
     currency_mode: CurrencyMode = CurrencyMode.Spoken
     unit_mode: UnitMode = UnitMode.Full

@@ -89,6 +89,27 @@ class TestConfig:
     def test_unlimited_depth_allowed(self):
         assert TrainConfig(algorithm=Algorithm.DecisionTree, max_depth=0).max_depth == 0
 
+    @pytest.mark.parametrize(
+        "algorithm, field, value, message",
+        [
+            (Algorithm.KNN, "k", 2, "k must be 1 or 3, got 2"),
+            (Algorithm.DecisionTree, "max_depth", -1, "max_depth must be >= 0 (0 = unlimited), got -1"),
+            (Algorithm.LDA, "shrinkage", math.inf, "shrinkage must be finite and >= 0, got inf"),
+            (Algorithm.LinearSVM, "c_reg", math.nan, "c_reg must be finite and > 0, got nan"),
+        ],
+    )
+    def test_every_way_of_building_a_config_checks_it(self, algorithm, field, value, message):
+        valid = TrainConfig(algorithm)
+        assert TrainConfig._make(valid) == valid
+        fields = [value if name == field else old for name, old in zip(TrainConfig._fields, valid)]
+        for build in (
+            lambda: TrainConfig(algorithm, **{field: value}),
+            lambda: TrainConfig._make(fields),
+            lambda: valid._replace(**{field: value}),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build()
+
 
 class TestTrainContract:
     def test_empty_input(self):

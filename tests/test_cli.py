@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +15,7 @@ import numctx
 from numctx import cli, context_features, locator, pipeline, verbalizer
 from numctx.cli import build_parser, main
 from numctx.context_features import default_lexicon, default_lexicon_path
-from numctx.corpus import bundled_corpus_path, save_corpus
+from numctx.corpus import CorpusError, bundled_corpus_path, save_corpus
 from numctx.models import ModelFormatError, deserialize
 from numctx.pipeline import Pipeline
 
@@ -133,6 +132,30 @@ class TestValidate:
     def test_missing_file_exits_1(self, capsys):
         code, out, err = run(["validate", "--corpus", "/nonexistent.csv"], capsys=capsys)
         assert code == 1
+
+
+class TestCorpusErrors:
+    """A corpus fault is a ValueError, which ``read_utf8`` raises and ``main`` reports."""
+
+    def test_a_corpus_error_is_a_value_error(self):
+        assert issubclass(CorpusError, ValueError)
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (f's1,"{COURT_SENTENCE}",0,8,Date\n', "{path}:2 (id s1): span (0,8) = 'Mahkamah' is not a located number token"),
+            ('s1,"Caf\xe9 21 Januari",5,7,Date\n', "{path}: byte 31 (0xe9) is not UTF-8: invalid continuation byte"),
+        ],
+        ids=["bad span", "not UTF-8"],
+    )
+    def test_validate_and_train_report_it_and_exit_1(self, content, message, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes((HEADER + content).encode("latin-1"))
+        message = message.format(path=path)
+        code, _, err = run(["validate", "--corpus", str(path)], capsys=capsys)
+        assert (code, err) == (1, f"error: {message}\n")
+        argv = ["train", "--corpus", str(path), "--output", str(tmp_path / "m.txt")]
+        assert run(argv, capsys=capsys) == (1, "", f"numctx: error: {message}\n")
 
 
 class TestNotUtf8:
@@ -317,7 +340,7 @@ class TestFlagsTakeTheLibraryDefaults:
     def test_every_mode_is_accepted_by_its_flag(self, flag, style_of):
         field = flag[2:].replace("-", "_")
         for mode in type(getattr(verbalizer.DEFAULT_STYLE, field)):
-            assert style_of(flag, mode.value) == replace(verbalizer.DEFAULT_STYLE, **{field: mode})
+            assert style_of(flag, mode.value) == verbalizer.DEFAULT_STYLE._replace(**{field: mode})
 
 
 class TestEvaluate:
@@ -464,6 +487,23 @@ class TestClassifyWithModelImportsNoNumpy:
         assert numpy_imported == "False"
         code, out, err = run(argv, README_LINES, monkeypatch, capsys)
         assert (proc.returncode, proc.stdout, program_err) == (code, out, err.splitlines())
+
+
+class TestClassifyWithModelImportsOnlyWhatItUses:
+    @pytest.mark.parametrize("classifier", ["dt", "knn", "lda", "svm"])
+    def test_no_training_corpus_or_report_module_is_imported(self, model_files, classifier):
+        # numctx.cli is imported first, so a module an import-time default pulls in counts too
+        script = (
+            "import sys, numctx.cli\n"
+            "code = numctx.cli.main(sys.argv[1:])\n"
+            "unused = ('numpy', 'dataclasses', 'json', 'csv', 'numctx.corpus', 'numctx.evaluation')\n"
+            "print(code, [name for name in unused if name in sys.modules], file=sys.stderr)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(numctx.__file__).parents[1])}
+        argv = ["classify", "--model", model_files[classifier, "context", ()]]
+        proc = subprocess.run([sys.executable, "-c", script, *argv], input=COURT_SENTENCE + "\n",
+                              capture_output=True, text=True, env=env)
+        assert (proc.stdout.split("\t")[0], proc.stderr) == ("20-22", "0 []\n")
 
 
 class TestClassifyResumesAfterAnAbort:

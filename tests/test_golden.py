@@ -175,7 +175,7 @@ def readings_table(sentences) -> str:
                 if shape.kind not in _READINGS[label][1]:
                     continue
                 words = verbalize(number, label, style, context=window, shape=shape)
-                modes = "/".join(mode.value for mode in vars(style).values())
+                modes = "/".join(mode.value for mode in style)
                 start, end = number.span
                 lines.append(f"{index}\t{start}-{end}\t{number.raw}\t{label.name}\t{modes}\t{words}\n")
     return "".join(lines)
