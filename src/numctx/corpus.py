@@ -5,6 +5,11 @@ RFC 4180 quoting. ``start``/``end`` are character offsets (Unicode scalar
 values, end exclusive) of one number token inside ``text``; a sentence
 containing several numbers appears as several rows sharing the text but
 carrying distinct ids and spans. A row carries the number token its span locates.
+
+Every corpus fault is one ``CorpusError``, a ``ValueError``. A bad row's
+message starts ``path:line (id …)``, or ``path:line`` for a short row or a
+repeated id; a bad file's names the file, and a class with fewer members
+than the fold count names the class.
 """
 
 from __future__ import annotations
@@ -24,27 +29,7 @@ _HEADER = ["id", "text", "start", "end", "label"]
 
 
 class CorpusError(ValueError):
-    """Base class for corpus-file problems."""
-
-
-class CorpusParseError(CorpusError):
-    pass
-
-
-class LabelError(CorpusError):
-    pass
-
-
-class SpanError(CorpusError):
-    pass
-
-
-class DuplicateIdError(CorpusError):
-    pass
-
-
-class StratificationError(CorpusError):
-    pass
+    """A corpus-file problem; the message says where and what."""
 
 
 @dataclass(frozen=True)
@@ -87,29 +72,29 @@ def _normalize_newlines(text: str) -> str:
 
 
 def _parse_row(p: Path, line: int, row: list[str], seen_ids: dict[str, int]) -> LabeledSentence:
-    """The row ending at ``line`` as a sentence; a bad row raises its CorpusError.
+    """The row ending at ``line`` as a sentence; a bad row raises a CorpusError.
     ``seen_ids`` maps each id read so far to its line, and gains this row's."""
     if len(row) != len(_HEADER):
-        raise CorpusParseError(f"{p}:{line}: expected {len(_HEADER)} fields, got {len(row)}")
+        raise CorpusError(f"{p}:{line}: expected {len(_HEADER)} fields, got {len(row)}")
     row_id, text, start_s, end_s, label_s = row
     where = f"{p}:{line} (id {row_id})"
     text = _normalize_newlines(text)
     try:
         start, end = int(start_s), int(end_s)
     except ValueError:
-        raise CorpusParseError(f"{where}: non-integer span {start_s!r},{end_s!r}") from None
+        raise CorpusError(f"{where}: non-integer span {start_s!r},{end_s!r}") from None
     try:
         label = FormatLabel.from_name(label_s)
     except ValueError as exc:
-        raise LabelError(f"{where}: {exc}") from None
+        raise CorpusError(f"{where}: {exc}") from None
     if not (0 <= start < end <= len(text)):
-        raise SpanError(f"{where}: span ({start},{end}) outside text of length {len(text)}")
+        raise CorpusError(f"{where}: span ({start},{end}) outside text of length {len(text)}")
     try:
         sentence = LabeledSentence(id=row_id, text=text, span=(start, end), label=label)
     except ValueError:
-        raise SpanError(f"{where}: span ({start},{end}) = {text[start:end]!r} is not a located number token") from None
+        raise CorpusError(f"{where}: span ({start},{end}) = {text[start:end]!r} is not a located number token") from None
     if row_id in seen_ids:
-        raise DuplicateIdError(f"{p}:{line}: duplicate id {row_id!r} (first seen line {seen_ids[row_id]})")
+        raise CorpusError(f"{p}:{line}: duplicate id {row_id!r} (first seen line {seen_ids[row_id]})")
     seen_ids[row_id] = line
     return sentence
 
@@ -123,15 +108,15 @@ def scan_corpus(path: str | Path) -> tuple[list[LabeledSentence], list[CorpusErr
     """
     p = Path(path)
     try:
-        text = context_features.read_utf8(p, CorpusParseError)
-    except CorpusParseError as exc:
+        text = context_features.read_utf8(p, CorpusError)
+    except CorpusError as exc:
         return [], [exc]
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
     if header is None:
-        return [], [CorpusParseError(f"{p}: empty file, expected header {','.join(_HEADER)}")]
+        return [], [CorpusError(f"{p}: empty file, expected header {','.join(_HEADER)}")]
     if header != _HEADER:
-        return [], [CorpusParseError(f"{p}:1: bad header {header!r}, expected {_HEADER!r}")]
+        return [], [CorpusError(f"{p}:1: bad header {header!r}, expected {_HEADER!r}")]
     sentences: list[LabeledSentence] = []
     errors: list[CorpusError] = []
     seen_ids: dict[str, int] = {}
@@ -174,19 +159,19 @@ def stratified_folds(corpus: Corpus, k: int, seed: int) -> list[tuple[int, ...]]
 
     Within each class present in the corpus, fold sizes differ by at most
     one; overall fold sizes also differ by at most one. A class present
-    with fewer than ``k`` members raises StratificationError. Deterministic
-    given (corpus order, k, seed).
+    with fewer than ``k`` members raises CorpusError. Deterministic given
+    (corpus order, k, seed).
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if len(corpus) == 0:
-        raise StratificationError("corpus has no sentences to partition")
+        raise CorpusError("corpus has no sentences to partition")
     by_class: dict[FormatLabel, list[int]] = {label: [] for label in LABELS}
     for index, sentence in enumerate(corpus):
         by_class[sentence.label].append(index)
     for label in LABELS:
         if 0 < len(by_class[label]) < k:
-            raise StratificationError(
+            raise CorpusError(
                 f"class {label.name} has {len(by_class[label])} members, fewer than the {k} folds"
             )
 

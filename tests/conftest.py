@@ -1,4 +1,7 @@
+import importlib.util
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,16 +59,32 @@ def separable_corpus(per_class: int = 10) -> Corpus:
 # --- perfbench's generated inputs and the context key space -----------------
 
 
+def _perfbench_inputs():
+    """``perfbench/inputs.py``, loaded by path, so the tests build the
+    benchmark's inputs by its own rules."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclass looks its own module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+PERFBENCH_INPUTS = _perfbench_inputs()
+
+
 def stream_lines():
     """The lines perfbench's stream workload classifies at seed 29: the
     distinct sentences of generated corpora 29000 to 29029, in order."""
-    return list(dict.fromkeys(s.text for seed in range(29000, 29030) for s in generate_corpus(seed)))
+    return PERFBENCH_INPUTS.stream_lines(29)[0]
 
 
 def cv_workload_corpus():
     """The corpus perfbench cross-validates in its cv workload at seed 29:
     generated corpora 29000 and 29001 end to end, 674 rows."""
-    return Corpus(tuple(s for seed in (29000, 29001) for s in generate_corpus(seed)))
+    seeds = PERFBENCH_INPUTS.corpus_seeds(29, PERFBENCH_INPUTS.CV_CORPORA)
+    return Corpus(tuple(s for seed in seeds for s in generate_corpus(seed)))
 
 
 def reachable_context_keys():
