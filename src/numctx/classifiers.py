@@ -16,10 +16,10 @@ weighted by the number of training rows it stands for, as CART case weights
 do; all these kinds of distinct row come from ``_distinct_rows``. The tree
 grows CART-style on Gini gain with midpoint thresholds, level by level,
 every open node of a level scored at once from per-level class histograms
-over each column's exact values; it does not recurse, so any depth trains
-(ties: lowest feature, then lowest threshold; a majority leaf takes the
-lowest label). Its counts are whole numbers, so the tree is bit-identical
-to one grown on every row.
+laid out bin-first over each column's own distinct values; it does not
+recurse, so any depth trains (ties: lowest feature, then lowest threshold;
+a majority leaf takes the lowest label). Its counts are whole numbers, so
+its sums are exact and the tree is bit-identical to one grown on every row.
 ``train_folds`` trains one model per (training-row mask, columns) split,
 and ``train`` is it with one split. For trees it finds the distinct
 (row, label) pairs once, on the columns some row uses, and a split weights
@@ -231,18 +231,21 @@ def _best_cuts(
     """(node, feature, lower value, upper value) of the best cut of each open
     node whose gain is above ``_MIN_GAIN``.
 
-    ``H[node, f, b]`` holds the node's class counts of the rows whose column
-    ``f`` holds ``values[b]``, ``hist`` each node's class counts. A cut is a
-    candidate after each bin of a node's column that holds a row when a later
-    bin holds another, so each side keeps a row. Gini sums run over the
+    ``H[b, c, node, f]`` counts the node's rows of class ``c`` whose column
+    ``f`` holds ``values[b, f]``, and is summed over bins in place; ``hist``
+    holds each node's class counts. A cut is a candidate after each bin of a
+    node's column that holds a row when a later bin holds another, so each
+    side keeps a row and an empty bin is never a cut. Gini sums run over the
     classes of every tree the level grows, in ascending order (a class absent
     from a node adds an exact 0.0). A node takes the first maximum gain in
     (feature, value) order: the lowest feature, then the lowest threshold.
     """
-    node, feat, held = np.nonzero(H.any(axis=3))  # each node's columns' held bins, in value order
+    node, feat, held = np.nonzero(H.any(axis=1).transpose(1, 2, 0))  # held bins, in (node, feature, value) order
     cut = np.flatnonzero((node[1:] == node[:-1]) & (feat[1:] == feat[:-1]) & is_open[node[:-1]])
     node, feat, lower, upper = node[cut], feat[cut], held[cut], held[cut + 1]
-    left = np.cumsum(H, axis=2)[node, feat, lower]  # (candidates, n_classes)
+    for b in range(1, len(H)):  # one add over contiguous planes; whole counts, so exact
+        H[b] += H[b - 1]
+    left = H[lower, :, node, feat]  # (candidates, n_classes)
     total = hist.sum(axis=1)
     n, n_left = total[node], left.sum(axis=1)
     n_right = n - n_left
@@ -255,7 +258,7 @@ def _best_cuts(
     ranked_node = node[ranked]
     best = ranked[np.searchsorted(ranked_node, ranked_node) == np.arange(len(ranked))]  # each node's first
     best = best[gain[best] > _MIN_GAIN]
-    return node[best], feat[best], values[lower[best]], values[upper[best]]
+    return node[best], feat[best], values[lower[best], feat[best]], values[upper[best], feat[best]]
 
 
 def _tree_folds(M: np.ndarray, labels: np.ndarray, splits: list, max_depth: int) -> Iterator[TreeModel]:
@@ -266,9 +269,9 @@ def _tree_folds(M: np.ndarray, labels: np.ndarray, splits: list, max_depth: int)
     the pair stands for, every other row by 0. A group takes splits in order
     while its rows of nonzero weight, summed, stay at or below ``len(M)``,
     which also bounds the nodes, and so the histogram, of a level. Three dt
-    compares of perfbench's seed-29 cv corpus, in one process, peak at 34.8
-    MB RSS, at 39.2 MB keyed on every column and at 41.3 MB with no group
-    budget (which runs about 10% faster).
+    compares of perfbench's seed-29 cv corpus, in one process, peak at 37.9
+    MB RSS, at 42.6 MB keyed on every column and at 47.0 MB with no group
+    budget (which runs about 5% faster).
     """
     used = np.flatnonzero(M.any(axis=0))
     _, first, inverse = _distinct_rows(np.column_stack([M[:, used], labels]))
@@ -315,27 +318,35 @@ def _train_trees(
     """One tree per root, grown breadth-first in one level loop: row ``i``
     stands for ``counts[i]`` equal rows of root ``root_of[i]``'s tree, whose
     features are the first ``dims[root]`` columns of ``M``. Splits come from
-    per-level class histograms over each column's exact values: ``M`` is
-    binned once by value, and at each level one weighted count per (node,
-    column, bin, class) lets ``_best_cuts`` score every node of the level at
-    once. A level's histogram holds (nodes × columns × distinct values of
-    ``M`` × classes) cells: few on the whole-numbered matrices the program
-    builds, but on real-valued X the distinct values grow with the rows. A
-    node with one class, at ``max_depth`` (0 sets no limit) or without a cut
-    is a leaf. Training does not recurse.
+    per-level class histograms over each column's exact values: each column
+    of ``M`` is binned once by its own distinct values, and at each level one
+    weighted count per (bin, class, node, column) lets ``_best_cuts`` score
+    every node of the level at once. A level's histogram holds (bins × classes
+    × nodes × columns) cells, where the bins are the most distinct values one
+    column holds: few on the whole-numbered matrices the program builds, the
+    rows at most on real-valued X. A node with one class, at ``max_depth`` (0
+    sets no limit) or without a cut is a leaf. Training does not recurse.
     """
     classes, y = np.unique(labels, return_inverse=True)
-    values, bins = np.unique(M, return_inverse=True)  # -0.0 and 0.0 share a bin, as they compare equal
-    bins, d = bins.reshape(M.shape), M.shape[1]
+    d = M.shape[1]
+    # each column's dense value rank; -0.0 and 0.0 share a bin, as they compare equal
+    order = np.argsort(M, axis=0, kind="stable")
+    ranked = np.take_along_axis(M, order, axis=0)
+    rank = np.zeros(M.shape, dtype=np.intp)
+    np.cumsum(ranked[1:] != ranked[:-1], axis=0, out=rank[1:])
+    bins = np.empty_like(rank)
+    np.put_along_axis(bins, order, rank, axis=0)
+    values = np.zeros((int(rank[-1].max()) + 1, d))  # (bins, columns); a column's unheld top bins stay 0
+    values[rank, np.arange(d)] = ranked
     roots = [TreeNode() for _ in dims]
     rows, nid = np.arange(len(M)), root_of.astype(np.intp)  # the rows not in a leaf, and each one's node
     level, depth = roots, 0
     while level:
-        # each row counts once in each column, in its (node, column, bin, class) cell
-        cells = ((nid[:, None] * d + np.arange(d)) * len(values) + bins[rows]) * len(classes) + y[rows, None]
-        H = np.bincount(cells.ravel(), np.repeat(counts[rows], d), len(level) * d * len(values) * len(classes))
-        H = H.reshape(len(level), d, len(values), len(classes))
-        hist = H[:, 0].sum(axis=1)  # each node's class counts: a row holds one bin of column 0
+        # each row counts once in each column, in its (bin, class, node, column) cell
+        cells = ((bins[rows] * len(classes) + y[rows, None]) * len(level) + nid[:, None]) * d + np.arange(d)
+        H = np.bincount(cells.ravel(), np.repeat(counts[rows], d), len(values) * len(classes) * len(level) * d)
+        H = H.reshape(len(values), len(classes), len(level), d)
+        hist = H[..., 0].sum(axis=0).T  # each node's class counts: a row holds one bin of column 0
         is_open = (np.count_nonzero(hist, axis=1) > 1) & (max_depth == 0 or depth < max_depth)
         split, feature, lower, upper = _best_cuts(H, hist, is_open, values)
 

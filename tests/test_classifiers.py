@@ -268,6 +268,19 @@ class TestDecisionTree:
         assert serialize(reloaded) == serialize(model)
         assert predict_batch(reloaded, X).tolist() == y
 
+    def test_level_histogram_bins_each_column_by_its_own_values(self):
+        # on real-valued X a histogram binned by the whole matrix's distinct
+        # values is the column count times larger
+        rng = np.random.default_rng(3)
+        X, y = rng.standard_normal((300, 10)), rng.integers(0, 6, size=300)
+        bins = max(len(np.unique(column)) for column in X.T)
+        with mock.patch.object(classifiers, "_best_cuts", wraps=classifiers._best_cuts) as best_cuts:
+            train(X, y, dt_cfg(max_depth=0))
+        assert best_cuts.call_count > 1
+        for call in best_cuts.call_args_list:
+            H, hist = call.args[:2]
+            assert H.size <= len(hist) * X.shape[1] * bins * len(np.unique(y))
+
 
 class TestKnn:
     def test_memorizes_training_data(self):
@@ -978,8 +991,10 @@ def _oracle_best_split(M, labels, min_leaf):
         if gain > best_gain:
             best_gain = gain
             best_feature = feature
-            i = change[pos]
-            best_threshold = float((sorted_vals[i] + sorted_vals[i + 1]) / 2.0)
+            a, b = float(sorted_vals[change[pos]]), float(sorted_vals[change[pos] + 1])
+            best_threshold = (a + b) / 2.0
+            if not a <= best_threshold < b:  # the sum overflowed, or a and b are adjacent floats
+                best_threshold = a
     return best_feature, best_threshold, best_gain
 
 
@@ -1009,6 +1024,25 @@ class TestTreeMatchesPerFeatureSearch:
     def test_real_matrices_bytes(self, data):
         reals = st.floats(-10, 10, allow_nan=False).map(lambda v: round(v, 2))
         _assert_tree_matches_oracle(*_tree_matrices(data, reals), best_split=_oracle_best_split)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_unrounded_reals_drawn_per_column_bytes(self, data):
+        # each column draws from its own pool, so a threshold read from another
+        # column's values is wrong. A pool value's next float up makes a pair
+        # whose midpoint rounds up to the upper value or, near 1.6e308, overflows
+        n = data.draw(st.integers(1, 40), label="rows")
+        extremes = st.sampled_from([0.0, -0.0, 5e-324, 1.6e308, -1.6e308])
+        reals = st.floats(allow_nan=False, allow_infinity=False) | extremes
+        columns = []
+        for j in range(data.draw(st.integers(1, 8), label="dim")):
+            pool = data.draw(st.lists(reals, min_size=1, max_size=6), label=f"pool {j}")
+            stepped = data.draw(st.lists(st.sampled_from(pool), max_size=3), label=f"stepped up {j}")
+            pool += [up for up in (math.nextafter(v, math.inf) for v in stepped) if math.isfinite(up)]
+            columns.append(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n), label=f"column {j}"))
+        labels = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n), label="labels")
+        max_depth = data.draw(st.sampled_from([0, 2, 16]), label="max_depth")
+        _assert_tree_matches_oracle(np.array(columns).T, labels, max_depth, best_split=_oracle_best_split)
 
 
 # --- folds grown in one stack: the invariants stacking relies on -------------
