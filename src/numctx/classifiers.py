@@ -9,8 +9,11 @@ that is empty, has no columns or holds a non-finite value. KNN stores the
 training data verbatim. ``predict_batch`` measures each distinct query
 against each distinct training point once, in one distance table per block
 of queries (at most ``_KNN_CELLS`` cells; a cross-validation fold takes one
-or two) built a column at a time by ``models._squared_distance``, and keeps
-the every-point order on equal distances (lowest training index first). The
+to three). In a block, each column squares its difference to every point once
+per value the block's queries hold there, and ``models._squared_distance``
+adds each row to the queries that hold its value, column by column. Equal
+distances keep the every-point order (lowest training index first); k=3
+finds that order's first three by a partition, not a sort. The
 decision tree and the SVM train on each distinct (row, label) pair once,
 weighted by the number of training rows it stands for, as CART case weights
 do; all these kinds of distinct row come from ``_distinct_rows``. The tree
@@ -84,16 +87,34 @@ def _distinct_rows(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     where each first appears, and each row's index into the distinct rows.
 
     Rows are keyed on their bytes, so 0.0 and -0.0 stay apart; one void
-    view of the whole matrix gives every row's bytes in one ``tolist``.
-    np.unique (axis=0) sorts whole rows and costs 5-20x as much on a
+    view of the whole matrix gives every row's bytes in one ``tolist``, and
+    one ``dict.setdefault`` per row, mapped in C, each row's first equal
+    row. np.unique (axis=0) sorts whole rows and costs 5-20x as much on a
     cross-validation fold.
     """
     C = np.ascontiguousarray(M)
     keys = C.view(np.dtype((np.void, C.itemsize * C.shape[1]))).ravel().tolist()
-    slots: dict[bytes, int] = {}
-    inverse = np.array([slots.setdefault(key, len(slots)) for key in keys], dtype=np.intp)
-    first = np.unique(inverse, return_index=True)[1]
+    first_of = np.fromiter(map({}.setdefault, keys, range(len(keys))), dtype=np.intp, count=len(keys))
+    is_first = first_of == np.arange(len(keys))
+    first = np.flatnonzero(is_first)
+    inverse = np.cumsum(is_first, dtype=np.intp)[first_of] - 1
     return M[first], first, inverse
+
+
+def _column_ranks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each cell's dense rank among its column's values, the (ranks ×
+    columns) table of each column's values by rank, and the number of
+    values each column holds. -0.0 and 0.0 share a rank, as they compare
+    equal; a column's unheld top ranks read 0 in the table."""
+    order, columns = np.argsort(M, axis=0, kind="stable"), np.arange(M.shape[1])
+    ranked = M[order, columns]
+    rank = np.zeros(M.shape, dtype=np.intp)
+    np.cumsum(ranked[1:] != ranked[:-1], axis=0, out=rank[1:])
+    ranks = np.empty_like(rank)
+    ranks[order, columns] = rank
+    values = np.zeros((int(rank[-1].max(initial=0)) + 1, M.shape[1]))
+    values[rank, columns] = ranked
+    return ranks, values, rank[-1] + 1
 
 
 def _training_labels(y) -> np.ndarray:
@@ -193,33 +214,69 @@ def predict_batch(model: TrainedModel, X) -> np.ndarray:
 
 
 def _knn_predict_batch(model: KnnModel, M: np.ndarray) -> np.ndarray:
-    """Each distinct query's label, from one (queries × distinct points)
-    distance table per block of queries, built one column at a time by
-    ``_squared_distance``, so each distance is bit-equal to ``predict``'s."""
+    """Each distinct query's label, from the distance tables of
+    ``_distance_blocks``, so each distance is bit-equal to ``predict``'s."""
     distinct, first, inverse = _distinct_rows(_as_matrix(model.points))
     labels = np.asarray(model.labels, dtype=np.int64)
     queries, _, query_of = _distinct_rows(M)
-    # a column that no point and no query holds adds only +0.0
-    used = np.flatnonzero(distinct.any(axis=0) | queries.any(axis=0)).tolist()
-    # k=3 sorts the table expanded to every training row
-    step = max(1, _KNN_CELLS // (len(distinct) if model.k == 1 else len(labels)))
     predicted = np.empty(len(queries), dtype=np.int64)
-    for start in range(0, len(queries), step):
-        block = queries[start : start + step]
-        squared = _squared_distance(distinct[:, j] - block[:, j, None] for j in used)
-        d = np.sqrt(np.broadcast_to(squared, (len(block), len(distinct))))
-        if model.k == 1:
+    if model.k == 1:
+        for rows, squared in _distance_blocks(distinct, queries, len(distinct)):
             # distinct points are in first-appearance order, so the first
             # minimum is the lowest training index a stable sort would pick
-            predicted[start : start + step] = labels[first[np.argmin(d, axis=1)]]
-            continue
-        d = d[:, inverse]
-        # stable sort: equal distances resolve to the lower training index
-        nearest = np.argsort(d, axis=1, kind="stable")[:, : model.k]
-        near = zip(np.take_along_axis(d, nearest, axis=1).tolist(), labels[nearest].tolist())
-        for i, (distances, near_labels) in enumerate(near):
-            predicted[start + i] = _vote(zip(distances, near_labels))
+            predicted[rows] = labels[first[np.argmin(np.sqrt(squared), axis=1)]]
+        return predicted[query_of]
+    # the training rows a k-nearest search can take: each distinct point's
+    # first k, in training order
+    order = np.argsort(inverse, kind="stable")
+    grouped = inverse[order]
+    occurrence = np.empty_like(order)
+    occurrence[order] = np.arange(len(order)) - np.searchsorted(grouped, grouped)
+    taken = np.flatnonzero(occurrence < model.k)
+    for rows, squared in _distance_blocks(distinct, queries, len(taken)):
+        predicted[rows] = _knn_vote(np.sqrt(squared)[:, inverse[taken]], labels[taken], model.k)
     return predicted[query_of]
+
+
+def _distance_blocks(distinct: np.ndarray, queries: np.ndarray, width: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rows, table) for each block of queries: the block's slice of
+    ``queries`` and the squared distance of each of its queries to each
+    distinct point, a (queries × points) table. A block holds the most
+    queries whose tables of ``width`` columns stay within ``_KNN_CELLS``
+    cells. Each column of a block squares its difference to every point
+    once per value the block's queries hold there (point minus query), and
+    ``_squared_distance`` adds that row to each query that holds the value.
+    """
+    # a column that no point and no query holds adds only +0.0
+    used = np.flatnonzero(distinct.any(axis=0) | queries.any(axis=0))
+    point_columns = distinct.T[used]  # (used columns, distinct points)
+    step = max(1, _KNN_CELLS // width)
+    for start in range(0, len(queries), step):
+        block = queries[start : start + step, used]
+        ranks, values, held = _column_ranks(block)
+        columns = zip(point_columns, values.T[:, :, None], held.tolist(), ranks.T)
+        squares = (np.square(points - value[:n]).take(rank, axis=0) for points, value, n, rank in columns)
+        yield slice(start, start + step), np.broadcast_to(_squared_distance(squares), (len(block), len(distinct)))
+
+
+def _knn_vote(d: np.ndarray, labels: np.ndarray, k: int) -> list[int]:
+    """Each row's vote of its ``k`` nearest columns in (distance, column)
+    order, the columns being training rows in training order, as a stable
+    sort of each row would take them: every distance below the row's k-th
+    least, then the first columns at that distance. No entry is masked, so
+    none can tie with a real infinite distance."""
+    k = min(k, d.shape[1])
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1, None]
+    below = d < kth
+    # a nan query is nan from every point, and takes its first k columns
+    at = (d == kth) | (kth != kth)
+    chosen = below | (at & (np.cumsum(at, axis=1) <= k - np.count_nonzero(below, axis=1)[:, None]))
+    columns = np.nonzero(chosen)[1].reshape(len(d), k)
+    nearest = np.take_along_axis(d, columns, axis=1)
+    ranked = np.argsort(nearest, axis=1, kind="stable")  # columns ascend, so equal distances keep column order
+    columns = np.take_along_axis(columns, ranked, axis=1)
+    near = zip(np.take_along_axis(nearest, ranked, axis=1).tolist(), labels[columns].tolist())
+    return [_vote(zip(distances, near_labels)) for distances, near_labels in near]
 
 
 # --- decision tree -------------------------------------------------------
@@ -319,25 +376,18 @@ def _train_trees(
     stands for ``counts[i]`` equal rows of root ``root_of[i]``'s tree, whose
     features are the first ``dims[root]`` columns of ``M``. Splits come from
     per-level class histograms over each column's exact values: each column
-    of ``M`` is binned once by its own distinct values, and at each level one
-    weighted count per (bin, class, node, column) lets ``_best_cuts`` score
-    every node of the level at once. A level's histogram holds (bins × classes
-    × nodes × columns) cells, where the bins are the most distinct values one
-    column holds: few on the whole-numbered matrices the program builds, the
-    rows at most on real-valued X. A node with one class, at ``max_depth`` (0
-    sets no limit) or without a cut is a leaf. Training does not recurse.
+    of ``M`` is binned once by its own distinct values (``_column_ranks``),
+    and at each level one weighted count per (bin, class, node, column) lets
+    ``_best_cuts`` score every node of the level at once. A level's histogram
+    holds (bins × classes × nodes × columns) cells, where the bins are the
+    most distinct values one column holds: few on the whole-numbered
+    matrices the program builds, the rows at most on real-valued X. A node
+    with one class, at ``max_depth`` (0 sets no limit) or without a cut is a
+    leaf. Training does not recurse.
     """
     classes, y = np.unique(labels, return_inverse=True)
     d = M.shape[1]
-    # each column's dense value rank; -0.0 and 0.0 share a bin, as they compare equal
-    order = np.argsort(M, axis=0, kind="stable")
-    ranked = np.take_along_axis(M, order, axis=0)
-    rank = np.zeros(M.shape, dtype=np.intp)
-    np.cumsum(ranked[1:] != ranked[:-1], axis=0, out=rank[1:])
-    bins = np.empty_like(rank)
-    np.put_along_axis(bins, order, rank, axis=0)
-    values = np.zeros((int(rank[-1].max()) + 1, d))  # (bins, columns); a column's unheld top bins stay 0
-    values[rank, np.arange(d)] = ranked
+    bins, values, _ = _column_ranks(M)
     roots = [TreeNode() for _ in dims]
     rows, nid = np.arange(len(M)), root_of.astype(np.intp)  # the rows not in a leaf, and each one's node
     level, depth = roots, 0

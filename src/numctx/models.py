@@ -148,7 +148,8 @@ def predict(model: TrainedModel, row: Mapping[int, float]) -> FormatLabel:
         for point, first in model.neighbours:
             # the ascending union of the two rows' nonzero columns
             columns = sorted(point.keys() | row.keys())
-            distance = math.sqrt(_squared_distance(point.get(c, 0.0) - row.get(c, 0.0) for c in columns))
+            differences = (point.get(c, 0.0) - row.get(c, 0.0) for c in columns)
+            distance = math.sqrt(_squared_distance(d * d for d in differences))
             for index, label in first:
                 scored.append((distance, index, label))
         return LABELS[_vote((distance, label) for distance, _, label in heapq.nsmallest(model.k, scored))]
@@ -177,14 +178,17 @@ def _vote(nearest) -> int:
     return min(votes, key=lambda label: (-votes[label], summed[label], label))
 
 
-def _squared_distance(differences):
-    """0.0 plus ``d * d`` for each column's difference ``d``, point minus
-    query, in ascending column order; a difference may be a numpy array, one
-    step for many (query, point) pairs. A column both rows hold as 0 adds
-    +0.0, which leaves the sum unchanged, so it may be left out."""
+def _squared_distance(squares):
+    """0.0 plus each column's square ``d * d``, ``d`` being point minus
+    query, in ascending column order. A square may be a numpy array, one
+    step for many (query, point) pairs: the batch squares each (value, point)
+    difference once and gives that row to every query holding the value, as
+    equal ``d`` square alike, and so do 0.0 and -0.0. A column both rows
+    hold as 0 adds +0.0, which leaves the sum unchanged, so it may be left
+    out."""
     squared = 0.0
-    for d in differences:
-        squared += d * d
+    for s in squares:
+        squared += s
     return squared
 
 

@@ -700,6 +700,76 @@ class TestKnnMatchesEveryPointScan:
         _assert_knn_matches_oracle(X, labels, queries, k)
 
 
+# --- frozen column-at-a-time KNN distance table: the differential oracle ----
+
+
+def _oracle_distance_table(distinct, queries):
+    """The (queries × distinct points) squared distance table as it was built
+    before value rows: each column some point or query holds, in ascending
+    order, its difference for every (query, point) pair squared and added."""
+    used = np.flatnonzero(distinct.any(axis=0) | queries.any(axis=0))
+    squared = 0.0
+    for j in used:
+        d = distinct[:, j] - queries[:, j, None]
+        squared += d * d
+    return np.broadcast_to(squared, (len(queries), len(distinct)))
+
+
+def _real_rows(data, dim, name):
+    """1-30 rows of ``dim`` columns, each value drawn from a pool of 1-6, so
+    values repeat down a column and across columns."""
+    values = st.one_of(
+        # rounded squares, whose sum depends on its order; squares that overflow
+        st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, -0.1, 1 / 3, 1e200, -1e200, 1.7e308, -1.7e308]),
+        st.floats(-1e3, 1e3, allow_subnormal=False),
+    )
+    pool = data.draw(st.lists(values, min_size=1, max_size=6), label=f"{name} pool")
+    n = data.draw(st.integers(1, 30), label=f"{name} rows")
+    return data.draw(hnp.arrays(np.float64, (n, dim), elements=st.sampled_from(pool)), label=name)
+
+
+class TestDistanceTableMatchesColumnAtATime:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_real_valued_tables_bit_equal(self, data):
+        dim = data.draw(st.integers(1, 64), label="dim")
+        distinct = _distinct_rows(_real_rows(data, dim, "points"))[0]
+        queries = _distinct_rows(np.vstack([_real_rows(data, dim, "queries"), distinct[:3]]))[0]
+        cells = data.draw(st.sampled_from([1, 50, classifiers._KNN_CELLS]), label="cells")
+        with mock.patch.object(classifiers, "_KNN_CELLS", cells), np.errstate(over="ignore"):
+            blocks = list(classifiers._distance_blocks(distinct, queries, len(distinct)))
+            expected = np.ascontiguousarray(_oracle_distance_table(distinct, queries))
+        step = max(1, cells // len(distinct))
+        assert [(rows.start, len(table)) for rows, table in blocks] == [
+            (start, min(step, len(queries) - start)) for start in range(0, len(queries), step)
+        ]
+        table = np.vstack([table for _, table in blocks])
+        assert (table.view(np.int64) == expected.view(np.int64)).all()
+
+    def test_no_column_held(self):
+        [(rows, table)] = classifiers._distance_blocks(np.zeros((3, 2)), np.array([[0.0, -0.0]]), 3)
+        assert rows == slice(0, classifiers._KNN_CELLS // 3)
+        assert table.tolist() == [[0.0, 0.0, 0.0]]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_overflowing_distances_tie_by_training_index(self, k):
+        # most points are infinitely far from every query, so a query's k
+        # nearest include points at distance inf, which tie and must come in
+        # training order
+        X = np.array([[1e200, 0.0], [-1e200, 1.0], [3.0, 0.0], [1e200, 1.0], [-1e200, 0.0], [3.0, 0.0]])
+        labels = [1, 2, 3, 4, 5, 0]
+        queries = np.array([[-1e200, 0.0], [1e200, 5.0], [0.0, 0.0], [1.7e308, 0.0], [-1.7e308, 2.0]])
+        with np.errstate(over="ignore"):
+            _assert_knn_matches_oracle(X, labels, queries, k)
+
+    @pytest.mark.parametrize("k, expected", [(1, 4), (3, 4)])
+    def test_nan_query_takes_the_first_training_rows(self, k, expected):
+        # a nan query is nan from every point; like a stable sort, the search
+        # takes the first k training rows, here labelled 4, 1 and 4
+        model = train([[1.0, 0.0], [2.0, 0.0], [3.0, 1.0], [4.0, 1.0]], [4, 1, 4, 0], knn_cfg(k))
+        assert predict_batch(model, [[np.nan, 0.0], [1.0, 0.0]]).tolist() == [expected, 4]
+
+
 class TestSvmMatchesPerClassTrainer:
     @pytest.mark.parametrize("extractor, rows", _bundled_training_splits())
     def test_bundled_corpus_bytes(self, bundled_encoding, extractor, rows):
