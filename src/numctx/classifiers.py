@@ -6,17 +6,18 @@ model's prediction rule live in ``models``, which imports no numpy.
 rules and does not restate them, so ``models.predict`` gives its label. All
 four learners are deterministic functions of (X, y, config) and refuse an X
 that is empty, has no columns or holds a non-finite value. KNN stores the
-training data verbatim. ``predict_batch`` measures each distinct query
-against each distinct training point once, in one distance table per block
-of queries (at most ``_KNN_CELLS`` cells; a cross-validation fold takes one
-to three). In a block, each column squares its difference to every point once
-per value the block's queries hold there, and ``models._squared_distance``
-adds each row to the queries that hold its value, column by column. Equal
-distances keep the every-point order (lowest training index first); k=3
-finds that order's first three by a partition, not a sort. The
-decision tree and the SVM train on each distinct (row, label) pair once,
-weighted by the number of training rows it stands for, as CART case weights
-do; all these kinds of distinct row come from ``_distinct_rows``. The tree
+training data verbatim, with each point's id among the distinct rows of the
+X it came from (``row_ids``). The batch predict measures each query against
+the points of each id once, in one distance table per block of queries (at
+most ``_KNN_CELLS`` cells; a cross-validation fold takes one to three). In a
+block, each column squares its difference to every point once per value the
+block's queries hold there, and ``models._squared_distance`` adds each row
+to the queries that hold its value, column by column. Equal distances keep
+the every-point order (lowest training index first); k=3 finds that order's
+first three by a partition, not a sort. The decision tree and the SVM train
+on each distinct (row, label) pair once, weighted by the number of training
+rows it stands for, as CART case weights do; all these kinds of distinct row
+come from ``_distinct_rows``. The tree
 grows CART-style on Gini gain with midpoint thresholds, level by level,
 every open node of a level scored at once from per-level class histograms
 laid out bin-first over each column's own distinct values; it does not
@@ -24,8 +25,9 @@ recurse, so any depth trains (ties: lowest feature, then lowest threshold;
 a majority leaf takes the lowest label). Its counts are whole numbers, so
 its sums are exact and the tree is bit-identical to one grown on every row.
 ``train_folds`` trains one model per (training-row mask, columns) split,
-and ``train`` is it with one split. For trees it finds the distinct
-(row, label) pairs once, on the columns some row uses, and a split weights
+and ``train`` is it with one split. For KNN it finds X's row ids once, and
+each split's points keep theirs. For trees it finds the distinct (row,
+label) pairs once, on the columns some row uses, and a split weights
 each pair's first row of X by its rows the pair stands for; the splits'
 trees grow in one level loop, one root each, in groups whose weighted rows,
 summed, stay at or below the rows of X. Each split reads X in its own
@@ -101,6 +103,14 @@ def _distinct_rows(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return M[first], first, inverse
 
 
+def row_ids(X: np.ndarray) -> np.ndarray:
+    """Each row's index into the distinct rows of ``X`` in order of first
+    appearance, compared on the columns some row uses: rows that differ only
+    in the sign of a zero share an id."""
+    used = X[:, X.any(axis=0)]
+    return _distinct_rows(used)[2] if used.shape[1] else np.zeros(len(X), dtype=np.intp)
+
+
 def _column_ranks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each cell's dense rank among its column's values, the (ranks ×
     columns) table of each column's values by rank, and the number of
@@ -162,14 +172,16 @@ def train_folds(X, y, splits, cfg: TrainConfig) -> Iterator[TrainedModel]:
     if cfg.algorithm == Algorithm.LinearSVM:
         yield from _svm_folds(M, labels, splits, cfg.c_reg)
         return
+    ids = row_ids(M) if cfg.algorithm == Algorithm.KNN else None  # the KNN points' ids, found once for all splits
     for mask, columns in splits:
-        yield _train_split(M[np.ix_(mask, columns)], labels[mask], cfg)
+        yield _train_split(M[np.ix_(mask, columns)], labels[mask], cfg, None if ids is None else ids[mask])
 
 
-def _train_split(M: np.ndarray, labels: np.ndarray, cfg: TrainConfig) -> TrainedModel:
-    """The KNN or LDA model of one split's own matrix and labels."""
+def _train_split(M: np.ndarray, labels: np.ndarray, cfg: TrainConfig, ids: np.ndarray | None) -> TrainedModel:
+    """The KNN or LDA model of one split's own matrix and labels; a KNN
+    model keeps its points' ``row_ids``."""
     if cfg.algorithm == Algorithm.KNN:
-        return KnnModel(dim=M.shape[1], k=cfg.k, points=M, labels=labels)
+        return KnnModel(dim=M.shape[1], k=cfg.k, points=M, labels=labels, point_ids=ids)
     if cfg.algorithm == Algorithm.LDA:
         [model] = _fit_linear(lambda: [_train_lda(M, labels, cfg.shrinkage)], f"shrinkage {cfg.shrinkage}")
         return model
@@ -214,18 +226,22 @@ def predict_batch(model: TrainedModel, X) -> np.ndarray:
 
 
 def _knn_predict_batch(model: KnnModel, M: np.ndarray) -> np.ndarray:
-    """Each distinct query's label, from the distance tables of
-    ``_distance_blocks``, so each distance is bit-equal to ``predict``'s."""
-    distinct, first, inverse = _distinct_rows(_as_matrix(model.points))
+    """Each query's label, from the distance tables of ``_distance_blocks`` to
+    the points of each id once, so each distance is bit-equal to ``predict``'s."""
+    points = _as_matrix(model.points)
+    ids = row_ids(points) if model.point_ids is None else model.point_ids
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    # each id's first point, in training order: so among equal distances the
+    # first minimum is the lowest training index a stable sort would pick
+    order = np.argsort(first)
+    first, inverse = first[order], np.argsort(order)[inverse]
+    distinct = points[first]
     labels = np.asarray(model.labels, dtype=np.int64)
-    queries, _, query_of = _distinct_rows(M)
-    predicted = np.empty(len(queries), dtype=np.int64)
+    predicted = np.empty(len(M), dtype=np.int64)
     if model.k == 1:
-        for rows, squared in _distance_blocks(distinct, queries, len(distinct)):
-            # distinct points are in first-appearance order, so the first
-            # minimum is the lowest training index a stable sort would pick
+        for rows, squared in _distance_blocks(distinct, M, len(distinct)):
             predicted[rows] = labels[first[np.argmin(np.sqrt(squared), axis=1)]]
-        return predicted[query_of]
+        return predicted
     # the training rows a k-nearest search can take: each distinct point's
     # first k, in training order
     order = np.argsort(inverse, kind="stable")
@@ -233,9 +249,9 @@ def _knn_predict_batch(model: KnnModel, M: np.ndarray) -> np.ndarray:
     occurrence = np.empty_like(order)
     occurrence[order] = np.arange(len(order)) - np.searchsorted(grouped, grouped)
     taken = np.flatnonzero(occurrence < model.k)
-    for rows, squared in _distance_blocks(distinct, queries, len(taken)):
+    for rows, squared in _distance_blocks(distinct, M, len(taken)):
         predicted[rows] = _knn_vote(np.sqrt(squared)[:, inverse[taken]], labels[taken], model.k)
-    return predicted[query_of]
+    return predicted
 
 
 def _distance_blocks(distinct: np.ndarray, queries: np.ndarray, width: int) -> Iterator[tuple[slice, np.ndarray]]:

@@ -3,10 +3,12 @@
 A confusion matrix is a (6, 6) int64 counts array with true labels along
 rows and predicted labels along columns, so recall reads along a row and
 precision down a column. Cross-validation pools the per-fold matrices by
-summation. It encodes each corpus row once; any feature state learned from
-data (the bag-of-words vocabulary) is rebuilt from each fold's training
-split and picks that fold's columns of the encoding, and each fold's state,
-the extractor's ``dump()`` lines, is kept so leakage is checkable. Every
+summation. It encodes each distinct key of the corpus once and finds its
+distinct rows once; any feature state learned from data (the bag-of-words
+vocabulary) is rebuilt from each fold's training split and picks that
+fold's columns of the encoding, and each fold's state, the extractor's
+``dump()`` lines, is kept so leakage is checkable. A fold predicts each of
+its distinct rows once. Every
 fold's model comes from one ``classifiers.train_folds`` call, which says
 how it groups folds to train them together; each fold is predicted as its
 model arrives, so at most one group's models are alive.
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import context_features
-from .classifiers import TrainConfig, predict_batch, train_folds
+from .classifiers import TrainConfig, predict_batch, row_ids, train_folds
 from .corpus import Corpus, stratified_folds
 from .labels import LABELS, FormatLabel
 from .pipeline import encode_rows, make_features
@@ -98,6 +100,7 @@ def cross_validate(
     folds = stratified_folds(corpus, k, seed)
     y = np.array([int(s.label) for s in corpus], dtype=np.int64)
     every_column = encode_rows(features, corpus)  # unfitted, it keeps every column
+    ids = row_ids(every_column)  # a fold predicts each of its distinct rows once
 
     splits: list[tuple[np.ndarray, list[int]]] = []  # each fold's (training rows, columns)
     states: list[tuple[str, ...]] = []
@@ -112,8 +115,9 @@ def cross_validate(
     predicted = np.empty_like(y)  # each row's label from the one fold that tests it
     # each fold is predicted as its model arrives, before the next group of trees grows
     for fold, (trains, columns), model in zip(folds, splits, train_folds(every_column, y, splits, cfg)):
-        test = ~trains
-        predicted[test] = predict_batch(model, every_column[np.ix_(test, columns)])
+        test = np.flatnonzero(~trains)
+        _, first, back = np.unique(ids[test], return_index=True, return_inverse=True)
+        predicted[test] = predict_batch(model, every_column[np.ix_(test[first], columns)])[back]
         fold_accuracies.append(int((predicted[test] == y[test]).sum()) / len(fold))
     pooled = np.bincount(y * len(LABELS) + predicted, minlength=len(LABELS) ** 2).reshape(len(LABELS), len(LABELS))
 

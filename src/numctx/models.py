@@ -74,12 +74,13 @@ class TrainConfig(_TrainFields):
 class KnnModel:
     """The training points and their labels, verbatim and in training order.
     ``read_model`` gives equal points one shared tuple, so a loaded model
-    holds each distinct point once."""
+    holds each distinct point once. Training also keeps each point's row id
+    (``classifiers.row_ids``), which a loaded model finds when it predicts."""
 
     algorithm = Algorithm.KNN
 
-    def __init__(self, dim: int, k: int, points: Sequence[Sequence[float]], labels: Sequence[int]):
-        self.dim, self.k, self.points, self.labels = dim, k, points, labels
+    def __init__(self, dim: int, k: int, points: Sequence[Sequence[float]], labels: Sequence[int], point_ids=None):
+        self.dim, self.k, self.points, self.labels, self.point_ids = dim, k, points, labels, point_ids
 
     @functools.cached_property
     def neighbours(self) -> list[tuple[dict[int, float], list[tuple[int, int]]]]:

@@ -13,8 +13,9 @@ fold's columns from it. A pipeline is not changed after it is built, so
 ``Pipeline.label`` remembers the label of each key it has seen (up to
 ``MEMO_SIZE`` keys, least recently used dropped first) and runs the model's
 pure-Python ``predict`` on the pairs only for a new key: loading a pipeline
-and classifying with it imports no numpy. Only ``encode_rows``, which
-scatters the pairs into a training matrix, and ``Pipeline.fit`` do.
+and classifying with it imports no numpy. Only ``encode_rows``, which builds
+each distinct key's training row once (the extractor's ``rows``), and
+``Pipeline.fit`` do.
 An extractor's fitted state is its ``dump()`` lines and nothing else: the
 pipeline file stores them and cross-validation compares them. A pipeline
 file holds, line by line: the magic, the lexicon (``lexicon <count>`` then
@@ -74,6 +75,14 @@ class ContextFeatures:
     def row(self, key: tuple[int, ...]) -> dict[int, float]:
         return context_features.one_hot_row(key)
 
+    def rows(self, keys: list[tuple[int, ...]]):
+        import numpy as np  # training and cross-validation only: classifying reads the pairs
+
+        X = np.zeros((len(keys), len(self.columns)))
+        for i, key in enumerate(keys):
+            X[i, list(self.row(key))] = 1.0  # one_hot_row's values are all 1.0
+        return X
+
     def dump(self) -> list[str]:
         return []  # the pipeline stores the lexicon
 
@@ -104,6 +113,9 @@ class BowFeatures:
     def row(self, key: str) -> dict[int, float]:
         return bow_features.bow_row(key, self.column_of)
 
+    def rows(self, keys: list[str]):
+        return bow_features.byte_counts(keys)[:, self.columns]
+
     def dump(self) -> list[str]:
         return [" ".join(["vocab", *map(str, self.columns)])]
 
@@ -133,21 +145,16 @@ def make_features(extractor: str, lexicon: Lexicon) -> Features:
 
 
 def encode_rows(features: Features, corpus: Corpus):
-    """Every corpus row's pairs scattered into a numpy matrix, one row each;
-    windows and shapes are built only for extractors that read them."""
-    import numpy as np  # training and cross-validation only: classifying reads the pairs
-
+    """Every corpus row's feature row in a numpy matrix, each distinct key's
+    row built once; windows and shapes are built only for extractors that read them."""
     if features.windowed:
         windows = [context_features.line_windows(s.text, [s.number])[0] for s in corpus]
         keys = [features.key(w, s.number, shape_of(s.number)) for w, s in zip(windows, corpus)]
     else:
         keys = [features.key(None, s.number, None) for s in corpus]
-    cells = [(i, column, value) for i, key in enumerate(keys) for column, value in features.row(key).items()]
-    X = np.zeros((len(corpus), len(features.columns)))
-    if cells:
-        rows, columns, values = zip(*cells)
-        X[rows, columns] = values
-    return X
+    index: dict[Hashable, int] = {}  # each distinct key's row, in order of first appearance
+    at = [index.setdefault(key, len(index)) for key in keys]
+    return features.rows(list(index))[at]
 
 
 class Pipeline:

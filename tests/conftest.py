@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from numctx.bow_features import BYTES, gram_byte, unigrams
 from numctx.context_features import _N_BUCKETS, _N_CLASSES, _N_SHAPES, KeywordClass
 from numctx.corpus import Corpus, LabeledSentence
 from numctx.datagen import generate_corpus
@@ -54,6 +55,17 @@ def separable_corpus(per_class: int = 10) -> Corpus:
                 )
             )
     return Corpus(sentences=tuple(rows))
+
+
+def bow_encode(token_raw: str, columns):
+    """The token's counts of the byte values ``columns``, in that order, as a
+    numpy vector, counted one gram at a time: the dense bag-of-words
+    reference the program's rows are checked against. A gram whose byte is
+    not among ``columns`` is dropped."""
+    counts = np.zeros(BYTES, dtype=np.float64)
+    for gram in unigrams(token_raw):
+        counts[gram_byte(gram)] += 1
+    return counts[columns]
 
 
 # --- perfbench's generated inputs and the context key space -----------------

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from conftest import bow_encode
 from hypothesis import given, settings, strategies as st
 
-from numctx.bow_features import BYTES, bow_encode, bow_row, build_vocab, gram_byte, unigrams
+from numctx.bow_features import BYTES, bow_row, build_vocab, byte_counts, gram_byte, unigrams
 
 
 class TestUnigrams:
@@ -116,3 +117,17 @@ class TestBowRow:
     def test_overflow_and_dropped_bytes(self):
         # '€' and 'ω' count as 255, 'é' is 233 and has no column, nor has 'x'
         assert bow_row("€1é1ωx", {49: 0, 255: 1}) == {0: 2.0, 1: 2.0}
+
+
+class TestByteCounts:
+    @settings(max_examples=300, deadline=None)
+    # characters above 255 count in the overflow bucket 255, a lone surrogate too
+    @given(st.lists(st.text(alphabet=st.characters(max_codepoint=0xFFFF, exclude_categories=()), max_size=12)))
+    def test_each_row_is_the_dense_reference(self, tokens):
+        counts = byte_counts(tokens)
+        assert counts.shape == (len(tokens), BYTES) and counts.dtype == np.float64
+        for token, row in zip(tokens, counts):
+            assert row.tobytes() == bow_encode(token, np.arange(BYTES)).tobytes()
+
+    def test_no_tokens(self):
+        assert byte_counts([]).shape == (0, BYTES)

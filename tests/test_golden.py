@@ -24,6 +24,11 @@ pins the same table over ``CUE_SENTENCES``, a few hand-written lines with
 the readings the corpus does not reach (a number before ``sen``, cue words
 whose slot order decides the reading); ``... tests/test_golden.py
 cue-readings`` prints it.
+
+``WORKLOAD_DIGESTS`` pins ``compare`` TSV for dt and knn on the benchmark's
+own cv corpus (``cv_workload_corpus()``, written by perfbench's writer), at
+the fold seed the benchmark runs (42) and at 29. lda and svm are left out:
+their reports move with the BLAS kernel's summation order.
 """
 
 import hashlib
@@ -36,6 +41,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from conftest import PERFBENCH_INPUTS
 
 from numctx.cli import main
 from numctx.context_features import line_windows
@@ -106,6 +112,15 @@ DIGESTS = {
     "train knn bow --k 3": "d7eefe2fd794ffac6f924a7e27b3f9cd71a2e911e098c0864552f88b0bd6aabd",
 }
 
+# the cv workload at seed 29: its corpus, its argv, and the fold seed
+WORKLOAD_CASES = [f"compare {c} --seed {seed}" for c in ("dt", "knn") for seed in (42, 29)]
+WORKLOAD_DIGESTS = {
+    "compare dt --seed 42": "b8f82a9fd51eafe11db9930534e4f5e983e22e72f2c4255ea046cd07a3cec625",
+    "compare dt --seed 29": "368cf227c9a68e401d209f3725912c67c3d8d08e218494d53eef74b0e4854b70",
+    "compare knn --seed 42": "f6eec6409772e863defacf04450602333e408f958f26d6b3d5a2496f882e7b61",
+    "compare knn --seed 29": "fbdb5a588a2bd01ef6ef16f8c0a8b8bb67cf0a93761bf7e697c29eedd507131d",
+}
+
 READINGS_DIGEST = "3dfcb23abe81005930df6e659f5cbb7abf05bf0066aedf066ed6553a121a200a"
 
 # hand-written lines whose readings the bundled corpus never reaches: a
@@ -159,6 +174,16 @@ def digest_of(case: str) -> str:
     return hashlib.sha256(pinned.encode("utf-8")).hexdigest()
 
 
+def workload_digest_of(case: str) -> str:
+    _, classifier, *seed = case.split()
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus.csv"
+        PERFBENCH_INPUTS.cv_corpus(29, corpus)
+        code, out, err = run(["compare", "--classifier", classifier, "--corpus", str(corpus), *seed, "--format", "tsv"])
+    assert (code, err) == (0, ""), err
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
 def bundled_sentences() -> list[str]:
     return list(dict.fromkeys(s.text for s in load_corpus(bundled_corpus_path())))
 
@@ -186,6 +211,11 @@ def test_output_matches_pinned_digest(case):
     assert digest_of(case) == DIGESTS[case]
 
 
+@pytest.mark.parametrize("case", WORKLOAD_CASES)
+def test_workload_output_matches_pinned_digest(case):
+    assert workload_digest_of(case) == WORKLOAD_DIGESTS[case]
+
+
 def readings_digest(sentences) -> str:
     return hashlib.sha256(readings_table(sentences).encode("utf-8")).hexdigest()
 
@@ -206,6 +236,10 @@ if __name__ == "__main__":
     print("DIGESTS = {")
     for case in CASES:
         print(f'    "{case}": "{digest_of(case)}",')
+    print("}")
+    print("WORKLOAD_DIGESTS = {")
+    for case in WORKLOAD_CASES:
+        print(f'    "{case}": "{workload_digest_of(case)}",')
     print("}")
     print(f'READINGS_DIGEST = "{readings_digest(bundled_sentences())}"')
     print(f'CUE_READINGS_DIGEST = "{readings_digest(CUE_SENTENCES)}"')

@@ -18,10 +18,9 @@ counts follow its weights, whose last bits depend on the BLAS kernel, as the
 
 import numpy as np
 import pytest
-from conftest import LINE_ALPHABET, cv_workload_corpus, reachable_context_keys, stream_lines
+from conftest import LINE_ALPHABET, bow_encode, cv_workload_corpus, reachable_context_keys, stream_lines
 from hypothesis import given, settings, strategies as st
 
-from numctx.bow_features import bow_encode
 from numctx.classifiers import Algorithm, TrainConfig, predict_batch
 from numctx.context_features import (
     _N_BUCKETS,

@@ -2,7 +2,8 @@
 with the context vector built by a frozen copy of the one-hot encoder that
 came before the six codes and the bag-of-words vector counted from the
 pipeline's stored vocabulary line; the pairs an extractor gives scatter to
-that vector."""
+that vector. ``encode_rows`` against a frozen copy of the per-row encoder
+that came before each distinct key's row was built once."""
 
 import gc
 import os
@@ -11,9 +12,10 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import cv_workload_corpus
 from hypothesis import given, settings, strategies as st
 
-from numctx import context_features
+from numctx import bow_features, classifiers, context_features, evaluation
 from numctx.classifiers import Algorithm, TrainConfig, predict_batch
 from numctx.context_features import (
     KEYWORD_CLASSES,
@@ -24,12 +26,12 @@ from numctx.context_features import (
     line_windows,
     one_hot_row,
 )
-from numctx.corpus import bundled_corpus_path, load_corpus
+from numctx.corpus import Corpus, LabeledSentence, bundled_corpus_path, load_corpus, stratified_folds
 from numctx.evaluation import cross_validate
-from numctx.labels import FormatLabel
+from numctx.labels import LABELS, FormatLabel
 from numctx.locator import SHAPE_KINDS, NumberShape, locate_numbers, shape_of
 from numctx.models import ModelFormatError
-from numctx.pipeline import EXTRACTORS, MEMO_SIZE, PARSED_FILES, ContextFeatures, Pipeline
+from numctx.pipeline import EXTRACTORS, MEMO_SIZE, PARSED_FILES, ContextFeatures, Pipeline, encode_rows, make_features
 
 # --- frozen one-hot encoder: the differential oracle -------------------------
 
@@ -137,6 +139,88 @@ class TestCodes:
         shape = NumberShape(SHAPE_KINDS[0], 2, (2,))
         unknown, month, boundary = (int(c) for c in (KeywordClass.Unknown, KeywordClass.Month, KeywordClass.Boundary))
         assert codes(window, shape, LEXICON) == (unknown, unknown, month, boundary, int(SHAPE_KINDS[0]), 0)
+
+
+# --- frozen per-row encoder: the differential oracle of encode_rows -----------
+
+
+def _oracle_encode_rows(features, corpus):
+    """encode_rows as it was before each distinct key's row was built once:
+    each corpus row's key and pairs, one row at a time, scattered into one
+    matrix."""
+    if features.windowed:
+        windows = [line_windows(s.text, [s.number])[0] for s in corpus]
+        keys = [features.key(w, s.number, shape_of(s.number)) for w, s in zip(windows, corpus)]
+    else:
+        keys = [features.key(None, s.number, None) for s in corpus]
+    cells = [(i, column, value) for i, key in enumerate(keys) for column, value in features.row(key).items()]
+    X = np.zeros((len(corpus), len(features.columns)))
+    if cells:
+        rows, columns, values = zip(*cells)
+        X[rows, columns] = values
+    return X
+
+
+def _assert_encoded_as_oracle(corpus, trainings):
+    """encode_rows equals the oracle byte for byte, for each extractor
+    unfitted and then fitted on each list of row indices in ``trainings``."""
+    for extractor in EXTRACTORS:
+        features = make_features(extractor, LEXICON)
+        for training in [None, *trainings]:
+            if training is not None:
+                features.fit([corpus[i].number for i in training])
+            X, expected = encode_rows(features, corpus), _oracle_encode_rows(features, corpus)
+            assert X.shape == expected.shape and X.dtype == expected.dtype
+            assert X.tobytes() == expected.tobytes(), (extractor, features.dump())
+
+
+def _fold_trainings(corpus, seed):
+    """Each of the 10 folds' training rows, as cross-validation fits them."""
+    return [sorted(set(range(len(corpus))) - set(fold)) for fold in stratified_folds(corpus, 10, seed)]
+
+
+# number raws of digits, separators, signs, RM and %, each in a line of its own
+# between words of a few keyword classes; every number located in a line is a row
+_RAW = st.lists(st.sampled_from([*"0123456789.,:/-+%", "RM"]), min_size=1, max_size=10).map("".join)
+_WORD = st.sampled_from(["harga", "pukul", "pada", "Januari", "ringgit", "peratus", "km", "tahun", "zzyzx"])
+_LINE = st.builds(lambda before, raw, after: f"{before} {raw} {after}", _WORD, _RAW, _WORD)
+
+
+class TestEncodeRowsMatchesPerRowEncoder:
+    def test_bundled_corpus(self):
+        _assert_encoded_as_oracle(CORPUS, _fold_trainings(CORPUS, 42))
+
+    def test_cv_workload_corpus(self):
+        corpus = cv_workload_corpus()
+        _assert_encoded_as_oracle(corpus, _fold_trainings(corpus, 29))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_LINE, max_size=30), st.randoms(use_true_random=False))
+    def test_random_number_raws(self, lines, random):
+        rows = [(line, number.span) for line in lines for number in locate_numbers(line)]
+        corpus = Corpus(
+            tuple(LabeledSentence(f"r{i}", line, span, random.choice(LABELS)) for i, (line, span) in enumerate(rows))
+        )
+        halves = [[i for i in range(len(corpus)) if random.random() < 0.5] for _ in range(2)]
+        _assert_encoded_as_oracle(corpus, [training for training in halves if training])
+
+    # a located number is ASCII, so bag-of-words keys of any text check the
+    # overflow bucket: the rows of many keys at once are each key's pairs,
+    # with every byte kept and with a vocabulary's
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.text(st.characters(max_codepoint=0x3FF), max_size=8), max_size=20),
+        st.lists(st.integers(0, bow_features.BYTES - 1), unique=True, min_size=1, max_size=24),
+    )
+    def test_bow_rows_of_any_text(self, keys, vocabulary):
+        features = make_features("bow", LEXICON)
+        for columns in (features.columns, vocabulary):
+            features._keep(columns)
+            expected = np.zeros((len(keys), len(columns)))
+            for i, key in enumerate(keys):
+                row = features.row(key)
+                expected[i, list(row)] = list(row.values())
+            assert features.rows(keys).tobytes() == expected.tobytes()
 
 
 class TestLabelMatchesPredict:
@@ -294,3 +378,26 @@ class TestEachRowLocatedOnce:
                 corpus, extractor, TrainConfig(algorithm=Algorithm.DecisionTree), k=2, seed=42, lexicon=LEXICON
             )
         assert calls == []
+
+
+class TestEachKeyEncodedOncePerRun:
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("extractor", EXTRACTORS)
+    def test_rows_built_once_per_key_and_knn_points_never_searched(self, extractor, k, monkeypatch):
+        corpus = cv_workload_corpus()
+
+        def counted(module, name, calls):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda first, *rest: calls.append(first) or real(first, *rest))
+
+        built, searched, predicted = [], [], []
+        counted(context_features, "one_hot_row", built)
+        counted(bow_features, "bow_row", built)
+        counted(classifiers, "_distinct_rows", searched)
+        counted(evaluation, "predict_batch", predicted)
+        cross_validate(corpus, extractor, TrainConfig(algorithm=Algorithm.KNN, k=k), k=10, seed=29, lexicon=LEXICON)
+        # a row per distinct key, or none at all where numpy counts the bytes
+        assert len(built) == len(set(built))
+        # the run's rows are searched, never a fold's 606 or 607 points
+        assert searched and all(len(rows) == len(corpus) for rows in searched)
+        assert len(predicted) == 10

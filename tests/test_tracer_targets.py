@@ -20,6 +20,7 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 # targets whose attributes the program no longer has; retargeting the
 # tracer empties this set
 UNMEASURED = {
+    ("numctx.bow_features", "bow_encode"),
     ("numctx.cli", "deserialize"),
     ("numctx.cli", "predict"),
     ("numctx.cli", "tokenize"),
