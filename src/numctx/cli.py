@@ -2,11 +2,11 @@
 
 Exit codes: 0 success, 1 data/runtime error, 2 usage error. All randomness
 flows from ``--seed``, so two invocations with equal flags produce
-byte-identical reports. ``--corpus`` and ``--lexicon`` default to the
-bundled corpus and lexicon; no environment variable is read. Only the commands
-that read a corpus import ``corpus``, only those that train import numpy, and
-only ``--format json`` imports ``json``; a one-shot ``classify --model``
-imports none of them.
+byte-identical reports. ``--corpus`` and ``--lexicon`` default to the bundled
+corpus and lexicon; no environment variable is read. Only the commands that
+read a corpus import ``corpus``, only those that train import numpy, and only
+``--format json`` imports ``json``; a one-shot ``classify --model`` imports
+none of them. ``classify`` prints what ``Pipeline.read_line`` yields.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from typing import TYPE_CHECKING
 from . import context_features
 from .models import Algorithm, TrainConfig
 from .labels import LABELS
-from .locator import locate_numbers, shape_of
 from .pipeline import EXTRACTORS, Pipeline
-from .verbalizer import VerbalizationStyle, verbalize
+from .verbalizer import VerbalizationStyle
 
 if TYPE_CHECKING:
     from .corpus import Corpus
@@ -34,15 +33,10 @@ _OUT_OF_SCOPE_CLASSIFIERS = ("svm-poly", "svm-rbf")
 load_pipeline = Pipeline.load
 
 
-# module-level names for the same reason, which import corpus only when called
+# a module-level name for the same reason, which imports corpus only when called
 def load_corpus(path: Path) -> Corpus:
     from . import corpus
     return corpus.load_corpus(path)
-
-
-def scan_corpus(path: Path):
-    from . import corpus
-    return corpus.scan_corpus(path)
 
 
 # one flag per field with a default (TrainConfig's algorithm is --classifier's), named
@@ -167,7 +161,7 @@ def _emit_report(report: dict, fmt: str) -> None:
 
 
 def cmd_validate(args) -> int:
-    from .corpus import Corpus
+    from .corpus import Corpus, scan_corpus
     sentences, errors = scan_corpus(args.corpus)
     counts = Corpus(tuple(sentences)).class_counts()
     print(f"corpus\t{args.corpus}")
@@ -230,13 +224,9 @@ def cmd_classify(args) -> int:
         text = line.rstrip("\n")
         if lineno == 0:  # one byte-order mark at the start of the stream, as read_utf8 drops from a file
             text = text.removeprefix("\ufeff")
-        numbers = locate_numbers(text)
-        for number, window in zip(numbers, context_features.line_windows(text, numbers)):
-            shape = shape_of(number)
-            label = pipeline.label(window, number, shape)
-            words = verbalize(number, label, style, context=window, lexicon=pipeline.lexicon, shape=shape)
+        for number, _, _, label, words in pipeline.read_line(text, style):
             start, end = number.span
-            print(f"{start}-{end}\t{label.name}\t{words}")
+            sys.stdout.write(f"{start}-{end}\t{label._name_}\t{words}\n")  # one call; _name_ skips .name's descriptor
     return 0
 
 

@@ -1,14 +1,14 @@
 """Context-window feature extraction.
 
 The feature of a number is its two neighboring words on each side plus the
-number's own surface shape. ``line_windows`` finds the window of each
-number by searching outward from its span for the two words before and
-the two after (``words_before``, ``words_after``), and lowercases only
-those. Window words are mapped to keyword classes through an editable
-lexicon, and the four positions, the shape kind, and a digit-count bucket
-are six integer codes (``codes``). Their one-hot is a fixed 56-column row
-that does not depend on any corpus statistics; ``one_hot_row`` gives its
-six nonzero columns, and no dense vector is built to classify.
+number's own surface shape. ``line_windows`` finds the window of each number by
+searching outward from its span for the two words before and the two after
+(``words_before``, ``words_after``), and lowercases only those.
+``line_numbers`` adds their shapes. Window words are mapped to keyword classes
+through an editable lexicon, and the four positions, the shape kind, and a
+digit-count bucket are six integer codes (``codes``). Their one-hot is a fixed
+56-column row that does not depend on any corpus statistics; ``one_hot_row``
+gives its six nonzero columns, and no dense vector is built to classify.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import io
 from enum import IntEnum
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .locator import (
     SENTENCE_PUNCTUATION,
@@ -27,6 +27,7 @@ from .locator import (
     NumberToken,
     is_word_character,
     locate_numbers,
+    shape_of,
     words_after,
     words_before,
 )
@@ -178,6 +179,12 @@ def line_windows(text: str, numbers: list[NumberToken]) -> list[ContextWindow]:
         after = words_after(text, end, 2) + [None, None]
         windows.append(ContextWindow(before[1], before[0], after[0], after[1]))
     return windows
+
+
+def line_numbers(text: str) -> Iterator[tuple[NumberToken, ContextWindow, NumberShape]]:
+    """Each number located in ``text`` as ``(number, window, shape)``, in span order."""
+    numbers = locate_numbers(text)
+    return zip(numbers, line_windows(text, numbers), map(shape_of, numbers))
 
 
 def _bucket(digit_count: int) -> int:

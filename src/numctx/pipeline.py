@@ -10,7 +10,7 @@ state keeps of one fixed encoding: all 56 context columns, or the
 vocabulary's bytes out of the 256 byte counts. An unfitted extractor keeps
 every column, so cross-validation encodes the corpus once and takes each
 fold's columns from it. A pipeline is not changed after it is built, so
-``Pipeline.label`` remembers the label of each key it has seen (up to
+``Pipeline.read_line`` remembers the label of each key it has seen (up to
 ``MEMO_SIZE`` keys, least recently used dropped first) and runs the model's
 pure-Python ``predict`` on the pairs only for a new key: loading a pipeline
 and classifying with it imports no numpy. Only ``encode_rows``, which builds
@@ -31,7 +31,7 @@ same bytes from the same path returns one object, warm memo included.
 from __future__ import annotations
 
 import functools
-from collections.abc import Hashable
+from collections.abc import Hashable, Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -40,6 +40,7 @@ from .models import LineReader, ModelFormatError, TrainConfig
 from .context_features import ContextWindow, Lexicon
 from .labels import FormatLabel
 from .locator import NumberShape, NumberToken, shape_of
+from .verbalizer import VerbalizationStyle, verbalize
 
 if TYPE_CHECKING:  # an annotation only: classifying reads no corpus
     from .corpus import Corpus
@@ -168,9 +169,11 @@ class Pipeline:
 
         self.memo = functools.lru_cache(maxsize=MEMO_SIZE)(predict)
 
-    def label(self, window: ContextWindow, number: NumberToken, shape: NumberShape) -> FormatLabel:
-        """The model's label for ``number``, of shape ``shape``, in ``window``; computed once per key."""
-        return self.memo(self.features.key(window, number, shape))
+    def read_line(self, text: str, style: VerbalizationStyle) -> Iterator[tuple]:
+        """``(number, window, shape, label, words)`` for each number of ``text``, yielded before the next is read."""
+        for number, window, shape in context_features.line_numbers(text):
+            label = self.memo(self.features.key(window, number, shape))
+            yield number, window, shape, label, verbalize(number, label, style, window, self.lexicon, shape)
 
     @classmethod
     def fit(cls, corpus: Corpus, cfg: TrainConfig, extractor: str, lexicon: Lexicon) -> "Pipeline":

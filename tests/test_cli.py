@@ -324,7 +324,7 @@ class TestFlagsTakeTheLibraryDefaults:
         model_path = tmp_path / "model.txt"
         run(["train", "--corpus", toy_corpus_path, "--output", str(model_path)], capsys=capsys)
         styles = []
-        monkeypatch.setattr(cli, "verbalize", lambda token, label, style, **kwargs: styles.append(style) or "")
+        monkeypatch.setattr(pipeline, "verbalize", lambda token, label, style, *args: styles.append(style) or "")
 
         def style_of(*flags):
             argv = ["classify", "--model", str(model_path), *flags]
@@ -524,6 +524,18 @@ class TestClassifyResumesAfterAnAbort:
         )
         assert resumed == (proc.returncode, proc.stdout, proc.stderr)
         assert resumed[0] == 0 and len(resumed[1].splitlines()) == 5
+
+
+class TestAnAbortKeepsTheNumbersBeforeItInItsLine:
+    def test_classify_prints_the_first_number_then_exits_1(self, tmp_path, monkeypatch, capsys):
+        # a one-leaf tree labels every number Phone: the digits read as one, RM 12.50 cannot
+        lexicon = default_lexicon()
+        path = tmp_path / "phone.txt"
+        model = deserialize("numctx-model v2\nalgorithm dt\ndim 56\nnodes 1\nleaf 2\nend\n")
+        Pipeline(lexicon, pipeline.ContextFeatures(lexicon), model).save(path)
+        code, out, err = run(["classify", "--model", str(path)], "Hubungi 0123456789 atau RM 12.50\n", monkeypatch, capsys)
+        assert (code, out) == (1, "8-18\tPhone\tkosong satu dua tiga empat lima enam tujuh lapan sembilan\n")
+        assert err == "numctx: error: token 'RM 12.50' with shape CurrencyPrefixed cannot be read as Phone\n"
 
 
 class TestTrainAndClassify:

@@ -15,6 +15,7 @@ from numctx.context_features import (
     add_entry,
     codes,
     default_lexicon,
+    line_numbers,
     line_windows,
     load_lexicon,
     one_hot_row,
@@ -116,6 +117,7 @@ class TestLineWindowsMatchTheTokenScan:
         numbers = locate_numbers(text)
         words = _oracle_tokenize(text)
         assert line_windows(text, numbers) == [_oracle_window(words, n) for n in numbers]
+        assert list(line_numbers(text)) == [(n, _oracle_window(words, n), shape_of(n)) for n in numbers]
 
 
 class TestClassifyWord:

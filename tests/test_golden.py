@@ -44,10 +44,9 @@ import pytest
 from conftest import PERFBENCH_INPUTS
 
 from numctx.cli import main
-from numctx.context_features import line_windows
+from numctx.context_features import line_numbers
 from numctx.corpus import bundled_corpus_path, load_corpus
 from numctx.labels import LABELS
-from numctx.locator import locate_numbers, shape_of
 from numctx.verbalizer import _READINGS, CurrencyMode, UnitMode, VerbalizationStyle, YearMode, verbalize
 
 CLASSIFIERS = ("dt", "knn", "lda", "svm")
@@ -193,9 +192,7 @@ def readings_table(sentences) -> str:
     styles = [VerbalizationStyle(*modes) for modes in itertools.product(YearMode, CurrencyMode, UnitMode)]
     lines = []
     for index, text in enumerate(sentences):
-        numbers = locate_numbers(text)
-        for number, window in zip(numbers, line_windows(text, numbers)):
-            shape = shape_of(number)
+        for number, window, shape in line_numbers(text):
             for label, style in itertools.product(LABELS, styles):
                 if shape.kind not in _READINGS[label][1]:
                     continue

@@ -29,11 +29,11 @@ from numctx.context_features import (
     FEATURE_DIM,
     codes,
     default_lexicon,
-    line_windows,
+    line_numbers,
 )
 from numctx.corpus import bundled_corpus_path, load_corpus
 from numctx.labels import LABELS
-from numctx.locator import ShapeKind, locate_numbers, shape_of
+from numctx.locator import ShapeKind, locate_numbers
 from numctx.models import deserialize, predict, serialize
 from numctx.pipeline import Pipeline
 from numctx.verbalizer import _READINGS
@@ -48,12 +48,7 @@ _CHUNK = 20_000  # rows of the dense reference matrix at a time: 9 MB
 
 
 def _line_keys(lines):
-    return {
-        codes(window, shape_of(number), LEXICON)
-        for line in lines
-        for numbers in [locate_numbers(line)]
-        for number, window in zip(numbers, line_windows(line, numbers))
-    }
+    return {codes(window, shape, LEXICON) for line in lines for _, window, shape in line_numbers(line)}
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,4 @@
-"""Pipeline.label against the numpy batch predict on the encoded vector,
+"""A pipeline's memo label against the numpy batch predict on the encoded vector,
 with the context vector built by a frozen copy of the one-hot encoder that
 came before the six codes and the bag-of-words vector counted from the
 pipeline's stored vocabulary line; the pairs an extractor gives scatter to
@@ -23,6 +23,7 @@ from numctx.context_features import (
     KeywordClass,
     codes,
     default_lexicon,
+    line_numbers,
     line_windows,
     one_hot_row,
 )
@@ -30,8 +31,9 @@ from numctx.corpus import Corpus, LabeledSentence, bundled_corpus_path, load_cor
 from numctx.evaluation import cross_validate
 from numctx.labels import LABELS, FormatLabel
 from numctx.locator import SHAPE_KINDS, NumberShape, locate_numbers, shape_of
-from numctx.models import ModelFormatError
+from numctx.models import ModelFormatError, deserialize
 from numctx.pipeline import EXTRACTORS, MEMO_SIZE, PARSED_FILES, ContextFeatures, Pipeline, encode_rows, make_features
+from numctx.verbalizer import DEFAULT_STYLE, VerbalizationError
 
 # --- frozen one-hot encoder: the differential oracle -------------------------
 
@@ -79,6 +81,11 @@ def _oracle_vector(pipeline, window, number):
 def _reference(model, vector):
     """The label the numpy batch path gives one dense vector."""
     return FormatLabel(int(predict_batch(model, [vector])[0]))
+
+
+def memo_label(pipeline, window, number, shape):
+    """The label ``Pipeline.read_line`` gives ``number``, of shape ``shape``, in ``window``."""
+    return pipeline.memo(pipeline.features.key(window, number, shape))
 
 
 def _dense(row, width):
@@ -230,9 +237,9 @@ class TestLabelMatchesPredict:
         pipeline = bundled_pipelines[(algorithm, extractor)]
         expected = [_reference(pipeline.model, _oracle_vector(pipeline, w, n)) for w, n in zip(WINDOWS, NUMBERS)]
         pipeline.memo.cache_clear()
-        first = [pipeline.label(*row) for row in ROWS]
+        first = [memo_label(pipeline, *row) for row in ROWS]
         misses = pipeline.memo.cache_info().misses
-        second = [pipeline.label(*row) for row in ROWS]
+        second = [memo_label(pipeline, *row) for row in ROWS]
         assert first == expected
         assert second == expected
         distinct = {pipeline.features.key(*row) for row in ROWS}
@@ -263,12 +270,25 @@ class TestLabelMatchesPredict:
         assert pipeline.memo(codes(window, shape, LEXICON)) == expected
 
 
+class TestReadLine:
+    def test_an_unreadable_number_raises_after_the_numbers_before_it(self):
+        # a one-leaf tree labels every number Phone: the digits read as one, RM 12.50 cannot
+        text = "Hubungi 0123456789 atau RM 12.50"
+        model = deserialize("numctx-model v2\nalgorithm dt\ndim 56\nnodes 1\nleaf 2\nend\n")
+        readings = Pipeline(LEXICON, ContextFeatures(LEXICON), model).read_line(text, DEFAULT_STYLE)
+        number, window, shape = next(line_numbers(text))
+        words = "kosong satu dua tiga empat lima enam tujuh lapan sembilan"
+        assert next(readings) == (number, window, shape, FormatLabel.Phone, words)
+        with pytest.raises(VerbalizationError, match="'RM 12.50' with shape CurrencyPrefixed cannot be read as Phone"):
+            next(readings)
+
+
 class TestMemo:
     def test_bow_memo_stays_within_its_size(self, bundled_pipelines):
         pipeline = bundled_pipelines[("dt", "bow")]
         pipeline.memo.cache_clear()
         numbers = [n for i in range(MEMO_SIZE + 200) for n in locate_numbers(str(i))]
-        labels = [pipeline.label(None, n, None) for n in numbers]
+        labels = [memo_label(pipeline, None, n, None) for n in numbers]
         info = pipeline.memo.cache_info()
         assert info.maxsize == MEMO_SIZE
         assert info.currsize == MEMO_SIZE
@@ -279,7 +299,7 @@ class TestMemo:
     def test_each_pipeline_has_its_own_memo(self):
         a = Pipeline.fit(CORPUS, TrainConfig(algorithm=Algorithm.KNN), "context", LEXICON)
         b = Pipeline.fit(CORPUS, TrainConfig(algorithm=Algorithm.KNN), "context", LEXICON)
-        a.label(*ROWS[0])
+        memo_label(a, *ROWS[0])
         assert a.memo.cache_info().currsize == 1
         assert b.memo.cache_info().currsize == 0
 
@@ -287,7 +307,7 @@ class TestMemo:
         # a memo that referred back to its pipeline would keep every dropped
         # pipeline, model included, alive until the next garbage collection
         pipeline = Pipeline.fit(CORPUS, TrainConfig(algorithm=Algorithm.KNN), "context", LEXICON)
-        pipeline.label(*ROWS[0])
+        memo_label(pipeline, *ROWS[0])
         gone = weakref.ref(pipeline)
         gc.disable()
         try:
@@ -326,7 +346,7 @@ class TestLoadParsesEachTextOnce:
         path = tmp_path / "dt.txt"
         dt_pipeline.save(path)
         old = Pipeline.load(path)
-        before = [old.label(*row) for row in ROWS]
+        before = [memo_label(old, *row) for row in ROWS]
         stat = path.stat()
         text = path.read_text(encoding="utf-8")
         rewritten = re.sub(r"^leaf (\d)$", lambda m: f"leaf {5 - int(m[1])}", text, flags=re.M)
@@ -336,7 +356,7 @@ class TestLoadParsesEachTextOnce:
         assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
         new = Pipeline.load(path)
         assert new is not old
-        assert [new.label(*row) for row in ROWS] == [FormatLabel(5 - label) for label in before]
+        assert [memo_label(new, *row) for row in ROWS] == [FormatLabel(5 - label) for label in before]
 
     def test_a_damaged_file_raises_on_every_load(self, dt_pipeline, tmp_path):
         # lru_cache keeps no exception, so the second load parses and refuses again

@@ -22,12 +22,15 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 UNMEASURED = {
     ("numctx.bow_features", "bow_encode"),
     ("numctx.cli", "deserialize"),
+    ("numctx.cli", "locate_numbers"),
     ("numctx.cli", "predict"),
+    ("numctx.cli", "scan_corpus"),
+    ("numctx.cli", "shape_of"),
     ("numctx.cli", "tokenize"),
     ("numctx.cli", "train"),
+    ("numctx.cli", "verbalize"),
     ("numctx.context_features", "encode"),
     ("numctx.context_features", "encode_at"),
-    ("numctx.context_features", "shape_of"),
     ("numctx.context_features", "tokenize"),
     ("numctx.context_features", "window_for_token"),
     ("numctx.evaluation", "train"),
