@@ -1,14 +1,16 @@
 """Context-window feature extraction.
 
 The feature of a number is its two neighboring words on each side plus the
-number's own surface shape. ``line_windows`` finds the window of each number by
-searching outward from its span for the two words before and the two after
-(``words_before``, ``words_after``), and lowercases only those.
-``line_numbers`` adds their shapes. Window words are mapped to keyword classes
-through an editable lexicon, and the four positions, the shape kind, and a
-digit-count bucket are six integer codes (``codes``). Their one-hot is a fixed
-56-column row that does not depend on any corpus statistics; ``one_hot_row``
-gives its six nonzero columns, and no dense vector is built to classify.
+number's own surface shape. ``line_numbers`` reads a line in one pass over its
+located numbers: each number's window is searched outward from its own span
+for the two words before and the two after (``number_window`` over
+``words_before`` and ``words_after``, which lowercase only those), and its
+shape is ``shape_of``'s. Window words are mapped to keyword classes through an
+editable lexicon, and the four positions, the shape kind, and a digit-count
+bucket are six plain-int codes, read straight from the lexicon's entries
+(``codes``). Their one-hot is a fixed 56-column row that does not depend on
+any corpus statistics; ``one_hot_row`` gives its six nonzero columns, and no
+dense vector is built to classify.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ class KeywordClass(IntEnum):
 
 
 KEYWORD_CLASSES: tuple[KeywordClass, ...] = tuple(KeywordClass)
+_UNKNOWN, _BOUNDARY = KeywordClass.Unknown, KeywordClass.Boundary
 
 # row layout: 4 position blocks of 11, then 9 shape kinds, then 3 buckets
 _N_CLASSES = len(KEYWORD_CLASSES)
@@ -155,19 +158,25 @@ class ContextWindow(NamedTuple):
     postposition2: str | None
 
 
+def number_window(text: str, number: NumberToken) -> ContextWindow:
+    """The window of ``number``, located in ``text``: the two words before the
+    chunk holding its first character and the two after the chunk holding
+    its last, a slot past either end of the line being None."""
+    start, end = number.span
+    before, after = words_before(text, start, 2), words_after(text, end, 2)
+    nb, na = len(before), len(after)
+    return ContextWindow(
+        before[1] if nb > 1 else None, before[0] if nb else None, after[0] if na else None, after[1] if na > 1 else None
+    )
+
+
 def line_windows(text: str, numbers: list[NumberToken]) -> list[ContextWindow]:
-    """The window of each of ``numbers``, located in ``text``: the two words
-    before the first and the two after the last word overlapping the number,
-    a slot past either end of the line being None.
+    """The window of each of ``numbers``, located in ``text`` (``number_window``).
 
     A number's first and last characters are word characters, so each lies
     inside a word the number covers (an absorbed ``RM`` keeps its own word).
-    The words before the number are those of the chunks wholly before the
-    chunk holding its first character, and the words after it those of the
-    chunks wholly after the chunk holding its last. A span that does not
-    start and end on a word character raises ValueError.
+    A span that does not start and end on a word character raises ValueError.
     """
-    windows = []
     for number in numbers:
         start, end = number.span
         if not (start < end and is_word_character(text[start]) and is_word_character(text[end - 1])):
@@ -175,16 +184,14 @@ def line_windows(text: str, numbers: list[NumberToken]) -> list[ContextWindow]:
                 f"number token {number.raw!r} at {number.span} does not start and end on a word character:"
                 " it overlaps no word token there"
             )
-        before = words_before(text, start, 2) + [None, None]
-        after = words_after(text, end, 2) + [None, None]
-        windows.append(ContextWindow(before[1], before[0], after[0], after[1]))
-    return windows
+    return [number_window(text, number) for number in numbers]
 
 
 def line_numbers(text: str) -> Iterator[tuple[NumberToken, ContextWindow, NumberShape]]:
-    """Each number located in ``text`` as ``(number, window, shape)``, in span order."""
-    numbers = locate_numbers(text)
-    return zip(numbers, line_windows(text, numbers), map(shape_of, numbers))
+    """Each number located in ``text`` as ``(number, window, shape)``, in span
+    order, each window searched from the number's own span."""
+    for number in locate_numbers(text):
+        yield number, number_window(text, number), shape_of(number)
 
 
 def _bucket(digit_count: int) -> int:
@@ -197,10 +204,12 @@ def _bucket(digit_count: int) -> int:
 
 def codes(window: ContextWindow, shape: NumberShape, lexicon: Lexicon) -> tuple[int, ...]:
     """The six codes a context vector is the one-hot of: the keyword class of
-    each window slot (pre2, pre1, post1, post2), the shape kind and the
-    digit bucket."""
-    classes = [int(lexicon.lookup(word)) for word in window]
-    return (*classes, int(shape.kind), _bucket(shape.digit_count))
+    each window slot (pre2, pre1, post1, post2) as ``Lexicon.lookup`` gives
+    it, the shape kind and the digit bucket, all plain ints."""
+    get = lexicon.entries.get
+    # a member's _value_ is its plain int, read without the call int() makes
+    classes = [(_BOUNDARY if word is None else get(word, _UNKNOWN))._value_ for word in window]
+    return (*classes, shape.kind._value_, _bucket(shape.digit_count))
 
 
 def one_hot_row(codes: tuple[int, ...]) -> dict[int, float]:

@@ -4,7 +4,10 @@ A word is a whitespace-separated chunk with its leading and trailing
 sentence punctuation (``SENTENCE_PUNCTUATION``) detached; a chunk that is
 punctuation only is no word. ``words_before`` and ``words_after`` search
 outward from a position for the nearest few words, and strip and
-lowercase no chunk beyond them.
+lowercase no chunk beyond them; a chunk the position cuts (neither
+character beside it is whitespace) is none of them. The pair is the one
+word rule, and ``context_features.line_numbers`` calls it once each side of
+each located number.
 
 Numbers are maximal ASCII digit runs. Punctuation out of ``. , : - /`` is
 absorbed into a number only when flanked by digits on both sides, so a
@@ -80,15 +83,15 @@ def is_word_character(ch: str) -> bool:
     return not ch.isspace() and ch not in SENTENCE_PUNCTUATION
 
 
-def _cuts_chunk(text: str, pos: int) -> bool:
-    """Whether ``pos`` falls inside a chunk: neither character beside it is whitespace."""
-    return 0 < pos < len(text) and not text[pos - 1].isspace() and not text[pos].isspace()
-
-
-def _nearest_words(chunks, count: int) -> list[str]:
-    """The lowered words of ``chunks``, nearest first, at most ``count`` of them."""
+def words_before(text: str, pos: int, count: int) -> list[str]:
+    """The lowered words of the chunks that end at or before ``pos``, the
+    nearest first, at most ``count`` of them. A chunk that ``pos`` cuts is
+    not among them."""
+    chunks = text[:pos].split()
+    if 0 < pos < len(text) and not text[pos - 1].isspace() and not text[pos].isspace():
+        del chunks[-1]
     words: list[str] = []
-    for chunk in chunks:
+    for chunk in reversed(chunks):
         word = chunk.strip(SENTENCE_PUNCTUATION)
         if word:
             words.append(word.lower())
@@ -97,24 +100,21 @@ def _nearest_words(chunks, count: int) -> list[str]:
     return words
 
 
-def words_before(text: str, pos: int, count: int) -> list[str]:
-    """The lowered words of the chunks that end at or before ``pos``, the
-    nearest first, at most ``count`` of them. A chunk that ``pos`` cuts is
-    not among them."""
-    chunks = text[:pos].split()
-    if _cuts_chunk(text, pos):
-        del chunks[-1]
-    return _nearest_words(reversed(chunks), count)
-
-
 def words_after(text: str, pos: int, count: int) -> list[str]:
     """The lowered words of the chunks that start at or after ``pos``, the
     nearest first, at most ``count`` of them. A chunk that ``pos`` cuts is
     not among them."""
     chunks = text[pos:].split()
-    if _cuts_chunk(text, pos):
+    if 0 < pos < len(text) and not text[pos - 1].isspace() and not text[pos].isspace():
         del chunks[0]
-    return _nearest_words(chunks, count)
+    words: list[str] = []
+    for chunk in chunks:
+        word = chunk.strip(SENTENCE_PUNCTUATION)
+        if word:
+            words.append(word.lower())
+            if len(words) == count:
+                break
+    return words
 
 
 def locate_numbers(text: str) -> list[NumberToken]:

@@ -149,8 +149,8 @@ def encode_rows(features: Features, corpus: Corpus):
     """Every corpus row's feature row in a numpy matrix, each distinct key's
     row built once; windows and shapes are built only for extractors that read them."""
     if features.windowed:
-        windows = [context_features.line_windows(s.text, [s.number])[0] for s in corpus]
-        keys = [features.key(w, s.number, shape_of(s.number)) for w, s in zip(windows, corpus)]
+        window = context_features.number_window
+        keys = [features.key(window(s.text, s.number), s.number, shape_of(s.number)) for s in corpus]
     else:
         keys = [features.key(None, s.number, None) for s in corpus]
     index: dict[Hashable, int] = {}  # each distinct key's row, in order of first appearance

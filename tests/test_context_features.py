@@ -1,3 +1,4 @@
+import itertools
 import re
 import sys
 
@@ -198,6 +199,18 @@ class TestEncode:
         window = ContextWindow(None, None, None, None)
         vec = _one_hot_dense(codes(window, NumberShape(ShapeKind.PlainInt, digits, (digits,)), default_lexicon()))
         assert vec[53 + bucket_offset] == 1.0
+
+    def test_codes_are_the_lookups_as_plain_ints(self):
+        # codes reads the lexicon's entries directly; each code must still be
+        # the slot's lookup, and a plain int, as memo keys and reports hold them
+        lexicon = default_lexicon()
+        base = ["mahkamah", None, "januari", "ini"]
+        for slot, word in itertools.product(range(4), [*lexicon.entries, "xyzzy", None]):
+            window = ContextWindow(*base[:slot], word, *base[slot + 1 :])
+            for kind, (digits, bucket) in itertools.product(ShapeKind, [(2, 0), (4, 1), (5, 2)]):
+                key = codes(window, NumberShape(kind, digits, (digits,)), lexicon)
+                assert key == (*[int(lexicon.lookup(w)) for w in window], int(kind), bucket)
+                assert all(type(code) is int for code in key)
 
     def test_locality(self):
         # words outside the 4-slot window cannot change the vector

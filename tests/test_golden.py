@@ -28,7 +28,11 @@ cue-readings`` prints it.
 ``WORKLOAD_DIGESTS`` pins ``compare`` TSV for dt and knn on the benchmark's
 own cv corpus (``cv_workload_corpus()``, written by perfbench's writer), at
 the fold seed the benchmark runs (42) and at 29. lda and svm are left out:
-their reports move with the BLAS kernel's summation order.
+their reports move with the BLAS kernel's summation order. It also pins the
+stream workload's ``classify --model`` for dt and svm: each model is trained
+on the bundled corpus, as the benchmark's set-up does, and reads the
+benchmark's seed-29 stream lines, with stdout, stderr and exit code pinned
+together. svm's run ends at its first abort and is pinned as it is.
 """
 
 import hashlib
@@ -113,11 +117,15 @@ DIGESTS = {
 
 # the cv workload at seed 29: its corpus, its argv, and the fold seed
 WORKLOAD_CASES = [f"compare {c} --seed {seed}" for c in ("dt", "knn") for seed in (42, 29)]
+# the stream workload at seed 29: a bundled-corpus model over its lines
+WORKLOAD_CASES += [f"classify {c}" for c in ("dt", "svm")]
 WORKLOAD_DIGESTS = {
     "compare dt --seed 42": "b8f82a9fd51eafe11db9930534e4f5e983e22e72f2c4255ea046cd07a3cec625",
     "compare dt --seed 29": "368cf227c9a68e401d209f3725912c67c3d8d08e218494d53eef74b0e4854b70",
     "compare knn --seed 42": "f6eec6409772e863defacf04450602333e408f958f26d6b3d5a2496f882e7b61",
     "compare knn --seed 29": "fbdb5a588a2bd01ef6ef16f8c0a8b8bb67cf0a93761bf7e697c29eedd507131d",
+    "classify dt": "562f8d47b97b1b47e46e6c1e55fef6065b1cc51e4b5da55d88f3f0d78d4df7cb",
+    "classify svm": "e4d62d445986fbb7702d01ed7752f2ac8a35ea0e3fe2decc01ee3b596ed8e63b",
 }
 
 READINGS_DIGEST = "3dfcb23abe81005930df6e659f5cbb7abf05bf0066aedf066ed6553a121a200a"
@@ -174,13 +182,21 @@ def digest_of(case: str) -> str:
 
 
 def workload_digest_of(case: str) -> str:
-    _, classifier, *seed = case.split()
+    command, classifier, *seed = case.split()
     with tempfile.TemporaryDirectory() as tmp:
-        corpus = Path(tmp) / "corpus.csv"
-        PERFBENCH_INPUTS.cv_corpus(29, corpus)
-        code, out, err = run(["compare", "--classifier", classifier, "--corpus", str(corpus), *seed, "--format", "tsv"])
-    assert (code, err) == (0, ""), err
-    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+        if command == "classify":
+            model = Path(tmp) / "model.txt"
+            code, _, err = run(["train", "--classifier", classifier, "--output", str(model)])
+            assert code == 0, err
+            lines, _ = PERFBENCH_INPUTS.stream_lines(29)
+            pinned = json.dumps(run(["classify", "--model", str(model)], "".join(f"{s}\n" for s in lines)))
+        else:
+            corpus = Path(tmp) / "corpus.csv"
+            PERFBENCH_INPUTS.cv_corpus(29, corpus)
+            argv = ["compare", "--classifier", classifier, "--corpus", str(corpus), *seed, "--format", "tsv"]
+            code, pinned, err = run(argv)
+            assert (code, err) == (0, ""), err
+    return hashlib.sha256(pinned.encode("utf-8")).hexdigest()
 
 
 def bundled_sentences() -> list[str]:
