@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     corpus.add_argument(
         "--corpus",
         type=Path,
-        default=context_features.default_lexicon_path().with_name("corpus.csv"),  # the bundled corpus
+        default=context_features.bundled_corpus_path(),
         help="corpus CSV (id,text,start,end,label); defaults to the bundled corpus",
     )
     lexicon = argparse.ArgumentParser(add_help=False)

@@ -10,7 +10,8 @@ editable lexicon, and the four positions, the shape kind, and a digit-count
 bucket are six plain-int codes, read straight from the lexicon's entries
 (``codes``). Their one-hot is a fixed 56-column row that does not depend on
 any corpus statistics; ``one_hot_row`` gives its six nonzero columns, and no
-dense vector is built to classify.
+dense vector is built to classify. ``default_lexicon_path`` and
+``bundled_corpus_path`` locate the bundled data without importing ``corpus``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .locator import (
     SHAPE_KINDS,
     NumberShape,
     NumberToken,
-    is_word_character,
     locate_numbers,
     shape_of,
     words_after,
@@ -90,9 +90,10 @@ def add_entry(entries: dict[str, KeywordClass], word: str, class_name: str) -> N
 
 
 class Lexicon:
-    """Word -> keyword-class map; every entry passes ``add_entry``.
+    """Word -> keyword-class map, ``entries``; every entry passes ``add_entry``.
     ``load_lexicon`` and ``Pipeline._read`` fill the dict in place, and the
-    program changes it no more once they return."""
+    program changes it no more once they return. ``codes`` and the
+    verbalizer's cue tests read ``entries`` directly."""
 
     __slots__ = ("entries",)
 
@@ -100,13 +101,6 @@ class Lexicon:
         self.entries: dict[str, KeywordClass] = {}
         for word, cls in entries.items():
             add_entry(self.entries, word, cls.name)
-
-    def lookup(self, word: str | None) -> KeywordClass:
-        """The class of a window slot: Boundary for None (past the sentence
-        edge), else of ``word`` as a window lowers it, or Unknown."""
-        if word is None:
-            return KeywordClass.Boundary
-        return self.entries.get(word, KeywordClass.Unknown)
 
 
 def read_utf8(path: Path, error: type[ValueError]) -> str:
@@ -143,6 +137,10 @@ def default_lexicon_path() -> Path:
     return Path(str(resources.files("numctx").joinpath("data/lexicon.tsv")))
 
 
+def bundled_corpus_path() -> Path:
+    return Path(str(resources.files("numctx").joinpath("data/corpus.csv")))
+
+
 @functools.cache
 def default_lexicon() -> Lexicon:
     return load_lexicon(default_lexicon_path())
@@ -170,23 +168,6 @@ def number_window(text: str, number: NumberToken) -> ContextWindow:
     )
 
 
-def line_windows(text: str, numbers: list[NumberToken]) -> list[ContextWindow]:
-    """The window of each of ``numbers``, located in ``text`` (``number_window``).
-
-    A number's first and last characters are word characters, so each lies
-    inside a word the number covers (an absorbed ``RM`` keeps its own word).
-    A span that does not start and end on a word character raises ValueError.
-    """
-    for number in numbers:
-        start, end = number.span
-        if not (start < end and is_word_character(text[start]) and is_word_character(text[end - 1])):
-            raise ValueError(
-                f"number token {number.raw!r} at {number.span} does not start and end on a word character:"
-                " it overlaps no word token there"
-            )
-    return [number_window(text, number) for number in numbers]
-
-
 def line_numbers(text: str) -> Iterator[tuple[NumberToken, ContextWindow, NumberShape]]:
     """Each number located in ``text`` as ``(number, window, shape)``, in span
     order, each window searched from the number's own span."""
@@ -204,8 +185,9 @@ def _bucket(digit_count: int) -> int:
 
 def codes(window: ContextWindow, shape: NumberShape, lexicon: Lexicon) -> tuple[int, ...]:
     """The six codes a context vector is the one-hot of: the keyword class of
-    each window slot (pre2, pre1, post1, post2) as ``Lexicon.lookup`` gives
-    it, the shape kind and the digit bucket, all plain ints."""
+    each window slot (pre2, pre1, post1, post2), the shape kind and the digit
+    bucket, all plain ints. A slot's class is Boundary for None (past the
+    sentence edge), else its word's entry in ``lexicon``, or Unknown."""
     get = lexicon.entries.get
     # a member's _value_ is its plain int, read without the call int() makes
     classes = [(_BOUNDARY if word is None else get(word, _UNKNOWN))._value_ for word in window]

@@ -18,7 +18,6 @@ import csv
 import io
 import random
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
 from . import context_features
@@ -135,14 +134,6 @@ def load_corpus(path: str | Path) -> Corpus:
     if errors:
         raise errors[0]
     return Corpus(sentences=tuple(sentences))
-
-
-def bundled_corpus_path() -> Path:
-    return Path(str(resources.files("numctx").joinpath("data/corpus.csv")))
-
-
-def load_bundled_corpus() -> Corpus:
-    return load_corpus(bundled_corpus_path())
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

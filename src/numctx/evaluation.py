@@ -3,15 +3,16 @@
 A confusion matrix is a (6, 6) int64 counts array with true labels along
 rows and predicted labels along columns, so recall reads along a row and
 precision down a column. Cross-validation pools the per-fold matrices by
-summation. It encodes each distinct key of the corpus once and finds its
-distinct rows once; any feature state learned from data (the bag-of-words
-vocabulary) is rebuilt from each fold's training split and picks that
-fold's columns of the encoding, and each fold's state, the extractor's
-``dump()`` lines, is kept so leakage is checkable. A fold predicts each of
-its distinct rows once. Every
-fold's model comes from one ``classifiers.train_folds`` call, which says
-how it groups folds to train them together; each fold is predicted as its
-model arrives, so at most one group's models are alive.
+summation; a fold's accuracy, the share of its rows predicted right, is the
+one accuracy the reports summarize. It encodes each distinct key of the
+corpus once and finds its distinct rows once; any feature state learned
+from data (the bag-of-words vocabulary) is rebuilt from each fold's training
+split and picks that fold's columns of the encoding, and each fold's state,
+the extractor's ``dump()`` lines, is kept so leakage is checkable. A fold
+predicts each of its distinct rows once. Every fold's model comes from one
+``classifiers.train_folds`` call, which says how it groups folds to train
+them together; each fold is predicted as its model arrives, so at most one
+group's models are alive.
 """
 
 from __future__ import annotations
@@ -52,13 +53,6 @@ def f_measure(p: float, r: float) -> float:
     if p + r == 0:
         return 0.0
     return 2.0 * p * r / (p + r)
-
-
-def accuracy(counts: np.ndarray) -> float:
-    total = int(counts.sum())
-    if total == 0:
-        raise ValueError("cannot compute accuracy of an empty confusion matrix")
-    return int(np.trace(counts)) / total
 
 
 def summarize(accuracies) -> tuple[float, float, float]:

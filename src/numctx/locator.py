@@ -75,14 +75,6 @@ class NumberShape(NamedTuple):
     group_lengths: tuple[int, ...]
 
 
-def is_word_character(ch: str) -> bool:
-    """Whether ``ch`` is neither whitespace nor sentence punctuation, so that
-    it lies inside the word of its chunk. A located number starts with
-    ``+``, ``R`` or a digit and ends with a digit or ``%``: both ends are
-    word characters."""
-    return not ch.isspace() and ch not in SENTENCE_PUNCTUATION
-
-
 def words_before(text: str, pos: int, count: int) -> list[str]:
     """The lowered words of the chunks that end at or before ``pos``, the
     nearest first, at most ``count`` of them. A chunk that ``pos`` cuts is

@@ -196,7 +196,7 @@ def _verbalize_date(token, shape, style, context, lexicon) -> str:
     value = int("".join(token.digit_groups))
     if shape.digit_count == 4:
         return year_words(value, style.year_mode)
-    month = _cue(context, lambda w: lexicon.lookup(w) == KeywordClass.Month)
+    month = _cue(context, lambda w: lexicon.entries.get(w) == KeywordClass.Month)
     if month:
         return f"{cardinal(value)} {month}"
     return cardinal(value)
@@ -247,7 +247,7 @@ def _verbalize_currency(token, shape, style, context, lexicon) -> str:
     says_unit = whole or not cents  # the spoken style names the currency after a whole amount
     unit = None
     if says_unit or symbolic:
-        unit = _cue(context, lambda w: lexicon.lookup(w) == KeywordClass.CurrencyWord) or "ringgit"
+        unit = _cue(context, lambda w: lexicon.entries.get(w) == KeywordClass.CurrencyWord) or "ringgit"
     rm = symbolic and unit == "ringgit"  # rm stands for ringgit alone; any other currency reads as spoken
     parts = ["rm"] if rm else []
     if says_unit:
@@ -271,7 +271,7 @@ def _measurement_unit(context: ContextWindow, mode: UnitMode, lexicon: Lexicon) 
     word = context.postposition1
     if word in _UNIT_ABBREVS:
         return _UNIT_ABBREVS[word] if mode == UnitMode.Full else word
-    if lexicon.lookup(word) in (KeywordClass.MeasurementUnit, KeywordClass.CollectiveNoun):
+    if lexicon.entries.get(word) in (KeywordClass.MeasurementUnit, KeywordClass.CollectiveNoun):
         return word
     return None
 

@@ -26,8 +26,8 @@ from numctx.classifiers import (
     train,
 )
 from numctx.cli import main
-from numctx.context_features import line_windows
-from numctx.corpus import Corpus, LabeledSentence, load_bundled_corpus, stratified_folds
+from numctx.context_features import bundled_corpus_path, number_window
+from numctx.corpus import Corpus, LabeledSentence, load_corpus, stratified_folds
 from numctx.evaluation import cross_validate, precision, recall
 from numctx.labels import LABELS, FormatLabel
 from numctx.locator import locate_numbers
@@ -110,7 +110,7 @@ def test_2_bow_byte_encoding():
 def test_3_context_window():
     with _report("3 context window of the reference sentence"):
         (number,) = locate_numbers(COURT_SENTENCE)
-        (window,) = line_windows(COURT_SENTENCE, [number])
+        window = number_window(COURT_SENTENCE, number)
         assert tuple(window) == ("mahkamah", "menetapkan", "januari", "ini")
 
 
@@ -131,7 +131,7 @@ def test_4_verbalizer_fixtures():
 
         text = "2.00 PM"
         (two_pm,) = locate_numbers(text)
-        (window,) = line_windows(text, [two_pm])
+        window = number_window(text, two_pm)
         assert verbalize(two_pm, FormatLabel.Time, context=window) == "dua petang"
 
         (year,) = locate_numbers("1924")
@@ -146,7 +146,7 @@ def test_4_verbalizer_fixtures():
 def test_5_headline_comparison():
     with _report("5 headline comparison on the bundled corpus"):
         started = time.monotonic()
-        corpus = load_bundled_corpus()
+        corpus = load_corpus(bundled_corpus_path())
         assert len(corpus) >= 300
         counts = corpus.class_counts()
         for label in LABELS:

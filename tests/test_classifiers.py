@@ -26,8 +26,8 @@ from numctx.classifiers import (
     train,
     train_folds,
 )
-from numctx.context_features import default_lexicon
-from numctx.corpus import bundled_corpus_path, load_corpus, stratified_folds
+from numctx.context_features import bundled_corpus_path, default_lexicon
+from numctx.corpus import load_corpus, stratified_folds
 from numctx.labels import FormatLabel
 from numctx.models import ModelFormatError, deserialize, predict, serialize
 from numctx.pipeline import EXTRACTORS, encode_rows, make_features

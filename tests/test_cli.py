@@ -14,8 +14,8 @@ from numctx.classifiers import Algorithm, TrainConfig
 import numctx
 from numctx import cli, context_features, locator, pipeline, verbalizer
 from numctx.cli import build_parser, main
-from numctx.context_features import default_lexicon, default_lexicon_path
-from numctx.corpus import CorpusError, bundled_corpus_path, save_corpus
+from numctx.context_features import bundled_corpus_path, default_lexicon, default_lexicon_path
+from numctx.corpus import CorpusError, save_corpus
 from numctx.models import ModelFormatError, deserialize
 from numctx.pipeline import Pipeline
 
@@ -988,7 +988,7 @@ class TestUserLexicon:
         argv = ["train", "--extractor", "bow", "--lexicon", yen_lexicon, "--output", str(model_path)]
         code, *_ = run(argv, capsys=capsys)
         assert code == 0
-        assert Pipeline.load(model_path).lexicon.lookup("yen").name == "CurrencyWord"
+        assert Pipeline.load(model_path).lexicon.entries["yen"].name == "CurrencyWord"
 
     def test_lexicon_word_with_space_rejected(self, toy_corpus_path, tmp_path, capsys):
         path = tmp_path / "spaced.tsv"

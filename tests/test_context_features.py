@@ -17,12 +17,12 @@ from numctx.context_features import (
     codes,
     default_lexicon,
     line_numbers,
-    line_windows,
     load_lexicon,
+    number_window,
     one_hot_row,
     token_at,
 )
-from numctx.locator import NumberShape, NumberToken, ShapeKind, locate_numbers, shape_of, words_after
+from numctx.locator import NumberShape, ShapeKind, locate_numbers, shape_of, words_after
 from numctx.pipeline import ContextFeatures
 
 COURT_SENTENCE = "Mahkamah menetapkan 21 Januari ini untuk sebutan semula kes"
@@ -31,7 +31,7 @@ COURT_SENTENCE = "Mahkamah menetapkan 21 Januari ini untuk sebutan semula kes"
 def encode_span(text, span, lexicon):
     """Encode the number at ``span`` as ``classify`` does."""
     tok = token_at(text, span)
-    (window,) = line_windows(text, [tok])
+    window = number_window(text, tok)
     features = ContextFeatures(lexicon)
     return _dense(features.row(features.key(window, tok, shape_of(tok))))
 
@@ -50,34 +50,36 @@ def _one_hot_dense(codes):
 
 class TestLineWindows:
     def test_court_sentence(self):
-        assert line_windows(COURT_SENTENCE, locate_numbers(COURT_SENTENCE)) == [
-            ContextWindow("mahkamah", "menetapkan", "januari", "ini")
-        ]
+        (number,) = locate_numbers(COURT_SENTENCE)
+        assert number_window(COURT_SENTENCE, number) == ContextWindow("mahkamah", "menetapkan", "januari", "ini")
 
     def test_first_token_has_boundaries(self):
         text = "21 Januari ini"
-        (window,) = line_windows(text, locate_numbers(text))
+        (number,) = locate_numbers(text)
+        window = number_window(text, number)
         assert window.preposition2 is None
         assert window.preposition1 is None
         assert window.postposition1 == "januari"
 
     def test_two_numbers_by_hand(self):
         text = "dari 5 hingga 10 peratus"
-        window = line_windows(text, locate_numbers(text))[1]
+        window = number_window(text, locate_numbers(text)[1])
         assert window == ContextWindow("5", "hingga", "peratus", None)
 
     def test_absorbed_symbol_words_not_in_window(self):
         text = "harga barang RM 2.50 sahaja"
-        (window,) = line_windows(text, locate_numbers(text))
+        (number,) = locate_numbers(text)
+        window = number_window(text, number)
         # 'RM' belongs to the number, so the window starts before it
         assert window == ContextWindow("harga", "barang", "sahaja", None)
 
     @pytest.mark.parametrize("space", [" ", "\xa0", "\u3000"])
-    def test_number_over_no_word_refused(self, space):
-        # a span over the space alone; located numbers always cover a word
-        token = NumberToken(raw=space, span=(4, 5), digit_groups=("",), separators=())
-        with pytest.raises(ValueError, match="overlaps no word token"):
-            line_windows(f"satu{space}dua", [token])
+    def test_window_across_space(self, space):
+        # a no-break or ideographic space parts words as a plain space does
+        text = space.join(["satu", "21", "Januari", "ini"])
+        (number,) = locate_numbers(text)
+        assert number.span == (5, 7)
+        assert number_window(text, number) == ContextWindow(None, "satu", "januari", "ini")
 
 
 # --- differential oracle ----------------------------------------------------
@@ -117,28 +119,35 @@ class TestLineWindowsMatchTheTokenScan:
     def test_random_line(self, text):
         numbers = locate_numbers(text)
         words = _oracle_tokenize(text)
-        assert line_windows(text, numbers) == [_oracle_window(words, n) for n in numbers]
         assert list(line_numbers(text)) == [(n, _oracle_window(words, n), shape_of(n)) for n in numbers]
+
+
+# pre2 past the sentence edge, pre1 a word the lexicon lacks, post1 a month, post2 a percent word
+_SLOTS_WINDOW = ContextWindow(None, "xyzzy", "januari", "peratus")
+_PLAIN_SHAPE = NumberShape(ShapeKind.PlainInt, 2, (2,))
 
 
 class TestClassifyWord:
     def test_month(self):
-        assert default_lexicon().lookup("januari") == KeywordClass.Month
+        assert default_lexicon().entries["januari"] == KeywordClass.Month
+        assert codes(_SLOTS_WINDOW, _PLAIN_SHAPE, default_lexicon())[2] == KeywordClass.Month
 
     def test_percent_word(self):
-        assert default_lexicon().lookup("peratus") == KeywordClass.PercentWord
+        assert default_lexicon().entries["peratus"] == KeywordClass.PercentWord
+        assert codes(_SLOTS_WINDOW, _PLAIN_SHAPE, default_lexicon())[3] == KeywordClass.PercentWord
 
     def test_unknown(self):
-        assert default_lexicon().lookup("xyzzy") == KeywordClass.Unknown
+        assert "xyzzy" not in default_lexicon().entries
+        assert codes(_SLOTS_WINDOW, _PLAIN_SHAPE, default_lexicon())[1] == KeywordClass.Unknown
 
     def test_boundary(self):
-        assert default_lexicon().lookup(None) == KeywordClass.Boundary
+        assert codes(_SLOTS_WINDOW, _PLAIN_SHAPE, default_lexicon())[0] == KeywordClass.Boundary
 
     def test_case_insensitive(self):
         # the lexicon holds lowercase words; the window scan lowers the line's words
         text = "pada 21 JANUARI ini"
         (number,) = locate_numbers(text)
-        (window,) = line_windows(text, [number])
+        window = number_window(text, number)
         assert codes(window, shape_of(number), default_lexicon())[2] == KeywordClass.Month
 
     @pytest.mark.parametrize(
@@ -154,7 +163,7 @@ class TestClassifyWord:
         ],
     )
     def test_keyword_inventory(self, word, cls):
-        assert default_lexicon().lookup(word) == cls
+        assert default_lexicon().entries[word] == cls
 
 
 def _shape(text):
@@ -201,15 +210,22 @@ class TestEncode:
         assert vec[53 + bucket_offset] == 1.0
 
     def test_codes_are_the_lookups_as_plain_ints(self):
-        # codes reads the lexicon's entries directly; each code must still be
-        # the slot's lookup, and a plain int, as memo keys and reports hold them
+        # each code must be the slot's class, written out here: Boundary past
+        # the sentence edge, else the word's entry, or Unknown; and a plain
+        # int, as memo keys and reports hold them
         lexicon = default_lexicon()
+
+        def slot_class(word):
+            if word is None:
+                return KeywordClass.Boundary
+            return lexicon.entries.get(word, KeywordClass.Unknown)
+
         base = ["mahkamah", None, "januari", "ini"]
         for slot, word in itertools.product(range(4), [*lexicon.entries, "xyzzy", None]):
             window = ContextWindow(*base[:slot], word, *base[slot + 1 :])
             for kind, (digits, bucket) in itertools.product(ShapeKind, [(2, 0), (4, 1), (5, 2)]):
                 key = codes(window, NumberShape(kind, digits, (digits,)), lexicon)
-                assert key == (*[int(lexicon.lookup(w)) for w in window], int(kind), bucket)
+                assert key == (*[int(slot_class(w)) for w in window], int(kind), bucket)
                 assert all(type(code) is int for code in key)
 
     def test_locality(self):
@@ -239,7 +255,7 @@ class TestLexiconFile:
     def test_default_lexicon_loads(self):
         lex = default_lexicon()
         assert len(lex.entries) > 100
-        assert lex.lookup("disember") == KeywordClass.Month
+        assert lex.entries["disember"] == KeywordClass.Month
 
     def test_load_rejects_bad_class(self, tmp_path):
         path = tmp_path / "lex.tsv"
@@ -279,7 +295,7 @@ class TestLexiconFile:
         path = tmp_path / "lex.tsv"
         path.write_text("# comment\n\njam\tTimeWord  # trailing\n", encoding="utf-8")
         lex = load_lexicon(path)
-        assert lex.lookup("jam") == KeywordClass.TimeWord
+        assert lex.entries["jam"] == KeywordClass.TimeWord
 
     def test_dimension_constant_across_lexicons(self, tmp_path):
         path = tmp_path / "lex.tsv"

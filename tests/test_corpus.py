@@ -1,11 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from numctx.context_features import bundled_corpus_path
 from numctx.corpus import (
     Corpus,
     CorpusError,
     LabeledSentence,
-    load_bundled_corpus,
     load_corpus,
     save_corpus,
     scan_corpus,
@@ -111,7 +111,7 @@ class TestLoadCorpus:
         assert all(type(issue) is CorpusError for issue in issues)
 
     def test_round_trip(self, tmp_path):
-        original = load_bundled_corpus()
+        original = load_corpus(bundled_corpus_path())
         out = tmp_path / "again.csv"
         save_corpus(original, out)
         assert load_corpus(out) == original
@@ -196,7 +196,7 @@ class TestStratifiedFolds:
             stratified_folds(Corpus(sentences=()), k=2, seed=0)
 
     def test_determinism(self):
-        corpus = load_bundled_corpus()
+        corpus = load_corpus(bundled_corpus_path())
         assert stratified_folds(corpus, 10, 42) == stratified_folds(corpus, 10, 42)
         assert stratified_folds(corpus, 10, 42) != stratified_folds(corpus, 10, 43)
 

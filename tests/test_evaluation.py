@@ -6,10 +6,9 @@ import pytest
 from conftest import cv_workload_corpus, separable_corpus
 from numctx import classifiers, evaluation
 from numctx.classifiers import Algorithm, TrainConfig, predict_batch, train
-from numctx.context_features import default_lexicon
-from numctx.corpus import load_bundled_corpus, stratified_folds
+from numctx.context_features import bundled_corpus_path, default_lexicon
+from numctx.corpus import Corpus, LabeledSentence, load_corpus, stratified_folds
 from numctx.evaluation import (
-    accuracy,
     comparison_report,
     cross_validate,
     evaluation_report,
@@ -74,23 +73,33 @@ class TestMetrics:
         assert round(f_measure(0.9857, 0.8214), 4) == 0.8961
 
     def test_accuracy_diagonal(self):
-        assert accuracy(np.diag([1, 2, 3, 4, 5, 6])) == 1.0
+        # a fold's accuracy is the share of its rows predicted right: all of
+        # them when the pooled matrix holds its counts on the diagonal alone
+        summary = cross_validate(separable_corpus(), "context", _dt(), k=10, seed=42)
+        assert np.array_equal(summary.pooled, np.diag(np.diag(summary.pooled)))
+        assert summary.fold_accuracies == (1.0,) * 10
 
     def test_accuracy_off_diagonal(self):
-        counts = np.zeros((6, 6), dtype=int)
-        counts[0, 1] = 4
-        assert accuracy(counts) == 0.0
+        # every row has one key, so each fold's model answers its training
+        # majority; round-robin puts two Dates and one Time in each fold,
+        # whose Time lands off the diagonal, in the Date column
+        labels = [D] * 4 + [T] * 2
+        rows = [LabeledSentence(f"r{i}", f"nombor {10 + i} sahaja", (7, 9), label) for i, label in enumerate(labels)]
+        summary = cross_validate(Corpus(tuple(rows)), "context", _dt(), k=2, seed=42)
+        assert summary.fold_accuracies == (2 / 3, 2 / 3)
+        expected = np.zeros((6, 6), dtype=np.int64)
+        expected[D, D], expected[T, D] = 4, 2
+        assert np.array_equal(summary.pooled, expected)
 
     def test_accuracy_reference_pooled(self, reference_cm):
         # trace 392 over total 415, summed by hand
         assert np.trace(reference_cm) == 392
         assert reference_cm.sum() == 415
-        assert accuracy(reference_cm) == pytest.approx(392 / 415)
-        assert round(100 * accuracy(reference_cm), 2) == 94.46
 
     def test_accuracy_empty_errors(self):
+        # a run with no fold accuracies has no accuracy to report
         with pytest.raises(ValueError):
-            accuracy(np.zeros((6, 6), dtype=np.int64))
+            summarize([])
 
     def test_class_metrics_in_range(self, reference_cm):
         for label in LABELS:
@@ -135,24 +144,25 @@ class TestCrossValidate:
         assert a.fold_states == b.fold_states
 
     def test_pooled_total_is_corpus_size(self):
-        corpus = load_bundled_corpus()
+        corpus = load_corpus(bundled_corpus_path())
         summary = cross_validate(corpus, "context", _dt(), k=10, seed=42)
         assert summary.pooled.sum() == len(corpus)
 
     def test_micro_consistency(self):
         # pooled-matrix accuracy equals the fold-size-weighted mean accuracy
-        corpus = load_bundled_corpus()
+        corpus = load_corpus(bundled_corpus_path())
         summary = cross_validate(corpus, "context", _dt(), k=10, seed=42)
         folds = stratified_folds(corpus, 10, 42)
         weighted = sum(a * len(f) for a, f in zip(summary.fold_accuracies, folds))
-        assert accuracy(summary.pooled) == pytest.approx(weighted / len(corpus))
+        pooled = summary.pooled
+        assert np.trace(pooled) / pooled.sum() == pytest.approx(weighted / len(corpus))
 
     def test_bow_vocab_rebuilt_per_fold(self):
         # each fold's state must be the vocabulary built from its training split alone
         from numctx.bow_features import build_vocab
         from numctx.locator import locate_numbers
 
-        corpus = load_bundled_corpus()
+        corpus = load_corpus(bundled_corpus_path())
         summary = cross_validate(corpus, "bow", _dt(), k=10, seed=42)
         raws = []
         for sentence in corpus:
@@ -204,7 +214,7 @@ def _oracle_cross_validate(corpus, extractor, cfg, k, seed):
 
 @pytest.fixture(scope="module")
 def bundled():
-    return load_bundled_corpus()
+    return load_corpus(bundled_corpus_path())
 
 
 class TestMatchesPerStateEncoding:

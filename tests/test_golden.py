@@ -48,8 +48,8 @@ import pytest
 from conftest import PERFBENCH_INPUTS
 
 from numctx.cli import main
-from numctx.context_features import line_numbers
-from numctx.corpus import bundled_corpus_path, load_corpus
+from numctx.context_features import bundled_corpus_path, line_numbers
+from numctx.corpus import load_corpus
 from numctx.labels import LABELS
 from numctx.verbalizer import _READINGS, CurrencyMode, UnitMode, VerbalizationStyle, YearMode, verbalize
 

@@ -27,11 +27,12 @@ from numctx.context_features import (
     _N_CLASSES,
     _N_SHAPES,
     FEATURE_DIM,
+    bundled_corpus_path,
     codes,
     default_lexicon,
     line_numbers,
 )
-from numctx.corpus import bundled_corpus_path, load_corpus
+from numctx.corpus import load_corpus
 from numctx.labels import LABELS
 from numctx.locator import ShapeKind, locate_numbers
 from numctx.models import deserialize, predict, serialize

@@ -21,13 +21,14 @@ from numctx.context_features import (
     KEYWORD_CLASSES,
     ContextWindow,
     KeywordClass,
+    bundled_corpus_path,
     codes,
     default_lexicon,
     line_numbers,
-    line_windows,
+    number_window,
     one_hot_row,
 )
-from numctx.corpus import Corpus, LabeledSentence, bundled_corpus_path, load_corpus, stratified_folds
+from numctx.corpus import Corpus, LabeledSentence, load_corpus, stratified_folds
 from numctx.evaluation import cross_validate
 from numctx.labels import LABELS, FormatLabel
 from numctx.locator import SHAPE_KINDS, NumberShape, locate_numbers, shape_of
@@ -55,7 +56,7 @@ def _oracle_encode(window, shape, lexicon):
     # slots by name, so the oracle does not depend on the window's field order
     slots = (window.preposition2, window.preposition1, window.postposition1, window.postposition2)
     for pos, word in enumerate(slots):
-        cls = lexicon.lookup(word)
+        cls = KeywordClass.Boundary if word is None else lexicon.entries.get(word, KeywordClass.Unknown)
         vec[pos * _N_CLASSES + int(cls)] = 1.0
     shape_base = 4 * _N_CLASSES
     vec[shape_base + int(shape.kind)] = 1.0
@@ -99,7 +100,7 @@ def _dense(row, width):
 LEXICON = default_lexicon()
 CORPUS = load_corpus(bundled_corpus_path())
 NUMBERS = [s.number for s in CORPUS]
-WINDOWS = [line_windows(s.text, [n])[0] for s, n in zip(CORPUS, NUMBERS)]
+WINDOWS = [number_window(s.text, n) for s, n in zip(CORPUS, NUMBERS)]
 SHAPES = [shape_of(n) for n in NUMBERS]
 ROWS = list(zip(WINDOWS, NUMBERS, SHAPES))
 ALGORITHMS = [a.value for a in Algorithm]
@@ -156,7 +157,7 @@ def _oracle_encode_rows(features, corpus):
     each corpus row's key and pairs, one row at a time, scattered into one
     matrix."""
     if features.windowed:
-        windows = [line_windows(s.text, [s.number])[0] for s in corpus]
+        windows = [number_window(s.text, s.number) for s in corpus]
         keys = [features.key(w, s.number, shape_of(s.number)) for w, s in zip(windows, corpus)]
     else:
         keys = [features.key(None, s.number, None) for s in corpus]

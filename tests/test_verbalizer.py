@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import numctx
 from numctx import verbalizer
-from numctx.context_features import ContextWindow, KeywordClass, Lexicon, default_lexicon, line_windows
+from numctx.context_features import ContextWindow, KeywordClass, Lexicon, default_lexicon, number_window
 from numctx.labels import FormatLabel
 from numctx.locator import NumberToken, ShapeKind, locate_numbers, shape_of
 from numctx.verbalizer import (
@@ -36,7 +36,7 @@ def tok(text: str) -> NumberToken:
 
 
 def win(text: str, index: int = 0) -> ContextWindow:
-    return line_windows(text, locate_numbers(text))[index]
+    return number_window(text, locate_numbers(text)[index])
 
 
 class TestCardinal:
@@ -568,7 +568,7 @@ def _split_money(token: NumberToken) -> tuple[int, int]:
 
 def _currency_unit(context: ContextWindow | None, lexicon: Lexicon) -> str:
     for word in _context_slots(context):
-        if lexicon.lookup(word) == KeywordClass.CurrencyWord:
+        if lexicon.entries.get(word) == KeywordClass.CurrencyWord:
             return word
     return "ringgit"
 
@@ -618,7 +618,7 @@ def _measurement_unit(context: ContextWindow | None, mode: UnitMode, lexicon: Le
         return None
     if word in _UNIT_ABBREVS:
         return _UNIT_ABBREVS[word] if mode == UnitMode.Full else word
-    if lexicon.lookup(word) in (KeywordClass.MeasurementUnit, KeywordClass.CollectiveNoun):
+    if lexicon.entries.get(word) in (KeywordClass.MeasurementUnit, KeywordClass.CollectiveNoun):
         return word
     return None
 
